@@ -15,8 +15,8 @@ from . import decision, workbench
 from .errors import InternalCheckFailed, MlunifError, ResourceLimit
 from .formula import H2, L, parse, pretty
 from .kripke import (
-    CounterModel, Model, Valid, frame_valid, model_check, parse_frame,
-    parse_valuation, serialize_frame, serialize_valuation,
+    Model, Valid, Valuation, model_check, parse_valuation, serialize_frame,
+    serialize_valuation,
 )
 from .minsky import parse_config, parse_program
 from .encoding import (
@@ -89,7 +89,6 @@ def cmd_modelcheck(args) -> int:
     if args.valuation:
         valuation = parse_valuation(_read(args.valuation))
     else:
-        from .kripke import Valuation
         valuation = Valuation()
     language = H2 if frame.kind == H2 else L
     phi = parse(args.formula, language)
@@ -101,7 +100,7 @@ def cmd_modelcheck(args) -> int:
 def cmd_valid(args) -> int:
     phi = parse(args.formula, _logic_language(args.logic))
     result = decision.valid(phi, args.logic, label_budget=args.budget)
-    if isinstance(result, decision.Valid):
+    if isinstance(result, Valid):
         print("valid")
     else:
         print("not valid; counter-model at point %s:" % result.point)

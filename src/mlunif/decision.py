@@ -40,7 +40,7 @@ from .formula import (
     H2, Iff as FIff, Implies as FImplies, L, Modality, Nominal as FNominal,
     Not as FNot, Or as FOr, Top as FTop, Var as FVar, language_of, variables,
 )
-from .kripke import Frame, Model, Valuation, model_check
+from .kripke import CounterModel, Frame, Model, Valid, Valuation, model_check
 
 KU = "ku"
 KH2 = "kh2"
@@ -173,10 +173,10 @@ class NfBuilder:
         return out
 
     def from_formula(self, phi: Formula) -> NF:
-        memo: Dict[Tuple[int, bool], NF] = {}
+        memo: Dict[Tuple[Formula, bool], NF] = {}
 
         def go(f: Formula, pos: bool) -> NF:
-            key = (id(f), pos)
+            key = (f, pos)
             out = memo.get(key)
             if out is not None:
                 return out
@@ -235,17 +235,6 @@ class Sat:
 @dataclass
 class Unsat:
     pass
-
-
-@dataclass
-class Valid:
-    pass
-
-
-@dataclass
-class CounterModel:
-    model: Model
-    point: str
 
 
 # --- the relational-box engine with global axioms -------------------------------
@@ -363,10 +352,6 @@ class _KEngine:
                         self.struct_clauses.append([-la, lf])
                     self.struct_clauses.append([-lf] + arms)
                 stack.extend(nf.args)
-            elif nf.tag in ("box", "dia"):
-                # the complement is the dual node over the negated arg; give
-                # its arg a chance to be encoded when it shows up in contents
-                pass
 
     def sat(self, content: FrozenSet[NF]) -> Tuple[bool, Optional[int]]:
         ok, _, world = self._sat(frozenset(content), {}, 0)
@@ -417,7 +402,9 @@ class _KEngine:
 
     def _node_sat(self, content: FrozenSet[NF], path, depth: int,
                   world: int) -> Tuple[bool, float]:
-        for nf in content:
+        # uid order, not the address order of the frozenset: atom numbering
+        # and with it the solver's search must not depend on the heap layout
+        for nf in sorted(content, key=lambda f: f.uid):
             self._encode(nf)
         assumptions = tuple(sorted((self._lit(nf) for nf in content), key=abs))
 

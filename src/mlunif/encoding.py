@@ -16,7 +16,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from .errors import ParseError, TruncationUnsound
 from .formula import (
@@ -103,7 +103,6 @@ def tower_name(i: int, j: int) -> CharName:
     return CharName("a", i, j)
 
 
-@functools.lru_cache(maxsize=None)
 def _base_formula(name: str) -> Formula:
     if name == "alpha":
         dia_top = _dia(TOP)
@@ -134,7 +133,6 @@ def _base_formula(name: str) -> Formula:
     raise ValueError("unknown marker %r" % name)
 
 
-@functools.lru_cache(maxsize=None)
 def _chair_pair(k: int) -> Formula:
     """Sees both marker chains of level k in one step; the distinctive shape
     of a level-k tower base."""
@@ -143,6 +141,8 @@ def _chair_pair(k: int) -> Formula:
     return And(_dia(g), _dia(d))
 
 
+# cached because each member recurses into the one below: uncached, building
+# every marker up to level j would take time quadratic in j
 @functools.lru_cache(maxsize=None)
 def tower(i: int, j: int) -> Formula:
     """The j-th member of tower family i; family 0 marks machine states,
@@ -186,15 +186,11 @@ def epsilon(t: int, phi: Formula, psi: Formula) -> Formula:
     ])
 
 
-@functools.lru_cache(maxsize=None)
 def config_formula(c: Config) -> Formula:
     return epsilon(c.state, tower(1, c.c1), tower(2, c.c2))
 
 
-@functools.lru_cache(maxsize=None)
 def config_exists(c: Config, mode: Mode) -> Formula:
-    """exists(config_formula(c), mode), shared across call sites so equal
-    subterms stay identical objects."""
     return exists(config_formula(c), mode)
 
 
@@ -206,7 +202,6 @@ TAU1 = "tau1"
 TAU2 = "tau2"
 
 
-@functools.lru_cache(maxsize=None)
 def pi_tau(which: str) -> Formula:
     """Counter patterns over p1 (pi family) and p2 (tau family): the pi1/tau1
     forms pin the variable to a single tower point, the pi2/tau2 forms to its

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List
 
 from .errors import LanguageMismatch, ParseError
 from .formula import (
     And, Bot, Box, Formula, Iff, Implies, Modality, Nominal, Not, Top, Var,
+    _Tokens,
 )
 
 
@@ -147,72 +148,47 @@ _TERM_TOKEN_RE = re.compile(
 )
 
 
-class _TermParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: List[Tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TERM_TOKEN_RE.match(text, pos)
-            if m is None or m.lastgroup is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(len(text) - len(stripped), "a term token", text)
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def error(self, expected: str) -> ParseError:
-        pos = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
-        return ParseError(pos, expected, self.text)
+class _TermParser(_Tokens):
+    token_re = _TERM_TOKEN_RE
+    token_name = "a term token"
 
     def parse_meet(self) -> Term:
         out = self.parse_unary()
         while self.peek() == "and":
-            self.i += 1
+            self.next()
             out = Meet(out, self.parse_unary())
         return out
 
     def parse_unary(self) -> Term:
         kind = self.peek()
         if kind == "not":
-            self.i += 1
+            self.next()
             return Complement(self.parse_unary())
         if kind == "box1":
-            self.i += 1
+            self.next()
             return BoxOp(1, self.parse_unary())
         if kind == "box2":
-            self.i += 1
+            self.next()
             return BoxOp(2, self.parse_unary())
         if kind == "one":
-            self.i += 1
+            self.next()
             return One()
         if kind == "var":
-            _, text, _ = self.tokens[self.i]
-            self.i += 1
+            _, text, _ = self.next()
             return IndVar(int(text[1:]))
         if kind == "lp":
-            self.i += 1
+            self.next()
             out = self.parse_meet()
             if self.peek() != "rp":
                 raise self.error("')'")
-            self.i += 1
+            self.next()
             return out
         raise self.error("a term")
 
 
 def parse_term(text: str) -> Term:
     parser = _TermParser(text)
-    if not parser.tokens:
-        raise ParseError(0, "a term", text)
-    out = parser.parse_meet()
-    if parser.i != len(parser.tokens):
-        raise parser.error("end of input")
-    return out
+    return parser.parse_all(parser.parse_meet, "a term")
 
 
 def parse_equation(text: str) -> Equation:
@@ -228,9 +204,7 @@ def print_term(t: Term) -> str:
     if isinstance(t, One):
         return "true"
     if isinstance(t, Meet):
-        left = print_term(t.left)
-        if isinstance(t.left, Meet):
-            pass  # meet is left-associative, no parentheses needed
+        left = print_term(t.left)  # meet is left-associative
         right = print_term(t.right)
         if isinstance(t.right, Meet):
             right = "(%s)" % right

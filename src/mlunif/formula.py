@@ -9,11 +9,10 @@ code normalizes them away with `desugar`.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import itertools
 import re
-from dataclasses import dataclass
+import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import LanguageError, ParseError
@@ -26,21 +25,49 @@ class Modality(enum.Enum):
 
 
 class Formula:
-    """Base class; nodes are immutable and hashable with a cached hash.
+    """Base class of the hash-consed formula nodes.
 
-    Equality is structural.  Shared subterms compare fast because tuple
-    comparison short-circuits on identical objects, and the cached hash
-    keeps hashing linear in the DAG size rather than the tree size.
+    Every constructor call goes through one process-wide table keyed by
+    class and fields, so structurally equal formulas are one object:
+    equality and hashing are identity, and a formula is a DAG whose size is
+    its number of structurally distinct subterms.  The table holds nodes
+    weakly, so a formula no one references is freed as usual.
+
+    `flags` records, once per node, which of the language-defining symbols
+    (UNIV_BOX, HYB_BOX, NOMINAL) and whether any variable or nominal
+    (SYMBOL) occur in the subterm.
     """
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            key = tuple(getattr(self, f.name) for f in dataclasses.fields(self))
-            h = hash((self.__class__.__name__,) + key)
-            object.__setattr__(self, "_hash", h)
-            return h
+    __slots__ = ("flags", "__weakref__")
+    _fields: Tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        key = (cls,) + args
+        node = _interned.get(key)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise TypeError("%s takes %d arguments" % (cls.__name__, len(cls._fields)))
+            node = object.__new__(cls)
+            flags = 0
+            for name, value in zip(cls._fields, args):
+                object.__setattr__(node, name, value)
+                if isinstance(value, Formula):
+                    flags |= value.flags
+            object.__setattr__(node, "flags", flags | node._own_flags())
+            _interned[key] = node
+        return node
+
+    def _own_flags(self) -> int:
+        """The flags this node adds to its children's; raises ValueError
+        on an invalid field."""
+        return 0
+
+    def __setattr__(self, name, value):
+        raise AttributeError("formula nodes are immutable")
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__name__,
+                           ", ".join(repr(getattr(self, f)) for f in self._fields))
 
     def __and__(self, other):
         return And(self, other)
@@ -52,79 +79,82 @@ class Formula:
         return Not(self)
 
 
-@dataclass(frozen=True)
-class Var(Formula):
-    index: int
+UNIV_BOX, HYB_BOX, NOMINAL, SYMBOL = 1, 2, 4, 8
 
-    def __post_init__(self):
+_interned = weakref.WeakValueDictionary()
+
+
+class Var(Formula):
+    __slots__ = ("index",)
+    _fields = ("index",)
+
+    def _own_flags(self) -> int:
         if self.index < 1:
             raise ValueError("variable index must be >= 1")
+        return SYMBOL
 
 
-@dataclass(frozen=True)
 class Nominal(Formula):
-    index: int
+    __slots__ = ("index",)
+    _fields = ("index",)
 
-    def __post_init__(self):
+    def _own_flags(self) -> int:
         if self.index < 1:
             raise ValueError("nominal index must be >= 1")
+        return SYMBOL | NOMINAL
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
+    _fields = ("sub",)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    modality: Modality
-    sub: Formula
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
-    modality: Modality
-    sub: Formula
+class _Modal(Formula):
+    __slots__ = ("modality", "sub")
+    _fields = ("modality", "sub")
+
+    def _own_flags(self) -> int:
+        return _MODALITY_FLAG[self.modality]
 
 
-# The dataclass decorator installs a recursive __hash__ when eq and frozen
-# are both set; swap in the cached one from the base class.
-for _cls in (Var, Nominal, Top, Bot, Not, And, Or, Implies, Iff, Box, Diamond):
-    _cls.__hash__ = Formula.__hash__
+class Box(_Modal):
+    __slots__ = ()
+
+
+class Diamond(_Modal):
+    __slots__ = ()
+
+
+_MODALITY_FLAG = {Modality.REL: 0, Modality.UNIV: UNIV_BOX, Modality.HYB: HYB_BOX}
 
 TOP = Top()
 BOT = Bot()
@@ -161,16 +191,14 @@ def iter_subformulas(phi: Formula) -> Iterator[Formula]:
     stack = [phi]
     while stack:
         f = stack.pop()
-        if id(f) in seen:
+        if f in seen:
             continue
-        seen.add(id(f))
+        seen.add(f)
         yield f
-        if isinstance(f, Not):
-            stack.append(f.sub)
-        elif isinstance(f, (And, Or, Implies, Iff)):
+        if isinstance(f, _Binary):
             stack.append(f.left)
             stack.append(f.right)
-        elif isinstance(f, (Box, Diamond)):
+        elif isinstance(f, (Not, _Modal)):
             stack.append(f.sub)
 
 
@@ -188,10 +216,10 @@ def size(phi: Formula) -> int:
 
 
 def modal_depth(phi: Formula) -> int:
-    memo: Dict[int, int] = {}
+    memo: Dict[Formula, int] = {}
 
     def depth(f: Formula) -> int:
-        r = memo.get(id(f))
+        r = memo.get(f)
         if r is not None:
             return r
         if isinstance(f, Not):
@@ -202,7 +230,7 @@ def modal_depth(phi: Formula) -> int:
             r = 1 + depth(f.sub)
         else:
             r = 0
-        memo[id(f)] = r
+        memo[f] = r
         return r
 
     return depth(phi)
@@ -210,20 +238,12 @@ def modal_depth(phi: Formula) -> int:
 
 def language_of(phi: Formula) -> Optional[str]:
     """L, H2, or None when the formula fits both (no U-box, H-box or nominal)."""
-    has_univ = has_hyb = has_nom = False
-    for f in iter_subformulas(phi):
-        if isinstance(f, Nominal):
-            has_nom = True
-        elif isinstance(f, (Box, Diamond)):
-            if f.modality is Modality.UNIV:
-                has_univ = True
-            elif f.modality is Modality.HYB:
-                has_hyb = True
-    if has_univ and (has_hyb or has_nom):
-        raise LanguageError("formula mixes the universal box with hybrid syntax")
-    if has_univ:
+    flags = phi.flags
+    if flags & UNIV_BOX:
+        if flags & (HYB_BOX | NOMINAL):
+            raise LanguageError("formula mixes the universal box with hybrid syntax")
         return L
-    if has_hyb or has_nom:
+    if flags & (HYB_BOX | NOMINAL):
         return H2
     return None
 
@@ -242,12 +262,12 @@ def check_language(phi: Formula, language: str) -> None:
 def desugar(phi: Formula) -> Formula:
     """Rewrite derived connectives into var/nominal/true/false/~/&/boxes.
 
-    Sharing-preserving: identical subterms map to identical results.
+    Visits each distinct subterm once.
     """
-    memo: Dict[int, Formula] = {}
+    memo: Dict[Formula, Formula] = {}
 
     def go(f: Formula) -> Formula:
-        r = memo.get(id(f))
+        r = memo.get(f)
         if r is not None:
             return r
         if isinstance(f, (Var, Nominal, Top, Bot)):
@@ -269,7 +289,7 @@ def desugar(phi: Formula) -> Formula:
             r = Not(Box(f.modality, Not(go(f.sub))))
         else:
             raise TypeError("not a formula: %r" % (f,))
-        memo[id(f)] = r
+        memo[f] = r
         return r
 
     return go(phi)
@@ -292,11 +312,11 @@ class Substitution:
         return self.mapping.get(index, Var(index))
 
     def apply(self, phi: Formula) -> Formula:
-        """Homomorphic replacement of variables; preserves subterm sharing."""
-        memo: Dict[int, Formula] = {}
+        """Homomorphic replacement of variables; visits each distinct subterm once."""
+        memo: Dict[Formula, Formula] = {}
 
         def go(f: Formula) -> Formula:
-            r = memo.get(id(f))
+            r = memo.get(f)
             if r is not None:
                 return r
             if isinstance(f, Var):
@@ -319,7 +339,7 @@ class Substitution:
                 r = Diamond(f.modality, go(f.sub))
             else:
                 raise TypeError("not a formula: %r" % (f,))
-            memo[id(f)] = r
+            memo[f] = r
             return r
 
         return go(phi)
@@ -399,18 +419,24 @@ _UNARY_TOKENS = {
 }
 
 
-class _Parser:
+class _Tokens:
+    """Token stream over one input text, shared by the formula and the term
+    parsers; a subclass names its token pattern and adds the grammar."""
+
+    token_re: "re.Pattern[str]"
+    token_name: str
+
     def __init__(self, text: str):
         self.text = text
         self.tokens: List[Tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
+            m = self.token_re.match(text, pos)
             if m is None or m.lastgroup is None:
                 stripped = text[pos:].lstrip()
                 if not stripped:
                     break
-                raise ParseError(len(text) - len(stripped), "a formula token", text)
+                raise ParseError(len(text) - len(stripped), self.token_name, text)
             self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
             pos = m.end()
         self.i = 0
@@ -426,6 +452,20 @@ class _Parser:
     def error(self, expected: str) -> ParseError:
         pos = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
         return ParseError(pos, expected, self.text)
+
+    def parse_all(self, rule, what: str):
+        """Run the grammar rule over the whole input, which must be nonempty."""
+        if not self.tokens:
+            raise ParseError(0, what, self.text)
+        out = rule()
+        if self.i != len(self.tokens):
+            raise self.error("end of input")
+        return out
+
+
+class _Parser(_Tokens):
+    token_re = _TOKEN_RE
+    token_name = "a formula token"
 
     def parse_formula(self) -> Formula:
         return self.parse_iff()
@@ -501,11 +541,7 @@ class _Parser:
 
 def parse(text: str, language: str = L) -> Formula:
     p = _Parser(text)
-    if not p.tokens:
-        raise ParseError(0, "a formula", text)
-    out = p.parse_formula()
-    if p.i != len(p.tokens):
-        raise p.error("end of input")
+    out = p.parse_all(p.parse_formula, "a formula")
     check_language(out, language)
     return out
 

@@ -23,9 +23,8 @@ from .errors import (
     UnknownPoint,
 )
 from .formula import (
-    And, Bot, Box, Diamond, Formula, H2, Iff, Implies, L, Modality, Nominal,
-    Not, Or, Top, Var, desugar, iter_subformulas, language_of, nominals,
-    variables,
+    SYMBOL, And, Bot, Box, Diamond, Formula, H2, Iff, Implies, L, Modality,
+    Nominal, Not, Or, Top, Var, desugar, language_of, nominals, variables,
 )
 
 Edge = Tuple[str, str]
@@ -101,10 +100,7 @@ class Model:
 
     def __post_init__(self):
         self.valuation.check_against(self.frame)
-        # the mask cache is keyed by id(); keep evaluated roots alive so ids
-        # of cached subterms are never recycled
-        self._masks: Dict[int, int] = {}
-        self._mask_roots: List[Formula] = []
+        self._masks: Dict[Formula, int] = {}
 
 
 def _succ_masks(points: Tuple[str, ...], edges: Iterable[Edge]) -> List[int]:
@@ -138,7 +134,7 @@ class Evaluator:
         self.cache = model._masks
 
     def mask(self, phi: Formula) -> int:
-        m = self.cache.get(id(phi))
+        m = self.cache.get(phi)
         if m is not None:
             return m
         f = phi
@@ -193,14 +189,13 @@ class Evaluator:
                         m |= 1 << i
         else:
             raise TypeError("not a formula: %r" % (f,))
-        self.cache[id(f)] = m
+        self.cache[f] = m
         return m
 
 
 def truth_mask(model: Model, phi: Formula) -> int:
     """Bitmask over point indices where phi is true; memoized per model."""
     _check_frame_language(phi, model.frame)
-    model._mask_roots.append(phi)
     return Evaluator(model).mask(phi)
 
 
@@ -230,7 +225,7 @@ class Valid:
 
 @dataclass
 class CounterModel:
-    valuation: Valuation
+    model: Model
     point: str
 
 
@@ -259,44 +254,7 @@ def frame_valid(frame: Frame, phi: Formula,
     r_succ = _succ_masks(points, frame.r)
     s_succ = _succ_masks(points, frame.s) if frame.s is not None else None
 
-    # symbol-free subformulas have a fixed truth value at each point
-    has_symbol: Dict[int, bool] = {}
-    order: List[Formula] = []
-    seen: Set[int] = set()
-    stack: List[Tuple[Formula, bool]] = [(body, False)]
-    while stack:
-        f, expanded = stack.pop()
-        if expanded:
-            if isinstance(f, (Var, Nominal)):
-                has_symbol[id(f)] = True
-            elif isinstance(f, Not):
-                has_symbol[id(f)] = has_symbol[id(f.sub)]
-            elif isinstance(f, And):
-                has_symbol[id(f)] = has_symbol[id(f.left)] or has_symbol[id(f.right)]
-            elif isinstance(f, Box):
-                has_symbol[id(f)] = has_symbol[id(f.sub)]
-            else:
-                has_symbol[id(f)] = False
-            order.append(f)
-            continue
-        if id(f) in seen:
-            continue
-        seen.add(id(f))
-        stack.append((f, True))
-        if isinstance(f, Not):
-            stack.append((f.sub, False))
-        elif isinstance(f, And):
-            stack.append((f.left, False))
-            stack.append((f.right, False))
-        elif isinstance(f, Box):
-            stack.append((f.sub, False))
-
-    constant: Dict[int, int] = {}
-    for sub in order:
-        if not has_symbol[id(sub)]:
-            constant[id(sub)] = evaluator.mask(sub)
-
-    lits: Dict[Tuple[int, int], propsat.Literal] = {}
+    lits: Dict[Tuple[Formula, int], propsat.Literal] = {}
     define_cache: Dict[Tuple, propsat.Literal] = {}
 
     def define_and(parts: List[propsat.Literal]) -> propsat.Literal:
@@ -311,10 +269,10 @@ def frame_valid(frame: Frame, phi: Formula,
         return hit
 
     def lit(f: Formula, i: int) -> propsat.Literal:
-        c = constant.get(id(f))
-        if c is not None:
-            return bool(c >> i & 1)
-        key = (id(f), i)
+        if not f.flags & SYMBOL:
+            # symbol-free subformulas have a fixed truth value at each point
+            return bool(evaluator.mask(f) >> i & 1)
+        key = (f, i)
         hit = lits.get(key)
         if hit is not None:
             return hit
@@ -359,8 +317,7 @@ def frame_valid(frame: Frame, phi: Formula,
         if len(owners) != 1:
             raise InternalCheckFailed("nominal n%d placed at %d points" % (m, len(owners)))
         nom_map[m] = owners[0]
-    valuation = Valuation(var_map, nom_map)
-    model = Model(frame, valuation)
+    model = Model(frame, Valuation(var_map, nom_map))
     witness = None
     for i in range(n):
         value = falsifiable[i]
@@ -370,7 +327,7 @@ def frame_valid(frame: Frame, phi: Formula,
             break
     if witness is None or model_check(model, witness, phi):
         raise InternalCheckFailed("frame_valid produced a bogus counter-model")
-    return CounterModel(valuation, witness)
+    return CounterModel(model, witness)
 
 
 # --- graph helpers ------------------------------------------------------------

@@ -8,7 +8,7 @@ cut off at a halt, at the first repeated configuration, or at the step bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DeterminismError, ParseError

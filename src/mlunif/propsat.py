@@ -84,6 +84,7 @@ class Solver:
         self.phase: List[bool] = [False]
         self.conflicts = 0
         self.trivially_unsat = False
+        self._qhead = 0  # trail index of the next literal to propagate
         if cnf is not None:
             cnf.validate()
             self.ensure_atoms(cnf.num_atoms)
@@ -138,7 +139,7 @@ class Solver:
 
     def _propagate(self) -> int:
         """Returns conflicting clause index or -1."""
-        qhead = getattr(self, "_qhead", 0)
+        qhead = self._qhead
         while qhead < len(self.trail):
             lit = self.trail[qhead]
             qhead += 1

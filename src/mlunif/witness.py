@@ -12,29 +12,30 @@ from __future__ import annotations
 
 from typing import List
 
-import functools
-
 from .errors import NotReachable
-from .formula import BOT, And, Formula, Not, Substitution, conj, disj
+from .formula import And, Formula, Not, Substitution, disj
 from .minsky import Config, Dec, MinskyProgram, Trace, Yes, reaches
 from .encoding import Mode, config_exists, tower
 
 
-@functools.lru_cache(maxsize=None)
 def defect(i: int, trace: Trace, mode: Mode) -> Formula:
     """Run represented faithfully through step i, but not at step i + 1."""
     if not 0 <= i < len(trace):
         raise IndexError("defect index %d out of range for a %d-step trace"
                          % (i, len(trace)))
-    parts: List[Formula] = [
-        config_exists(trace.configs[j], mode) for j in range(i + 1)
-    ]
-    parts.append(Not(config_exists(trace.configs[i + 1], mode)))
-    return conj(parts)
+    return defect_formulas(trace, mode)[i]
 
 
 def defect_formulas(trace: Trace, mode: Mode) -> List[Formula]:
-    return [defect(i, trace, mode) for i in range(len(trace))]
+    """defect(i) for every step i; consecutive defects share their
+    left-associated prefix conjunction, which is built once."""
+    out: List[Formula] = []
+    prefix = config_exists(trace.configs[0], mode)
+    for config in trace.configs[1:]:
+        here = config_exists(config, mode)
+        out.append(And(prefix, Not(here)))
+        prefix = And(prefix, here)
+    return out
 
 
 def shifted_counter_index(trace: Trace, i: int, counter: int) -> int:
@@ -55,14 +56,12 @@ def shifted_counter_marker(trace: Trace, i: int, counter: int) -> Formula:
 def witness_from_trace(trace: Trace, mode: Mode) -> Substitution:
     """Unifier built from a witnessing run; for a zero-step run both
     variables map to false (the empty disjunction)."""
-    length = len(trace)
-    if length == 0:
-        return Substitution({1: BOT, 2: BOT})
-    p1 = disj([And(defect(i, trace, mode), shifted_counter_marker(trace, i, 1))
-               for i in range(length)])
-    p2 = disj([And(defect(i, trace, mode), shifted_counter_marker(trace, i, 2))
-               for i in range(length)])
-    return Substitution({1: p1, 2: p2})
+    defects = defect_formulas(trace, mode)
+    return Substitution({
+        counter: disj([And(d, shifted_counter_marker(trace, i, counter))
+                       for i, d in enumerate(defects)])
+        for counter in (1, 2)
+    })
 
 
 def witness_substitution(program: MinskyProgram, start: Config, target: Config,

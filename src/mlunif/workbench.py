@@ -14,20 +14,17 @@ no variables.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from . import decision
 from .errors import InternalCheckFailed, ResourceLimit
 from .formula import (
-    Formula, Not, Substitution, apply_subst, ground_substitutions, pretty,
-    size, variables,
+    Formula, Not, Substitution, apply_subst, ground_substitutions, size,
+    variables,
 )
-from .kripke import (
-    Frame, Model, Valid, Valuation, frame_valid, holds_everywhere,
-    random_frame, truth_mask,
-)
-from .minsky import Config, MinskyProgram, No, Unknown as UnknownReach, Yes, reaches
+from .kripke import Model, Valid, Valuation, frame_valid, random_frame, truth_mask
+from .minsky import Config, MinskyProgram, No, Unknown, Yes, reaches
 from .encoding import (
     LabeledFrame, Mode, ax_program, canonical_frame, config_exists, psi,
 )
@@ -63,11 +60,6 @@ class Unifiable:
 @dataclass
 class NotUnifiable:
     certificate: LabeledFrame
-
-
-@dataclass
-class Unknown:
-    reason: str
 
 
 PipelineVerdict = Union[Unifiable, NotUnifiable, Unknown]
@@ -132,7 +124,7 @@ def verify_unifier(bound_formula: Formula, mode: Mode, trace_length: int,
         except ResourceLimit:
             verdict = None
         if verdict is not None:
-            if not isinstance(verdict, decision.Valid):
+            if not isinstance(verdict, Valid):
                 raise InternalCheckFailed(
                     "unifier verification found a counter-model at point %r"
                     % verdict.point)
@@ -184,7 +176,7 @@ def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
             failed = sorted(k for k, v in checks.items() if not v)
             raise InternalCheckFailed("certificate checks failed: %s" % ", ".join(failed))
         return NotUnifiable(lf)
-    return Unknown(reach.reason)
+    return reach
 
 
 def ground_unifiable(phi: Formula, logic: str,
@@ -197,7 +189,7 @@ def ground_unifiable(phi: Formula, logic: str,
     """
     for sigma in ground_substitutions(variables(phi)):
         if isinstance(decision.valid(apply_subst(sigma, phi), logic,
-                                     label_budget=label_budget), decision.Valid):
+                                     label_budget=label_budget), Valid):
             return sigma
     return None
 

@@ -1,7 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import mlunif
 
 from mlunif.errors import LanguageMismatch, ResourceLimit
 from mlunif.formula import (
@@ -190,3 +195,39 @@ def test_valid_formulas_true_on_random_models_kh2():
     assert isinstance(valid(phi, KH2), Valid)
     phi2 = parse("<h>n1 -> <h>true", H2)
     assert isinstance(valid(phi2, KH2), Valid)
+
+
+# Allocates a seeded ballast before importing mlunif, which shifts the heap
+# addresses of every tableau node, then prints how many times one KU
+# validity call ran the incremental solver.
+_COUNT_SOLVES = """
+import random, sys
+rng = random.Random(int(sys.argv[1]))
+ballast = [[None] * rng.randrange(1, 16) for _ in range(rng.randrange(1, 4096))]
+from mlunif import decision, propsat
+from mlunif.encoding import UNIVERSAL, config_exists
+from mlunif.formula import Implies, Not
+from mlunif.minsky import Config
+calls = 0
+solve = propsat.Solver.solve
+def counted(self, *args):
+    global calls
+    calls += 1
+    return solve(self, *args)
+propsat.Solver.solve = counted
+decision.valid(Implies(config_exists(Config(1, 0, 0), UNIVERSAL),
+                       Not(config_exists(Config(2, 0, 1), UNIVERSAL))), decision.KU)
+print(calls)
+"""
+
+
+def test_ku_search_does_not_depend_on_heap_layout():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlunif.__file__)))
+    env = {"PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    counts = set()
+    for ballast in range(4):
+        out = subprocess.run([sys.executable, "-S", "-c", _COUNT_SOLVES, str(ballast)],
+                             env=env, capture_output=True, text=True, timeout=120,
+                             check=True)
+        counts.add(int(out.stdout))
+    assert len(counts) == 1, counts

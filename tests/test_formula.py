@@ -37,6 +37,21 @@ def test_universal_box_rejected_in_hybrid_language():
         parse("[u]p1", H2)
 
 
+def test_universal_box_mixed_with_nominal_rejected():
+    # the offending symbols sit below other connectives, so the check has
+    # to see flags gathered from the whole subterm
+    phi = Box(REL, Not(And(Box(UNIV, Var(1)), Diamond(REL, Nominal(1)))))
+    for language in (L, H2):
+        with pytest.raises(LanguageError):
+            check_language(phi, language)
+    with pytest.raises(LanguageError):
+        parse("[u]p1 & <>n1", H2)
+
+
+def test_equal_formulas_are_one_object():
+    assert parse("p1 & true") is And(Var(1), TOP)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse("p1 & & p2")

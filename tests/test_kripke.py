@@ -99,7 +99,7 @@ def test_frame_valid_countermodel_two_point_chain():
     phi = parse("p1 -> <>p1")
     result = frame_valid(frame, phi)
     assert isinstance(result, CounterModel)
-    model = Model(frame, result.valuation)
+    model = Model(frame, result.model.valuation)
     assert not model_check(model, result.point, phi)
     # brute force agrees that the formula is not valid here
     assert not brute_force_frame_valid(frame, phi)
@@ -129,7 +129,7 @@ def test_frame_valid_agrees_with_brute_force_on_small_frames():
             got = frame_valid(frame, phi)
             assert isinstance(got, Valid) == expected
             if isinstance(got, CounterModel):
-                model = Model(frame, got.valuation)
+                model = Model(frame, got.model.valuation)
                 assert not model_check(model, got.point, phi)
             checked += 1
     assert checked > 35
@@ -145,7 +145,7 @@ def test_frame_valid_with_nominals():
     sat_phi = parse("n1 & <h>~n1", H2)
     result = frame_valid(frame, Not(sat_phi))
     assert isinstance(result, CounterModel)
-    assert result.valuation.nom_map[1] in ("x", "y")
+    assert result.model.valuation.nom_map[1] in ("x", "y")
 
 
 def test_transitive_closure():

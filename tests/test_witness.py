@@ -4,7 +4,7 @@ import pytest
 
 from mlunif.errors import NotReachable
 from mlunif.formula import (
-    BOT, And, Not, Substitution, apply_subst, nominals, variables,
+    BOT, And, Not, Substitution, apply_subst, nominals, size, variables,
 )
 from mlunif.kripke import (
     Model, Valuation, holds_everywhere, random_frame, random_valuation,
@@ -152,3 +152,14 @@ def test_defect_formulas_list():
     trace = trace_of("1 -> 2,+1,0\n2 -> 3,0,+1", Config(1, 0, 0))
     formulas = defect_formulas(trace, UNIVERSAL)
     assert len(formulas) == len(trace) == 2
+
+
+@pytest.mark.parametrize("steps, nodes", [(50, 2122), (100, 4122)])
+def test_substituted_psi_dag_grows_linearly(steps, nodes):
+    # an n-step increment run gives 40n + 122 distinct subterms
+    program = parse_program("".join("%d -> %d,+1,0\n" % (k, k + 1)
+                                    for k in range(1, steps + 1)))
+    start, target = Config(1, 0, 0), Config(steps + 1, steps, 0)
+    sigma = witness_from_trace(run_trace(program, start, steps), UNIVERSAL)
+    got = size(apply_subst(sigma, psi(program, start, target, UNIVERSAL)))
+    assert got == nodes
