@@ -24,23 +24,18 @@ being returned.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
-
-# the depth-first engines recurse once per modal level and negated
-# configuration shapes can chain a few hundred levels deep
-if sys.getrecursionlimit() < 100_000:
-    sys.setrecursionlimit(100_000)
 
 from . import propsat
 from .errors import InternalCheckFailed, LanguageMismatch, ResourceLimit
 from .formula import (
-    And as FAnd, Bot as FBot, Box as FBox, Diamond as FDiamond, Formula,
-    H2, Iff as FIff, Implies as FImplies, L, Modality, Nominal as FNominal,
-    Not as FNot, Or as FOr, Top as FTop, Var as FVar, language_of, variables,
+    And as FAnd, Bot as FBot, Box as FBox, Formula, H2, Iff as FIff,
+    Implies as FImplies, L, Modality, Nominal as FNominal, Not as FNot,
+    Or as FOr, Top as FTop, Var as FVar, language_of, postorder, variables,
 )
 from .kripke import CounterModel, Frame, Model, Valid, Valuation, model_check
+from .propsat import Unsat
 
 KU = "ku"
 KH2 = "kh2"
@@ -156,30 +151,31 @@ class NfBuilder:
     def negate(self, nf: NF) -> NF:
         if nf.neg is not None:
             return nf.neg
-        if nf.tag == "lit":
-            out = self.lit(nf.kind, nf.index, not nf.pos)
-        elif nf.tag == "and":
-            out = self.disj([self.negate(a) for a in nf.args])
-        elif nf.tag == "or":
-            out = self.conj([self.negate(a) for a in nf.args])
-        elif nf.tag == "box":
-            out = self.dia(nf.mod, self.negate(nf.args[0]))
-        elif nf.tag == "dia":
-            out = self.box(nf.mod, self.negate(nf.args[0]))
-        else:  # pragma: no cover
-            raise AssertionError(nf.tag)
-        nf.neg = out
-        out.neg = nf
-        return out
+        for f in postorder(nf, lambda g: () if g.neg is not None else g.args):
+            if f.neg is not None:
+                continue
+            if f.tag == "lit":
+                out = self.lit(f.kind, f.index, not f.pos)
+            elif f.tag == "and":
+                out = self.disj([a.neg for a in f.args])
+            elif f.tag == "or":
+                out = self.conj([a.neg for a in f.args])
+            elif f.tag == "box":
+                out = self.dia(f.mod, f.args[0].neg)
+            elif f.tag == "dia":
+                out = self.box(f.mod, f.args[0].neg)
+            else:  # pragma: no cover
+                raise AssertionError(f.tag)
+            f.neg = out
+            out.neg = f
+        return nf.neg
 
     def from_formula(self, phi: Formula) -> NF:
+        """The NF of phi, built over (subformula, polarity) pairs: a pair
+        with polarity False stands for the subformula's negation."""
         memo: Dict[Tuple[Formula, bool], NF] = {}
-
-        def go(f: Formula, pos: bool) -> NF:
-            key = (f, pos)
-            out = memo.get(key)
-            if out is not None:
-                return out
+        for key in postorder((phi, True), _polar_children):
+            f, pos = key
             if isinstance(f, FVar):
                 out = self.lit("p", f.index, pos)
             elif isinstance(f, FNominal):
@@ -189,36 +185,33 @@ class NfBuilder:
             elif isinstance(f, FBot):
                 out = self.BOT if pos else self.TOP
             elif isinstance(f, FNot):
-                out = go(f.sub, not pos)
-            elif isinstance(f, FAnd):
-                parts = [go(f.left, pos), go(f.right, pos)]
-                out = self.conj(parts) if pos else self.disj(parts)
-            elif isinstance(f, FOr):
-                parts = [go(f.left, pos), go(f.right, pos)]
-                out = self.disj(parts) if pos else self.conj(parts)
-            elif isinstance(f, FImplies):
-                if pos:
-                    out = self.disj([go(f.left, False), go(f.right, True)])
-                else:
-                    out = self.conj([go(f.left, True), go(f.right, False)])
+                out = memo[f.sub, not pos]
             elif isinstance(f, FIff):
-                both = self.conj([go(f.left, True), go(f.right, True)])
-                neither = self.conj([go(f.left, False), go(f.right, False)])
-                one = self.conj([go(f.left, True), go(f.right, False)])
-                other = self.conj([go(f.left, False), go(f.right, True)])
-                out = self.disj([both, neither]) if pos else self.disj([one, other])
-            elif isinstance(f, FBox):
-                out = self.box(f.modality, go(f.sub, True)) if pos \
-                    else self.dia(f.modality, go(f.sub, False))
-            elif isinstance(f, FDiamond):
-                out = self.dia(f.modality, go(f.sub, True)) if pos \
-                    else self.box(f.modality, go(f.sub, False))
-            else:
-                raise TypeError("not a formula: %r" % (f,))
+                # both or neither; negated, exactly one
+                left, right = f.left, f.right
+                out = self.disj([self.conj([memo[left, True], memo[right, pos]]),
+                                 self.conj([memo[left, False], memo[right, not pos]])])
+            elif isinstance(f, (FAnd, FOr, FImplies)):
+                parts = [memo[k] for k in _polar_children(key)]
+                # a conjunction at heart: And, or the negation of Or / Implies
+                out = self.conj(parts) if isinstance(f, FAnd) == pos else self.disj(parts)
+            elif isinstance(f, FBox) == pos:  # a box, or a negated diamond
+                out = self.box(f.modality, memo[f.sub, pos])
+            else:  # a diamond, or a negated box
+                out = self.dia(f.modality, memo[f.sub, pos])
             memo[key] = out
-            return out
+        return memo[phi, True]
 
-        return go(phi, True)
+
+def _polar_children(key: Tuple[Formula, bool]) -> List[Tuple[Formula, bool]]:
+    f, pos = key
+    if isinstance(f, FNot):
+        return [(f.sub, not pos)]
+    if isinstance(f, FImplies):
+        return [(f.left, not pos), (f.right, pos)]
+    if isinstance(f, FIff):
+        return [(f.left, True), (f.right, True), (f.left, False), (f.right, False)]
+    return [(a, pos) for a in f.args]
 
 
 _B = NfBuilder()
@@ -232,9 +225,23 @@ class Sat:
     point: str
 
 
-@dataclass
-class Unsat:
-    pass
+def _run(step, *args):
+    """Run the generator step(*args) together with the sub-calls it makes,
+    depth-first: a step yields the arguments of a sub-call and is sent its
+    result back.  The calls in progress live on an explicit stack, so their
+    depth is not bounded by the interpreter's recursion limit."""
+    stack = [step(*args)]
+    result = None
+    while stack:
+        try:
+            call = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(step(*call))
+            result = None
+    return result
 
 
 # --- the relational-box engine with global axioms -------------------------------
@@ -249,11 +256,12 @@ class _KEngine:
     shared structural encoding of the formula DAG, so clause learning
     prunes the joint space of independent disjunction choices.  Each model
     fixes the node's diamonds and boxes; the diamonds' successor contents
-    recurse depth-first with anywhere blocking (a successor equal to an
-    in-progress node closes a cycle, sound in a logic whose constraints
-    are all one-step conditions).  A failed successor is turned into a
-    modal conflict clause - no point under these axioms combines that
-    diamond with those boxes - which persists across nodes.
+    are searched depth-first, one `_run` step per node, with anywhere
+    blocking (a successor equal to an in-progress node closes a cycle,
+    sound in a logic whose constraints are all one-step conditions).  A
+    failed successor is turned into a modal conflict clause - no point
+    under these axioms combines that diamond with those boxes - which
+    persists across nodes.
 
     Verdicts that did not lean on a block are cached globally; a verdict
     that leaned on a block against the node at depth b is reusable exactly
@@ -354,7 +362,7 @@ class _KEngine:
                 stack.extend(nf.args)
 
     def sat(self, content: FrozenSet[NF]) -> Tuple[bool, Optional[int]]:
-        ok, _, world = self._sat(frozenset(content), {}, 0)
+        ok, _, world = _run(self._sat, frozenset(content), {}, 0)
         return ok, world
 
     def _sat(self, content: FrozenSet[NF], path: Dict[FrozenSet[int], Tuple[int, int]],
@@ -376,7 +384,7 @@ class _KEngine:
         world = next(self.world_counter)
         path[ckey] = (depth, world)
         try:
-            ok, block_depth = self._node_sat(content, path, depth, world)
+            ok, block_depth = yield from self._node_sat(content, path, depth, world)
         finally:
             del path[ckey]
         if not ok:
@@ -412,42 +420,36 @@ class _KEngine:
             lit = self.lit_of[nf.uid]
             return model.get(abs(lit), False) == (lit > 0)
 
+        def leans_on(nf) -> tuple:
+            """What the truth of nf rests on under the model: the members of
+            the content, every conjunct, the first true disjunct."""
+            if nf is content:
+                return tuple(content)
+            if nf.tag == "and":
+                return nf.args
+            if nf.tag == "or":
+                for arm in nf.args:
+                    if truth(arm):
+                        return (arm,)
+                raise InternalCheckFailed(  # pragma: no cover - model satisfies the clauses
+                    "model leaves a disjunction unjustified")
+            return ()
+
         while True:
             solver = self._solver()
             result = solver.solve(assumptions)
             if isinstance(result, propsat.Unsat):
                 return False, self.INF
             model = result.assignment
-            # justification marking: walk the content along the model,
-            # keeping one true arm per disjunction; atoms the assumptions do
-            # not lean on stay out of successor contents and conflict clauses
-            dias: List[NF] = []
-            boxes: List[NF] = []
-            true_vars: Set[int] = set()
-            seen: Set[int] = set()
-            stack = list(content)
-            while stack:
-                nf = stack.pop()
-                if nf.uid in seen:
-                    continue
-                seen.add(nf.uid)
-                if nf.tag == "and":
-                    stack.extend(nf.args)
-                elif nf.tag == "or":
-                    for arm in nf.args:
-                        if truth(arm):
-                            stack.append(arm)
-                            break
-                    else:  # pragma: no cover - model satisfies the clauses
-                        raise InternalCheckFailed("model leaves a disjunction unjustified")
-                elif nf.tag == "dia" and nf.mod is REL:
-                    dias.append(nf)
-                elif nf.tag == "box" and nf.mod is REL:
-                    boxes.append(nf)
-                elif nf.tag == "lit" and nf.kind == "p" and nf.pos:
-                    true_vars.add(nf.index)
-            dias.sort(key=lambda f: f.uid)
-            boxes.sort(key=lambda f: f.uid)
+            # justification marking: atoms the assumptions do not lean on stay
+            # out of successor contents and conflict clauses
+            marked = [nf for nf in postorder(content, leans_on) if nf is not content]
+            dias = sorted((nf for nf in marked if nf.tag == "dia" and nf.mod is REL),
+                          key=lambda f: f.uid)
+            boxes = sorted((nf for nf in marked if nf.tag == "box" and nf.mod is REL),
+                           key=lambda f: f.uid)
+            true_vars = {nf.index for nf in marked
+                         if nf.tag == "lit" and nf.kind == "p" and nf.pos}
             box_args = [b.args[0] for b in boxes]
             min_block = self.INF
             edges: List[int] = []
@@ -460,7 +462,7 @@ class _KEngine:
                     min_block = min(min_block, pdepth)
                     edges.append(pworld)
                     continue
-                ok, bd, w = self._sat(succ, path, depth + 1)
+                ok, bd, w = yield succ, path, depth + 1
                 if not ok:
                     failed = d
                     break
@@ -479,17 +481,9 @@ class _KEngine:
 def _k_model(engine: _KEngine, root_worlds: List[int]) -> Tuple[Model, Dict[int, str]]:
     """Model over the worlds reachable from the given roots; cycles from
     blocked successors are kept as plain edges."""
-    reachable: List[int] = []
-    seen: Set[int] = set()
-    stack = list(root_worlds)
-    while stack:
-        w = stack.pop()
-        if w in seen:
-            continue
-        seen.add(w)
-        reachable.append(w)
-        stack.extend(engine.worlds[w][1])
-    reachable.sort()
+    roots = tuple(root_worlds)
+    walk = postorder(roots, lambda w: w if w is roots else engine.worlds[w][1])
+    reachable = sorted(w for w in walk if w is not roots)
     names = {w: "w%d" % i for i, w in enumerate(reachable)}
     edges = set()
     var_map: Dict[int, Set[str]] = {}
@@ -504,59 +498,63 @@ def _k_model(engine: _KEngine, root_worlds: List[int]) -> Tuple[Model, Dict[int,
     return Model(frame, valuation), names
 
 
+def _global_atom(nf: NF) -> Optional[NF]:
+    """The universal diamond that nf is, or whose complement nf is."""
+    if nf.tag in ("box", "dia") and nf.mod is UNIV:
+        return nf if nf.tag == "dia" else _B.negate(nf)
+    return None
+
+
 def _collect_globals(root: NF) -> List[NF]:
     """Canonical global atoms (universal diamonds), innermost first."""
     rank: Dict[int, int] = {}
     atoms: Dict[int, NF] = {}
 
-    def grank(nf: NF) -> int:
-        r = rank.get(nf.uid)
-        if r is not None:
-            return r
-        r = 0
-        for a in nf.args:
-            r = max(r, grank(a))
-        if nf.tag in ("box", "dia") and nf.mod is UNIV:
-            canonical = nf if nf.tag == "dia" else _B.negate(nf)
-            r = max(r, grank(canonical.args[0])) + 1
-            atoms[canonical.uid] = canonical
-            rank[canonical.uid] = r
-        rank[nf.uid] = r
-        return r
+    def children(nf: NF):
+        yield from nf.args
+        atom = _global_atom(nf)
+        if atom is not None:
+            yield atom.args[0]
 
-    grank(root)
+    for nf in postorder(root, children):
+        if nf.uid in rank:  # a universal diamond ranked through its box
+            continue
+        r = max((rank[a.uid] for a in nf.args), default=0)
+        atom = _global_atom(nf)
+        if atom is not None:
+            r = max(r, rank[atom.args[0].uid]) + 1
+            atoms[atom.uid] = atom
+            rank[atom.uid] = r
+        rank[nf.uid] = r
     return sorted(atoms.values(), key=lambda a: (rank[a.uid], a.uid))
 
 
-def _reduce(nf: NF, values: Dict[int, bool], memo: Dict[int, NF],
-            partial: bool = False) -> NF:
-    out = memo.get(nf.uid)
-    if out is not None:
-        return out
-    if nf.tag in ("box", "dia") and nf.mod is UNIV:
-        canonical = nf if nf.tag == "dia" else _B.negate(nf)
-        if canonical.uid in values:
-            truth = values[canonical.uid]
-            if nf.tag == "box":
-                truth = not truth
+def _reduce(root: NF, values: Dict[int, bool], partial: bool = False) -> NF:
+    """root with every assigned global atom replaced by its truth value;
+    unassigned ones are an error unless `partial`."""
+    def assigned(nf: NF) -> bool:
+        atom = _global_atom(nf)
+        return atom is not None and atom.uid in values
+
+    memo: Dict[int, NF] = {}
+    for nf in postorder(root, lambda g: () if assigned(g) else g.args):
+        if assigned(nf):
+            truth = values[_global_atom(nf).uid] != (nf.tag == "box")
             out = _B.TOP if truth else _B.BOT
-        elif partial:
-            inner = _reduce(nf.args[0], values, memo, partial)
-            out = _B.box(nf.mod, inner) if nf.tag == "box" else _B.dia(nf.mod, inner)
+        elif not partial and _global_atom(nf) is not None:  # pragma: no cover
+            raise AssertionError("global atom not yet assigned")
+        elif nf.tag == "and":
+            out = _B.conj([memo[a.uid] for a in nf.args])
+        elif nf.tag == "or":
+            out = _B.disj([memo[a.uid] for a in nf.args])
+        elif nf.tag == "box":
+            out = _B.box(nf.mod, memo[nf.args[0].uid])
+        elif nf.tag == "dia":
+            out = _B.dia(nf.mod, memo[nf.args[0].uid])
         else:
-            raise AssertionError("global atom not yet assigned")  # pragma: no cover
-    elif nf.tag == "and":
-        out = _B.conj([_reduce(a, values, memo, partial) for a in nf.args])
-    elif nf.tag == "or":
-        out = _B.disj([_reduce(a, values, memo, partial) for a in nf.args])
-    elif nf.tag == "box":
-        out = _B.box(nf.mod, _reduce(nf.args[0], values, memo, partial))
-    elif nf.tag == "dia":
-        out = _B.dia(nf.mod, _reduce(nf.args[0], values, memo, partial))
-    else:
-        out = nf
-    memo[nf.uid] = out
-    return out
+            out = nf
+        memo[nf.uid] = out
+    return memo[root.uid]
 
 
 def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optional[str]]:
@@ -572,8 +570,9 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
         return all(engine.sat(base | {o})[0] for o in obls)
 
     def search(idx: int):
+        """Generator for _run: assigns atoms[idx:] depth-first, False first."""
         if idx == len(atoms):
-            root_reduced = _reduce(root, values, {})
+            root_reduced = _reduce(root, values)
             if root_reduced.tag == "bot":
                 return None
             all_obls = obligations + [root_reduced]
@@ -594,7 +593,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
             added_axiom = added_obl = False
             feasible = True
             if value:
-                witness = _reduce(body, values, {})
+                witness = _reduce(body, values)
                 if witness.tag == "bot":
                     feasible = False
                 else:
@@ -602,7 +601,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
                     added_obl = True
                     feasible = consistent([witness])
             else:
-                axiom = _reduce(_B.negate(body), values, {})
+                axiom = _reduce(_B.negate(body), values)
                 if axiom.tag == "bot":
                     feasible = False
                 elif axiom.tag != "top":
@@ -610,10 +609,10 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
                     added_axiom = True
                     feasible = consistent(obligations)
             if feasible:
-                if _reduce(root, values, {}, partial=True).tag == "bot":
+                if _reduce(root, values, partial=True).tag == "bot":
                     feasible = False
             if feasible:
-                result = search(idx + 1)
+                result = yield (idx + 1,)
                 if result is not None:
                     return result
             if added_obl:
@@ -623,7 +622,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
             del values[atom.uid]
         return None
 
-    roots = search(0)
+    roots = _run(search, 0)
     if roots is None:
         return False, None, None
     model, names = _k_model(engine, roots)
@@ -825,17 +824,7 @@ def _h_model(state: _HState, root: NF) -> Tuple[Model, Dict[int, str]]:
                     nom_map[f.index] = names[label]
     # nominals mentioned only negatively still need a home: one fresh
     # isolated point each keeps every label's constraints intact
-    mentioned = set()
-    stack = [root]
-    seen = set()
-    while stack:
-        f = stack.pop()
-        if f.uid in seen:
-            continue
-        seen.add(f.uid)
-        if f.tag == "lit" and f.kind == "n":
-            mentioned.add(f.index)
-        stack.extend(f.args)
+    mentioned = {f.index for f in postorder(root) if f.tag == "lit" and f.kind == "n"}
     fresh = 0
     for idx in sorted(mentioned):
         if idx not in nom_map:

@@ -12,11 +12,10 @@ pattern through a designated nominal.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import ParseError, TruncationUnsound
 from .formula import (
@@ -103,34 +102,31 @@ def tower_name(i: int, j: int) -> CharName:
     return CharName("a", i, j)
 
 
+def _base_formulas() -> Dict[str, Formula]:
+    """The markers of the eight skeleton points, each built from earlier ones."""
+    dia_top = _dia(TOP)
+    alpha = And(dia_top, Box(REL, dia_top))
+    beta = Box(REL, BOT)
+    gamma = conj([_dia(alpha), _dia(beta), Not(_dia2(beta))])
+    delta = conj([Not(gamma), _dia(beta), Not(_dia2(beta))])
+    # The trailing ~<>gamma mirrors the ~<>delta guard of the gamma chain;
+    # without it the formula also holds at the tower base point that sees
+    # the delta point in one step, breaking the one-point characterization.
+    delta1 = conj([_dia(delta), Not(_dia2(delta)), Not(_dia(gamma))])
+    delta2 = conj([_dia(delta1), Not(_dia2(delta1)), Not(_dia(gamma))])
+    gamma1 = conj([_dia(gamma), Not(_dia2(gamma)), Not(_dia(delta))])
+    gamma2 = conj([_dia(gamma1), Not(_dia2(gamma1)), Not(_dia(delta))])
+    return {"alpha": alpha, "beta": beta, "gamma": gamma, "gamma1": gamma1,
+            "gamma2": gamma2, "delta": delta, "delta1": delta1, "delta2": delta2}
+
+
+_BASE_FORMULAS = _base_formulas()
+
+
 def _base_formula(name: str) -> Formula:
-    if name == "alpha":
-        dia_top = _dia(TOP)
-        return And(dia_top, Box(REL, dia_top))
-    if name == "beta":
-        return Box(REL, BOT)
-    alpha = _base_formula("alpha")
-    beta = _base_formula("beta")
-    if name == "gamma":
-        return conj([_dia(alpha), _dia(beta), Not(_dia2(beta))])
-    if name == "delta":
-        return conj([Not(_base_formula("gamma")), _dia(beta), Not(_dia2(beta))])
-    if name == "delta1":
-        # The trailing ~<>gamma mirrors the ~<>delta guard of the gamma chain;
-        # without it the formula also holds at the tower base point that sees
-        # the delta point in one step, breaking the one-point characterization.
-        delta = _base_formula("delta")
-        return conj([_dia(delta), Not(_dia2(delta)), Not(_dia(_base_formula("gamma")))])
-    if name == "delta2":
-        delta1 = _base_formula("delta1")
-        return conj([_dia(delta1), Not(_dia2(delta1)), Not(_dia(_base_formula("gamma")))])
-    if name == "gamma1":
-        gamma = _base_formula("gamma")
-        return conj([_dia(gamma), Not(_dia2(gamma)), Not(_dia(_base_formula("delta")))])
-    if name == "gamma2":
-        gamma1 = _base_formula("gamma1")
-        return conj([_dia(gamma1), Not(_dia2(gamma1)), Not(_dia(_base_formula("delta")))])
-    raise ValueError("unknown marker %r" % name)
+    if name not in _BASE_FORMULAS:
+        raise ValueError("unknown marker %r" % name)
+    return _BASE_FORMULAS[name]
 
 
 def _chair_pair(k: int) -> Formula:
@@ -141,9 +137,19 @@ def _chair_pair(k: int) -> Formula:
     return And(_dia(g), _dia(d))
 
 
-# cached because each member recurses into the one below: uncached, building
-# every marker up to level j would take time quadratic in j
-@functools.lru_cache(maxsize=None)
+def _tower_base(i: int) -> Formula:
+    g = _base_formula(("gamma", "gamma1", "gamma2")[i])
+    d = _base_formula(("delta", "delta1", "delta2")[i])
+    parts = [_dia(g), _dia(d), Not(_dia2(g)), Not(_dia2(d))]
+    parts += [Not(_dia(_chair_pair(k))) for k in range(3) if k != i]
+    return conj(parts)
+
+
+# the members of each tower family built so far, from level 0 up; each
+# member is defined from the one below, so they are built bottom-up
+_TOWERS: Tuple[List[Formula], ...] = tuple([_tower_base(i)] for i in range(3))
+
+
 def tower(i: int, j: int) -> Formula:
     """The j-th member of tower family i; family 0 marks machine states,
     families 1 and 2 mark the two counter values.
@@ -156,16 +162,13 @@ def tower(i: int, j: int) -> Formula:
     """
     if not (0 <= i <= 2) or j < 0:
         raise ValueError("tower indices out of range")
-    if j == 0:
-        g = _base_formula(("gamma", "gamma1", "gamma2")[i])
-        d = _base_formula(("delta", "delta1", "delta2")[i])
-        parts = [_dia(g), _dia(d), Not(_dia2(g)), Not(_dia2(d))]
-        parts += [Not(_dia(_chair_pair(k))) for k in range(3) if k != i]
-        return conj(parts)
-    below = tower(i, j - 1)
-    parts = [_dia(tower(i, 0)), _dia(below), Not(_dia2(below))]
-    parts += [Not(_dia(tower(k, 0))) for k in range(3) if k != i]
-    return conj(parts)
+    levels = _TOWERS[i]
+    while len(levels) <= j:
+        below = levels[-1]
+        parts = [_dia(levels[0]), _dia(below), Not(_dia2(below))]
+        parts += [Not(_dia(_TOWERS[k][0])) for k in range(3) if k != i]
+        levels.append(conj(parts))
+    return levels[j]
 
 
 def char_formula(name: CharName) -> Formula:

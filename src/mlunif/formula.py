@@ -9,8 +9,10 @@ code normalizes them away with `desugar`.
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
+import operator
 import re
 import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -33,26 +35,29 @@ class Formula:
     its number of structurally distinct subterms.  The table holds nodes
     weakly, so a formula no one references is freed as usual.
 
-    `flags` records, once per node, which of the language-defining symbols
-    (UNIV_BOX, HYB_BOX, NOMINAL) and whether any variable or nominal
-    (SYMBOL) occur in the subterm.
+    `args` holds the formula children, left to right.  `flags` records,
+    once per node, which of the language-defining symbols (UNIV_BOX,
+    HYB_BOX, NOMINAL) and whether any variable or nominal (SYMBOL) occur
+    in the subterm.
     """
 
-    __slots__ = ("flags", "__weakref__")
+    __slots__ = ("args", "flags", "__weakref__")
     _fields: Tuple[str, ...] = ()
 
-    def __new__(cls, *args):
-        key = (cls,) + args
+    def __new__(cls, *fields):
+        key = (cls,) + fields
         node = _interned.get(key)
         if node is None:
-            if len(args) != len(cls._fields):
+            if len(fields) != len(cls._fields):
                 raise TypeError("%s takes %d arguments" % (cls.__name__, len(cls._fields)))
             node = object.__new__(cls)
-            flags = 0
-            for name, value in zip(cls._fields, args):
+            for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
-                if isinstance(value, Formula):
-                    flags |= value.flags
+            args = tuple(v for v in fields if isinstance(v, Formula))
+            flags = 0
+            for a in args:
+                flags |= a.flags
+            object.__setattr__(node, "args", args)
             object.__setattr__(node, "flags", flags | node._own_flags())
             _interned[key] = node
         return node
@@ -66,8 +71,7 @@ class Formula:
         raise AttributeError("formula nodes are immutable")
 
     def __repr__(self):
-        return "%s(%s)" % (self.__class__.__name__,
-                           ", ".join(repr(getattr(self, f)) for f in self._fields))
+        return "parse(%r)" % pretty(self)
 
     def __and__(self, other):
         return And(self, other)
@@ -185,21 +189,31 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return out
 
 
+def postorder(root, children=operator.attrgetter("args")):
+    """Each distinct node reachable from `root`, once, children before their
+    parents and left to right: the order in which a memoized recursive walk
+    finishes its nodes, without recursion.  `children(node)` is called when
+    the walk first reaches the node and may return a lazy iterable.  The
+    default follows the `args` of formula nodes (and of decision.NF)."""
+    seen = {root}
+    stack = [(root, iter(children(root)))]
+    # bound once: this loop runs for every node of every pass
+    push, pop, see = stack.append, stack.pop, seen.add
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            if child not in seen:
+                see(child)
+                push((child, iter(children(child))))
+                break
+        else:
+            pop()
+            yield node
+
+
 def iter_subformulas(phi: Formula) -> Iterator[Formula]:
     """Every distinct subterm of the DAG rooted at phi, once each."""
-    seen = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        yield f
-        if isinstance(f, _Binary):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, (Not, _Modal)):
-            stack.append(f.sub)
+    return postorder(phi)
 
 
 def variables(phi: Formula) -> Set[int]:
@@ -216,24 +230,11 @@ def size(phi: Formula) -> int:
 
 
 def modal_depth(phi: Formula) -> int:
-    memo: Dict[Formula, int] = {}
-
-    def depth(f: Formula) -> int:
-        r = memo.get(f)
-        if r is not None:
-            return r
-        if isinstance(f, Not):
-            r = depth(f.sub)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            r = max(depth(f.left), depth(f.right))
-        elif isinstance(f, (Box, Diamond)):
-            r = 1 + depth(f.sub)
-        else:
-            r = 0
-        memo[f] = r
-        return r
-
-    return depth(phi)
+    depth: Dict[Formula, int] = {}
+    for f in postorder(phi):
+        d = max((depth[a] for a in f.args), default=0)
+        depth[f] = d + 1 if isinstance(f, _Modal) else d
+    return depth[phi]
 
 
 def language_of(phi: Formula) -> Optional[str]:
@@ -265,34 +266,27 @@ def desugar(phi: Formula) -> Formula:
     Visits each distinct subterm once.
     """
     memo: Dict[Formula, Formula] = {}
-
-    def go(f: Formula) -> Formula:
-        r = memo.get(f)
-        if r is not None:
-            return r
-        if isinstance(f, (Var, Nominal, Top, Bot)):
-            r = f
-        elif isinstance(f, Not):
-            r = Not(go(f.sub))
-        elif isinstance(f, And):
-            r = And(go(f.left), go(f.right))
-        elif isinstance(f, Or):
-            r = Not(And(Not(go(f.left)), Not(go(f.right))))
+    for f in postorder(phi):
+        a = [memo[g] for g in f.args]
+        if isinstance(f, Or):
+            r = Not(And(Not(a[0]), Not(a[1])))
         elif isinstance(f, Implies):
-            r = Not(And(go(f.left), Not(go(f.right))))
+            r = Not(And(a[0], Not(a[1])))
         elif isinstance(f, Iff):
-            a, b = go(f.left), go(f.right)
-            r = And(Not(And(a, Not(b))), Not(And(b, Not(a))))
-        elif isinstance(f, Box):
-            r = Box(f.modality, go(f.sub))
+            r = And(Not(And(a[0], Not(a[1]))), Not(And(a[1], Not(a[0]))))
         elif isinstance(f, Diamond):
-            r = Not(Box(f.modality, Not(go(f.sub))))
+            r = Not(Box(f.modality, Not(a[0])))
         else:
-            raise TypeError("not a formula: %r" % (f,))
+            r = _rebuild(f, a)
         memo[f] = r
-        return r
+    return memo[phi]
 
-    return go(phi)
+
+def _rebuild(f: Formula, args: List[Formula]) -> Formula:
+    """The node of f's class and fields, with `args` as its children."""
+    if isinstance(f, _Modal):
+        return type(f)(f.modality, *args)
+    return type(f)(*args) if args else f
 
 
 class Substitution:
@@ -305,8 +299,7 @@ class Substitution:
         return isinstance(other, Substitution) and self.mapping == other.mapping
 
     def __repr__(self):
-        items = ", ".join("p%d -> %s" % (k, pretty(v)) for k, v in sorted(self.mapping.items()))
-        return "Substitution{%s}" % items
+        return "parse_substitution(%r)" % self.serialize()
 
     def get(self, index: int) -> Formula:
         return self.mapping.get(index, Var(index))
@@ -314,35 +307,12 @@ class Substitution:
     def apply(self, phi: Formula) -> Formula:
         """Homomorphic replacement of variables; visits each distinct subterm once."""
         memo: Dict[Formula, Formula] = {}
-
-        def go(f: Formula) -> Formula:
-            r = memo.get(f)
-            if r is not None:
-                return r
+        for f in postorder(phi):
             if isinstance(f, Var):
-                r = self.mapping.get(f.index, f)
-            elif isinstance(f, (Nominal, Top, Bot)):
-                r = f
-            elif isinstance(f, Not):
-                r = Not(go(f.sub))
-            elif isinstance(f, And):
-                r = And(go(f.left), go(f.right))
-            elif isinstance(f, Or):
-                r = Or(go(f.left), go(f.right))
-            elif isinstance(f, Implies):
-                r = Implies(go(f.left), go(f.right))
-            elif isinstance(f, Iff):
-                r = Iff(go(f.left), go(f.right))
-            elif isinstance(f, Box):
-                r = Box(f.modality, go(f.sub))
-            elif isinstance(f, Diamond):
-                r = Diamond(f.modality, go(f.sub))
+                memo[f] = self.mapping.get(f.index, f)
             else:
-                raise TypeError("not a formula: %r" % (f,))
-            memo[f] = r
-            return r
-
-        return go(phi)
+                memo[f] = _rebuild(f, [memo[g] for g in f.args])
+        return memo[phi]
 
     def compose(self, inner: "Substitution") -> "Substitution":
         """(self . inner)(p) = self.apply(inner(p)), applied right-to-left."""
@@ -352,19 +322,24 @@ class Substitution:
         return Substitution(out)
 
     def serialize(self) -> str:
-        return "".join("p%d := %s\n" % (k, pretty(v)) for k, v in sorted(self.mapping.items()))
+        """One `p<k> := <formula>` line per variable, after the `$k := ...`
+        lines that name the subterms shared within or between the images."""
+        items = sorted(self.mapping.items())
+        lines, texts = _dag_text([f for _, f in items])
+        lines += ["p%d := %s" % (k, text) for (k, _), text in zip(items, texts)]
+        return "".join(line + "\n" for line in lines)
 
 
 def parse_substitution(text: str, language: str = L) -> Substitution:
-    mapping: Dict[int, Formula] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = re.match(r"^p(\d+)\s*:=\s*(.*)$", line)
-        if m is None:
-            raise ParseError(0, "a line of the form 'p<k> := <formula>'", line)
-        mapping[int(m.group(1))] = parse(m.group(2), language)
+    """Inverse of Substitution.serialize; lines starting with `#` are
+    comments."""
+    # blanked, not removed, so error positions still point into `text`
+    p = _Parser(re.sub(r"(?m)^[ \t]*#.*$", lambda m: " " * len(m.group()), text))
+    mapping = dict(p.definitions(("ref", "var")))
+    if p.peek() is not None:
+        raise p.error("a line 'p<k> := <formula>' or '$<k> := <formula>'")
+    for phi in mapping.values():
+        check_language(phi, language)
     return Substitution(mapping)
 
 
@@ -393,30 +368,44 @@ def surrogate_exists(phi: Formula, nominal_index: int) -> Formula:
 
 # --- concrete syntax ---------------------------------------------------------
 #
+# text := (name ":=" formula)* formula ; name := "$" INT ;
 # formula := iff ; iff := imp ("<->" imp)* ; imp := or ("->" or)* ;
 # or := and ("|" and)* ; and := unary ("&" unary)* ;
 # unary := "~" unary | "[]" unary | "<>" unary | "[u]" unary | "<u>" unary
 #        | "[h]" unary | "<h>" unary | atom ;
-# atom := "true" | "false" | "p" INT | "n" INT | "(" formula ")" .
+# atom := "true" | "false" | "p" INT | "n" INT | name | "(" formula ")" .
 #
-# `->` and `<->` are right-associative, `&` and `|` left-associative.
+# `->` and `<->` are right-associative, `&` and `|` left-associative.  A
+# name stands for the formula it was defined as on an earlier line; the
+# printer names the subterms a DAG shares, so its text stays linear in
+# the DAG size (the let-binding of SMT-LIB, written one binding per line).
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<iff><->)|(?P<imp>->)|(?P<boxu>\[u\])|(?P<diau><u>)"
-    r"|(?P<boxh>\[h\])|(?P<diah><h>)|(?P<box>\[\])|(?P<dia><>)"
-    r"|(?P<and>&)|(?P<or>\|)|(?P<not>~)|(?P<lp>\()|(?P<rp>\))"
-    r"|(?P<true>true\b)|(?P<false>false\b)|(?P<var>p\d+)|(?P<nom>n\d+))"
+    r"\s*(?:(?P<binary><->|->|&|\|)|(?P<prefix>~|\[[uh]?\]|<[uh]?>)|(?P<lp>\()"
+    r"|(?P<rp>\))|(?P<const>(?:true|false)\b)|(?P<var>p\d+)|(?P<nom>n\d+)"
+    r"|(?P<ref>\$\d+)|(?P<def>:=))"
 )
 
-_UNARY_TOKENS = {
-    "not": None,
-    "box": (Box, Modality.REL),
-    "dia": (Diamond, Modality.REL),
-    "boxu": (Box, Modality.UNIV),
-    "diau": (Diamond, Modality.UNIV),
-    "boxh": (Box, Modality.HYB),
-    "diah": (Diamond, Modality.HYB),
+# Precedence, loosest first: <->, ->, |, &, the prefix operators, atoms.
+_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = range(6)
+
+# text -> (class, precedence, right-associative)
+_BINARY = {
+    "<->": (Iff, _PREC_IFF, True),
+    "->": (Implies, _PREC_IMP, True),
+    "|": (Or, _PREC_OR, False),
+    "&": (And, _PREC_AND, False),
 }
+_BINARY_TEXT = {cls: text for text, (cls, _, _) in _BINARY.items()}
+
+# text -> constructor and modality
+_PREFIX = {
+    "~": (Not,),
+    "[]": (Box, Modality.REL), "<>": (Diamond, Modality.REL),
+    "[u]": (Box, Modality.UNIV), "<u>": (Diamond, Modality.UNIV),
+    "[h]": (Box, Modality.HYB), "<h>": (Diamond, Modality.HYB),
+}
+_PREFIX_TEXT = {ctor: text for text, ctor in _PREFIX.items()}
 
 
 class _Tokens:
@@ -441,8 +430,9 @@ class _Tokens:
             pos = m.end()
         self.i = 0
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Optional[str]:
+        i = self.i + ahead
+        return self.tokens[i][0] if i < len(self.tokens) else None
 
     def next(self) -> Tuple[str, str, int]:
         tok = self.tokens[self.i]
@@ -467,154 +457,161 @@ class _Parser(_Tokens):
     token_re = _TOKEN_RE
     token_name = "a formula token"
 
-    def parse_formula(self) -> Formula:
-        return self.parse_iff()
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.names: Dict[str, Formula] = {}
 
-    def parse_iff(self) -> Formula:
-        parts = [self.parse_imp()]
-        while self.peek() == "iff":
-            self.next()
-            parts.append(self.parse_imp())
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Iff(p, out)
+    def text_formula(self) -> Formula:
+        self.definitions(("ref",))
+        return self.formula()
+
+    def definitions(self, heads: Tuple[str, ...]) -> List[Tuple[int, Formula]]:
+        """`head := formula` entries for as long as they continue.  A `$k`
+        head names its formula for the entries after it; the `p<k>` entries
+        are returned as (k, formula)."""
+        out = []
+        while self.peek() in heads and self.peek(1) == "def":
+            kind, head, _ = self.tokens[self.i]
+            if kind == "ref" and head in self.names:
+                raise self.error("a name that is not defined yet")
+            self.i += 2
+            phi = self.formula()
+            if kind == "ref":
+                self.names[head] = phi
+            else:
+                out.append((int(head[1:]), phi))
         return out
 
-    def parse_imp(self) -> Formula:
-        parts = [self.parse_or()]
-        while self.peek() == "imp":
-            self.next()
-            parts.append(self.parse_or())
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Implies(p, out)
-        return out
+    def formula(self) -> Formula:
+        """Operator precedence over an explicit stack: `ops` holds the prefix
+        operators, open parentheses and binary connectives still waiting
+        for their right operand, `operands` the formulas read so far."""
+        operands: List[Formula] = []
+        ops: List[str] = []
+        open_groups = 0
+        while True:
+            while self.peek() in ("prefix", "lp"):
+                text = self.next()[1]
+                ops.append(text)
+                open_groups += text == "("
+            operands.append(self.atom())
+            while True:
+                while ops and ops[-1] in _PREFIX:
+                    ctor, *modality = _PREFIX[ops.pop()]
+                    operands.append(ctor(*modality, operands.pop()))
+                if not (open_groups and self.peek() == "rp"):
+                    break
+                self.next()
+                self._reduce(operands, ops, _PREC_IFF, False)
+                ops.pop()
+                open_groups -= 1
+            if self.peek() != "binary":
+                if open_groups:
+                    raise self.error("')'")
+                self._reduce(operands, ops, _PREC_IFF, False)
+                return operands[0]
+            text = self.next()[1]
+            _, prec, right_assoc = _BINARY[text]
+            self._reduce(operands, ops, prec, right_assoc)
+            ops.append(text)
 
-    def parse_or(self) -> Formula:
-        out = self.parse_and()
-        while self.peek() == "or":
-            self.next()
-            out = Or(out, self.parse_and())
-        return out
+    @staticmethod
+    def _reduce(operands: List[Formula], ops: List[str], prec: int, right_assoc: bool) -> None:
+        """Apply the pending binary connectives that bind tighter than a
+        connective of precedence `prec` arriving next (or as tight, when it
+        associates to the left); stops at an open parenthesis."""
+        while ops and ops[-1] in _BINARY:
+            ctor, top, _ = _BINARY[ops[-1]]
+            if top < prec or (top == prec and right_assoc):
+                break
+            ops.pop()
+            right = operands.pop()
+            operands.append(ctor(operands.pop(), right))
 
-    def parse_and(self) -> Formula:
-        out = self.parse_unary()
-        while self.peek() == "and":
-            self.next()
-            out = And(out, self.parse_unary())
-        return out
-
-    def parse_unary(self) -> Formula:
+    def atom(self) -> Formula:
         kind = self.peek()
-        if kind in _UNARY_TOKENS:
-            self.next()
-            sub = self.parse_unary()
-            if kind == "not":
-                return Not(sub)
-            ctor, mod = _UNARY_TOKENS[kind]
-            return ctor(mod, sub)
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        kind = self.peek()
-        if kind == "true":
-            self.next()
-            return TOP
-        if kind == "false":
-            self.next()
-            return BOT
-        if kind == "var":
-            _, text, _ = self.next()
-            return Var(int(text[1:]))
-        if kind == "nom":
-            _, text, _ = self.next()
-            return Nominal(int(text[1:]))
-        if kind == "lp":
-            self.next()
-            out = self.parse_formula()
-            if self.peek() != "rp":
-                raise self.error("')'")
-            self.next()
-            return out
-        raise self.error("an atom, '~', a box or a diamond")
+        if kind not in ("const", "var", "nom", "ref"):
+            raise self.error("an atom, '~', a box or a diamond")
+        text = self.tokens[self.i][1]
+        if kind == "ref" and text not in self.names:
+            raise self.error("a name defined on an earlier line")
+        self.next()
+        if kind == "const":
+            return TOP if text == "true" else BOT
+        if kind == "ref":
+            return self.names[text]
+        return (Var if kind == "var" else Nominal)(int(text[1:]))
 
 
 def parse(text: str, language: str = L) -> Formula:
     p = _Parser(text)
-    out = p.parse_all(p.parse_formula, "a formula")
+    out = p.parse_all(p.text_formula, "a formula")
     check_language(out, language)
     return out
 
 
-# Printer precedence, tightest first: unary, &, |, ->, <->.
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = range(6)
-
-_MOD_BOX = {Modality.REL: "[]", Modality.UNIV: "[u]", Modality.HYB: "[h]"}
-_MOD_DIA = {Modality.REL: "<>", Modality.UNIV: "<u>", Modality.HYB: "<h>"}
-
-
 def pretty(phi: Formula) -> str:
-    """Minimal-parenthesis rendering; parse(pretty(phi)) == phi."""
+    """Minimal-parenthesis rendering; parse(pretty(phi)) is phi.
+
+    A non-atomic subterm with two or more references is written once, on a
+    line `$k := <formula>` before the lines that use it (k counts in
+    post-order); the last line is phi.  Without such subterms the text is
+    one line.
+    """
+    lines, texts = _dag_text([phi])
+    return "\n".join(lines + texts)
+
+
+def _dag_text(roots: List[Formula]) -> Tuple[List[str], List[str]]:
+    """The `$k := ...` lines for the subterms the roots share, and the text
+    of each root over those names."""
+    top = tuple(roots)
+    nodes = [f for f in postorder(top, lambda f: f if f is top else f.args) if f is not top]
+    refs = collections.Counter(roots)
+    for f in nodes:
+        refs.update(f.args)
+    names: Dict[Formula, str] = {}
+    lines = []
+    for f in nodes:
+        if f.args and refs[f] > 1:
+            # rendered before f gets its own name, which only its uses print
+            lines.append("$%d := %s" % (len(names) + 1, _inline(f, names)))
+            names[f] = "$%d" % (len(names) + 1)
+    return lines, [names.get(f) or _inline(f, names) for f in roots]
+
+
+def _inline(phi: Formula, names: Dict[Formula, str]) -> str:
+    """phi written out down to atoms and named subterms."""
     out: List[str] = []
-
-    def go(f: Formula, min_prec: int) -> None:
-        prec, render = _render_info(f)
+    stack: list = [(phi, _PREC_IFF)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        f, min_prec = item
+        name = names.get(f)
+        if name is not None:
+            out.append(name)
+            continue
+        prec, parts = _layout(f)
         if prec < min_prec:
-            out.append("(")
-            render()
-            out.append(")")
-        else:
-            render()
-
-    def _render_info(f: Formula):
-        if isinstance(f, Var):
-            return _PREC_ATOM, lambda: out.append("p%d" % f.index)
-        if isinstance(f, Nominal):
-            return _PREC_ATOM, lambda: out.append("n%d" % f.index)
-        if isinstance(f, Top):
-            return _PREC_ATOM, lambda: out.append("true")
-        if isinstance(f, Bot):
-            return _PREC_ATOM, lambda: out.append("false")
-        if isinstance(f, Not):
-            def render():
-                out.append("~")
-                go(f.sub, _PREC_UNARY)
-            return _PREC_UNARY, render
-        if isinstance(f, Box):
-            def render():
-                out.append(_MOD_BOX[f.modality])
-                go(f.sub, _PREC_UNARY)
-            return _PREC_UNARY, render
-        if isinstance(f, Diamond):
-            def render():
-                out.append(_MOD_DIA[f.modality])
-                go(f.sub, _PREC_UNARY)
-            return _PREC_UNARY, render
-        if isinstance(f, And):
-            def render():
-                go(f.left, _PREC_AND)
-                out.append(" & ")
-                go(f.right, _PREC_AND + 1)
-            return _PREC_AND, render
-        if isinstance(f, Or):
-            def render():
-                go(f.left, _PREC_OR)
-                out.append(" | ")
-                go(f.right, _PREC_OR + 1)
-            return _PREC_OR, render
-        if isinstance(f, Implies):
-            def render():
-                go(f.left, _PREC_IMP + 1)
-                out.append(" -> ")
-                go(f.right, _PREC_IMP)
-            return _PREC_IMP, render
-        if isinstance(f, Iff):
-            def render():
-                go(f.left, _PREC_IFF + 1)
-                out.append(" <-> ")
-                go(f.right, _PREC_IFF)
-            return _PREC_IFF, render
-        raise TypeError("not a formula: %r" % (f,))
-
-    go(phi, _PREC_IFF)
+            parts = ["("] + parts + [")"]
+        stack.extend(reversed(parts))
     return "".join(out)
+
+
+def _layout(f: Formula) -> Tuple[int, list]:
+    """Precedence of f's top connective and its text: strings, and
+    (child, least precedence the child may have without parentheses)."""
+    if isinstance(f, (Var, Nominal)):
+        return _PREC_ATOM, ["%s%d" % ("p" if isinstance(f, Var) else "n", f.index)]
+    if not f.args:
+        return _PREC_ATOM, ["true" if f is TOP else "false"]
+    if isinstance(f, _Binary):
+        text = _BINARY_TEXT[type(f)]
+        _, prec, right_assoc = _BINARY[text]
+        return prec, [(f.left, prec + right_assoc), " %s " % text,
+                      (f.right, prec + (not right_assoc))]
+    prefix = _PREFIX_TEXT[(Not,) if isinstance(f, Not) else (type(f), f.modality)]
+    return _PREC_UNARY, [prefix, (f.sub, _PREC_UNARY)]

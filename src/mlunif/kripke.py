@@ -23,8 +23,8 @@ from .errors import (
     UnknownPoint,
 )
 from .formula import (
-    SYMBOL, And, Bot, Box, Diamond, Formula, H2, Iff, Implies, L, Modality,
-    Nominal, Not, Or, Top, Var, desugar, language_of, nominals, variables,
+    SYMBOL, TOP, And, Box, Diamond, Formula, H2, Iff, Implies, L, Modality,
+    Nominal, Not, Or, Var, desugar, language_of, nominals, postorder, variables,
 )
 
 Edge = Tuple[str, str]
@@ -134,63 +134,55 @@ class Evaluator:
         self.cache = model._masks
 
     def mask(self, phi: Formula) -> int:
-        m = self.cache.get(phi)
-        if m is not None:
-            return m
-        f = phi
+        cache = self.cache
+        if phi in cache:
+            return cache[phi]
         n, all_mask = self.n, self.all_mask
-        if isinstance(f, Var):
-            if f.index not in self.model.valuation.var_map:
-                raise UnboundSymbol("p%d is not in the valuation" % f.index)
-            m = 0
-            for p in self.model.valuation.var_map[f.index]:
-                m |= 1 << self.index[p]
-        elif isinstance(f, Nominal):
-            if f.index not in self.model.valuation.nom_map:
-                raise UnboundSymbol("n%d is not in the valuation" % f.index)
-            m = 1 << self.index[self.model.valuation.nom_map[f.index]]
-        elif isinstance(f, Top):
-            m = all_mask
-        elif isinstance(f, Bot):
-            m = 0
-        elif isinstance(f, Not):
-            m = all_mask ^ self.mask(f.sub)
-        elif isinstance(f, And):
-            m = self.mask(f.left) & self.mask(f.right)
-        elif isinstance(f, Or):
-            m = self.mask(f.left) | self.mask(f.right)
-        elif isinstance(f, Implies):
-            m = (all_mask ^ self.mask(f.left)) | self.mask(f.right)
-        elif isinstance(f, Iff):
-            m = all_mask ^ (self.mask(f.left) ^ self.mask(f.right))
-        elif isinstance(f, Box):
-            if f.modality is Modality.UNIV:
-                m = all_mask if self.mask(f.sub) == all_mask else 0
-            else:
-                succ = self.r_succ if f.modality is Modality.REL else self.s_succ
-                if succ is None:
-                    raise LanguageMismatch("[h] needs a hybrid frame")
-                sub = self.mask(f.sub)
+        valuation = self.model.valuation
+        for f in postorder(phi, lambda g: () if g in cache else g.args):
+            if f in cache:
+                continue
+            kind = type(f)  # tested roughly by frequency in the reduction formulas
+            if kind is And:
+                m = cache[f.left] & cache[f.right]
+            elif kind is Not:
+                m = all_mask ^ cache[f.sub]
+            elif kind is Box or kind is Diamond:
+                # a box, or a diamond as the negated box of its negated body
+                flip = 0 if kind is Box else all_mask
+                sub = cache[f.sub] ^ flip
+                if f.modality is Modality.UNIV:
+                    m = all_mask if sub == all_mask else 0
+                else:
+                    succ = self.r_succ if f.modality is Modality.REL else self.s_succ
+                    if succ is None:
+                        raise LanguageMismatch("%s needs a hybrid frame"
+                                               % ("<h>" if flip else "[h]"))
+                    m = 0
+                    for i in range(n):
+                        if succ[i] & ~sub == 0:
+                            m |= 1 << i
+                m ^= flip
+            elif kind is Or:
+                m = cache[f.left] | cache[f.right]
+            elif kind is Implies:
+                m = (all_mask ^ cache[f.left]) | cache[f.right]
+            elif kind is Iff:
+                m = all_mask ^ (cache[f.left] ^ cache[f.right])
+            elif kind is Var:
+                if f.index not in valuation.var_map:
+                    raise UnboundSymbol("p%d is not in the valuation" % f.index)
                 m = 0
-                for i in range(n):
-                    if succ[i] & ~sub == 0:
-                        m |= 1 << i
-        elif isinstance(f, Diamond):
-            if f.modality is Modality.UNIV:
-                m = all_mask if self.mask(f.sub) != 0 else 0
+                for p in valuation.var_map[f.index]:
+                    m |= 1 << self.index[p]
+            elif kind is Nominal:
+                if f.index not in valuation.nom_map:
+                    raise UnboundSymbol("n%d is not in the valuation" % f.index)
+                m = 1 << self.index[valuation.nom_map[f.index]]
             else:
-                succ = self.r_succ if f.modality is Modality.REL else self.s_succ
-                if succ is None:
-                    raise LanguageMismatch("<h> needs a hybrid frame")
-                sub = self.mask(f.sub)
-                m = 0
-                for i in range(n):
-                    if succ[i] & sub:
-                        m |= 1 << i
-        else:
-            raise TypeError("not a formula: %r" % (f,))
-        self.cache[f] = m
-        return m
+                m = all_mask if f is TOP else 0
+            cache[f] = m
+        return cache[phi]
 
 
 def truth_mask(model: Model, phi: Formula) -> int:
@@ -251,8 +243,12 @@ def frame_valid(frame: Frame, phi: Formula,
     for m in nom_indices:
         builder.exactly_one([nom_atoms[m, i] for i in range(n)])
 
-    r_succ = _succ_masks(points, frame.r)
-    s_succ = _succ_masks(points, frame.s) if frame.s is not None else None
+    # successor points of each point, ascending, per modality
+    successors = {Modality.UNIV: [list(range(n))] * n}
+    for modality, edges in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
+        if edges is not None:
+            successors[modality] = [[j for j in range(n) if bits >> j & 1]
+                                    for bits in _succ_masks(points, edges)]
 
     lits: Dict[Tuple[Formula, int], propsat.Literal] = {}
     define_cache: Dict[Tuple, propsat.Literal] = {}
@@ -268,34 +264,38 @@ def frame_valid(frame: Frame, phi: Formula,
             define_cache[key] = hit
         return hit
 
-    def lit(f: Formula, i: int) -> propsat.Literal:
+    def children(key: Tuple[Formula, int]) -> List[Tuple[Formula, int]]:
+        f, i = key
         if not f.flags & SYMBOL:
-            # symbol-free subformulas have a fixed truth value at each point
-            return bool(evaluator.mask(f) >> i & 1)
-        key = (f, i)
-        hit = lits.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(f, Var):
-            out: propsat.Literal = var_atoms[f.index, i]
-        elif isinstance(f, Nominal):
-            out = nom_atoms[f.index, i]
-        elif isinstance(f, Not):
-            out = builder.negate(lit(f.sub, i))
-        elif isinstance(f, And):
-            out = define_and([lit(f.left, i), lit(f.right, i)])
-        elif isinstance(f, Box):
-            if f.modality is Modality.UNIV:
-                succ_bits = (1 << n) - 1
-            else:
-                succ = r_succ if f.modality is Modality.REL else s_succ
-                succ_bits = succ[i]
-            parts = [lit(f.sub, j) for j in range(n) if succ_bits >> j & 1]
-            out = define_and(parts)
+            return []
+        if isinstance(f, Box):
+            keys = [(f.sub, j) for j in successors[f.modality][i]]
         else:
-            raise TypeError("unexpected desugared node: %r" % (f,))
-        lits[key] = out
-        return out
+            keys = [(a, i) for a in f.args]
+        return [k for k in keys if k not in lits]
+
+    def lit(body: Formula, point: int) -> propsat.Literal:
+        """The literal of `body` at a point, defining the literals of its
+        subformulas on the way; a symbol-free subformula has a fixed truth
+        value at each point and becomes a constant."""
+        for key in postorder((body, point), children):
+            f, i = key
+            if not f.flags & SYMBOL:
+                out: propsat.Literal = bool(evaluator.mask(f) >> i & 1)
+            elif isinstance(f, Var):
+                out = var_atoms[f.index, i]
+            elif isinstance(f, Nominal):
+                out = nom_atoms[f.index, i]
+            elif isinstance(f, Not):
+                out = builder.negate(lits[f.sub, i])
+            elif isinstance(f, And):
+                out = define_and([lits[f.left, i], lits[f.right, i]])
+            elif isinstance(f, Box):
+                out = define_and([lits[f.sub, j] for j in successors[f.modality][i]])
+            else:
+                raise TypeError("unexpected desugared node: %r" % (f,))
+            lits[key] = out
+        return lits[body, point]
 
     falsifiable = [builder.negate(lit(body, i)) for i in range(n)]
     builder.add_clause(falsifiable)

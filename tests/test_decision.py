@@ -8,6 +8,7 @@ import pytest
 
 import mlunif
 
+from mlunif import propsat
 from mlunif.errors import LanguageMismatch, ResourceLimit
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Implies, Modality, Nominal, Not, Or,
@@ -24,6 +25,10 @@ from helpers import random_formula
 REL = Modality.REL
 UNIV = Modality.UNIV
 HYB = Modality.HYB
+
+
+def test_one_unsat_result_type():
+    assert Unsat is propsat.Unsat
 
 
 def test_universal_conflict_unsat():

@@ -1,13 +1,17 @@
+import ast
+import inspect
 import random
 
 import pytest
 
+from mlunif import decision, encoding, formula, kripke
+from mlunif.encoding import tower
 from mlunif.errors import LanguageError, ParseError
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not,
     Or, Substitution, Var, apply_subst, check_language, desugar,
     ground_substitutions, modal_depth, nominals, parse, parse_substitution,
-    pretty, size, surrogate_exists, variables,
+    postorder, pretty, size, surrogate_exists, variables,
 )
 from helpers import random_formula
 
@@ -173,3 +177,57 @@ def test_check_language_accepts_shared_core():
     phi = parse("[](p1 & <>true)")
     check_language(phi, L)
     check_language(phi, H2)
+
+
+def test_shared_subterms_are_printed_once():
+    alpha = parse("<>true & []<>true")
+    assert pretty(alpha) == "$1 := <>true\n$1 & []$1"
+    assert parse(pretty(alpha)) is alpha
+    # names are numbered in post-order, once across both images
+    shared = Or(Var(1), Var(2))
+    sigma = Substitution({1: And(shared, Not(shared)), 2: shared})
+    assert sigma.serialize() == "$1 := p1 | p2\np1 := $1 & ~$1\np2 := $1\n"
+    assert parse_substitution(sigma.serialize()) == sigma
+
+
+def test_formula_text_is_linear_in_the_dag():
+    # the tree of tower(0, 10) is several MB of text; its DAG has 242 nodes
+    assert len(pretty(tower(0, 10))) < 20_000
+    assert len(repr(tower(0, 10))) < 20_000
+
+
+def test_names_must_be_defined_once_before_use():
+    with pytest.raises(ParseError) as e:
+        parse("$1 & p1\n$1 := p2")
+    assert e.value.position == 0
+    with pytest.raises(ParseError) as e:
+        parse("$1 := p1\n$1 := p2\n$1")
+    assert e.value.position == 9
+    with pytest.raises(ParseError) as e:
+        parse_substitution("p1 := $2\n")
+    assert e.value.position == 6
+
+
+def test_postorder_visits_children_first_once_each():
+    phi = And(Or(Var(1), Var(2)), Not(Or(Var(1), Var(2))))
+    assert list(postorder(phi)) == [
+        Var(1), Var(2), Or(Var(1), Var(2)), Not(Or(Var(1), Var(2))), phi]
+
+
+def test_no_formula_pass_calls_itself():
+    # a pass that recursed once per nesting level would fail on deep DAGs
+    # at the interpreter's default recursion limit
+    for module in (formula, kripke, decision, encoding):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = call.func
+                if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name) \
+                        and callee.value.id == "self":
+                    callee = callee.attr
+                elif isinstance(callee, ast.Name):
+                    callee = callee.id
+                assert callee != fn.name, (module.__name__, fn.name)

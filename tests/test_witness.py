@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import mlunif
 
 from mlunif.errors import NotReachable
 from mlunif.formula import (
@@ -163,3 +168,46 @@ def test_substituted_psi_dag_grows_linearly(steps, nodes):
     sigma = witness_from_trace(run_trace(program, start, steps), UNIVERSAL)
     got = size(apply_subst(sigma, psi(program, start, target, UNIVERSAL)))
     assert got == nodes
+
+
+_DEEP_INPUTS = r"""
+import sys
+limit = sys.getrecursionlimit()
+import mlunif.cli
+assert sys.getrecursionlimit() == limit, "importing mlunif changed the recursion limit"
+from mlunif.encoding import UNIVERSAL, psi, tower
+from mlunif.formula import (
+    apply_subst, desugar, parse, parse_substitution, pretty, size)
+from mlunif.kripke import Frame, Model, Valuation, truth_mask
+from mlunif.minsky import Config, parse_program, run_trace
+from mlunif.witness import witness_from_trace
+
+steps = 800
+program = parse_program("".join("%d -> %d,+1,0\n" % (k, k + 1) for k in range(1, steps + 1)))
+start, target = Config(1, 0, 0), Config(steps + 1, steps, 0)
+reduction = psi(program, start, target, UNIVERSAL)
+sigma = witness_from_trace(run_trace(program, start, steps), UNIVERSAL)
+bound = apply_subst(sigma, reduction)
+assert size(bound) == 40 * steps + 122
+desugar(bound)
+frame = Frame(("a", "b"), frozenset([("a", "b"), ("b", "b")]))
+model = Model(frame, Valuation({1: frozenset("a"), 2: frozenset("b")}, {}))
+truth_mask(model, bound)
+assert parse(pretty(bound)) is bound
+assert parse_substitution(sigma.serialize()) == sigma
+tower(0, 2000)
+assert parse("(" * 10000 + "p1" + ")" * 10000) is parse("p1")
+assert size(parse("~" * 10000 + "p1")) == 10001
+print("ok")
+"""
+
+
+def test_deep_inputs_at_default_recursion_limit():
+    # a fresh interpreter without site hooks keeps the default limit (1000),
+    # which the 800-step run's DAG and the nested inputs all exceed in depth
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlunif.__file__)))
+    out = subprocess.run([sys.executable, "-S", "-c", _DEEP_INPUTS],
+                         env={"PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "ok"

@@ -162,6 +162,19 @@ def test_cli_reduce_and_verify(tmp_path, capsys):
     assert report["verdict"] == "unifiable"
 
 
+def test_cli_verify_sigma_text_is_linear(tmp_path, capsys):
+    # the unifier of a 200-step run written as a tree is many MB
+    steps = 200
+    program = tmp_path / "prog.txt"
+    program.write_text("".join("%d -> %d,+1,0\n" % (k, k + 1) for k in range(1, steps + 1)))
+    out = tmp_path / "out"
+    code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
+                   "--target", "%d,%d,0" % (steps + 1, steps), "--trials", "10",
+                   "--out", str(out))
+    assert code == 0
+    assert (out / "sigma.txt").stat().st_size < 50_000
+
+
 def test_cli_verify_not_unifiable_writes_certificate(tmp_path, capsys):
     program = tmp_path / "prog.txt"
     program.write_text("")
