@@ -244,6 +244,19 @@ def _run(step, *args):
     return result
 
 
+class _Budget:
+    """Limit on the node expansions of one tableau run, in either logic."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def charge(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
+            raise ResourceLimit("tableau budget exceeded")
+
+
 # --- the relational-box engine with global axioms -------------------------------
 
 class _KEngine:
@@ -270,9 +283,8 @@ class _KEngine:
 
     INF = float("inf")
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: _Budget):
         self.budget = budget
-        self.expansions = 0
         self.cache: Dict[tuple, Tuple[bool, Optional[int]]] = {}
         self.cond: Dict[tuple, Tuple[int, int, int]] = {}
         self.worlds: Dict[int, Tuple[tuple, List[int]]] = {}
@@ -281,15 +293,12 @@ class _KEngine:
         self.epoch_counter = itertools.count(1)
         self.axioms: List[NF] = []
         self.axioms_key: FrozenSet[int] = frozenset()
-        # shared propositional encoding of the formula DAG
-        self.num_atoms = 1  # atom 1 is fixed true
-        self.struct_clauses: List[List[int]] = [[1]]
-        self.atom_of: Dict[int, int] = {}
-        self.lit_of: Dict[int, int] = {}
+        # shared propositional encoding of the formula DAG; atom 1 is fixed
+        # true and stands for TOP, its negation for BOT
+        self.cnf = propsat.CnfBuilder()
+        self.cnf.add_clause([self.cnf.new_atom()])
+        self.lit_of: Dict[int, int] = {_B.TOP.uid: 1, _B.BOT.uid: -1}
         self.encoded: Set[int] = set()
-        self.dia_nodes: List[NF] = []
-        self.box_nodes: List[NF] = []
-        self.var_lits: Dict[int, int] = {}
         # one warm incremental solver per axiom set, fed the shared
         # structural clauses on demand
         self.solvers: Dict[FrozenSet[int], Tuple[propsat.Solver, List[int]]] = {}
@@ -300,65 +309,43 @@ class _KEngine:
         for nf in self.axioms:
             self._encode(nf)
 
-    def _charge(self):
-        self.expansions += 1
-        if self.expansions > self.budget:
-            raise ResourceLimit("tableau budget exceeded")
-
     def _lit(self, nf: NF) -> int:
+        # Atoms are numbered in the order _encode first meets a node (pre-
+        # order, a node before its arms), and the positive sign goes to the
+        # lower uid of each complement pair.  The numbering steers the
+        # solver: it breaks activity ties by atom index and first tries a
+        # fresh atom false.  Numbering each node after its arms instead
+        # (post-order, as CnfBuilder.define_and does) keeps every verdict
+        # but took the benchmark's length-1 and length-2 tableau instances
+        # (T1, T2) from about 5 s and 7 s to over 300 s each on a 2-vCPU
+        # x86-64 VM.
         hit = self.lit_of.get(nf.uid)
-        if hit is not None:
-            return hit
-        if nf.tag == "top":
-            out = 1
-        elif nf.tag == "bot":
-            out = -1
-        else:
+        if hit is None:
             neg = _B.negate(nf)
-            canonical = nf if nf.uid < neg.uid else neg
-            atom = self.atom_of.get(canonical.uid)
-            if atom is None:
-                self.num_atoms += 1
-                atom = self.num_atoms
-                self.atom_of[canonical.uid] = atom
-                self.lit_of[canonical.uid] = atom
-                self.lit_of[neg.uid if canonical is nf else nf.uid] = -atom
-                # every complement pair contributes one diamond and one box
-                if canonical.tag == "dia":
-                    self.dia_nodes.append(canonical)
-                    self.box_nodes.append(neg if canonical is nf else nf)
-                elif canonical.tag == "box":
-                    self.box_nodes.append(canonical)
-                    self.dia_nodes.append(neg if canonical is nf else nf)
-                elif canonical.tag == "lit" and canonical.kind == "p":
-                    self.var_lits[canonical.index] = atom if canonical.pos else -atom
-            out = atom if canonical is nf else -atom
-        self.lit_of[nf.uid] = out
-        return out
+            atom = self.cnf.new_atom()
+            hit = atom if nf.uid < neg.uid else -atom
+            self.lit_of[nf.uid] = hit
+            self.lit_of[neg.uid] = -hit
+        return hit
 
     def _encode(self, root: NF) -> None:
-        """Emit structural clauses for every and/or node in the DAG, once.
-        Box, diamond and literal nodes are free atoms of the encoding; the
-        complement of each node reuses the same atom with opposite sign."""
+        """Define every and/or node in the DAG, once.  Box, diamond and
+        literal nodes are free atoms of the encoding; the complement of
+        each node reuses the same atom with opposite sign."""
         stack = [root]
         while stack:
             nf = stack.pop()
             if nf.uid in self.encoded:
                 continue
             self.encoded.add(nf.uid)
-            neg = _B.negate(nf)
-            self.encoded.add(neg.uid)
+            self.encoded.add(_B.negate(nf).uid)
             lf = self._lit(nf)
             if nf.tag in ("and", "or"):
                 arms = [self._lit(a) for a in nf.args]
                 if nf.tag == "and":
-                    for la in arms:
-                        self.struct_clauses.append([-lf, la])
-                    self.struct_clauses.append([lf] + [-la for la in arms])
+                    self.cnf.define(lf, arms)
                 else:
-                    for la in arms:
-                        self.struct_clauses.append([-la, lf])
-                    self.struct_clauses.append([-lf] + arms)
+                    self.cnf.define(-lf, [-a for a in arms])
                 stack.extend(nf.args)
 
     def sat(self, content: FrozenSet[NF]) -> Tuple[bool, Optional[int]]:
@@ -377,7 +364,7 @@ class _KEngine:
             bd, stamp, world = entry
             if bd < depth and bd < len(self.epoch) and self.epoch[bd] == stamp:
                 return True, bd, world
-        self._charge()
+        self.budget.charge()
         while len(self.epoch) <= depth:
             self.epoch.append(0)
         self.epoch[depth] = next(self.epoch_counter)
@@ -402,9 +389,10 @@ class _KEngine:
             entry = (propsat.Solver(), [0])
             self.solvers[self.axioms_key] = entry
         solver, fed = entry
-        solver.ensure_atoms(self.num_atoms)
-        while fed[0] < len(self.struct_clauses):
-            solver.add_clause(self.struct_clauses[fed[0]])
+        solver.ensure_atoms(self.cnf.num_atoms)
+        clauses = self.cnf.clauses
+        while fed[0] < len(clauses):
+            solver.add_clause(clauses[fed[0]])
             fed[0] += 1
         return solver
 
@@ -559,7 +547,7 @@ def _reduce(root: NF, values: Dict[int, bool], partial: bool = False) -> NF:
 
 def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optional[str]]:
     atoms = _collect_globals(root)
-    engine = _KEngine(budget)
+    engine = _KEngine(_Budget(budget))
     values: Dict[int, bool] = {}
     axioms: List[NF] = []
     obligations: List[NF] = []
@@ -644,17 +632,6 @@ class _HState:
     def copy(self) -> "_HState":
         return _HState({k: set(v) for k, v in self.content.items()},
                        set(self.edges), set(self.processed), self.counter)
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.limit:
-            raise ResourceLimit("tableau budget exceeded")
 
 
 def _kh2_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optional[str]]:

@@ -37,10 +37,6 @@ class DeterminismError(MlunifError):
     """Two machine instructions share a source state."""
 
 
-class NotReachable(MlunifError):
-    """Witness construction requested for an unreached target configuration."""
-
-
 class TruncationUnsound(MlunifError):
     """The machine run neither halts nor loops within the bound, so a finite
     frame built from it would not certify anything."""

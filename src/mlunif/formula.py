@@ -229,14 +229,6 @@ def size(phi: Formula) -> int:
     return sum(1 for _ in iter_subformulas(phi))
 
 
-def modal_depth(phi: Formula) -> int:
-    depth: Dict[Formula, int] = {}
-    for f in postorder(phi):
-        d = max((depth[a] for a in f.args), default=0)
-        depth[f] = d + 1 if isinstance(f, _Modal) else d
-    return depth[phi]
-
-
 def language_of(phi: Formula) -> Optional[str]:
     """L, H2, or None when the formula fits both (no U-box, H-box or nominal)."""
     flags = phi.flags
@@ -313,13 +305,6 @@ class Substitution:
             else:
                 memo[f] = _rebuild(f, [memo[g] for g in f.args])
         return memo[phi]
-
-    def compose(self, inner: "Substitution") -> "Substitution":
-        """(self . inner)(p) = self.apply(inner(p)), applied right-to-left."""
-        out = {k: self.apply(v) for k, v in inner.mapping.items()}
-        for k, v in self.mapping.items():
-            out.setdefault(k, v)
-        return Substitution(out)
 
     def serialize(self) -> str:
         """One `p<k> := <formula>` line per variable, after the `$k := ...`

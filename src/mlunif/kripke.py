@@ -251,18 +251,6 @@ def frame_valid(frame: Frame, phi: Formula,
                                     for bits in _succ_masks(points, edges)]
 
     lits: Dict[Tuple[Formula, int], propsat.Literal] = {}
-    define_cache: Dict[Tuple, propsat.Literal] = {}
-
-    def define_and(parts: List[propsat.Literal]) -> propsat.Literal:
-        if any(p is False for p in parts):
-            return False
-        ints = sorted(p for p in parts if not isinstance(p, bool))
-        key = tuple(ints)
-        hit = define_cache.get(key)
-        if hit is None:
-            hit = builder.define_and(ints)
-            define_cache[key] = hit
-        return hit
 
     def children(key: Tuple[Formula, int]) -> List[Tuple[Formula, int]]:
         f, i = key
@@ -289,9 +277,9 @@ def frame_valid(frame: Frame, phi: Formula,
             elif isinstance(f, Not):
                 out = builder.negate(lits[f.sub, i])
             elif isinstance(f, And):
-                out = define_and([lits[f.left, i], lits[f.right, i]])
+                out = builder.define_and([lits[f.left, i], lits[f.right, i]])
             elif isinstance(f, Box):
-                out = define_and([lits[f.sub, j] for j in successors[f.modality][i]])
+                out = builder.define_and([lits[f.sub, j] for j in successors[f.modality][i]])
             else:
                 raise TypeError("unexpected desugared node: %r" % (f,))
             lits[key] = out
@@ -330,36 +318,6 @@ def frame_valid(frame: Frame, phi: Formula,
     return CounterModel(model, witness)
 
 
-# --- graph helpers ------------------------------------------------------------
-
-def points_within(frame: Frame, start: str, max_dist: int) -> Set[str]:
-    """Points reachable from `start` in at most `max_dist` steps along R or S."""
-    if start not in frame.points:
-        raise UnknownPoint(start)
-    succ: Dict[str, Set[str]] = {p: set() for p in frame.points}
-    for x, y in frame.r:
-        succ[x].add(y)
-    if frame.s is not None:
-        for x, y in frame.s:
-            succ[x].add(y)
-    reached = {start}
-    frontier = {start}
-    for _ in range(max_dist):
-        frontier = {y for x in frontier for y in succ[x]} - reached
-        if not frontier:
-            break
-        reached |= frontier
-    return reached
-
-
-def is_transitive(pairs: Iterable[Edge]) -> bool:
-    pairs = set(pairs)
-    succ: Dict[str, Set[str]] = {}
-    for x, y in pairs:
-        succ.setdefault(x, set()).add(y)
-    return all((x, z) in pairs for x, y in pairs for z in succ.get(y, ()))
-
-
 # --- random generation ---------------------------------------------------------
 
 def random_frame(seed: int, max_points: int, kind: str = L,
@@ -382,17 +340,6 @@ def random_frame(seed: int, max_points: int, kind: str = L,
         s_density = rng.uniform(0.1, 0.55)
         s = {(x, y) for x in points for y in points if rng.random() < s_density}
     return Frame(points, frozenset(r), frozenset(s))
-
-
-def random_valuation(seed: int, frame: Frame, var_indices: Iterable[int] = (),
-                     nominal_indices: Iterable[int] = ()) -> Valuation:
-    rng = random.Random(seed)
-    var_map = {
-        v: frozenset(p for p in frame.points if rng.random() < 0.5)
-        for v in sorted(set(var_indices))
-    }
-    nom_map = {m: rng.choice(frame.points) for m in sorted(set(nominal_indices))}
-    return Valuation(var_map, nom_map)
 
 
 # --- text formats ---------------------------------------------------------------

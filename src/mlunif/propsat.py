@@ -2,8 +2,9 @@
 
 The solver is DPLL with watched-literal unit propagation, first-UIP clause
 learning, activity-based branching and Luby restarts: small enough to stay
-dependency-free, strong enough for the frame-validity encodings produced by
-the kripke module.
+dependency-free, strong enough for the frame-validity encodings of the
+kripke module and the KU tableau's propositional phase.  `CnfBuilder`
+writes both encodings.
 """
 
 from __future__ import annotations
@@ -313,7 +314,8 @@ Literal = Union[int, bool]
 
 
 class CnfBuilder:
-    """Incremental CNF with fresh-atom definitions for and/or nodes.
+    """Incremental CNF with fresh-atom definitions: the one encoder under
+    both the frame-validity check and the KU tableau.
 
     Methods accept and return `Literal`s: either a nonzero signed atom index
     or a Python bool, so callers can fold constants without special cases.
@@ -323,6 +325,7 @@ class CnfBuilder:
         self.num_atoms = 0
         self.clauses: List[List[int]] = []
         self.clause_budget = clause_budget
+        self.defined: Dict[Tuple[int, ...], int] = {}
 
     def new_atom(self) -> int:
         self.num_atoms += 1
@@ -345,8 +348,16 @@ class CnfBuilder:
             return not lit
         return -lit
 
+    def define(self, lit: int, lits: List[int]) -> None:
+        """Clauses making `lit` equivalent to the conjunction of `lits`."""
+        for part in lits:
+            self.add_clause([-lit, part])
+        self.add_clause([lit] + [-part for part in lits])
+
     def define_and(self, lits: Iterable[Literal]) -> Literal:
-        """Fresh literal equivalent to the conjunction of `lits`."""
+        """Literal equivalent to the conjunction of `lits`: a constant, the
+        only non-constant literal, or an atom defined once per sorted tuple
+        of non-constant literals."""
         out = []
         for lit in lits:
             if lit is False:
@@ -358,14 +369,13 @@ class CnfBuilder:
             return True
         if len(out) == 1:
             return out[0]
-        a = self.new_atom()
-        for lit in out:
-            self.add_clause([-a, lit])
-        self.add_clause([a] + [-lit for lit in out])
+        key = tuple(sorted(out))
+        a = self.defined.get(key)
+        if a is None:
+            a = self.new_atom()
+            self.define(a, list(key))
+            self.defined[key] = a
         return a
-
-    def define_or(self, lits: Iterable[Literal]) -> Literal:
-        return self.negate(self.define_and([self.negate(lit) for lit in lits]))
 
     def exactly_one(self, lits: List[int]) -> None:
         """At-least-one clause plus pairwise at-most-one constraints."""
@@ -377,35 +387,3 @@ class CnfBuilder:
     def to_cnf(self) -> CNF:
         return CNF(self.num_atoms, self.clauses)
 
-
-# --- DIMACS import/export (debugging aid) ------------------------------------
-
-def to_dimacs(cnf: CNF) -> str:
-    lines = ["p cnf %d %d" % (cnf.num_atoms, len(cnf.clauses))]
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
-def from_dimacs(text: str) -> CNF:
-    num_atoms = 0
-    clauses: List[List[int]] = []
-    current: List[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            num_atoms = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(current)
-    return CNF(num_atoms, clauses)

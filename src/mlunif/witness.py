@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import List
 
-from .errors import NotReachable
 from .formula import And, Formula, Not, Substitution, disj
-from .minsky import Config, Dec, MinskyProgram, Trace, Yes, reaches
+from .minsky import Dec, Trace
 from .encoding import Mode, config_exists, tower
 
 
@@ -63,11 +62,3 @@ def witness_from_trace(trace: Trace, mode: Mode) -> Substitution:
         for counter in (1, 2)
     })
 
-
-def witness_substitution(program: MinskyProgram, start: Config, target: Config,
-                         bound: int, mode: Mode) -> Substitution:
-    result = reaches(program, start, target, bound)
-    if not isinstance(result, Yes):
-        raise NotReachable("%s does not provably reach %s within %d steps"
-                           % (start, target, bound))
-    return witness_from_trace(result.trace, mode)

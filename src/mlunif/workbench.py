@@ -105,8 +105,7 @@ def check_on_random_models(phi: Formula, mode: Mode, seed: int, trials: int,
 def verify_unifier(bound_formula: Formula, mode: Mode, trace_length: int,
                    seed: int = 0, trials: int = DEFAULT_TRIALS,
                    max_points: int = DEFAULT_MAX_POINTS,
-                   tableau_budget: int = DEFAULT_TABLEAU_BUDGET,
-                   tableau_max_steps: int = DEFAULT_TABLEAU_MAX_STEPS) -> ValidityEvidence:
+                   tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> ValidityEvidence:
     """Certify that the substituted reduction formula holds everywhere.
 
     The tableau is complete but only attempted within a step budget on
@@ -115,8 +114,10 @@ def verify_unifier(bound_formula: Formula, mode: Mode, trace_length: int,
     large); the random-model suite is the fallback.  A counter-model from
     either route is an internal-invariant violation, not a verdict.
     """
-    attempt_tableau = (mode.kind == "universal" and trace_length <= tableau_max_steps) \
-        or (mode.kind == "hybrid" and trace_length == 0)
+    if mode.kind == "universal":
+        attempt_tableau = trace_length <= DEFAULT_TABLEAU_MAX_STEPS
+    else:
+        attempt_tableau = trace_length == 0
     if attempt_tableau:
         logic = decision.KU if mode.kind == "universal" else decision.KH2
         try:
@@ -158,16 +159,14 @@ def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
                                   target: Config, bound: int, mode: Mode,
                                   seed: int = 0, trials: int = DEFAULT_TRIALS,
                                   max_points: int = DEFAULT_MAX_POINTS,
-                                  tableau_budget: int = DEFAULT_TABLEAU_BUDGET,
-                                  tableau_max_steps: int = DEFAULT_TABLEAU_MAX_STEPS) -> PipelineVerdict:
+                                  tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> PipelineVerdict:
     reach = reaches(program, start, target, bound)
     if isinstance(reach, Yes):
         sigma = witness_from_trace(reach.trace, mode)
         bound_formula = apply_subst(sigma, psi(program, start, target, mode))
         evidence = verify_unifier(bound_formula, mode, len(reach.trace),
                                   seed=seed, trials=trials, max_points=max_points,
-                                  tableau_budget=tableau_budget,
-                                  tableau_max_steps=tableau_max_steps)
+                                  tableau_budget=tableau_budget)
         return Unifiable(sigma, evidence, len(reach.trace))
     if isinstance(reach, No):
         lf = canonical_frame(program, start, bound, mode)

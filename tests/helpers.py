@@ -1,11 +1,13 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and small reference functions shared by the
+test modules."""
 
 import random
 
 from mlunif.encoding import frame_for_configs, truncation_level
+from mlunif.errors import UnknownPoint
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not,
-    Or, Var,
+    Or, Substitution, Var, postorder,
 )
 from mlunif.kripke import Frame, Model, Valuation, holds_everywhere
 
@@ -74,3 +76,54 @@ def prefix_defect_model(seed, program, trace, i, mode, check):
     if not holds_everywhere(model, check):
         return None
     return model
+
+
+def random_valuation(seed, frame, var_indices=(), nominal_indices=()):
+    rng = random.Random(seed)
+    var_map = {
+        v: frozenset(p for p in frame.points if rng.random() < 0.5)
+        for v in sorted(set(var_indices))
+    }
+    nom_map = {m: rng.choice(frame.points) for m in sorted(set(nominal_indices))}
+    return Valuation(var_map, nom_map)
+
+
+def points_within(frame, start, max_dist):
+    """Points reachable from `start` in at most `max_dist` steps along R or S."""
+    if start not in frame.points:
+        raise UnknownPoint(start)
+    succ = {p: set() for p in frame.points}
+    for x, y in frame.r | (frame.s or frozenset()):
+        succ[x].add(y)
+    reached = {start}
+    frontier = {start}
+    for _ in range(max_dist):
+        frontier = {y for x in frontier for y in succ[x]} - reached
+        if not frontier:
+            break
+        reached |= frontier
+    return reached
+
+
+def is_transitive(pairs):
+    pairs = set(pairs)
+    succ = {}
+    for x, y in pairs:
+        succ.setdefault(x, set()).add(y)
+    return all((x, z) in pairs for x, y in pairs for z in succ.get(y, ()))
+
+
+def modal_depth(phi):
+    depth = {}
+    for f in postorder(phi):
+        d = max((depth[a] for a in f.args), default=0)
+        depth[f] = d + 1 if isinstance(f, (Box, Diamond)) else d
+    return depth[phi]
+
+
+def compose(outer, inner):
+    """The substitution p -> outer.apply(inner(p)): inner first."""
+    out = {k: outer.apply(v) for k, v in inner.mapping.items()}
+    for k, v in outer.mapping.items():
+        out.setdefault(k, v)
+    return Substitution(out)

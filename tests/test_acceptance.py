@@ -17,8 +17,8 @@ from mlunif.formula import (
     conj, ground_substitutions, parse, pretty, variables,
 )
 from mlunif.kripke import (
-    Frame, Model, Valid, Valuation, frame_valid, holds_everywhere, model_check,
-    points_where, points_within, random_frame, random_valuation, truth_mask,
+    Frame, Model, Valid, Valuation, frame_valid, model_check, points_where,
+    random_frame, truth_mask,
 )
 from mlunif.minsky import Config, MinskyProgram, Yes, parse_program, reaches, run_trace
 from mlunif.encoding import (
@@ -30,8 +30,11 @@ from mlunif.eqtheory import theory_implications
 from mlunif.witness import (
     defect, shifted_counter_index, shifted_counter_marker, witness_from_trace,
 )
-from mlunif.workbench import NotUnifiable, certificate_checks, check_unifiable_via_reduction
-from helpers import prefix_defect_model, random_formula
+from mlunif.workbench import (
+    NotUnifiable, certificate_checks, check_on_random_models,
+    check_unifiable_via_reduction,
+)
+from helpers import points_within, prefix_defect_model, random_formula
 from test_propsat import random_cnf, sat_by_truth_table
 from test_kripke import brute_force_frame_valid
 
@@ -162,17 +165,11 @@ def test_c05_reachable_direction_stochastic():
         for mode in (UNIVERSAL, HYBRID):
             sigma = witness_from_trace(outcome.trace, mode)
             bound_formula = apply_subst(sigma, psi(program, start, target, mode))
-            rng = random.Random(1000 + len(outcome.trace))
-            for trial in range(1000):
-                frame_seed = rng.randrange(1 << 30)
-                if mode.kind == "universal":
-                    model = Model(random_frame(frame_seed, 8), Valuation())
-                else:
-                    frame = random_frame(frame_seed, 8, kind="H2")
-                    owner = frame.points[rng.randrange(len(frame.points))]
-                    model = Model(frame, Valuation({}, {1: owner}))
-                assert holds_everywhere(model, bound_formula), (text, mode.kind, trial)
-                models_checked += 1
+            checked, failure = check_on_random_models(
+                bound_formula, mode, 1000 + len(outcome.trace), 1000, 8)
+            assert failure is None, (text, mode.kind, failure)
+            assert checked == 1000
+            models_checked += checked
     report(5, "substituted reduction formula on random models",
            "%d models, %.0fs" % (models_checked, time.time() - t0))
 

@@ -16,11 +16,11 @@ from mlunif.formula import (
 )
 from mlunif.kripke import (
     Frame, Model, Valuation, holds_everywhere, model_check, random_frame,
-    random_valuation, truth_mask,
+    truth_mask,
 )
 from mlunif.decision import KH2, KU, CounterModel, Sat, Unsat, satisfiable, valid
 from mlunif.encoding import tower
-from helpers import random_formula
+from helpers import random_formula, random_valuation
 
 REL = Modality.REL
 UNIV = Modality.UNIV
@@ -235,4 +235,7 @@ def test_ku_search_does_not_depend_on_heap_layout():
                              env=env, capture_output=True, text=True, timeout=120,
                              check=True)
         counts.add(int(out.stdout))
-    assert len(counts) == 1, counts
+    # 405 is the count under the engine's pre-order atom numbering; a change
+    # of numbering that keeps every verdict can still cost orders of
+    # magnitude more solver work, so the count itself is pinned
+    assert counts == {405}, counts

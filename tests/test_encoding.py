@@ -3,8 +3,7 @@ import pytest
 from mlunif.errors import TruncationUnsound
 from mlunif.formula import (
     BOT, TOP, And, Box, Diamond, Implies, Modality, Nominal, Not, Or, Var,
-    iter_subformulas, language_of, modal_depth, nominals, parse, pretty,
-    variables,
+    iter_subformulas, language_of, nominals, parse, pretty, variables,
 )
 from mlunif.kripke import Model, Valuation, holds_everywhere, model_check, points_where
 from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_program
@@ -14,6 +13,7 @@ from mlunif.encoding import (
     exists, nom_formula, parse_labeled_frame, pi_tau, psi,
     serialize_labeled_frame, tower, tower_name, PI1, PI2, TAU1, TAU2,
 )
+from helpers import modal_depth
 
 REL = Modality.REL
 

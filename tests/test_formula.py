@@ -10,10 +10,10 @@ from mlunif.errors import LanguageError, ParseError
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not,
     Or, Substitution, Var, apply_subst, check_language, desugar,
-    ground_substitutions, modal_depth, nominals, parse, parse_substitution,
-    postorder, pretty, size, surrogate_exists, variables,
+    ground_substitutions, nominals, parse, parse_substitution, postorder,
+    pretty, size, surrogate_exists, variables,
 )
-from helpers import random_formula
+from helpers import compose, modal_depth, random_formula
 
 REL = Modality.REL
 UNIV = Modality.UNIV
@@ -116,7 +116,7 @@ def test_subst_composition():
                             2: random_formula(rng, depth=2, num_vars=3)})
         sig = Substitution({2: random_formula(rng, depth=2, num_vars=3),
                             3: random_formula(rng, depth=2, num_vars=3)})
-        lhs = apply_subst(sig.compose(tau), phi)
+        lhs = apply_subst(compose(sig, tau), phi)
         rhs = apply_subst(sig, apply_subst(tau, phi))
         assert lhs == rhs
 

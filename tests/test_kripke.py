@@ -10,11 +10,10 @@ from mlunif.formula import (
 )
 from mlunif.kripke import (
     CounterModel, Frame, Model, Valid, Valuation, frame_valid, holds_everywhere,
-    is_transitive, model_check, parse_frame, parse_valuation, points_where,
-    points_within, random_frame, random_valuation, serialize_frame,
-    serialize_valuation, transitive_closure, truth_mask,
+    model_check, parse_frame, parse_valuation, points_where, random_frame,
+    serialize_frame, serialize_valuation, transitive_closure, truth_mask,
 )
-from helpers import random_formula
+from helpers import is_transitive, points_within, random_formula, random_valuation
 
 REL = Modality.REL
 ALPHA = parse("<>true & []<>true")

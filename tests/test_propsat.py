@@ -1,12 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from mlunif.errors import ResourceLimit
-from mlunif.propsat import (
-    CNF, CnfBuilder, Sat, Unsat, check_assignment, from_dimacs, solve,
-    to_dimacs,
-)
+from mlunif.propsat import CNF, CnfBuilder, Sat, Unsat, check_assignment, solve
 
 
 def sat_by_truth_table(cnf: CNF):
@@ -121,7 +119,6 @@ def test_builder_define_and_or():
     b = CnfBuilder()
     x, y = b.new_atom(), b.new_atom()
     both = b.define_and([x, y])
-    either = b.define_or([x, y])
     b.add_clause([both])
     cnf = b.to_cnf()
     result = solve(cnf)
@@ -129,8 +126,22 @@ def test_builder_define_and_or():
     assert result.assignment[x] and result.assignment[y]
     assert b.define_and([True, True]) is True
     assert b.define_and([x, False]) is False
-    assert b.define_or([False, y]) == y
-    assert isinstance(either, int)
+    assert b.define_and([True, y]) == y
+    # one definition per set of literals, whatever their order
+    atoms, clauses = b.num_atoms, len(b.clauses)
+    assert b.define_and([y, True, x]) == both
+    assert (b.num_atoms, len(b.clauses)) == (atoms, clauses)
+
+
+def test_builder_define_writes_both_directions():
+    b = CnfBuilder()
+    x, y, z = b.new_atom(), b.new_atom(), b.new_atom()
+    b.define(-z, [-x, -y])  # z <-> x | y
+    for vx, vy in itertools.product((False, True), repeat=2):
+        units = [[x if vx else -x], [y if vy else -y]]
+        result = solve(CNF(3, b.clauses + units))
+        assert isinstance(result, Sat)
+        assert result.assignment[z] == (vx or vy)
 
 
 def test_exactly_one():
@@ -150,12 +161,3 @@ def test_clause_budget():
     b.add_clause([x])
     with pytest.raises(ResourceLimit):
         b.add_clause([-x])
-
-
-def test_dimacs_roundtrip():
-    cnf = CNF(3, [[1, -2], [2, 3], [-1]])
-    text = to_dimacs(cnf)
-    back = from_dimacs(text)
-    assert back.num_atoms == cnf.num_atoms
-    assert back.clauses == cnf.clauses
-    assert "p cnf 3 3" in text

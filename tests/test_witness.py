@@ -7,13 +7,11 @@ import pytest
 
 import mlunif
 
-from mlunif.errors import NotReachable
 from mlunif.formula import (
     BOT, And, Not, Substitution, apply_subst, nominals, size, variables,
 )
 from mlunif.kripke import (
-    Model, Valuation, holds_everywhere, random_frame, random_valuation,
-    truth_mask,
+    Model, Valuation, holds_everywhere, random_frame, truth_mask,
 )
 from mlunif.minsky import Config, Trace, Yes, parse_program, reaches, run_trace
 from mlunif.encoding import (
@@ -21,7 +19,7 @@ from mlunif.encoding import (
 )
 from mlunif.witness import (
     defect, defect_formulas, shifted_counter_index, shifted_counter_marker,
-    witness_from_trace, witness_substitution,
+    witness_from_trace,
 )
 from helpers import prefix_defect_model
 
@@ -77,16 +75,10 @@ def test_witness_dec_zero_branch_no_shift():
     assert shifted_counter_index(result.trace, 0, 1) == 0
 
 
-def test_witness_substitution_raises_when_unreachable():
-    prog = parse_program("1 -> 2,+1,0")
-    with pytest.raises(NotReachable):
-        witness_substitution(prog, Config(1, 0, 0), Config(7, 0, 0), 10, UNIVERSAL)
-
-
 def test_substituted_psi_holds_on_random_models_universal():
     prog = parse_program("1 -> 2,+1,0\n2 -> 3,0,+1")
     a, b = Config(1, 0, 0), Config(3, 1, 1)
-    sigma = witness_substitution(prog, a, b, 10, UNIVERSAL)
+    sigma = witness_from_trace(reaches(prog, a, b, 10).trace, UNIVERSAL)
     bound_formula = apply_subst(sigma, psi(prog, a, b, UNIVERSAL))
     assert variables(bound_formula) == set()
     for seed in range(60):
@@ -97,7 +89,7 @@ def test_substituted_psi_holds_on_random_models_universal():
 def test_substituted_psi_holds_on_random_models_hybrid():
     prog = parse_program("1 -> 2,+1,0")
     a, b = Config(1, 0, 0), Config(2, 1, 0)
-    sigma = witness_substitution(prog, a, b, 10, HYBRID)
+    sigma = witness_from_trace(reaches(prog, a, b, 10).trace, HYBRID)
     bound_formula = apply_subst(sigma, psi(prog, a, b, HYBRID))
     rng = random.Random(5)
     for seed in range(40):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +17,7 @@ from mlunif.workbench import (
     check_on_random_models, check_unifiable_via_reduction, ground_unifiable,
     verdict_report,
 )
+import mlunif
 from mlunif import cli
 
 
@@ -228,3 +231,41 @@ def test_cli_exit_code_resource_limit(capsys):
     code = run_cli("sat", "--logic", "ku", "--formula",
                    "<>" * 12 + "p1", "--budget", "3")
     assert code == 2
+
+
+# Installs the benchmark's tracer, which wraps functions of every layer by
+# module attribute, runs `verify` on an unreachable target (frame validity)
+# and on a reachable one in hybrid mode (random models), and prints the
+# per-layer metrics.
+_TRACED_VERIFY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from mlunif import cli
+tracer = tracing.Tracer()
+tracer.install()
+main = tracer.wrap(cli, "main", "cli.main")
+assert main(["verify", "--program", sys.argv[2], "--start", "1,0,0",
+             "--target", "2,0,0", "--bound", "10", "--out", sys.argv[3] + "/a"]) == 0
+assert main(["verify", "--program", sys.argv[2], "--start", "1,0,0",
+             "--target", "3,1,0", "--mode", "hybrid", "--trials", "5",
+             "--out", sys.argv[3] + "/b"]) == 0
+print(json.dumps(tracer.layer_metrics()))
+"""
+
+
+def test_bench_tracer_wraps_current_names(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlunif.__file__)))
+    bench = os.path.join(os.path.dirname(src), "bench")
+    program = tmp_path / "prog.txt"
+    program.write_text("1 -> 3,+1,0\n")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _TRACED_VERIFY, bench, str(program), str(tmp_path)],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout.splitlines()[-1])
+    assert metrics["kripke.cnf_clauses"] > 0
+    assert metrics["kripke.truth_mask_calls"] > 0
+    assert metrics["formula.language_of_calls"] > 0
+    assert metrics["formula.text_bytes"] > 0
+    assert metrics["encoding.frame_points"] > 0
