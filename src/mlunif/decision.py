@@ -65,8 +65,9 @@ class NF:
 
 
 class NfBuilder:
-    """Interning factory; one instance is shared process-wide so formula
-    caches in other modules keep paying off."""
+    """Interning factory.  One instance, `_B`, is shared process-wide: a
+    later call reuses the NF nodes, and so the uids, that an earlier call
+    built."""
 
     def __init__(self):
         self.table: Dict[tuple, NF] = {}
@@ -563,14 +564,12 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
             root_reduced = _reduce(root, values)
             if root_reduced.tag == "bot":
                 return None
-            all_obls = obligations + [root_reduced]
-            if not consistent(all_obls):
-                return None
+            engine.set_axioms(axioms)
             base = frozenset(axioms)
             worlds = []
-            for o in all_obls:
+            for o in obligations + [root_reduced]:
                 ok, w = engine.sat(base | {o})
-                if not ok:  # pragma: no cover - consistent() just passed
+                if not ok:
                     return None
                 worlds.append(w)
             return worlds

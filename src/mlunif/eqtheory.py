@@ -90,8 +90,8 @@ def term_to_formula(t: Term) -> Formula:
 def formula_to_term(phi: Formula) -> Term:
     """Inverse of term_to_formula on its image.
 
-    Defined on desugared base-language formulas; false, which has no term
-    constant, maps to the complement of one.
+    Defined on base-language formulas over true, false, ~, & and boxes;
+    false, which has no term constant, maps to the complement of one.
     """
     if isinstance(phi, Var):
         return IndVar(phi.index)
@@ -110,7 +110,7 @@ def formula_to_term(phi: Formula) -> Term:
         return BoxOp(which, formula_to_term(phi.sub))
     if isinstance(phi, Nominal):
         raise LanguageMismatch("nominals have no term image")
-    raise LanguageMismatch("no term image for %r; desugar first" % (phi,))
+    raise LanguageMismatch("no term image for %r; write it with ~, & and boxes" % (phi,))
 
 
 def unification_instance(eq: Equation) -> Formula:

@@ -3,8 +3,8 @@
 The base language L has a relational box `[]` and a universal box `[u]`;
 the hybrid language H2 has the relational box, a second box `[h]`, and
 nominals.  Derived connectives (or, implication, iff, diamonds) are kept
-as distinct AST nodes so the printer can reproduce the input; semantic
-code normalizes them away with `desugar`.
+as distinct AST nodes so the printer can reproduce the input, and every
+semantic pass reads them directly.
 """
 
 from __future__ import annotations
@@ -250,28 +250,6 @@ def check_language(phi: Formula, language: str) -> None:
         if language == L:
             raise LanguageError("nominals and [h] are not part of the base language")
         raise LanguageError("[u] is not part of the hybrid language")
-
-
-def desugar(phi: Formula) -> Formula:
-    """Rewrite derived connectives into var/nominal/true/false/~/&/boxes.
-
-    Visits each distinct subterm once.
-    """
-    memo: Dict[Formula, Formula] = {}
-    for f in postorder(phi):
-        a = [memo[g] for g in f.args]
-        if isinstance(f, Or):
-            r = Not(And(Not(a[0]), Not(a[1])))
-        elif isinstance(f, Implies):
-            r = Not(And(a[0], Not(a[1])))
-        elif isinstance(f, Iff):
-            r = And(Not(And(a[0], Not(a[1]))), Not(And(a[1], Not(a[0]))))
-        elif isinstance(f, Diamond):
-            r = Not(Box(f.modality, Not(a[0])))
-        else:
-            r = _rebuild(f, a)
-        memo[f] = r
-    return memo[phi]
 
 
 def _rebuild(f: Formula, args: List[Formula]) -> Formula:

@@ -1,7 +1,7 @@
 """Finite frames and models, the truth relation, and frame validity.
 
-`model_check` evaluates formulas bottom-up over point-set bitmasks, so bulk
-queries (truth at every point) cost one pass over the formula DAG.
+`truth_mask` evaluates a formula bottom-up over point-set bitmasks in one
+pass over its DAG, so bulk queries (truth at every point) cost one pass.
 
 `frame_valid` searches for a falsifying valuation and point with a CNF
 encoding: one atom per (variable, point) and per (nominal, point), with
@@ -9,6 +9,8 @@ exactly-one constraints tying each nominal to a single point, plus defined
 atoms mirroring the truth relation for every subformula that mentions a
 variable or nominal.  Variable-free subformulas are valuation-independent,
 so they are evaluated directly and folded into the encoding as constants.
+Both read the derived connectives (or, implication, iff, diamonds) as
+written.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .formula import (
     SYMBOL, TOP, And, Box, Diamond, Formula, H2, Iff, Implies, L, Modality,
-    Nominal, Not, Or, Var, desugar, language_of, nominals, postorder, variables,
+    Nominal, Not, Or, Var, language_of, postorder,
 )
 
 Edge = Tuple[str, str]
@@ -100,7 +102,6 @@ class Model:
 
     def __post_init__(self):
         self.valuation.check_against(self.frame)
-        self._masks: Dict[Formula, int] = {}
 
 
 def _succ_masks(points: Tuple[str, ...], edges: Iterable[Edge]) -> List[int]:
@@ -119,81 +120,65 @@ def _check_frame_language(phi: Formula, frame: Frame) -> None:
         raise LanguageMismatch("universal-box formula on a hybrid frame")
 
 
-class Evaluator:
-    """Reusable bottom-up truth-set computation over one model."""
-
-    def __init__(self, model: Model):
-        self.model = model
-        frame = model.frame
-        self.points = frame.points
-        self.n = len(self.points)
-        self.all_mask = (1 << self.n) - 1
-        self.index = {p: i for i, p in enumerate(self.points)}
-        self.r_succ = _succ_masks(self.points, frame.r)
-        self.s_succ = _succ_masks(self.points, frame.s) if frame.s is not None else None
-        self.cache = model._masks
-
-    def mask(self, phi: Formula) -> int:
-        cache = self.cache
-        if phi in cache:
-            return cache[phi]
-        n, all_mask = self.n, self.all_mask
-        valuation = self.model.valuation
-        for f in postorder(phi, lambda g: () if g in cache else g.args):
-            if f in cache:
-                continue
-            kind = type(f)  # tested roughly by frequency in the reduction formulas
-            if kind is And:
-                m = cache[f.left] & cache[f.right]
-            elif kind is Not:
-                m = all_mask ^ cache[f.sub]
-            elif kind is Box or kind is Diamond:
-                # a box, or a diamond as the negated box of its negated body
-                flip = 0 if kind is Box else all_mask
-                sub = cache[f.sub] ^ flip
-                if f.modality is Modality.UNIV:
-                    m = all_mask if sub == all_mask else 0
-                else:
-                    succ = self.r_succ if f.modality is Modality.REL else self.s_succ
-                    if succ is None:
-                        raise LanguageMismatch("%s needs a hybrid frame"
-                                               % ("<h>" if flip else "[h]"))
-                    m = 0
-                    for i in range(n):
-                        if succ[i] & ~sub == 0:
-                            m |= 1 << i
-                m ^= flip
-            elif kind is Or:
-                m = cache[f.left] | cache[f.right]
-            elif kind is Implies:
-                m = (all_mask ^ cache[f.left]) | cache[f.right]
-            elif kind is Iff:
-                m = all_mask ^ (cache[f.left] ^ cache[f.right])
-            elif kind is Var:
-                if f.index not in valuation.var_map:
-                    raise UnboundSymbol("p%d is not in the valuation" % f.index)
-                m = 0
-                for p in valuation.var_map[f.index]:
-                    m |= 1 << self.index[p]
-            elif kind is Nominal:
-                if f.index not in valuation.nom_map:
-                    raise UnboundSymbol("n%d is not in the valuation" % f.index)
-                m = 1 << self.index[valuation.nom_map[f.index]]
+def _truth_masks(model: Model, nodes: Iterable[Formula]) -> Dict[Formula, int]:
+    """Bitmask over point indices where each formula holds, for `nodes`
+    listed children before parents (as `postorder` yields them)."""
+    frame, valuation = model.frame, model.valuation
+    points = frame.points
+    n = len(points)
+    all_mask = (1 << n) - 1
+    index = {p: i for i, p in enumerate(points)}
+    r_succ = _succ_masks(points, frame.r)
+    s_succ = _succ_masks(points, frame.s) if frame.s is not None else None
+    masks: Dict[Formula, int] = {}
+    for f in nodes:
+        kind = type(f)  # tested roughly by frequency in the reduction formulas
+        if kind is And:
+            m = masks[f.left] & masks[f.right]
+        elif kind is Not:
+            m = all_mask ^ masks[f.sub]
+        elif kind is Box or kind is Diamond:
+            # a box, or a diamond as the negated box of its negated body
+            flip = 0 if kind is Box else all_mask
+            sub = masks[f.sub] ^ flip
+            if f.modality is Modality.UNIV:
+                m = all_mask if sub == all_mask else 0
             else:
-                m = all_mask if f is TOP else 0
-            cache[f] = m
-        return cache[phi]
+                succ = r_succ if f.modality is Modality.REL else s_succ
+                if succ is None:
+                    raise LanguageMismatch("%s needs a hybrid frame"
+                                           % ("<h>" if flip else "[h]"))
+                m = 0
+                for i in range(n):
+                    if succ[i] & ~sub == 0:
+                        m |= 1 << i
+            m ^= flip
+        elif kind is Or:
+            m = masks[f.left] | masks[f.right]
+        elif kind is Implies:
+            m = (all_mask ^ masks[f.left]) | masks[f.right]
+        elif kind is Iff:
+            m = all_mask ^ (masks[f.left] ^ masks[f.right])
+        elif kind is Var:
+            if f.index not in valuation.var_map:
+                raise UnboundSymbol("p%d is not in the valuation" % f.index)
+            m = 0
+            for p in valuation.var_map[f.index]:
+                m |= 1 << index[p]
+        elif kind is Nominal:
+            if f.index not in valuation.nom_map:
+                raise UnboundSymbol("n%d is not in the valuation" % f.index)
+            m = 1 << index[valuation.nom_map[f.index]]
+        else:
+            m = all_mask if f is TOP else 0
+        masks[f] = m
+    return masks
 
 
 def truth_mask(model: Model, phi: Formula) -> int:
-    """Bitmask over point indices where phi is true; memoized per model."""
+    """Bitmask over point indices where phi is true."""
     _check_frame_language(phi, model.frame)
-    return Evaluator(model).mask(phi)
-
-
-def points_where(model: Model, phi: Formula) -> Set[str]:
-    mask = truth_mask(model, phi)
-    return {p for i, p in enumerate(model.frame.points) if mask >> i & 1}
+    return _truth_masks(model, postorder(phi))[phi]
 
 
 def model_check(model: Model, point: str, phi: Formula) -> bool:
@@ -201,11 +186,6 @@ def model_check(model: Model, point: str, phi: Formula) -> bool:
         raise UnknownPoint(point)
     mask = truth_mask(model, phi)
     return bool(mask >> model.frame.points.index(point) & 1)
-
-
-def holds_everywhere(model: Model, phi: Formula) -> bool:
-    n = len(model.frame.points)
-    return truth_mask(model, phi) == (1 << n) - 1
 
 
 # --- frame validity -----------------------------------------------------------
@@ -221,23 +201,27 @@ class CounterModel:
     point: str
 
 
-def frame_valid(frame: Frame, phi: Formula,
-                clause_budget: Optional[int] = 2_000_000) -> Union[Valid, CounterModel]:
+CLAUSE_BUDGET = 2_000_000  # frame_valid raises ResourceLimit past this many clauses
+
+
+def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     """Valid iff no valuation and point falsify phi on the frame.
 
     Counter-models are concrete and re-checked with model_check before
     being returned, so a non-validity verdict is self-certifying.
     """
     _check_frame_language(phi, frame)
-    body = desugar(phi)
+    nodes = list(postorder(phi))
     points = frame.points
     n = len(points)
-    var_indices = sorted(variables(body))
-    nom_indices = sorted(nominals(body))
+    var_indices = sorted({f.index for f in nodes if isinstance(f, Var)})
+    nom_indices = sorted({f.index for f in nodes if isinstance(f, Nominal)})
+    # symbol-free subformulas have a fixed truth value at each point
+    constants = _truth_masks(Model(frame, EMPTY_VALUATION),
+                             [f for f in nodes if not f.flags & SYMBOL])
 
-    evaluator = Evaluator(Model(frame, EMPTY_VALUATION))
-
-    builder = propsat.CnfBuilder(clause_budget=clause_budget)
+    builder = propsat.CnfBuilder(clause_budget=CLAUSE_BUDGET)
+    negate, define_and = builder.negate, builder.define_and
     var_atoms = {(v, i): builder.new_atom() for v in var_indices for i in range(n)}
     nom_atoms = {(m, i): builder.new_atom() for m in nom_indices for i in range(n)}
     for m in nom_indices:
@@ -256,36 +240,48 @@ def frame_valid(frame: Frame, phi: Formula,
         f, i = key
         if not f.flags & SYMBOL:
             return []
-        if isinstance(f, Box):
+        if isinstance(f, (Box, Diamond)):
             keys = [(f.sub, j) for j in successors[f.modality][i]]
         else:
             keys = [(a, i) for a in f.args]
         return [k for k in keys if k not in lits]
 
-    def lit(body: Formula, point: int) -> propsat.Literal:
-        """The literal of `body` at a point, defining the literals of its
-        subformulas on the way; a symbol-free subformula has a fixed truth
-        value at each point and becomes a constant."""
-        for key in postorder((body, point), children):
+    def lit(root: Formula, point: int) -> propsat.Literal:
+        """The literal of `root` at a point, defining the literals of its
+        subformulas on the way.  The derived connectives get the literals
+        of their definitions: `a | b` is ~(~a & ~b), `a -> b` is
+        ~(a & ~b), `a <-> b` is ~(a & ~b) & ~(b & ~a), and a diamond is
+        the negated box of the negated body."""
+        for key in postorder((root, point), children):
             f, i = key
             if not f.flags & SYMBOL:
-                out: propsat.Literal = bool(evaluator.mask(f) >> i & 1)
+                out: propsat.Literal = bool(constants[f] >> i & 1)
             elif isinstance(f, Var):
                 out = var_atoms[f.index, i]
             elif isinstance(f, Nominal):
                 out = nom_atoms[f.index, i]
             elif isinstance(f, Not):
-                out = builder.negate(lits[f.sub, i])
-            elif isinstance(f, And):
-                out = builder.define_and([lits[f.left, i], lits[f.right, i]])
+                out = negate(lits[f.sub, i])
             elif isinstance(f, Box):
-                out = builder.define_and([lits[f.sub, j] for j in successors[f.modality][i]])
+                out = define_and([lits[f.sub, j] for j in successors[f.modality][i]])
+            elif isinstance(f, Diamond):
+                out = negate(define_and([negate(lits[f.sub, j])
+                                         for j in successors[f.modality][i]]))
             else:
-                raise TypeError("unexpected desugared node: %r" % (f,))
+                a, b = lits[f.left, i], lits[f.right, i]
+                if isinstance(f, And):
+                    out = define_and([a, b])
+                elif isinstance(f, Or):
+                    out = negate(define_and([negate(a), negate(b)]))
+                elif isinstance(f, Implies):
+                    out = negate(define_and([a, negate(b)]))
+                else:
+                    out = define_and([negate(define_and([a, negate(b)])),
+                                      negate(define_and([b, negate(a)]))])
             lits[key] = out
-        return lits[body, point]
+        return lits[root, point]
 
-    falsifiable = [builder.negate(lit(body, i)) for i in range(n)]
+    falsifiable = [negate(lit(phi, i)) for i in range(n)]
     builder.add_clause(falsifiable)
     if all(l is False for l in falsifiable):
         return Valid()

@@ -9,7 +9,7 @@ from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not,
     Or, Substitution, Var, postorder,
 )
-from mlunif.kripke import Frame, Model, Valuation, holds_everywhere
+from mlunif.kripke import Frame, Model, Valuation, truth_mask
 
 _L_MODS = [Modality.REL, Modality.UNIV]
 _H2_MODS = [Modality.REL, Modality.HYB]
@@ -76,6 +76,15 @@ def prefix_defect_model(seed, program, trace, i, mode, check):
     if not holds_everywhere(model, check):
         return None
     return model
+
+
+def points_where(model, phi):
+    mask = truth_mask(model, phi)
+    return {p for i, p in enumerate(model.frame.points) if mask >> i & 1}
+
+
+def holds_everywhere(model, phi):
+    return truth_mask(model, phi) == (1 << len(model.frame.points)) - 1
 
 
 def random_valuation(seed, frame, var_indices=(), nominal_indices=()):

@@ -4,25 +4,22 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria complete.
 """
 
-import itertools
 import random
 import time
 
-import pytest
-
 from mlunif import decision, propsat
-from mlunif.decision import KH2, KU
+from mlunif.decision import KU
 from mlunif.formula import (
-    And, BOT, Diamond, Implies, Modality, Nominal, Not, TOP, Var, apply_subst,
-    conj, ground_substitutions, parse, pretty, variables,
+    And, Diamond, Implies, Modality, Nominal, Not, apply_subst, conj,
+    ground_substitutions, parse, pretty,
 )
 from mlunif.kripke import (
-    Frame, Model, Valid, Valuation, frame_valid, model_check, points_where,
-    random_frame, truth_mask,
+    Frame, Model, Valid, Valuation, frame_valid, model_check, random_frame,
+    truth_mask,
 )
-from mlunif.minsky import Config, MinskyProgram, Yes, parse_program, reaches, run_trace
+from mlunif.minsky import Config, Yes, parse_program, reaches, run_trace
 from mlunif.encoding import (
-    HYBRID, UNIVERSAL, ax_program, canonical_frame, config_formula, nom_formula,
+    HYBRID, UNIVERSAL, ax_program, canonical_frame, nom_formula,
     parse_labeled_frame, psi, serialize_labeled_frame, surrogate_exists, tower,
     PI1, PI2, TAU1, TAU2, pi_tau,
 )
@@ -34,7 +31,7 @@ from mlunif.workbench import (
     NotUnifiable, certificate_checks, check_on_random_models,
     check_unifiable_via_reduction,
 )
-from helpers import points_within, prefix_defect_model, random_formula
+from helpers import points_where, points_within, prefix_defect_model, random_formula
 from test_propsat import random_cnf, sat_by_truth_table
 from test_kripke import brute_force_frame_valid
 

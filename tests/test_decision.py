@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 import subprocess
@@ -11,16 +10,12 @@ import mlunif
 from mlunif import propsat
 from mlunif.errors import LanguageMismatch, ResourceLimit
 from mlunif.formula import (
-    BOT, H2, L, TOP, And, Box, Diamond, Implies, Modality, Nominal, Not, Or,
-    Var, conj, parse, variables,
+    H2, L, Diamond, Implies, Modality, Not, conj, parse, variables,
 )
-from mlunif.kripke import (
-    Frame, Model, Valuation, holds_everywhere, model_check, random_frame,
-    truth_mask,
-)
+from mlunif.kripke import Frame, Model, Valuation, model_check, random_frame, truth_mask
 from mlunif.decision import KH2, KU, CounterModel, Sat, Unsat, satisfiable, valid
 from mlunif.encoding import tower
-from helpers import random_formula, random_valuation
+from helpers import holds_everywhere, random_formula, random_valuation
 
 REL = Modality.REL
 UNIV = Modality.UNIV

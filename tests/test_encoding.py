@@ -2,18 +2,18 @@ import pytest
 
 from mlunif.errors import TruncationUnsound
 from mlunif.formula import (
-    BOT, TOP, And, Box, Diamond, Implies, Modality, Nominal, Not, Or, Var,
-    iter_subformulas, language_of, nominals, parse, pretty, variables,
+    TOP, And, Diamond, Implies, Modality, Nominal, Not, Or, Var,
+    iter_subformulas, language_of, nominals, parse, variables,
 )
-from mlunif.kripke import Model, Valuation, holds_everywhere, model_check, points_where
+from mlunif.kripke import Model, Valuation, model_check
 from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_program
 from mlunif.encoding import (
-    ALPHA, BETA, GAMMA, HYBRID, UNIVERSAL, CharName, ax_instruction,
-    ax_program, canonical_frame, char_formula, config_formula, epsilon,
-    exists, nom_formula, parse_labeled_frame, pi_tau, psi,
-    serialize_labeled_frame, tower, tower_name, PI1, PI2, TAU1, TAU2,
+    ALPHA, BETA, GAMMA, HYBRID, UNIVERSAL, ax_instruction, ax_program,
+    canonical_frame, char_formula, config_formula, epsilon, exists,
+    nom_formula, parse_labeled_frame, pi_tau, psi, serialize_labeled_frame,
+    tower, PI1, PI2, TAU1, TAU2,
 )
-from helpers import modal_depth
+from helpers import modal_depth, points_where
 
 REL = Modality.REL
 

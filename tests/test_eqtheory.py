@@ -5,7 +5,7 @@ import pytest
 from mlunif.decision import KU, Valid, valid
 from mlunif.errors import LanguageMismatch, ParseError
 from mlunif.formula import (
-    BOT, TOP, And, Box, Modality, Nominal, Not, Top, Var, apply_subst, desugar,
+    BOT, TOP, And, Box, Modality, Nominal, Not, Top, Var, apply_subst,
     ground_substitutions, parse, variables,
 )
 from mlunif.eqtheory import (

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import pathlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from mlunif.encoding import tower
 from mlunif.errors import LanguageError, ParseError
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not,
-    Or, Substitution, Var, apply_subst, check_language, desugar,
+    Or, Substitution, Var, apply_subst, check_language,
     ground_substitutions, nominals, parse, parse_substitution, postorder,
     pretty, size, surrogate_exists, variables,
 )
@@ -86,6 +87,7 @@ def test_pretty_basic():
     assert pretty(Implies(Implies(Var(1), Var(2)), Var(3))) == "(p1 -> p2) -> p3"
     assert pretty(Box(REL, And(Var(1), Var(2)))) == "[](p1 & p2)"
     assert pretty(Diamond(HYB, Nominal(2))) == "<h>n2"
+    assert pretty(parse("p1 -> p2 | p3")) == "p1 -> p2 | p3"
 
 
 def test_roundtrip_random_formulas():
@@ -147,16 +149,6 @@ def test_surrogate_exists():
     assert surrogate_exists(beta, 1) == Diamond(HYB, And(Nominal(1), Diamond(HYB, beta)))
     with pytest.raises(LanguageError):
         surrogate_exists(Box(UNIV, Var(1)), 1)
-
-
-def test_desugar():
-    assert desugar(Or(Var(1), Var(2))) == Not(And(Not(Var(1)), Not(Var(2))))
-    assert desugar(Diamond(REL, TOP)) == Not(Box(REL, Not(TOP)))
-    assert desugar(Implies(Var(1), Var(2))) == Not(And(Var(1), Not(Var(2))))
-    # sugar survives parsing and printing but not desugaring
-    phi = parse("p1 -> p2 | p3")
-    assert pretty(phi) == "p1 -> p2 | p3"
-    assert variables(desugar(phi)) == {1, 2, 3}
 
 
 def test_symbol_collections_and_depth():
@@ -231,3 +223,18 @@ def test_no_formula_pass_calls_itself():
                 elif isinstance(callee, ast.Name):
                     callee = callee.id
                 assert callee != fn.name, (module.__name__, fn.name)
+
+
+def test_every_imported_name_is_used():
+    # the imports of a module should say which code it relies on
+    paths = sorted(pathlib.Path(formula.__file__).parent.glob("*.py"))
+    paths += sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

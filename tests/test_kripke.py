@@ -5,15 +5,18 @@ import pytest
 
 from mlunif.errors import LanguageMismatch, UnboundSymbol, UnknownPoint
 from mlunif.formula import (
-    BOT, H2, L, TOP, And, Box, Diamond, Implies, Modality, Nominal, Not, Or,
-    Substitution, Var, apply_subst, parse, variables,
+    BOT, H2, L, TOP, Box, Diamond, Modality, Nominal, Not, Substitution, Var,
+    apply_subst, nominals, parse, variables,
 )
 from mlunif.kripke import (
-    CounterModel, Frame, Model, Valid, Valuation, frame_valid, holds_everywhere,
-    model_check, parse_frame, parse_valuation, points_where, random_frame,
-    serialize_frame, serialize_valuation, transitive_closure, truth_mask,
+    CounterModel, Frame, Model, Valid, Valuation, frame_valid, model_check,
+    parse_frame, parse_valuation, random_frame, serialize_frame,
+    serialize_valuation, transitive_closure, truth_mask,
 )
-from helpers import is_transitive, points_within, random_formula, random_valuation
+from helpers import (
+    holds_everywhere, is_transitive, points_where, points_within, random_formula,
+    random_valuation,
+)
 
 REL = Modality.REL
 ALPHA = parse("<>true & []<>true")
@@ -25,8 +28,10 @@ def single_point_frame(reflexive):
 
 
 def brute_force_frame_valid(frame, phi):
-    """Oracle: enumerate every valuation of phi's variables and every point."""
+    """Oracle: enumerate every valuation of phi's variables, every owner
+    point of each of its nominals, and every point."""
     var_indices = sorted(variables(phi))
+    nom_indices = sorted(nominals(phi))
     pts = list(frame.points)
     for subset_choice in itertools.product([False, True], repeat=len(var_indices) * len(pts)):
         var_map = {}
@@ -38,10 +43,11 @@ def brute_force_frame_valid(frame, phi):
                     chosen.add(p)
                 bit += 1
             var_map[v] = frozenset(chosen)
-        model = Model(frame, Valuation(var_map, {}))
-        for p in pts:
-            if not model_check(model, p, phi):
-                return False
+        for owners in itertools.product(pts, repeat=len(nom_indices)):
+            model = Model(frame, Valuation(var_map, dict(zip(nom_indices, owners))))
+            for p in pts:
+                if not model_check(model, p, phi):
+                    return False
     return True
 
 
@@ -145,6 +151,37 @@ def test_frame_valid_with_nominals():
     result = frame_valid(frame, Not(sat_phi))
     assert isinstance(result, CounterModel)
     assert result.model.valuation.nom_map[1] in ("x", "y")
+
+
+def test_frame_valid_agrees_with_brute_force_on_hybrid_frames():
+    # [h], <h>, the nominals' exactly-one constraints and the derived
+    # connectives of the encoding, against the oracle
+    rng = random.Random(4321)
+    fixed = [
+        parse("n1 & p1 -> [h](n1 -> p1)", H2),  # at most one owner
+        parse("<h>n1", H2),                     # at least one: valid iff S is total
+        parse("<h>(n1 & p1) -> [h](n1 -> p1)", H2),
+        parse("[h]p1 <-> ~<h>~p1", H2),
+    ]
+    verdicts = set()
+    for n in (1, 2, 3):
+        pts = tuple("xyz"[:n])
+        all_edges = [(a, b) for a in pts for b in pts]
+        m = len(all_edges)
+        for bits in range(1 << 2 * m):
+            if n == 3 and bits % 4099 != 0:
+                continue  # sample 64 of the 262144 three-point frames
+            frame = Frame(pts, frozenset(e for i, e in enumerate(all_edges) if bits >> i & 1),
+                          frozenset(e for i, e in enumerate(all_edges) if bits >> m + i & 1))
+            phi = random_formula(rng, depth=3, num_vars=2, language=H2, num_noms=1)
+            for f in fixed + [phi]:
+                expected = brute_force_frame_valid(frame, f)
+                got = frame_valid(frame, f)
+                assert isinstance(got, Valid) == expected, (serialize_frame(frame), f)
+                if isinstance(got, CounterModel):
+                    assert not model_check(got.model, got.point, f)
+                verdicts.add((f in fixed, expected))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_transitive_closure():

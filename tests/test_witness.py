@@ -10,10 +10,8 @@ import mlunif
 from mlunif.formula import (
     BOT, And, Not, Substitution, apply_subst, nominals, size, variables,
 )
-from mlunif.kripke import (
-    Model, Valuation, holds_everywhere, random_frame, truth_mask,
-)
-from mlunif.minsky import Config, Trace, Yes, parse_program, reaches, run_trace
+from mlunif.kripke import Model, Valuation, random_frame, truth_mask
+from mlunif.minsky import Config, parse_program, reaches, run_trace
 from mlunif.encoding import (
     HYBRID, PI1, PI2, TAU1, TAU2, UNIVERSAL, config_exists, pi_tau, psi, tower,
 )
@@ -21,7 +19,7 @@ from mlunif.witness import (
     defect, defect_formulas, shifted_counter_index, shifted_counter_marker,
     witness_from_trace,
 )
-from helpers import prefix_defect_model
+from helpers import holds_everywhere, prefix_defect_model
 
 
 def trace_of(program_text, start, bound=50):
@@ -169,8 +167,8 @@ import mlunif.cli
 assert sys.getrecursionlimit() == limit, "importing mlunif changed the recursion limit"
 from mlunif.encoding import UNIVERSAL, psi, tower
 from mlunif.formula import (
-    apply_subst, desugar, parse, parse_substitution, pretty, size)
-from mlunif.kripke import Frame, Model, Valuation, truth_mask
+    apply_subst, parse, parse_substitution, pretty, size)
+from mlunif.kripke import Frame, Model, Valid, Valuation, frame_valid, truth_mask
 from mlunif.minsky import Config, parse_program, run_trace
 from mlunif.witness import witness_from_trace
 
@@ -181,8 +179,8 @@ reduction = psi(program, start, target, UNIVERSAL)
 sigma = witness_from_trace(run_trace(program, start, steps), UNIVERSAL)
 bound = apply_subst(sigma, reduction)
 assert size(bound) == 40 * steps + 122
-desugar(bound)
 frame = Frame(("a", "b"), frozenset([("a", "b"), ("b", "b")]))
+assert isinstance(frame_valid(frame, bound), Valid)
 model = Model(frame, Valuation({1: frozenset("a"), 2: frozenset("b")}, {}))
 truth_mask(model, bound)
 assert parse(pretty(bound)) is bound

@@ -3,15 +3,12 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from mlunif.decision import KH2, KU
-from mlunif.errors import ResourceLimit
 from mlunif.formula import BOT, Substitution, TOP, parse
-from mlunif.kripke import Model, Valuation, holds_everywhere, model_check
+from mlunif.kripke import model_check
 from mlunif.minsky import Config, MinskyProgram, parse_program
 from mlunif.encoding import HYBRID, UNIVERSAL, parse_labeled_frame, psi, serialize_labeled_frame
-from mlunif.formula import apply_subst, ground_substitutions, variables
+from mlunif.formula import apply_subst, variables
 from mlunif.workbench import (
     NotUnifiable, Unifiable, Unknown, certificate_checks,
     check_on_random_models, check_unifiable_via_reduction, ground_unifiable,
