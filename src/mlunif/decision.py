@@ -407,7 +407,7 @@ class _KEngine:
 
         def truth(nf: NF) -> bool:
             lit = self.lit_of[nf.uid]
-            return model.get(abs(lit), False) == (lit > 0)
+            return model[abs(lit)] == (lit > 0)
 
         def leans_on(nf) -> tuple:
             """What the truth of nf rests on under the model: the members of

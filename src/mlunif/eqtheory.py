@@ -11,46 +11,74 @@ that formula in the universal-box logic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, fields
+from typing import List, Optional
 
 from .errors import LanguageMismatch, ParseError
 from .formula import (
     And, Bot, Box, Formula, Iff, Implies, Modality, Nominal, Not, Top, Var,
-    _Tokens,
+    _Tokens, postorder,
 )
 
 
 class Term:
-    pass
+    """Base of the term nodes, compared structurally.  A term's hash is
+    computed once, from its children's, and equality walks an explicit
+    stack, so neither recurses on a deep term (formula.postorder hashes
+    every node it meets)."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self),) + self._key()))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(a._key(), b._key()):
+                if isinstance(x, Term):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndVar(Term):
     index: int
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("variable index must be >= 1")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Meet(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Complement(Term):
     sub: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxOp(Term):
     which: int  # 1 or 2
     sub: Term
@@ -58,6 +86,7 @@ class BoxOp(Term):
     def __post_init__(self):
         if self.which not in (1, 2):
             raise ValueError("operator index must be 1 or 2")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -70,21 +99,34 @@ _OP_TO_MODALITY = {1: Modality.UNIV, 2: Modality.REL}
 _MODALITY_TO_OP = {Modality.UNIV: 1, Modality.REL: 2}
 
 
+def _subterms(t: Term) -> tuple:
+    if isinstance(t, Meet):
+        return (t.left, t.right)
+    if isinstance(t, (Complement, BoxOp)):
+        return (t.sub,)
+    return ()
+
+
 def term_to_formula(t: Term) -> Formula:
     """Individual variables become propositional variables with the same
     index, one becomes true, and the operators become the universal and the
     relational box."""
-    if isinstance(t, IndVar):
-        return Var(t.index)
-    if isinstance(t, One):
-        return Top()
-    if isinstance(t, Meet):
-        return And(term_to_formula(t.left), term_to_formula(t.right))
-    if isinstance(t, Complement):
-        return Not(term_to_formula(t.sub))
-    if isinstance(t, BoxOp):
-        return Box(_OP_TO_MODALITY[t.which], term_to_formula(t.sub))
-    raise TypeError("not a term: %r" % (t,))
+    out = {}
+    for node in postorder(t, _subterms):
+        if isinstance(node, IndVar):
+            phi = Var(node.index)
+        elif isinstance(node, One):
+            phi = Top()
+        elif isinstance(node, Meet):
+            phi = And(out[node.left], out[node.right])
+        elif isinstance(node, Complement):
+            phi = Not(out[node.sub])
+        elif isinstance(node, BoxOp):
+            phi = Box(_OP_TO_MODALITY[node.which], out[node.sub])
+        else:
+            raise TypeError("not a term: %r" % (node,))
+        out[node] = phi
+    return out[t]
 
 
 def formula_to_term(phi: Formula) -> Term:
@@ -93,24 +135,30 @@ def formula_to_term(phi: Formula) -> Term:
     Defined on base-language formulas over true, false, ~, & and boxes;
     false, which has no term constant, maps to the complement of one.
     """
-    if isinstance(phi, Var):
-        return IndVar(phi.index)
-    if isinstance(phi, Top):
-        return One()
-    if isinstance(phi, Bot):
-        return Complement(One())
-    if isinstance(phi, And):
-        return Meet(formula_to_term(phi.left), formula_to_term(phi.right))
-    if isinstance(phi, Not):
-        return Complement(formula_to_term(phi.sub))
-    if isinstance(phi, Box):
-        which = _MODALITY_TO_OP.get(phi.modality)
-        if which is None:
-            raise LanguageMismatch("the hybrid box has no term image")
-        return BoxOp(which, formula_to_term(phi.sub))
-    if isinstance(phi, Nominal):
-        raise LanguageMismatch("nominals have no term image")
-    raise LanguageMismatch("no term image for %r; write it with ~, & and boxes" % (phi,))
+    out = {}
+    for node in postorder(phi):
+        if isinstance(node, Var):
+            t = IndVar(node.index)
+        elif isinstance(node, Top):
+            t = One()
+        elif isinstance(node, Bot):
+            t = Complement(One())
+        elif isinstance(node, And):
+            t = Meet(out[node.left], out[node.right])
+        elif isinstance(node, Not):
+            t = Complement(out[node.sub])
+        elif isinstance(node, Box):
+            which = _MODALITY_TO_OP.get(node.modality)
+            if which is None:
+                raise LanguageMismatch("the hybrid box has no term image")
+            t = BoxOp(which, out[node.sub])
+        elif isinstance(node, Nominal):
+            raise LanguageMismatch("nominals have no term image")
+        else:
+            raise LanguageMismatch(
+                "no term image for %r; write it with ~, & and boxes" % (node,))
+        out[node] = t
+    return out[phi]
 
 
 def unification_instance(eq: Equation) -> Formula:
@@ -148,47 +196,52 @@ _TERM_TOKEN_RE = re.compile(
 )
 
 
+_TERM_PREFIX = {"not": Complement, "box1": lambda sub: BoxOp(1, sub),
+                "box2": lambda sub: BoxOp(2, sub)}
+
+
 class _TermParser(_Tokens):
     token_re = _TERM_TOKEN_RE
     token_name = "a term token"
 
-    def parse_meet(self) -> Term:
-        out = self.parse_unary()
-        while self.peek() == "and":
-            self.next()
-            out = Meet(out, self.parse_unary())
-        return out
-
-    def parse_unary(self) -> Term:
-        kind = self.peek()
-        if kind == "not":
-            self.next()
-            return Complement(self.parse_unary())
-        if kind == "box1":
-            self.next()
-            return BoxOp(1, self.parse_unary())
-        if kind == "box2":
-            self.next()
-            return BoxOp(2, self.parse_unary())
-        if kind == "one":
-            self.next()
-            return One()
-        if kind == "var":
-            _, text, _ = self.next()
-            return IndVar(int(text[1:]))
-        if kind == "lp":
-            self.next()
-            out = self.parse_meet()
-            if self.peek() != "rp":
+    def term(self) -> Term:
+        """The grammar over explicit stacks: `ops` holds the prefix operators
+        and open parentheses still waiting for their operand, `meets` the
+        meet read so far in each open group (None before its first
+        operand)."""
+        ops: List[str] = []
+        meets: List[Optional[Term]] = [None]
+        while True:
+            while self.peek() in ("not", "box1", "box2", "lp"):
+                kind = self.next()[0]
+                ops.append(kind)
+                if kind == "lp":
+                    meets.append(None)
+            kind = self.peek()
+            if kind not in ("one", "var"):
+                raise self.error("a term")
+            text = self.next()[1]
+            out = One() if kind == "one" else IndVar(int(text[1:]))
+            while True:
+                while ops and ops[-1] != "lp":
+                    out = _TERM_PREFIX[ops.pop()](out)
+                meets[-1] = out if meets[-1] is None else Meet(meets[-1], out)
+                if self.peek() != "rp" or not ops:
+                    break
+                self.next()
+                ops.pop()
+                out = meets.pop()
+            if self.peek() == "and":
+                self.next()
+                continue
+            if ops:
                 raise self.error("')'")
-            self.next()
-            return out
-        raise self.error("a term")
+            return meets[0]
 
 
 def parse_term(text: str) -> Term:
     parser = _TermParser(text)
-    return parser.parse_all(parser.parse_meet, "a term")
+    return parser.parse_all(parser.term, "a term")
 
 
 def parse_equation(text: str) -> Equation:
@@ -199,25 +252,24 @@ def parse_equation(text: str) -> Equation:
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, IndVar):
-        return "x%d" % t.index
-    if isinstance(t, One):
-        return "true"
-    if isinstance(t, Meet):
-        left = print_term(t.left)  # meet is left-associative
-        right = print_term(t.right)
-        if isinstance(t.right, Meet):
-            right = "(%s)" % right
-        return "%s & %s" % (left, right)
-    if isinstance(t, Complement):
-        return "~" + _atomish(t.sub)
-    if isinstance(t, BoxOp):
-        return "[%d]" % t.which + _atomish(t.sub)
-    raise TypeError("not a term: %r" % (t,))
+    text = {}
 
+    def atomish(sub: Term) -> str:
+        return "(%s)" % text[sub] if isinstance(sub, Meet) else text[sub]
 
-def _atomish(t: Term) -> str:
-    text = print_term(t)
-    if isinstance(t, Meet):
-        return "(%s)" % text
-    return text
+    for node in postorder(t, _subterms):
+        if isinstance(node, IndVar):
+            out = "x%d" % node.index
+        elif isinstance(node, One):
+            out = "true"
+        elif isinstance(node, Meet):
+            # meet is left-associative
+            out = "%s & %s" % (text[node.left], atomish(node.right))
+        elif isinstance(node, Complement):
+            out = "~" + atomish(node.sub)
+        elif isinstance(node, BoxOp):
+            out = "[%d]" % node.which + atomish(node.sub)
+        else:
+            raise TypeError("not a term: %r" % (node,))
+        text[node] = out
+    return text[t]

@@ -292,12 +292,12 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
 
     assignment = result.assignment
     var_map = {
-        v: frozenset(points[i] for i in range(n) if assignment.get(var_atoms[v, i], False))
+        v: frozenset(points[i] for i in range(n) if assignment[var_atoms[v, i]])
         for v in var_indices
     }
     nom_map = {}
     for m in nom_indices:
-        owners = [points[i] for i in range(n) if assignment.get(nom_atoms[m, i], False)]
+        owners = [points[i] for i in range(n) if assignment[nom_atoms[m, i]]]
         if len(owners) != 1:
             raise InternalCheckFailed("nominal n%d placed at %d points" % (m, len(owners)))
         nom_map[m] = owners[0]
@@ -306,7 +306,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     for i in range(n):
         value = falsifiable[i]
         if value is True or (not isinstance(value, bool)
-                             and assignment.get(abs(value), False) == (value > 0)):
+                             and assignment[abs(value)] == (value > 0)):
             witness = points[i]
             break
     if witness is None or model_check(model, witness, phi):

@@ -101,3 +101,15 @@ def test_parse_equation():
     assert eq == Equation(IndVar(1), Complement(IndVar(1)))
     with pytest.raises(ParseError):
         parse_equation("x1 ~x1")
+
+
+def test_deep_terms_translate_print_and_parse():
+    # the translations, the printer, the parser and term equality run
+    # without recursion
+    t = IndVar(1)
+    for k in range(5000):
+        t = Meet(t, IndVar(2)) if k % 3 == 0 else (Complement(t) if k % 3 == 1 else BoxOp(1, t))
+    assert formula_to_term(term_to_formula(t)) == t
+    assert print_term(t).count("x2") == 1667
+    assert parse_term(print_term(t)) == t
+    assert parse_term(print_term(t)) != Complement(t)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mlunif import decision, encoding, formula, kripke
+from mlunif import decision, encoding, eqtheory, formula, kripke
 from mlunif.encoding import tower
 from mlunif.errors import LanguageError, ParseError
 from mlunif.formula import (
@@ -209,7 +209,7 @@ def test_postorder_visits_children_first_once_each():
 def test_no_formula_pass_calls_itself():
     # a pass that recursed once per nesting level would fail on deep DAGs
     # at the interpreter's default recursion limit
-    for module in (formula, kripke, decision, encoding):
+    for module in (formula, kripke, decision, encoding, eqtheory):
         for fn in ast.walk(ast.parse(inspect.getsource(module))):
             if not isinstance(fn, ast.FunctionDef):
                 continue

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mlunif.errors import ResourceLimit
-from mlunif.propsat import CNF, CnfBuilder, Sat, Unsat, check_assignment, solve
+from mlunif.propsat import CNF, CnfBuilder, Sat, Solver, Unsat, check_assignment, solve
 
 
 def sat_by_truth_table(cnf: CNF):
@@ -96,23 +96,149 @@ def test_determinism():
         assert r1.assignment == r2.assignment
 
 
+def pigeonhole(pigeons, holes):
+    """Every pigeon in some hole, no two pigeons in one hole."""
+    def atom(p, h):
+        return p * holes + h + 1
+    clauses = [[atom(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-atom(p1, h), -atom(p2, h)])
+    return CNF(pigeons * holes, clauses)
+
+
 def test_conflict_budget():
-    rng = random.Random(3)
-    # pigeonhole-ish hard instance: 6 pigeons, 5 holes
-    atoms = {}
-    n = 0
-    for p in range(6):
-        for h in range(5):
-            n += 1
-            atoms[p, h] = n
-    clauses = [[atoms[p, h] for h in range(5)] for p in range(6)]
-    for h in range(5):
-        for p1 in range(6):
-            for p2 in range(p1 + 1, 6):
-                clauses.append([-atoms[p1, h], -atoms[p2, h]])
+    cnf = pigeonhole(6, 5)
     with pytest.raises(ResourceLimit):
-        solve(CNF(n, clauses), conflict_budget=10)
-    assert isinstance(solve(CNF(n, clauses)), Unsat)
+        solve(cnf, conflict_budget=10)
+    assert isinstance(solve(cnf), Unsat)
+
+
+def test_conflict_budget_counts_the_whole_call():
+    # pigeonhole 8 -> 7 needs thousands of conflicts; the budget bounds the
+    # conflicts of one solve call, whatever the Luby restarts do
+    for budget in (100, 300):
+        solver = Solver(pigeonhole(8, 7), conflict_budget=budget)
+        with pytest.raises(ResourceLimit):
+            solver.solve()
+        assert solver.conflicts <= budget + 1
+
+
+def random_3cnf(rng, num_atoms, num_clauses):
+    return CNF(num_atoms, [[v if rng.random() < 0.5 else -v
+                            for v in rng.sample(range(1, num_atoms + 1), 3)]
+                           for _ in range(num_clauses)])
+
+
+# (atoms, conflicts, decisions, model) of one-shot solves, as recorded from
+# the solver with a linear decision scan; the model has bit v - 1 set when
+# atom v is true, and is None for Unsat.  The last instance, pigeonhole
+# 8 -> 7, is the one that rescales the activities.
+_SEARCH_TRACE = [
+    (51, 14, 32, 0x3dab13cc583da),
+    (34, 8, 14, 0x22659ecc2),
+    (63, 123, 143, None),
+    (60, 13, 28, 0xd45d2d0994f1d20),
+    (76, 127, 165, 0x285649fb62f29d75c01),
+    (118, 1562, 1956, None),
+    (21, 5, 7, 0x3f295),
+    (44, 17, 25, 0x3cd8019542b),
+    (52, 5, 24, 0x5618ade19eb80),
+    (48, 20, 32, 0xfd0cd1f8d8ab),
+    (34, 6, 14, 0x2c14772e0),
+    (102, 336, 386, None),
+    (56, 7030, 8597, None),
+]
+
+
+def test_search_matches_recorded_trace():
+    # a change that only speeds the solver up must make the same decisions,
+    # so it returns the same models after the same number of conflicts
+    rng = random.Random(20061)
+    cnfs = []
+    for _ in range(12):
+        n = rng.randint(20, 120)
+        cnfs.append(random_3cnf(rng, n, round(4.26 * n)))
+    cnfs.append(pigeonhole(8, 7))
+    trace = []
+    for cnf in cnfs:
+        solver = Solver(cnf)
+        result = solver.solve()
+        model = None
+        if isinstance(result, Sat):
+            assert check_assignment(cnf, result.assignment)
+            model = sum(1 << (v - 1) for v in range(1, cnf.num_atoms + 1)
+                        if result.assignment[v])
+        trace.append((cnf.num_atoms, solver.conflicts, solver.decisions, model))
+    assert trace == _SEARCH_TRACE
+
+
+def test_incremental_solver_agrees_with_truth_tables():
+    # grow one solver by atoms and clauses between calls and solve under
+    # random assumptions, against the oracle on the clauses plus one unit
+    # clause per assumption
+    rng = random.Random(5151)
+    outcomes = set()
+    for _ in range(60):
+        solver = Solver()
+        cnf = CNF(0, [])
+        for _ in range(5):
+            cnf.num_atoms += rng.randint(1 if cnf.num_atoms == 0 else 0, 3)
+            solver.ensure_atoms(cnf.num_atoms)
+            for clause in random_cnf(rng, cnf.num_atoms, rng.randint(0, 5)).clauses:
+                solver.add_clause(clause)
+                cnf.clauses.append(clause)
+            for _ in range(4):
+                atoms = rng.choices(range(1, cnf.num_atoms + 1), k=rng.randint(0, 4))
+                assumptions = tuple(v if rng.random() < 0.5 else -v for v in atoms)
+                units = CNF(cnf.num_atoms, cnf.clauses + [[a] for a in assumptions])
+                got = solver.solve(assumptions)
+                if sat_by_truth_table(units) is None:
+                    assert isinstance(got, Unsat)
+                    outcomes.add("unsat" if sat_by_truth_table(cnf) is None
+                                 else "unsat under assumptions")
+                else:
+                    assert isinstance(got, Sat)
+                    assert check_assignment(units, got.assignment)
+                    outcomes.add("sat")
+    assert outcomes == {"sat", "unsat", "unsat under assumptions"}
+
+
+def test_clause_added_over_false_level_zero_literals_is_enforced():
+    # both watched literals of the new clause are already false at level 0
+    solver = Solver()
+    solver.ensure_atoms(4)
+    solver.add_clause([-1])
+    solver.add_clause([-3])
+    assert isinstance(solver.solve(), Sat)
+    solver.add_clause([3, 1, 4])
+    assert solver.solve().assignment[4]
+    solver.add_clause([1, -4, 3])
+    assert isinstance(solver.solve(), Unsat)
+
+
+def test_level_zero_conflict_stays_unsat():
+    solver = Solver()
+    solver.ensure_atoms(2)
+    solver.add_clause([1, 2])
+    solver.add_clause([-1])
+    solver.add_clause([-2])
+    assert isinstance(solver.solve(), Unsat)
+    assert isinstance(solver.solve(), Unsat)
+
+
+def test_solver_rejects_literals_out_of_range():
+    solver = Solver()
+    solver.ensure_atoms(2)
+    with pytest.raises(ValueError):
+        solver.add_clause([1, 3])
+    with pytest.raises(ValueError):
+        solver.solve((-3,))
+    with pytest.raises(ValueError):
+        solver.add_clause([0])
+    with pytest.raises(ValueError):
+        solve(CNF(1, [[1, -2]]))
 
 
 def test_builder_define_and_or():
