@@ -29,9 +29,19 @@ from .minsky import Yes, reaches
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("error: %s\n" % message)
+        sys.stderr.write("%s: error: %s (see --help)\n" % (self.prog, message))
         raise SystemExit(1)
+
+
+def _at_least(low: int):
+    """An argparse type for integers >= `low`."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    convert.__name__ = "integer"  # argparse names the type in its messages
+    return convert
 
 
 def _mode(name: str):
@@ -165,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--start", required=True)
     reduce_p.add_argument("--target", required=True)
     reduce_p.add_argument("--mode", choices=("universal", "hybrid"), default="universal")
-    reduce_p.add_argument("--bound", type=int, default=1000)
+    reduce_p.add_argument("--bound", type=_at_least(0), default=1000)
     reduce_p.add_argument("--out", required=True)
     reduce_p.set_defaults(func=cmd_reduce)
 
     frame_p = sub.add_parser("frame", help="build the canonical frame")
     frame_p.add_argument("--program", required=True)
     frame_p.add_argument("--start", required=True)
-    frame_p.add_argument("--bound", type=int, default=1000)
+    frame_p.add_argument("--bound", type=_at_least(0), default=1000)
     frame_p.add_argument("--mode", choices=("universal", "hybrid"), default="universal")
     frame_p.add_argument("--out")
     frame_p.set_defaults(func=cmd_frame)
@@ -195,11 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--program", required=True)
     verify_p.add_argument("--start", required=True)
     verify_p.add_argument("--target", required=True)
-    verify_p.add_argument("--bound", type=int, default=1000)
+    verify_p.add_argument("--bound", type=_at_least(0), default=1000)
     verify_p.add_argument("--mode", choices=("universal", "hybrid"), default="universal")
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--trials", type=int, default=workbench.DEFAULT_TRIALS)
-    verify_p.add_argument("--max-points", type=int, default=workbench.DEFAULT_MAX_POINTS)
+    verify_p.add_argument("--trials", type=_at_least(1), default=workbench.DEFAULT_TRIALS)
+    verify_p.add_argument("--max-points", type=_at_least(1),
+                          default=workbench.DEFAULT_MAX_POINTS)
     verify_p.add_argument("--budget", type=int, default=workbench.DEFAULT_TABLEAU_BUDGET)
     verify_p.add_argument("--out")
     verify_p.set_defaults(func=cmd_verify)

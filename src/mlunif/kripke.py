@@ -1,16 +1,23 @@
 """Finite frames and models, the truth relation, and frame validity.
 
 `truth_mask` evaluates a formula bottom-up over point-set bitmasks in one
-pass over its DAG, so bulk queries (truth at every point) cost one pass.
+pass over its DAG.  It works on a `DisjointUnion` of models: each model
+owns a contiguous block of bits, and each relation is stored as offset
+masks E_d, the points i with an edge to i + d.  A box is then
+all ^ OR_d(E_d & shift(all ^ body, d)), at most 2 n - 1 big-integer steps
+per node for blocks of at most n points, however many blocks there are.
+The universal box of L frames uses the same construction over the "same
+block" relation, so it never looks across models.  One model is a union of
+one block, so a single model and a suite of thousands cost one pass each.
 
 `frame_valid` searches for a falsifying valuation and point with a CNF
 encoding: one atom per (variable, point) and per (nominal, point), with
 exactly-one constraints tying each nominal to a single point, plus defined
 atoms mirroring the truth relation for every subformula that mentions a
 variable or nominal.  Variable-free subformulas are valuation-independent,
-so they are evaluated directly and folded into the encoding as constants.
-Both read the derived connectives (or, implication, iff, diamonds) as
-written.
+so they are evaluated by the truth-mask pass and folded into the encoding
+as constants.  Both read the derived connectives (or, implication, iff,
+diamonds) as written.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .errors import (
 )
 from .formula import (
     SYMBOL, TOP, And, Box, Diamond, Formula, H2, Iff, Implies, L, Modality,
-    Nominal, Not, Or, Var, language_of, postorder,
+    Nominal, Not, Or, Var, language_of, postorder, pretty,
 )
 
 Edge = Tuple[str, str]
@@ -112,25 +119,88 @@ def _succ_masks(points: Tuple[str, ...], edges: Iterable[Edge]) -> List[int]:
     return succ
 
 
-def _check_frame_language(phi: Formula, frame: Frame) -> None:
+class DisjointUnion:
+    """Models of one frame kind side by side, as one model over the disjoint
+    union of their frames.
+
+    Model k owns the block of bits `offsets[k]` ... `offsets[k] + n_k - 1`,
+    one bit per point in the order of its frame's points.  Each relation is
+    kept as offset masks: `edges[modality][d]` holds bit i when point i has
+    an edge to point i + d, which lies in the same block.  The universal
+    relation of L frames is the "same block" relation, so `[u]` never looks
+    across models.  `symbols` maps each variable and nominal, as
+    (Var, index) or (Nominal, index), to the points where it holds, one
+    block after another, and `bound` counts the blocks that bind it.
+    Models are folded in as they are drawn from `models`, so a generator of
+    models is never held in memory.
+    """
+
+    def __init__(self, models: Iterable[Model]):
+        self.kind: Optional[str] = None
+        self.offsets: List[int] = []
+        self.width = 0
+        self.symbols: Dict[Tuple[type, int], int] = {}
+        self.bound: Dict[Tuple[type, int], int] = {}
+        self.edges: Dict[Modality, Dict[int, int]] = {m: {} for m in Modality}
+        for model in models:
+            self._add(model)
+
+    def _add(self, model: Model) -> None:
+        frame, valuation = model.frame, model.valuation
+        if self.offsets and frame.kind != self.kind:
+            raise ValueError("a disjoint union needs models of one frame kind")
+        self.kind = frame.kind
+        base, n = self.width, len(frame.points)
+        index = {p: i for i, p in enumerate(frame.points)}
+        relations = {Modality.REL: frame.r}
+        if frame.s is None:
+            # the universal relation: i reaches i + d when both lie in the block
+            local = {Modality.UNIV: {d: ((1 << (n - abs(d))) - 1) << max(0, -d)
+                                     for d in range(1 - n, n)}}
+        else:
+            local, relations[Modality.HYB] = {}, frame.s
+        for modality, pairs in relations.items():
+            out = local[modality] = {}
+            for x, y in pairs:
+                i = index[x]
+                d = index[y] - i
+                out[d] = out.get(d, 0) | 1 << i
+        for modality, out in local.items():
+            edges = self.edges[modality]
+            for d, e in out.items():
+                edges[d] = edges.get(d, 0) | e << base
+        held = [((Var, v), sum(1 << index[p] for p in points))
+                for v, points in valuation.var_map.items()]
+        held += [((Nominal, m), 1 << index[p]) for m, p in valuation.nom_map.items()]
+        for symbol, mask in held:
+            self.symbols[symbol] = self.symbols.get(symbol, 0) | mask << base
+            self.bound[symbol] = self.bound.get(symbol, 0) + 1
+        self.offsets.append(base)
+        self.width = base + n
+
+
+def _check_frame_language(phi: Formula, kind: Optional[str]) -> None:
     lang = language_of(phi)
-    if lang == H2 and frame.kind == L:
+    if lang == H2 and kind == L:
         raise LanguageMismatch("hybrid formula on a frame without S")
-    if lang == L and frame.kind == H2:
+    if lang == L and kind == H2:
         raise LanguageMismatch("universal-box formula on a hybrid frame")
 
 
-def _truth_masks(model: Model, nodes: Iterable[Formula]) -> Dict[Formula, int]:
-    """Bitmask over point indices where each formula holds, for `nodes`
-    listed children before parents (as `postorder` yields them)."""
-    frame, valuation = model.frame, model.valuation
-    points = frame.points
-    n = len(points)
-    all_mask = (1 << n) - 1
-    index = {p: i for i, p in enumerate(points)}
-    r_succ = _succ_masks(points, frame.r)
-    s_succ = _succ_masks(points, frame.s) if frame.s is not None else None
+def _truth_masks(union: DisjointUnion, nodes: List[Formula],
+                 keep: Set[Formula]) -> Dict[Formula, int]:
+    """Bitmask over the union's points where each formula of `keep` holds,
+    for `nodes` listed children before parents (as `postorder` yields them).
+    Any other mask is dropped once its last parent in `nodes` has been
+    evaluated, so the live masks stay few however wide the union is."""
+    all_mask = (1 << union.width) - 1
+    blocks = len(union.offsets)
+    symbols, bound, edges = union.symbols, union.bound, union.edges
     masks: Dict[Formula, int] = {}
+    uses: Dict[Formula, int] = {}
+    for f in nodes:
+        for a in f.args:
+            uses[a] = uses.get(a, 0) + 1
     for f in nodes:
         kind = type(f)  # tested roughly by frequency in the reduction formulas
         if kind is And:
@@ -138,20 +208,13 @@ def _truth_masks(model: Model, nodes: Iterable[Formula]) -> Dict[Formula, int]:
         elif kind is Not:
             m = all_mask ^ masks[f.sub]
         elif kind is Box or kind is Diamond:
-            # a box, or a diamond as the negated box of its negated body
-            flip = 0 if kind is Box else all_mask
+            # a diamond holds at i when, for some d, E_d has i and the body
+            # holds at i + d; a box is the negated diamond of its negated body
+            flip = all_mask if kind is Box else 0
             sub = masks[f.sub] ^ flip
-            if f.modality is Modality.UNIV:
-                m = all_mask if sub == all_mask else 0
-            else:
-                succ = r_succ if f.modality is Modality.REL else s_succ
-                if succ is None:
-                    raise LanguageMismatch("%s needs a hybrid frame"
-                                           % ("<h>" if flip else "[h]"))
-                m = 0
-                for i in range(n):
-                    if succ[i] & ~sub == 0:
-                        m |= 1 << i
+            m = 0
+            for d, e in edges[f.modality].items():
+                m |= e & (sub >> d if d >= 0 else sub << -d)
             m ^= flip
         elif kind is Or:
             m = masks[f.left] | masks[f.right]
@@ -159,26 +222,27 @@ def _truth_masks(model: Model, nodes: Iterable[Formula]) -> Dict[Formula, int]:
             m = (all_mask ^ masks[f.left]) | masks[f.right]
         elif kind is Iff:
             m = all_mask ^ (masks[f.left] ^ masks[f.right])
-        elif kind is Var:
-            if f.index not in valuation.var_map:
-                raise UnboundSymbol("p%d is not in the valuation" % f.index)
-            m = 0
-            for p in valuation.var_map[f.index]:
-                m |= 1 << index[p]
-        elif kind is Nominal:
-            if f.index not in valuation.nom_map:
-                raise UnboundSymbol("n%d is not in the valuation" % f.index)
-            m = 1 << index[valuation.nom_map[f.index]]
+        elif kind is Var or kind is Nominal:
+            key = (kind, f.index)
+            if bound.get(key, 0) != blocks:
+                raise UnboundSymbol("%s is not in the valuation" % pretty(f))
+            m = symbols.get(key, 0)
         else:
             m = all_mask if f is TOP else 0
         masks[f] = m
+        for a in f.args:
+            uses[a] -= 1
+            if not uses[a] and a not in keep:
+                del masks[a]
     return masks
 
 
-def truth_mask(model: Model, phi: Formula) -> int:
-    """Bitmask over point indices where phi is true."""
-    _check_frame_language(phi, model.frame)
-    return _truth_masks(model, postorder(phi))[phi]
+def truth_mask(model: Union[Model, DisjointUnion], phi: Formula) -> int:
+    """Bitmask over point indices where phi is true; for a disjoint union,
+    over the points of all its models, block after block."""
+    union = model if isinstance(model, DisjointUnion) else DisjointUnion([model])
+    _check_frame_language(phi, union.kind)
+    return _truth_masks(union, list(postorder(phi)), {phi})[phi]
 
 
 def model_check(model: Model, point: str, phi: Formula) -> bool:
@@ -210,15 +274,19 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     Counter-models are concrete and re-checked with model_check before
     being returned, so a non-validity verdict is self-certifying.
     """
-    _check_frame_language(phi, frame)
+    _check_frame_language(phi, frame.kind)
     nodes = list(postorder(phi))
     points = frame.points
     n = len(points)
     var_indices = sorted({f.index for f in nodes if isinstance(f, Var)})
     nom_indices = sorted({f.index for f in nodes if isinstance(f, Nominal)})
-    # symbol-free subformulas have a fixed truth value at each point
-    constants = _truth_masks(Model(frame, EMPTY_VALUATION),
-                             [f for f in nodes if not f.flags & SYMBOL])
+    # symbol-free subformulas have a fixed truth value at each point; `lit`
+    # asks for those right below a subformula with symbols (and for phi, a
+    # root, whose mask is never dropped)
+    wanted = {a for f in nodes if f.flags & SYMBOL for a in f.args
+              if not a.flags & SYMBOL}
+    constants = _truth_masks(DisjointUnion([Model(frame, EMPTY_VALUATION)]),
+                             [f for f in nodes if not f.flags & SYMBOL], wanted)
 
     builder = propsat.CnfBuilder(clause_budget=CLAUSE_BUDGET)
     negate, define_and = builder.negate, builder.define_and

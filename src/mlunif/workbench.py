@@ -13,6 +13,9 @@ no variables.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
@@ -23,7 +26,9 @@ from .formula import (
     Formula, Not, Substitution, apply_subst, ground_substitutions, size,
     variables,
 )
-from .kripke import Model, Valid, Valuation, frame_valid, random_frame, truth_mask
+from .kripke import (
+    DisjointUnion, Model, Valid, Valuation, frame_valid, random_frame, truth_mask,
+)
 from .minsky import Config, MinskyProgram, No, Unknown, Yes, reaches
 from .encoding import (
     LabeledFrame, Mode, ax_program, canonical_frame, config_exists, psi,
@@ -88,18 +93,24 @@ def check_on_random_models(phi: Formula, mode: Mode, seed: int, trials: int,
                            max_points: int) -> Tuple[int, Optional[Tuple[Model, str]]]:
     """Evaluate phi at every point of `trials` seeded models (variables get
     random point sets, the designated nominal a random owner); returns the
-    number of models checked and the first failure, if any."""
-    checked = 0
-    for model in _suite_models(seed, trials, max_points, mode,
-                               sorted(variables(phi)), mode.nominal_index):
-        checked += 1
-        mask = truth_mask(model, phi)
-        full = (1 << len(model.frame.points)) - 1
-        if mask != full:
-            for i, point in enumerate(model.frame.points):
-                if not mask >> i & 1:
-                    return checked, (model, point)
-    return checked, None
+    number of models checked and the first failure, if any.
+
+    The models are folded into one disjoint union as they are drawn and
+    checked by a single `truth_mask` pass.  The lowest failing bit names
+    the first failing model and point; that model is drawn again by
+    replaying the seeded stream.  As in a model-by-model check, the count
+    stops at the first failing model.
+    """
+    draw = functools.partial(_suite_models, seed, trials, max_points, mode,
+                             sorted(variables(phi)), mode.nominal_index)
+    union = DisjointUnion(draw())
+    failing = ((1 << union.width) - 1) ^ truth_mask(union, phi)
+    if not failing:
+        return len(union.offsets), None
+    bit = (failing & -failing).bit_length() - 1
+    k = bisect.bisect_right(union.offsets, bit) - 1
+    model = next(itertools.islice(draw(), k, None))
+    return k + 1, (model, model.frame.points[bit - union.offsets[k]])
 
 
 def verify_unifier(bound_formula: Formula, mode: Mode, trace_length: int,

@@ -7,9 +7,10 @@ from mlunif.encoding import frame_for_configs, truncation_level
 from mlunif.errors import UnknownPoint
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not,
-    Or, Substitution, Var, postorder,
+    Or, Substitution, Var, postorder, variables,
 )
 from mlunif.kripke import Frame, Model, Valuation, truth_mask
+from mlunif.workbench import _suite_models
 
 _L_MODS = [Modality.REL, Modality.UNIV]
 _H2_MODS = [Modality.REL, Modality.HYB]
@@ -136,3 +137,55 @@ def compose(outer, inner):
     for k, v in outer.mapping.items():
         out.setdefault(k, v)
     return Substitution(out)
+
+
+def check_each_random_model(phi, mode, seed, trials, max_points):
+    """The random-model suite one model at a time: the reference for
+    `workbench.check_on_random_models`, which checks the same seeded models
+    in one pass over their disjoint union."""
+    checked = 0
+    for model in _suite_models(seed, trials, max_points, mode,
+                               sorted(variables(phi)), mode.nominal_index):
+        checked += 1
+        mask = truth_mask(model, phi)
+        full = (1 << len(model.frame.points)) - 1
+        if mask != full:
+            for i, point in enumerate(model.frame.points):
+                if not mask >> i & 1:
+                    return checked, (model, point)
+    return checked, None
+
+
+def truth_set(model, phi):
+    """Points where phi holds, from the textbook truth clauses point by
+    point: a reference for `kripke.truth_mask`."""
+    frame, valuation = model.frame, model.valuation
+    succ = {Modality.UNIV: {x: set(frame.points) for x in frame.points}}
+    for modality, edges in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
+        succ[modality] = {x: {y for (z, y) in edges or () if z == x}
+                          for x in frame.points}
+    everywhere = set(frame.points)
+    sets = {}
+    for f in postorder(phi):
+        if isinstance(f, Var):
+            out = set(valuation.var_map[f.index])
+        elif isinstance(f, Nominal):
+            out = {valuation.nom_map[f.index]}
+        elif isinstance(f, Not):
+            out = everywhere - sets[f.sub]
+        elif isinstance(f, (Box, Diamond)):
+            test = all if isinstance(f, Box) else any
+            out = {x for x in frame.points
+                   if test(y in sets[f.sub] for y in succ[f.modality][x])}
+        elif isinstance(f, And):
+            out = sets[f.left] & sets[f.right]
+        elif isinstance(f, Or):
+            out = sets[f.left] | sets[f.right]
+        elif isinstance(f, Implies):
+            out = (everywhere - sets[f.left]) | sets[f.right]
+        elif isinstance(f, Iff):
+            out = everywhere - (sets[f.left] ^ sets[f.right])
+        else:
+            out = set(everywhere) if f is TOP else set()
+        sets[f] = out
+    return sets[phi]

@@ -9,13 +9,13 @@ from mlunif.formula import (
     apply_subst, nominals, parse, variables,
 )
 from mlunif.kripke import (
-    CounterModel, Frame, Model, Valid, Valuation, frame_valid, model_check,
+    CounterModel, DisjointUnion, Frame, Model, Valid, Valuation, frame_valid, model_check,
     parse_frame, parse_valuation, random_frame, serialize_frame,
     serialize_valuation, transitive_closure, truth_mask,
 )
 from helpers import (
     holds_everywhere, is_transitive, points_where, points_within, random_formula,
-    random_valuation,
+    random_valuation, truth_set,
 )
 
 REL = Modality.REL
@@ -258,3 +258,49 @@ def test_holds_everywhere():
     model = Model(frame, Valuation())
     assert holds_everywhere(model, ALPHA)
     assert not holds_everywhere(model, parse("[]false"))
+
+
+def test_universal_box_stays_inside_its_block():
+    everywhere = Model(Frame(("a", "b", "c"), frozenset({("a", "b")})),
+                       Valuation({1: frozenset({"a", "b", "c"})}))
+    nowhere = Model(Frame(("d", "e"), frozenset({("e", "e")})),
+                    Valuation({1: frozenset()}))
+    union = DisjointUnion([everywhere, nowhere])
+    assert union.offsets == [0, 3] and union.width == 5
+    assert truth_mask(union, parse("[u]p1")) == 0b00111
+    assert truth_mask(union, parse("<u>~p1")) == 0b11000
+    for text in ("[u]p1", "<u>p1", "[u]~p1", "<u>(p1 & []p1)", "[]p1 | <>~p1", "[u]<u>p1"):
+        phi = parse(text)
+        assert truth_mask(union, phi) == (truth_mask(everywhere, phi)
+                                          | truth_mask(nowhere, phi) << 3), text
+
+
+def test_disjoint_union_masks_are_per_model_masks_side_by_side():
+    rng = random.Random(11)
+    for language, noms in ((L, ()), (H2, (1,))):
+        models = []
+        for seed in range(6):
+            frame = random_frame(seed, 5, kind=language)
+            models.append(Model(frame, random_valuation(seed, frame, (1, 2), noms)))
+        union = DisjointUnion(models)
+        for _ in range(60):
+            phi = random_formula(rng, 4, 2, language, num_noms=len(noms))
+            expected = 0
+            for model, offset in zip(models, union.offsets):
+                mask = truth_mask(model, phi)
+                assert mask == sum(1 << model.frame.points.index(p)
+                                   for p in truth_set(model, phi))
+                expected |= mask << offset
+            assert truth_mask(union, phi) == expected
+
+
+def test_disjoint_union_errors():
+    bound = Model(Frame(("a",), frozenset()), Valuation({1: frozenset({"a"})}))
+    unbound = Model(Frame(("b",), frozenset()), Valuation())
+    with pytest.raises(UnboundSymbol):
+        truth_mask(DisjointUnion([bound, unbound]), parse("p1"))
+    hybrid = Model(Frame(("c",), frozenset(), frozenset()), Valuation())
+    with pytest.raises(ValueError):
+        DisjointUnion([bound, hybrid])
+    with pytest.raises(LanguageMismatch):
+        truth_mask(DisjointUnion([hybrid, hybrid]), parse("[u]true"))

@@ -1,13 +1,20 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
+import pytest
+
 from mlunif.decision import KH2, KU
-from mlunif.formula import BOT, Substitution, TOP, parse
+from mlunif.errors import LanguageMismatch, UnboundSymbol
+from mlunif.formula import BOT, H2, L, And, Substitution, TOP, disj, parse
 from mlunif.kripke import model_check
-from mlunif.minsky import Config, MinskyProgram, parse_program
-from mlunif.encoding import HYBRID, UNIVERSAL, parse_labeled_frame, psi, serialize_labeled_frame
+from mlunif.minsky import Config, MinskyProgram, parse_program, reaches
+from mlunif.encoding import (
+    HYBRID, UNIVERSAL, parse_labeled_frame, psi, serialize_labeled_frame, tower,
+)
+from mlunif.witness import defect_formulas, shifted_counter_index, witness_from_trace
 from mlunif.formula import apply_subst, variables
 from mlunif.workbench import (
     NotUnifiable, Unifiable, Unknown, certificate_checks,
@@ -16,6 +23,7 @@ from mlunif.workbench import (
 )
 import mlunif
 from mlunif import cli
+from helpers import check_each_random_model, random_formula
 
 
 def test_zero_step_reachability_gives_trivial_unifier():
@@ -103,6 +111,54 @@ def test_random_suite_reports_failures():
     checked, failure = check_on_random_models(parse("p1 | ~p1"), UNIVERSAL,
                                               seed=5, trials=50, max_points=6)
     assert failure is None and checked == 50
+
+
+def marker_mutant(trace, mode, step, counter):
+    """The unifier of `trace` with the marker index of one counter at one
+    step shifted up by one."""
+    defects = defect_formulas(trace, mode)
+    return Substitution({
+        c: disj([And(d, tower(c, shifted_counter_index(trace, i, c)
+                              + (i == step and c == counter)))
+                 for i, d in enumerate(defects)])
+        for c in (1, 2)
+    })
+
+
+def test_one_pass_suite_matches_model_by_model_reference():
+    rng = random.Random(3)
+    cases = []
+    for mode, language in ((UNIVERSAL, L), (HYBRID, H2)):
+        cases += [(random_formula(rng, 4, 2, language, num_noms=1), mode, 40)
+                  for _ in range(60)]
+    # the length-3 runs of the suite benchmark, whose mutants the suite misses
+    program = parse_program("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0")
+    start, target = Config(1, 0, 0), Config(4, 2, 1)
+    trace = reaches(program, start, target, 10).trace
+    for mode in (UNIVERSAL, HYBRID):
+        reduction = psi(program, start, target, mode)
+        sigmas = [witness_from_trace(trace, mode)]
+        sigmas += [marker_mutant(trace, mode, i, c)
+                   for i in range(len(trace)) for c in (1, 2)]
+        formulas = [apply_subst(sigma, reduction) for sigma in sigmas]
+        assert len(set(formulas)) == 7
+        cases += [(phi, mode, 100) for phi in formulas]
+    failed = 0
+    for index, (phi, mode, trials) in enumerate(cases):
+        args = (phi, mode, index, trials, 6)
+        checked, failure = check_on_random_models(*args)
+        assert (checked, failure) == check_each_random_model(*args), (index, phi)
+        failed += failure is not None
+    assert len(cases) // 2 <= failed < len(cases)
+
+
+def test_one_pass_suite_raises_as_model_by_model_reference():
+    for phi, mode, error in ((parse("n2 | p1", H2), HYBRID, UnboundSymbol),
+                             (parse("[u]p1"), HYBRID, LanguageMismatch),
+                             (parse("[h]p1", H2), UNIVERSAL, LanguageMismatch)):
+        for check in (check_on_random_models, check_each_random_model):
+            with pytest.raises(error):
+                check(phi, mode, 0, 5, 4)
 
 
 def test_ground_unifiable_examples():
@@ -222,6 +278,20 @@ def test_cli_usage_error_exit_code(capsys):
     assert run_cli("reduce", "--program", "/nonexistent") == 1
     assert run_cli("nonsense") == 1
     assert run_cli("valid", "--logic", "ku", "--formula", "p1 &") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
+                                         ("--max-points", "0"), ("--bound", "-1")])
+def test_cli_verify_rejects_out_of_range_counts(tmp_path, capsys, flag, value):
+    program = tmp_path / "prog.txt"
+    program.write_text("1 -> 2,+1,0\n")
+    code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
+                   "--target", "2,1,0", flag, value)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["mlunif verify: error: argument %s: must be at least %d, "
+                                "got %s (see --help)" % (flag, flag != "--bound", value)]
 
 
 def test_cli_exit_code_resource_limit(capsys):
