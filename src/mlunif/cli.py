@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="decide %s in a logic" % name)
         p.add_argument("--logic", choices=("ku", "kh2"), required=True)
         p.add_argument("--formula", required=True)
-        p.add_argument("--budget", type=int, default=50_000)
+        p.add_argument("--budget", type=_at_least(1), default=50_000)
         p.set_defaults(func=func)
 
     verify_p = sub.add_parser("verify", help="run the full pipeline")
@@ -211,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--trials", type=_at_least(1), default=workbench.DEFAULT_TRIALS)
     verify_p.add_argument("--max-points", type=_at_least(1),
                           default=workbench.DEFAULT_MAX_POINTS)
-    verify_p.add_argument("--budget", type=int, default=workbench.DEFAULT_TABLEAU_BUDGET)
+    verify_p.add_argument("--budget", type=_at_least(1), default=workbench.DEFAULT_TABLEAU_BUDGET)
     verify_p.add_argument("--out")
     verify_p.set_defaults(func=cmd_verify)
 
     gu_p = sub.add_parser("ground-unify", help="search substitutions into constants")
     gu_p.add_argument("--logic", choices=("ku", "kh2"), required=True)
     gu_p.add_argument("--formula", required=True)
-    gu_p.add_argument("--budget", type=int, default=50_000)
+    gu_p.add_argument("--budget", type=_at_least(1), default=50_000)
     gu_p.set_defaults(func=cmd_ground_unify)
     return parser
 

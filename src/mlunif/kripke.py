@@ -11,13 +11,16 @@ block" relation, so it never looks across models.  One model is a union of
 one block, so a single model and a suite of thousands cost one pass each.
 
 `frame_valid` searches for a falsifying valuation and point with a CNF
-encoding: one atom per (variable, point) and per (nominal, point), with
-exactly-one constraints tying each nominal to a single point, plus defined
-atoms mirroring the truth relation for every subformula that mentions a
-variable or nominal.  Variable-free subformulas are valuation-independent,
-so they are evaluated by the truth-mask pass and folded into the encoding
-as constants.  Both read the derived connectives (or, implication, iff,
-diamonds) as written.
+encoding, built in the same one pass over the DAG: each node gets a row
+of n literals, one per point.  Variables and nominals get one atom per
+point, numbered first, with exactly-one constraints tying each nominal to
+a single point.  Subformulas without variables or nominals are
+valuation-independent, so their rows are the constants of one truth-mask
+pass.  Every other node gets defined atoms mirroring the truth relation;
+a box or diamond literal depends only on the point's successor set, so
+it is defined once per distinct successor set (once per node under `[u]`
+or a total S).  Both passes read the derived connectives (or,
+implication, iff, diamonds) as written.
 """
 
 from __future__ import annotations
@@ -99,9 +102,6 @@ class Valuation:
                 raise UnknownPoint("valuation of n%d leaves the frame" % idx)
 
 
-EMPTY_VALUATION = Valuation({}, {})
-
-
 @dataclass
 class Model:
     frame: Frame
@@ -109,14 +109,6 @@ class Model:
 
     def __post_init__(self):
         self.valuation.check_against(self.frame)
-
-
-def _succ_masks(points: Tuple[str, ...], edges: Iterable[Edge]) -> List[int]:
-    index = {p: i for i, p in enumerate(points)}
-    succ = [0] * len(points)
-    for x, y in edges:
-        succ[index[x]] |= 1 << index[y]
-    return succ
 
 
 class DisjointUnion:
@@ -278,80 +270,73 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     nodes = list(postorder(phi))
     points = frame.points
     n = len(points)
-    var_indices = sorted({f.index for f in nodes if isinstance(f, Var)})
-    nom_indices = sorted({f.index for f in nodes if isinstance(f, Nominal)})
-    # symbol-free subformulas have a fixed truth value at each point; `lit`
-    # asks for those right below a subformula with symbols (and for phi, a
-    # root, whose mask is never dropped)
-    wanted = {a for f in nodes if f.flags & SYMBOL for a in f.args
-              if not a.flags & SYMBOL}
-    constants = _truth_masks(DisjointUnion([Model(frame, EMPTY_VALUATION)]),
-                             [f for f in nodes if not f.flags & SYMBOL], wanted)
+    fixed = [f for f in nodes if not f.flags & SYMBOL]
+    constants = _truth_masks(DisjointUnion([Model(frame, Valuation())]), fixed, set(fixed))
+
+    # each point's successors per modality, as an index into the distinct
+    # ascending successor tuples of that modality
+    index = {p: i for i, p in enumerate(points)}
+    successors = {Modality.UNIV: ([tuple(range(n))], [0] * n)}
+    for modality, edges in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
+        if edges is not None:
+            succ: List[List[int]] = [[] for _ in points]
+            for x, y in edges:
+                succ[index[x]].append(index[y])
+            distinct: Dict[Tuple[int, ...], int] = {}
+            ids = [distinct.setdefault(tuple(sorted(s)), len(distinct)) for s in succ]
+            successors[modality] = (list(distinct), ids)
 
     builder = propsat.CnfBuilder(clause_budget=CLAUSE_BUDGET)
     negate, define_and = builder.negate, builder.define_and
-    var_atoms = {(v, i): builder.new_atom() for v in var_indices for i in range(n)}
-    nom_atoms = {(m, i): builder.new_atom() for m in nom_indices for i in range(n)}
-    for m in nom_indices:
-        builder.exactly_one([nom_atoms[m, i] for i in range(n)])
 
-    # successor points of each point, ascending, per modality
-    successors = {Modality.UNIV: [list(range(n))] * n}
-    for modality, edges in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
-        if edges is not None:
-            successors[modality] = [[j for j in range(n) if bits >> j & 1]
-                                    for bits in _succ_masks(points, edges)]
+    def implies(a: propsat.Literal, b: propsat.Literal) -> propsat.Literal:
+        return negate(define_and([a, negate(b)]))
 
-    lits: Dict[Tuple[Formula, int], propsat.Literal] = {}
+    # the derived connectives get the literals of their definitions: `a | b`
+    # is ~(~a & ~b), `a -> b` is ~(a & ~b), `a <-> b` is (a -> b) & (b -> a)
+    binary = {
+        And: lambda a, b: define_and([a, b]),
+        Or: lambda a, b: negate(define_and([negate(a), negate(b)])),
+        Implies: implies,
+        Iff: lambda a, b: define_and([implies(a, b), implies(b, a)]),
+    }
 
-    def children(key: Tuple[Formula, int]) -> List[Tuple[Formula, int]]:
-        f, i = key
+    # one literal per point for each node: the variable and nominal atoms
+    # first, then the rest in one pass, children before parents
+    lits: Dict[Formula, List[propsat.Literal]] = {}
+    symbols = sorted((f for f in nodes if type(f) is Var or type(f) is Nominal),
+                     key=lambda f: (type(f) is Nominal, f.index))
+    for f in symbols:
+        lits[f] = [builder.new_atom() for _ in points]
+        if type(f) is Nominal:
+            builder.exactly_one(lits[f])
+    for f in nodes:
+        kind = type(f)
+        if kind is Var or kind is Nominal:
+            continue
         if not f.flags & SYMBOL:
-            return []
-        if isinstance(f, (Box, Diamond)):
-            keys = [(f.sub, j) for j in successors[f.modality][i]]
-        else:
-            keys = [(a, i) for a in f.args]
-        return [k for k in keys if k not in lits]
-
-    def lit(root: Formula, point: int) -> propsat.Literal:
-        """The literal of `root` at a point, defining the literals of its
-        subformulas on the way.  The derived connectives get the literals
-        of their definitions: `a | b` is ~(~a & ~b), `a -> b` is
-        ~(a & ~b), `a <-> b` is ~(a & ~b) & ~(b & ~a), and a diamond is
-        the negated box of the negated body."""
-        for key in postorder((root, point), children):
-            f, i = key
-            if not f.flags & SYMBOL:
-                out: propsat.Literal = bool(constants[f] >> i & 1)
-            elif isinstance(f, Var):
-                out = var_atoms[f.index, i]
-            elif isinstance(f, Nominal):
-                out = nom_atoms[f.index, i]
-            elif isinstance(f, Not):
-                out = negate(lits[f.sub, i])
-            elif isinstance(f, Box):
-                out = define_and([lits[f.sub, j] for j in successors[f.modality][i]])
-            elif isinstance(f, Diamond):
-                out = negate(define_and([negate(lits[f.sub, j])
-                                         for j in successors[f.modality][i]]))
+            m = constants[f]
+            row = [bool(m >> i & 1) for i in range(n)]
+        elif kind is Not:
+            row = [negate(a) for a in lits[f.sub]]
+        elif kind is Box or kind is Diamond:
+            # a box literal depends only on the point's successor set, and a
+            # diamond is the negated box of the negated body
+            tuples, ids = successors[f.modality]
+            sub = lits[f.sub]
+            if kind is Box:
+                boxes = [define_and([sub[j] for j in t]) for t in tuples]
+                row = [boxes[k] for k in ids]
             else:
-                a, b = lits[f.left, i], lits[f.right, i]
-                if isinstance(f, And):
-                    out = define_and([a, b])
-                elif isinstance(f, Or):
-                    out = negate(define_and([negate(a), negate(b)]))
-                elif isinstance(f, Implies):
-                    out = negate(define_and([a, negate(b)]))
-                else:
-                    out = define_and([negate(define_and([a, negate(b)])),
-                                      negate(define_and([b, negate(a)]))])
-            lits[key] = out
-        return lits[root, point]
+                boxes = [define_and([negate(sub[j]) for j in t]) for t in tuples]
+                row = [negate(boxes[k]) for k in ids]
+        else:
+            row = list(map(binary[kind], lits[f.left], lits[f.right]))
+        lits[f] = row
 
-    falsifiable = [negate(lit(phi, i)) for i in range(n)]
+    falsifiable = [negate(a) for a in lits[phi]]
     builder.add_clause(falsifiable)
-    if all(l is False for l in falsifiable):
+    if all(a is False for a in falsifiable):
         return Valid()
 
     result = propsat.solve(builder.to_cnf())
@@ -359,23 +344,21 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
         return Valid()
 
     assignment = result.assignment
-    var_map = {
-        v: frozenset(points[i] for i in range(n) if assignment[var_atoms[v, i]])
-        for v in var_indices
-    }
-    nom_map = {}
-    for m in nom_indices:
-        owners = [points[i] for i in range(n) if assignment[nom_atoms[m, i]]]
-        if len(owners) != 1:
-            raise InternalCheckFailed("nominal n%d placed at %d points" % (m, len(owners)))
-        nom_map[m] = owners[0]
+    var_map, nom_map = {}, {}
+    for f in symbols:
+        held = [p for p, a in zip(points, lits[f]) if assignment[a]]
+        if type(f) is Var:
+            var_map[f.index] = frozenset(held)
+        elif len(held) != 1:
+            raise InternalCheckFailed("nominal n%d placed at %d points" % (f.index, len(held)))
+        else:
+            nom_map[f.index] = held[0]
     model = Model(frame, Valuation(var_map, nom_map))
     witness = None
-    for i in range(n):
-        value = falsifiable[i]
+    for point, value in zip(points, falsifiable):
         if value is True or (not isinstance(value, bool)
                              and assignment[abs(value)] == (value > 0)):
-            witness = points[i]
+            witness = point
             break
     if witness is None or model_check(model, witness, phi):
         raise InternalCheckFailed("frame_valid produced a bogus counter-model")

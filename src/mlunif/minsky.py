@@ -70,15 +70,6 @@ class MinskyProgram:
     def instruction_for(self, state: int) -> Optional[Instruction]:
         return self._table.get(state)
 
-    def states(self) -> List[int]:
-        out = set()
-        for ins in self.instructions:
-            out.add(ins.src)
-            out.add(ins.dst)
-            if isinstance(ins, Dec):
-                out.add(ins.zero_dst)
-        return sorted(out)
-
     def serialize(self) -> str:
         lines = []
         for ins in self.instructions:

@@ -99,8 +99,11 @@ def check_on_random_models(phi: Formula, mode: Mode, seed: int, trials: int,
     checked by a single `truth_mask` pass.  The lowest failing bit names
     the first failing model and point; that model is drawn again by
     replaying the seeded stream.  As in a model-by-model check, the count
-    stops at the first failing model.
+    stops at the first failing model.  Raises ValueError for fewer than
+    one trial, which would check nothing.
     """
+    if trials < 1:
+        raise ValueError("the random-model suite needs at least one trial, got %d" % trials)
     draw = functools.partial(_suite_models, seed, trials, max_points, mode,
                              sorted(variables(phi)), mode.nominal_index)
     union = DisjointUnion(draw())

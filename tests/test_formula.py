@@ -238,3 +238,42 @@ def test_every_imported_name_is_used():
                 imported.update((a.asname or a.name).split(".")[0] for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_every_public_definition_is_referenced():
+    # a public function, class, method or constant of the library that no
+    # code names (as a name, an attribute, an import or a string such as
+    # the attribute names the bench tracer wraps) is dead code
+    src = sorted(pathlib.Path(formula.__file__).parent.glob("*.py"))
+    repo = pathlib.Path(__file__).parent.parent
+    paths = src + sorted((repo / "tests").glob("*.py")) + sorted((repo / "bench").glob("*.py"))
+    defined, referenced = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in docstrings:
+                referenced.add(node.value)
+        if path not in src:
+            continue
+        for node in tree.body:
+            for d in [node] + (node.body if isinstance(node, ast.ClassDef) else []):
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    names = [d.name]
+                else:
+                    targets = d.targets if isinstance(d, ast.Assign) else [getattr(d, "target", None)]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                for name in names:
+                    if not name.startswith("_"):
+                        defined[name] = path.name
+    unreferenced = sorted((path, name) for name, path in defined.items() if name not in referenced)
+    assert unreferenced == []

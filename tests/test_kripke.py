@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from mlunif import propsat
+from mlunif.encoding import HYBRID, ax_program, canonical_frame
 from mlunif.errors import LanguageMismatch, UnboundSymbol, UnknownPoint
 from mlunif.formula import (
     BOT, H2, L, TOP, Box, Diamond, Modality, Nominal, Not, Substitution, Var,
     apply_subst, nominals, parse, variables,
 )
+from mlunif.minsky import Config, parse_program
 from mlunif.kripke import (
     CounterModel, DisjointUnion, Frame, Model, Valid, Valuation, frame_valid, model_check,
     parse_frame, parse_valuation, random_frame, serialize_frame,
@@ -182,6 +185,33 @@ def test_frame_valid_agrees_with_brute_force_on_hybrid_frames():
                     assert not model_check(got.model, got.point, f)
                 verdicts.add((f in fixed, expected))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
+    # the program axioms of a hybrid certificate: the solver's search is
+    # pinned, and it depends on the variable and nominal atoms coming first
+    program = parse_program("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0")
+    frame = canonical_frame(program, Config(1, 0, 0), 100, HYBRID).frame
+    phi = ax_program(program, HYBRID)
+    cnfs = []
+    solve = propsat.solve
+    monkeypatch.setattr(propsat, "solve", lambda cnf: cnfs.append(cnf) or solve(cnf))
+    assert isinstance(frame_valid(frame, phi), Valid)
+    [cnf] = cnfs
+    solver = propsat.Solver(cnf)
+    assert isinstance(solver.solve(), propsat.Unsat)
+    assert (solver.decisions, solver.conflicts) == (121, 49)
+    # atoms 1..k are the (symbol, point) atoms, the nominal's last: its
+    # at-least-one clause comes first, and once those atoms are fixed every
+    # other atom follows by propagation alone
+    n = len(frame.points)
+    assert n == 22 and nominals(phi) == {1}
+    k = (len(variables(phi)) + 1) * n
+    assert cnf.clauses[0] == list(range(k - n + 1, k + 1))
+    definitions = propsat.Solver(propsat.CNF(cnf.num_atoms, cnf.clauses[:-1]))
+    inputs = [-a for a in range(1, k - n + 1)] + [k - n + 1] + [-a for a in range(k - n + 2, k + 1)]
+    assert isinstance(definitions.solve(tuple(inputs)), propsat.Sat)
+    assert definitions.decisions == 0
 
 
 def test_transitive_closure():

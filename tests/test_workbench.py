@@ -100,6 +100,17 @@ def test_hybrid_unifiable_uses_random_suite_beyond_trivial_traces():
     assert verdict.evidence.trials == 80
 
 
+@pytest.mark.parametrize("program, target, mode, trials", [
+    ("1 -> 2,+1,0", Config(2, 1, 0), HYBRID, 0),
+    ("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0", Config(4, 2, 1), UNIVERSAL, -5),
+], ids=["hybrid-length-1", "universal-length-3"])
+def test_random_suite_refuses_fewer_than_one_trial(program, target, mode, trials):
+    # no model checked is no evidence for a Unifiable verdict
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_unifiable_via_reduction(parse_program(program), Config(1, 0, 0), target,
+                                      10, mode, trials=trials)
+
+
 def test_random_suite_reports_failures():
     # a diamond of truth fails wherever a random frame has a dead end
     phi = parse("<>true")
@@ -281,7 +292,8 @@ def test_cli_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
-                                         ("--max-points", "0"), ("--bound", "-1")])
+                                         ("--max-points", "0"), ("--bound", "-1"),
+                                         ("--budget", "0")])
 def test_cli_verify_rejects_out_of_range_counts(tmp_path, capsys, flag, value):
     program = tmp_path / "prog.txt"
     program.write_text("1 -> 2,+1,0\n")
@@ -292,6 +304,16 @@ def test_cli_verify_rejects_out_of_range_counts(tmp_path, capsys, flag, value):
     assert out == ""
     assert err.splitlines() == ["mlunif verify: error: argument %s: must be at least %d, "
                                 "got %s (see --help)" % (flag, flag != "--bound", value)]
+
+
+@pytest.mark.parametrize("command", ["valid", "sat", "ground-unify"])
+def test_cli_rejects_budget_below_one(capsys, command):
+    code = run_cli(command, "--logic", "ku", "--formula", "p1", "--budget", "-3")
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["mlunif %s: error: argument --budget: must be at least 1, "
+                                "got -3 (see --help)" % command]
 
 
 def test_cli_exit_code_resource_limit(capsys):
