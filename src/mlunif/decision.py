@@ -12,8 +12,9 @@ obligations under a set of global axioms: each false global diamond
 contributes its negated body, which must then hold at every point.  The
 inner engine decides those obligations with a DPLL-style expansion where
 a created successor whose content equals an ancestor's is blocked (the
-cycle closes the model), and completed results are cached when they do not
-depend on a block above their own depth.
+cycle closes the model).  Completed results are cached when they do not
+depend on a block above their own depth, and such a satisfied content also
+answers every subset of itself under the same axioms.
 
 The hybrid logic has no global operator; its tableau runs two successor
 relations and merges labels that share a nominal.  Every satisfiable
@@ -255,7 +256,8 @@ class _Budget:
     def charge(self) -> None:
         self.used += 1
         if self.used > self.limit:
-            raise ResourceLimit("tableau budget exceeded")
+            raise ResourceLimit("tableau budget exceeded: %d node expansions, limit %d"
+                                % (self.used, self.limit))
 
 
 # --- the relational-box engine with global axioms -------------------------------
@@ -280,7 +282,18 @@ class _KEngine:
     Verdicts that did not lean on a block are cached globally; a verdict
     that leaned on a block against the node at depth b is reusable exactly
     while that depth slot keeps its occupant, which the per-depth epoch
-    stamps track."""
+    stamps track.
+
+    A content missing from both caches is answered without a search when
+    an earlier unconditional Sat content C' under the same axioms contains
+    it (subset matching; Giunchiglia & Tacchella, Annals of Mathematics
+    and Artificial Intelligence 33, 2001).  Sound: every point of the model
+    built from C''s world w satisfies the axioms, so w satisfies C' and
+    with it every C contained in C'.  A block-dependent (`cond`) verdict
+    holds only while its blocker stays on the path, so it never answers a
+    subset; Unsat verdicts answer exact matches only.  The match only adds
+    Sat answers, so every Unsat, and with it every Valid verdict, rests on
+    the same reasoning as an exact-match search."""
 
     INF = float("inf")
 
@@ -288,6 +301,9 @@ class _KEngine:
         self.budget = budget
         self.cache: Dict[tuple, Tuple[bool, Optional[int]]] = {}
         self.cond: Dict[tuple, Tuple[int, int, int]] = {}
+        # per axiom set: uid -> (content key, world) of each unconditional
+        # Sat content that holds the uid outside the axioms
+        self.supersets: Dict[FrozenSet[int], Dict[int, List[Tuple[FrozenSet[int], int]]]] = {}
         self.worlds: Dict[int, Tuple[tuple, List[int]]] = {}
         self.world_counter = itertools.count()
         self.epoch: List[int] = []
@@ -365,6 +381,16 @@ class _KEngine:
             bd, stamp, world = entry
             if bd < depth and bd < len(self.epoch) and self.epoch[bd] == stamp:
                 return True, bd, world
+        index = self.supersets.setdefault(self.axioms_key, {})
+        rest = ckey - self.axioms_key
+        if rest:
+            # the shortest posting list, ties to the lowest uid: the set's
+            # own order follows the address order of the content
+            uid = min(rest, key=lambda u: (len(index.get(u, ())), u))
+            for sup, w in index.get(uid, ()):
+                if ckey <= sup:
+                    self.cache[gkey] = (True, w)
+                    return True, self.INF, w
         self.budget.charge()
         while len(self.epoch) <= depth:
             self.epoch.append(0)
@@ -380,6 +406,8 @@ class _KEngine:
             return False, self.INF, None
         if block_depth >= depth:
             self.cache[gkey] = (True, world)
+            for uid in rest:
+                index.setdefault(uid, []).append((ckey, world))
             return True, self.INF, world
         self.cond[gkey] = (int(block_depth), self.epoch[int(block_depth)], world)
         return True, block_depth, world

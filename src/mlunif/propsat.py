@@ -330,7 +330,9 @@ class Solver:
                 conflicts_call += 1
                 conflicts_here += 1
                 if budget is not None and conflicts_call > budget:
-                    raise ResourceLimit("SAT conflict budget exceeded")
+                    raise ResourceLimit(
+                        "SAT conflict budget exceeded: %d conflicts in one solve call, limit %d"
+                        % (conflicts_call, budget))
                 if not trail_lim:
                     self.unsat = True
                     return Unsat()
@@ -421,7 +423,8 @@ class CnfBuilder:
             out.append(lit)
         self.clauses.append(out)
         if self.clause_budget is not None and len(self.clauses) > self.clause_budget:
-            raise ResourceLimit("CNF clause budget exceeded")
+            raise ResourceLimit("CNF clause budget exceeded: %d clauses, limit %d"
+                                % (len(self.clauses), self.clause_budget))
 
     def negate(self, lit: Literal) -> Literal:
         if isinstance(lit, bool):

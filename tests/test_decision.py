@@ -7,14 +7,16 @@ import pytest
 
 import mlunif
 
-from mlunif import propsat
+from mlunif import decision, propsat
 from mlunif.errors import LanguageMismatch, ResourceLimit
 from mlunif.formula import (
-    H2, L, Diamond, Implies, Modality, Not, conj, parse, variables,
+    H2, L, Diamond, Implies, Modality, Not, apply_subst, conj, parse, variables,
 )
 from mlunif.kripke import Frame, Model, Valuation, model_check, random_frame, truth_mask
-from mlunif.decision import KH2, KU, CounterModel, Sat, Unsat, satisfiable, valid
-from mlunif.encoding import tower
+from mlunif.decision import KH2, KU, CounterModel, Sat, Unsat, Valid, satisfiable, valid
+from mlunif.encoding import UNIVERSAL, psi, tower
+from mlunif.minsky import Config, parse_program, reaches
+from mlunif.witness import witness_from_trace
 from helpers import holds_everywhere, random_formula, random_valuation
 
 REL = Modality.REL
@@ -46,7 +48,6 @@ def test_universal_box_implies_rel_box_valid():
 
 
 def test_valid_standard_axioms():
-    from mlunif.decision import Valid
     assert isinstance(valid(parse("[u]p1 -> []p1"), KU), Valid)
     assert isinstance(valid(parse("[u]p1 -> p1"), KU), Valid)
     assert isinstance(valid(parse("[u]p1 -> [u][u]p1"), KU), Valid)
@@ -61,7 +62,6 @@ def test_countermodel_for_non_theorem():
 
 
 def test_eq_one_tower_instance_valid():
-    from mlunif.decision import Valid
     phi = Implies(tower(1, 1),
                   conj([Diamond(REL, tower(1, 0)),
                         Not(Diamond(REL, tower(0, 0))),
@@ -83,7 +83,6 @@ def test_language_mismatch():
 
 
 def test_nested_global_operators():
-    from mlunif.decision import Valid
     # truth of a global statement is itself global
     assert isinstance(valid(parse("<u>p1 -> [u]<u>p1"), KU), Valid)
     assert isinstance(valid(parse("[]<u>p1 | []~<u>p1"), KU), Valid)
@@ -117,7 +116,6 @@ def test_kh2_two_relations_are_independent():
     phi = parse("<>p1 & [h]~p1 & ~p1", H2)
     result = satisfiable(phi, KH2)
     assert isinstance(result, Sat)
-    from mlunif.decision import Valid
     assert isinstance(valid(parse("[h]false -> ~<h>true", H2), KH2), Valid)
 
 
@@ -130,8 +128,38 @@ def test_kh2_negative_nominal_only():
 def test_resource_limit():
     # two universal atoms per level blow up the outer search budget quickly
     deep = parse("<>" * 12 + "p1")
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as info:
         satisfiable(deep, KU, label_budget=3)
+    assert str(info.value) == "tableau budget exceeded: 4 node expansions, limit 3"
+
+
+def test_superset_index_holds_only_unconditional_sat_results(monkeypatch):
+    # sigma(psi) of a length-1 run leans on blocks for many Sat verdicts;
+    # such a verdict holds only while its blocking ancestor stays on the
+    # path, so answering a subset from it would be unsound
+    engines = []
+    init = decision._KEngine.__init__
+
+    def recording(self, budget):
+        init(self, budget)
+        engines.append(self)
+
+    monkeypatch.setattr(decision._KEngine, "__init__", recording)
+    program = parse_program("1 -> 2,0,-1 | 3,0,0")
+    outcome = reaches(program, Config(1, 0, 1), Config(2, 0, 0), 10)
+    sigma = witness_from_trace(outcome.trace, UNIVERSAL)
+    phi = apply_subst(sigma, psi(program, Config(1, 0, 1), Config(2, 0, 0), UNIVERSAL))
+    assert isinstance(valid(phi, KU), Valid)
+    (engine,) = engines
+    assert engine.cond
+    indexed = 0
+    for axioms_key, index in engine.supersets.items():
+        for uid, postings in index.items():
+            for ckey, world in postings:
+                assert uid in ckey - axioms_key
+                assert engine.cache.get((ckey, axioms_key)) == (True, world)
+                indexed += 1
+    assert indexed
 
 
 def test_sat_side_agrees_with_small_model_search():
@@ -173,7 +201,6 @@ def test_sat_side_agrees_with_small_model_search():
 
 
 def test_unsat_side_spot_checked_on_random_models():
-    from mlunif.decision import Valid
     rng = random.Random(31337)
     checked = 0
     for _ in range(150):
@@ -190,7 +217,6 @@ def test_unsat_side_spot_checked_on_random_models():
 
 
 def test_valid_formulas_true_on_random_models_kh2():
-    from mlunif.decision import Valid
     phi = parse("[h](p1 & p2) -> [h]p1", H2)
     assert isinstance(valid(phi, KH2), Valid)
     phi2 = parse("<h>n1 -> <h>true", H2)
@@ -235,9 +261,11 @@ def test_ku_search_does_not_depend_on_heap_layout():
                              env=env, capture_output=True, text=True, timeout=120,
                              check=True)
         traces.add(tuple(int(x) for x in out.stdout.split()))
-    # 405 calls is the count under the engine's pre-order atom numbering; a
-    # change of numbering that keeps every verdict can still cost orders of
-    # magnitude more solver work, so the count itself is pinned.  The
+    # 274 calls is the count under the engine's pre-order atom numbering and
+    # its subset-matching Sat cache, whose hits skip the solves of every
+    # content that an earlier satisfied content contains; a change of
+    # numbering or of caching that keeps every verdict can still cost orders
+    # of magnitude more solver work, so the count itself is pinned.  The
     # decisions and conflicts pin the solver's search: a change that only
     # makes propsat faster must leave all three as they are.
-    assert traces == {(405, 9004, 20)}, traces
+    assert traces == {(274, 6022, 8)}, traces

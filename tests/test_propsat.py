@@ -110,8 +110,10 @@ def pigeonhole(pigeons, holes):
 
 def test_conflict_budget():
     cnf = pigeonhole(6, 5)
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as info:
         solve(cnf, conflict_budget=10)
+    assert str(info.value) == ("SAT conflict budget exceeded: 11 conflicts in one solve call, "
+                               "limit 10")
     assert isinstance(solve(cnf), Unsat)
 
 
@@ -285,5 +287,6 @@ def test_clause_budget():
     b.add_clause([x])
     b.add_clause([x, True])  # satisfied clause is dropped before counting
     b.add_clause([x])
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as info:
         b.add_clause([-x])
+    assert str(info.value) == "CNF clause budget exceeded: 3 clauses, limit 2"

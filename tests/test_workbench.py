@@ -320,6 +320,8 @@ def test_cli_exit_code_resource_limit(capsys):
     code = run_cli("sat", "--logic", "ku", "--formula",
                    "<>" * 12 + "p1", "--budget", "3")
     assert code == 2
+    assert capsys.readouterr().err == (
+        "resource limit: tableau budget exceeded: 4 node expansions, limit 3\n")
 
 
 # Installs the benchmark's tracer, which wraps functions of every layer by
