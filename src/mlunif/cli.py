@@ -18,13 +18,12 @@ from .kripke import (
     Model, Valid, Valuation, model_check, parse_valuation, serialize_frame,
     serialize_valuation,
 )
-from .minsky import parse_config, parse_program
+from .minsky import Yes, parse_config, parse_program, reaches
 from .encoding import (
     HYBRID, UNIVERSAL, ax_program, canonical_frame, parse_labeled_frame, psi,
     serialize_labeled_frame,
 )
 from .witness import witness_from_trace
-from .minsky import Yes, reaches
 
 
 class _Parser(argparse.ArgumentParser):

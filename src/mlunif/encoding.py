@@ -427,7 +427,7 @@ def serialize_labeled_frame(lf: LabeledFrame) -> str:
 
 
 _LABEL_RE = re.compile(r"^label:\s+(\S+)\s+(\S+)$")
-_TOWER_LABEL_RE = re.compile(r"^a\((\d+),(\d+)\)$")
+_TOWER_LABEL_RE = re.compile(r"^a\(([0-2]),(\d+)\)$")
 _E_LABEL_RE = re.compile(r"^e\((\d+),(\d+),(\d+)\)$")
 
 

@@ -1,171 +1,64 @@
 """Bridge between equational unification over two-operator Boolean algebras
 and modal unification.
 
-Terms over meet, complement, the constant one and two operators translate
-to formulas with the first operator read as the universal box and the second
-as the relational box; an equation becomes the biconditional of the two
-translated sides, and its unifiability coincides with the unifiability of
-that formula in the universal-box logic.
+A term over meet, complement, the constant one and two operators is an L
+formula over `&`, `~`, `true`, `[u]` and `[]`: the first operator is the
+universal box and the second the relational box, and individual variables
+are propositional variables.  Terms are therefore stored as hash-consed
+`formula.Formula` nodes and only written differently, in term syntax
+(`x<k>`, `true`, `&`, `~`, `[1]`, `[2]`).  An equation becomes the
+biconditional of its two sides, and its unifiability coincides with the
+unifiability of that formula in the universal-box logic.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .errors import LanguageMismatch, ParseError
 from .formula import (
-    And, Bot, Box, Formula, Iff, Implies, Modality, Nominal, Not, Top, Var,
-    _Tokens, postorder,
+    BOT, TOP, And, Bot, Box, Formula, Iff, Implies, Modality, Nominal, Not,
+    Top, Var, _Tokens, postorder,
 )
 
+# the operator text of each box a term may hold
+_BOX_TEXT = {Modality.UNIV: "[1]", Modality.REL: "[2]"}
 
-class Term:
-    """Base of the term nodes, compared structurally.  A term's hash is
-    computed once, from its children's, and equality walks an explicit
-    stack, so neither recurses on a deep term (formula.postorder hashes
-    every node it meets)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((type(self),) + self._key()))
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
+def _check_term(phi: Formula) -> None:
+    """Raise LanguageMismatch unless phi uses only variables, true, false
+    (the complement of one), &, ~, [u] and []."""
+    for node in postorder(phi):
+        if isinstance(node, (Var, Top, Bot, And, Not)):
+            continue
+        if isinstance(node, Box):
+            if node.modality in _BOX_TEXT:
                 continue
-            if type(a) is not type(b) or a._hash != b._hash:
-                return False
-            for x, y in zip(a._key(), b._key()):
-                if isinstance(x, Term):
-                    pairs.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-
-@dataclass(frozen=True, eq=False)
-class IndVar(Term):
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("variable index must be >= 1")
-        super().__post_init__()
-
-
-@dataclass(frozen=True, eq=False)
-class One(Term):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class Meet(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True, eq=False)
-class Complement(Term):
-    sub: Term
-
-
-@dataclass(frozen=True, eq=False)
-class BoxOp(Term):
-    which: int  # 1 or 2
-    sub: Term
-
-    def __post_init__(self):
-        if self.which not in (1, 2):
-            raise ValueError("operator index must be 1 or 2")
-        super().__post_init__()
+            raise LanguageMismatch("the hybrid box has no term image")
+        if isinstance(node, Nominal):
+            raise LanguageMismatch("nominals have no term image")
+        raise LanguageMismatch(
+            "no term image for %r; write it with ~, & and boxes" % (node,))
 
 
 @dataclass(frozen=True)
 class Equation:
-    lhs: Term
-    rhs: Term
+    lhs: Formula
+    rhs: Formula
 
-
-_OP_TO_MODALITY = {1: Modality.UNIV, 2: Modality.REL}
-_MODALITY_TO_OP = {Modality.UNIV: 1, Modality.REL: 2}
-
-
-def _subterms(t: Term) -> tuple:
-    if isinstance(t, Meet):
-        return (t.left, t.right)
-    if isinstance(t, (Complement, BoxOp)):
-        return (t.sub,)
-    return ()
-
-
-def term_to_formula(t: Term) -> Formula:
-    """Individual variables become propositional variables with the same
-    index, one becomes true, and the operators become the universal and the
-    relational box."""
-    out = {}
-    for node in postorder(t, _subterms):
-        if isinstance(node, IndVar):
-            phi = Var(node.index)
-        elif isinstance(node, One):
-            phi = Top()
-        elif isinstance(node, Meet):
-            phi = And(out[node.left], out[node.right])
-        elif isinstance(node, Complement):
-            phi = Not(out[node.sub])
-        elif isinstance(node, BoxOp):
-            phi = Box(_OP_TO_MODALITY[node.which], out[node.sub])
-        else:
-            raise TypeError("not a term: %r" % (node,))
-        out[node] = phi
-    return out[t]
-
-
-def formula_to_term(phi: Formula) -> Term:
-    """Inverse of term_to_formula on its image.
-
-    Defined on base-language formulas over true, false, ~, & and boxes;
-    false, which has no term constant, maps to the complement of one.
-    """
-    out = {}
-    for node in postorder(phi):
-        if isinstance(node, Var):
-            t = IndVar(node.index)
-        elif isinstance(node, Top):
-            t = One()
-        elif isinstance(node, Bot):
-            t = Complement(One())
-        elif isinstance(node, And):
-            t = Meet(out[node.left], out[node.right])
-        elif isinstance(node, Not):
-            t = Complement(out[node.sub])
-        elif isinstance(node, Box):
-            which = _MODALITY_TO_OP.get(node.modality)
-            if which is None:
-                raise LanguageMismatch("the hybrid box has no term image")
-            t = BoxOp(which, out[node.sub])
-        elif isinstance(node, Nominal):
-            raise LanguageMismatch("nominals have no term image")
-        else:
-            raise LanguageMismatch(
-                "no term image for %r; write it with ~, & and boxes" % (node,))
-        out[node] = t
-    return out[phi]
+    def __post_init__(self):
+        _check_term(self.lhs)
+        _check_term(self.rhs)
 
 
 def unification_instance(eq: Equation) -> Formula:
     """Formula whose unifiability in the universal-box logic matches the
     equation's unifiability modulo the algebra plus the universal-box
     axioms."""
-    return Iff(term_to_formula(eq.lhs), term_to_formula(eq.rhs))
+    return Iff(eq.lhs, eq.rhs)
 
 
 def theory_implications() -> List[Formula]:
@@ -196,21 +89,21 @@ _TERM_TOKEN_RE = re.compile(
 )
 
 
-_TERM_PREFIX = {"not": Complement, "box1": lambda sub: BoxOp(1, sub),
-                "box2": lambda sub: BoxOp(2, sub)}
+_TERM_PREFIX = {"not": Not, "box1": functools.partial(Box, Modality.UNIV),
+                "box2": functools.partial(Box, Modality.REL)}
 
 
 class _TermParser(_Tokens):
     token_re = _TERM_TOKEN_RE
     token_name = "a term token"
 
-    def term(self) -> Term:
+    def term(self) -> Formula:
         """The grammar over explicit stacks: `ops` holds the prefix operators
         and open parentheses still waiting for their operand, `meets` the
         meet read so far in each open group (None before its first
         operand)."""
         ops: List[str] = []
-        meets: List[Optional[Term]] = [None]
+        meets: List[Optional[Formula]] = [None]
         while True:
             while self.peek() in ("not", "box1", "box2", "lp"):
                 kind = self.next()[0]
@@ -220,12 +113,15 @@ class _TermParser(_Tokens):
             kind = self.peek()
             if kind not in ("one", "var"):
                 raise self.error("a term")
-            text = self.next()[1]
-            out = One() if kind == "one" else IndVar(int(text[1:]))
+            text = self.tokens[self.i][1]
+            if kind == "var" and int(text[1:]) < 1:
+                raise self.error("a variable index of at least 1")
+            self.next()
+            out = TOP if kind == "one" else Var(int(text[1:]))
             while True:
                 while ops and ops[-1] != "lp":
                     out = _TERM_PREFIX[ops.pop()](out)
-                meets[-1] = out if meets[-1] is None else Meet(meets[-1], out)
+                meets[-1] = out if meets[-1] is None else And(meets[-1], out)
                 if self.peek() != "rp" or not ops:
                     break
                 self.next()
@@ -239,7 +135,7 @@ class _TermParser(_Tokens):
             return meets[0]
 
 
-def parse_term(text: str) -> Term:
+def parse_term(text: str) -> Formula:
     parser = _TermParser(text)
     return parser.parse_all(parser.term, "a term")
 
@@ -251,25 +147,29 @@ def parse_equation(text: str) -> Equation:
     return Equation(parse_term(lhs), parse_term(rhs))
 
 
-def print_term(t: Term) -> str:
-    text = {}
-
-    def atomish(sub: Term) -> str:
-        return "(%s)" % text[sub] if isinstance(sub, Meet) else text[sub]
-
-    for node in postorder(t, _subterms):
-        if isinstance(node, IndVar):
-            out = "x%d" % node.index
-        elif isinstance(node, One):
-            out = "true"
-        elif isinstance(node, Meet):
-            # meet is left-associative
-            out = "%s & %s" % (text[node.left], atomish(node.right))
-        elif isinstance(node, Complement):
-            out = "~" + atomish(node.sub)
-        elif isinstance(node, BoxOp):
-            out = "[%d]" % node.which + atomish(node.sub)
+def print_term(t: Formula) -> str:
+    """t in term syntax, with a meet parenthesized only as the right operand
+    of a meet or the operand of a prefix operator (meet is
+    left-associative); parse_term(print_term(t)) is t, except that false
+    prints as ~true."""
+    _check_term(t)
+    out: List[str] = []
+    # (term, whether a meet there needs parentheses), or text to emit
+    stack: list = [(t, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        f, grouped = item
+        if isinstance(f, And):
+            parts = [(f.left, False), " & ", (f.right, True)]
+            stack.extend(reversed(["("] + parts + [")"] if grouped else parts))
+        elif isinstance(f, Var):
+            out.append("x%d" % f.index)
+        elif f is TOP or f is BOT:
+            out.append("true" if f is TOP else "~true")
         else:
-            raise TypeError("not a term: %r" % (node,))
-        text[node] = out
-    return text[t]
+            out.append("~" if isinstance(f, Not) else _BOX_TEXT[f.modality])
+            stack.append((f.sub, True))
+    return "".join(out)

@@ -498,6 +498,8 @@ class _Parser(_Tokens):
         text = self.tokens[self.i][1]
         if kind == "ref" and text not in self.names:
             raise self.error("a name defined on an earlier line")
+        if kind in ("var", "nom") and int(text[1:]) < 1:
+            raise self.error("an index of at least 1")
         self.next()
         if kind == "const":
             return TOP if text == "true" else BOT

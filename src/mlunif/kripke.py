@@ -26,6 +26,7 @@ implication, iff, diamonds) as written.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
@@ -414,6 +415,8 @@ def parse_frame(text: str) -> Frame:
             continue
         if line.startswith("points:"):
             points = tuple(line[len("points:"):].split())
+            if not points or len(set(points)) != len(points):
+                raise ParseError(0, "one or more distinct point names on line %d" % lineno, raw)
             continue
         if line.startswith("R:"):
             parts = line[2:].split()
@@ -457,14 +460,16 @@ def parse_valuation(text: str) -> Valuation:
         rhs = rhs.strip()
         if not name or not rhs:
             raise ParseError(0, "'p<k> = {...}' or 'n<k> = point' on line %d" % lineno, raw)
-        if name.startswith("p"):
+        symbol = re.fullmatch(r"([pn])(\d+)", name)
+        if symbol is None or int(symbol.group(2)) < 1:
+            raise ParseError(0, "a name p<k> or n<k> with k >= 1 on line %d" % lineno, raw)
+        index = int(symbol.group(2))
+        if symbol.group(1) == "p":
             if not (rhs.startswith("{") and rhs.endswith("}")):
                 raise ParseError(0, "a point set in braces on line %d" % lineno, raw)
             inner = rhs[1:-1].strip()
             pts = frozenset(p.strip() for p in inner.split(",") if p.strip()) if inner else frozenset()
-            var_map[int(name[1:])] = pts
-        elif name.startswith("n"):
-            nom_map[int(name[1:])] = rhs
+            var_map[index] = pts
         else:
-            raise ParseError(0, "a variable or nominal name on line %d" % lineno, raw)
+            nom_map[index] = rhs
     return Valuation(var_map, nom_map)

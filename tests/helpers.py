@@ -45,6 +45,19 @@ def random_formula(rng: random.Random, depth: int, num_vars: int = 2,
     return go(depth)
 
 
+def random_term(rng: random.Random, depth: int):
+    """Random term of at most `depth` nesting: a formula over p1..p3, true,
+    &, ~, [u] (the first operator) and [] (the second)."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([TOP, Var(rng.randint(1, 3))])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return And(random_term(rng, depth - 1), random_term(rng, depth - 1))
+    if kind == 1:
+        return Not(random_term(rng, depth - 1))
+    return Box(rng.choice(_L_MODS), random_term(rng, depth - 1))
+
+
 def prefix_defect_model(seed, program, trace, i, mode, check):
     """Random model on which `check` (a ground formula, typically defect_i)
     holds at every point.

@@ -23,7 +23,7 @@ from mlunif.encoding import (
     parse_labeled_frame, psi, serialize_labeled_frame, surrogate_exists, tower,
     PI1, PI2, TAU1, TAU2, pi_tau,
 )
-from mlunif.eqtheory import theory_implications
+from mlunif.eqtheory import parse_term, print_term, theory_implications
 from mlunif.witness import (
     defect, shifted_counter_index, shifted_counter_marker, witness_from_trace,
 )
@@ -31,7 +31,10 @@ from mlunif.workbench import (
     NotUnifiable, certificate_checks, check_on_random_models,
     check_unifiable_via_reduction,
 )
-from helpers import points_where, points_within, prefix_defect_model, random_formula
+from helpers import (
+    points_where, points_within, prefix_defect_model, random_formula,
+    random_term,
+)
 from test_propsat import random_cnf, sat_by_truth_table
 from test_kripke import brute_force_frame_valid
 
@@ -322,12 +325,10 @@ def test_c10_surrogate_matches_global_diamond():
 
 
 def test_c11_algebra_bridge():
-    from test_eqtheory import random_term
-    from mlunif.eqtheory import formula_to_term, term_to_formula
     rng = random.Random(4242)
     for _ in range(500):
         t = random_term(rng, 4)
-        assert formula_to_term(term_to_formula(t)) == t
+        assert parse_term(print_term(t)) is t
     for phi in theory_implications():
         assert isinstance(decision.valid(phi, KU), decision.Valid), pretty(phi)
     report(11, "algebra-term bridge", "500 round-trips, 4 axiom implications")

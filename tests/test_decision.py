@@ -12,7 +12,9 @@ from mlunif.errors import LanguageMismatch, ResourceLimit
 from mlunif.formula import (
     H2, L, Diamond, Implies, Modality, Not, apply_subst, conj, parse, variables,
 )
-from mlunif.kripke import Frame, Model, Valuation, model_check, random_frame, truth_mask
+from mlunif.kripke import (
+    DisjointUnion, Frame, Model, Valuation, model_check, random_frame, truth_mask,
+)
 from mlunif.decision import KH2, KU, CounterModel, Sat, Unsat, Valid, satisfiable, valid
 from mlunif.encoding import UNIVERSAL, psi, tower
 from mlunif.minsky import Config, parse_program, reaches
@@ -164,40 +166,34 @@ def test_superset_index_holds_only_unconditional_sat_results(monkeypatch):
 
 def test_sat_side_agrees_with_small_model_search():
     """Satisfiable verdicts double-checked by exhaustive search over all
-    models with at most 3 points; Unsat verdicts spot-checked on random
-    models (the logic has no 3-point small-model property)."""
+    models with at most 3 points, held side by side in one disjoint union;
+    Unsat verdicts spot-checked on random models (the logic has no 3-point
+    small-model property)."""
     rng = random.Random(2024)
     formulas = [random_formula(rng, depth=2, num_vars=2, language=L)
                 for _ in range(120)]
-    pts_pool = ["x", "y", "z"]
-    for phi in formulas:
-        got = satisfiable(phi, KU)
-        found = None
+
+    def small_models():
         for n in (1, 2, 3):
-            pts = tuple(pts_pool[:n])
+            pts = ("x", "y", "z")[:n]
             pairs = [(a, b) for a in pts for b in pts]
+            subsets = [frozenset(p for i, p in enumerate(pts) if bits >> i & 1)
+                       for bits in range(1 << n)]
             for rbits in range(1 << len(pairs)):
                 frame = Frame(pts, frozenset(p for i, p in enumerate(pairs) if rbits >> i & 1))
-                for v1 in range(1 << n):
-                    for v2 in range(1 << n):
-                        val = Valuation({
-                            1: frozenset(p for i, p in enumerate(pts) if v1 >> i & 1),
-                            2: frozenset(p for i, p in enumerate(pts) if v2 >> i & 1),
-                        }, {})
-                        model = Model(frame, val)
-                        if truth_mask(model, phi):
-                            found = model
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is not None:
+                for v1 in subsets:
+                    for v2 in subsets:
+                        yield Model(frame, Valuation({1: v1, 2: v2}, {}))
+
+    union = DisjointUnion(small_models())
+    assert len(union.offsets) == 2 * 4 + 16 * 16 + 512 * 64
+    for phi in formulas:
+        got = satisfiable(phi, KU)
+        found = truth_mask(union, phi) != 0
+        if found:
             assert isinstance(got, Sat), phi
         if isinstance(got, Unsat):
-            assert found is None, phi
+            assert not found, phi
 
 
 def test_unsat_side_spot_checked_on_random_models():

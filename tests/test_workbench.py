@@ -285,10 +285,39 @@ def test_cli_ground_unify(capsys):
     assert "not ground-unifiable" in capsys.readouterr().out
 
 
-def test_cli_usage_error_exit_code(capsys):
+def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert run_cli("reduce", "--program", "/nonexistent") == 1
     assert run_cli("nonsense") == 1
     assert run_cli("valid", "--logic", "ku", "--formula", "p1 &") == 1
+    # malformed input that the parsers see: one error line, no traceback
+    frame = tmp_path / "frame.txt"
+    frame.write_text("points: a b\nR: a b\n")
+    bad = tmp_path / "bad.txt"
+
+    def modelcheck(*files, formula="p1"):
+        return ("modelcheck", "--point", "a", "--formula", formula) + files
+
+    bad_frame = modelcheck("--frame", str(bad))
+    bad_valuation = modelcheck("--frame", str(frame), "--valuation", str(bad))
+    cases = [
+        (None, ("valid", "--logic", "ku", "--formula", "p0")),
+        (None, modelcheck("--frame", str(frame), formula="n0")),
+        ("points:\n", bad_frame),
+        ("points: a a\n", bad_frame),
+        ("points: a\nlabel: a a(3,0)\n", bad_frame),
+        ("px = {a}\n", bad_valuation),
+        ("p0 = {a}\n", bad_valuation),
+        ("n0 = a\n", bad_valuation),
+    ]
+    capsys.readouterr()
+    for text, argv in cases:
+        if text is not None:
+            bad.write_text(text)
+        assert run_cli(*argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
