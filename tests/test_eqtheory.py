@@ -82,6 +82,13 @@ def test_theory_implications_valid():
         assert isinstance(valid(phi, KU), Valid), phi
 
 
+def test_term_parser_roundtrip():
+    rng = random.Random(55)
+    for _ in range(300):
+        t = random_term(rng, 4)
+        assert parse_term(print_term(t)) is t
+
+
 def test_term_parser_examples():
     assert parse_term("[1](x1 & x2)") is Box(Modality.UNIV, And(Var(1), Var(2)))
     assert parse_term("~x3 & true") is And(Not(Var(3)), TOP)
