@@ -13,14 +13,14 @@ import sys
 
 from . import decision, workbench
 from .errors import InternalCheckFailed, MlunifError, ResourceLimit
-from .formula import H2, L, parse, pretty
+from .formula import parse, pretty
 from .kripke import (
     Model, Valid, Valuation, model_check, parse_valuation, serialize_frame,
     serialize_valuation,
 )
 from .minsky import Yes, parse_config, parse_program, reaches
 from .encoding import (
-    HYBRID, UNIVERSAL, ax_program, canonical_frame, parse_labeled_frame, psi,
+    MODES, ax_program, canonical_frame, parse_labeled_frame, psi,
     serialize_labeled_frame,
 )
 from .witness import witness_from_trace
@@ -43,14 +43,6 @@ def _at_least(low: int):
     return convert
 
 
-def _mode(name: str):
-    return UNIVERSAL if name == "universal" else HYBRID
-
-
-def _logic_language(logic: str) -> str:
-    return L if logic == "ku" else H2
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -65,15 +57,15 @@ def cmd_reduce(args) -> int:
     program = parse_program(_read(args.program))
     start = parse_config(args.start)
     target = parse_config(args.target)
-    mode = _mode(args.mode)
-    reduction = psi(program, start, target, mode)
+    language = MODES[args.mode]
+    reduction = psi(program, start, target, language)
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "psi.txt"), pretty(reduction) + "\n")
-    _write(os.path.join(args.out, "axp.txt"), pretty(ax_program(program, mode)) + "\n")
+    _write(os.path.join(args.out, "axp.txt"), pretty(ax_program(program, language)) + "\n")
     wrote = ["psi.txt", "axp.txt"]
     reach = reaches(program, start, target, args.bound)
     if isinstance(reach, Yes):
-        sigma = witness_from_trace(reach.trace, mode)
+        sigma = witness_from_trace(reach.trace, language)
         _write(os.path.join(args.out, "sigma.txt"), sigma.serialize())
         wrote.append("sigma.txt")
     print("wrote %s to %s" % (", ".join(wrote), args.out))
@@ -83,7 +75,7 @@ def cmd_reduce(args) -> int:
 def cmd_frame(args) -> int:
     program = parse_program(_read(args.program))
     start = parse_config(args.start)
-    lf = canonical_frame(program, start, args.bound, _mode(args.mode))
+    lf = canonical_frame(program, start, args.bound, MODES[args.mode])
     text = serialize_labeled_frame(lf)
     if args.out:
         _write(args.out, text)
@@ -99,16 +91,15 @@ def cmd_modelcheck(args) -> int:
         valuation = parse_valuation(_read(args.valuation))
     else:
         valuation = Valuation()
-    language = H2 if frame.kind == H2 else L
-    phi = parse(args.formula, language)
+    phi = parse(args.formula, frame.kind)
     result = model_check(Model(frame, valuation), args.point, phi)
     print("true" if result else "false")
     return 0
 
 
 def cmd_valid(args) -> int:
-    phi = parse(args.formula, _logic_language(args.logic))
-    result = decision.valid(phi, args.logic, label_budget=args.budget)
+    phi = parse(args.formula, None)
+    result = decision.valid(phi, label_budget=args.budget)
     if isinstance(result, Valid):
         print("valid")
     else:
@@ -119,8 +110,8 @@ def cmd_valid(args) -> int:
 
 
 def cmd_sat(args) -> int:
-    phi = parse(args.formula, _logic_language(args.logic))
-    result = decision.satisfiable(phi, args.logic, label_budget=args.budget)
+    phi = parse(args.formula, None)
+    result = decision.satisfiable(phi, label_budget=args.budget)
     if isinstance(result, decision.Unsat):
         print("unsatisfiable")
     else:
@@ -134,12 +125,12 @@ def cmd_verify(args) -> int:
     program = parse_program(_read(args.program))
     start = parse_config(args.start)
     target = parse_config(args.target)
-    mode = _mode(args.mode)
+    language = MODES[args.mode]
     verdict = workbench.check_unifiable_via_reduction(
-        program, start, target, args.bound, mode,
+        program, start, target, args.bound, language,
         seed=args.seed, trials=args.trials, max_points=args.max_points,
         tableau_budget=args.budget)
-    report = workbench.verdict_report(verdict, program, start, target, args.bound, mode)
+    report = workbench.verdict_report(verdict, program, start, target, args.bound, language)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write(os.path.join(args.out, "report.json"),
@@ -154,8 +145,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ground_unify(args) -> int:
-    phi = parse(args.formula, _logic_language(args.logic))
-    sigma = workbench.ground_unifiable(phi, args.logic, label_budget=args.budget)
+    phi = parse(args.formula, None)
+    sigma = workbench.ground_unifiable(phi, label_budget=args.budget)
     if sigma is None:
         print("not ground-unifiable")
     else:
@@ -173,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--program", required=True)
     reduce_p.add_argument("--start", required=True)
     reduce_p.add_argument("--target", required=True)
-    reduce_p.add_argument("--mode", choices=("universal", "hybrid"), default="universal")
+    reduce_p.add_argument("--mode", choices=list(MODES), default="universal")
     reduce_p.add_argument("--bound", type=_at_least(0), default=1000)
     reduce_p.add_argument("--out", required=True)
     reduce_p.set_defaults(func=cmd_reduce)
@@ -182,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     frame_p.add_argument("--program", required=True)
     frame_p.add_argument("--start", required=True)
     frame_p.add_argument("--bound", type=_at_least(0), default=1000)
-    frame_p.add_argument("--mode", choices=("universal", "hybrid"), default="universal")
+    frame_p.add_argument("--mode", choices=list(MODES), default="universal")
     frame_p.add_argument("--out")
     frame_p.set_defaults(func=cmd_frame)
 
@@ -194,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc_p.set_defaults(func=cmd_modelcheck)
 
     for name, func in (("valid", cmd_valid), ("sat", cmd_sat)):
-        p = sub.add_parser(name, help="decide %s in a logic" % name)
-        p.add_argument("--logic", choices=("ku", "kh2"), required=True)
+        p = sub.add_parser(name, help="decide %s; the formula's language picks the logic"
+                           % name)
         p.add_argument("--formula", required=True)
         p.add_argument("--budget", type=_at_least(1), default=50_000)
         p.set_defaults(func=func)
@@ -205,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--start", required=True)
     verify_p.add_argument("--target", required=True)
     verify_p.add_argument("--bound", type=_at_least(0), default=1000)
-    verify_p.add_argument("--mode", choices=("universal", "hybrid"), default="universal")
+    verify_p.add_argument("--mode", choices=list(MODES), default="universal")
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--trials", type=_at_least(1), default=workbench.DEFAULT_TRIALS)
     verify_p.add_argument("--max-points", type=_at_least(1),
@@ -215,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.set_defaults(func=cmd_verify)
 
     gu_p = sub.add_parser("ground-unify", help="search substitutions into constants")
-    gu_p.add_argument("--logic", choices=("ku", "kh2"), required=True)
     gu_p.add_argument("--formula", required=True)
     gu_p.add_argument("--budget", type=_at_least(1), default=50_000)
     gu_p.set_defaults(func=cmd_ground_unify)

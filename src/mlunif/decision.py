@@ -1,5 +1,9 @@
 """Tableau-based satisfiability and validity for the two logics.
 
+A formula's language picks the logic it is decided in: an H2 formula goes
+to the hybrid tableau, every other formula (L, or plain K) to the
+universal-box procedure.
+
 Formulas are first rewritten to an interned negation normal form, so
 structurally equal subterms are identical objects and complements are one
 pointer away; label contents are then plain frozensets of node ids.
@@ -29,17 +33,14 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from . import propsat
-from .errors import InternalCheckFailed, LanguageMismatch, ResourceLimit
+from .errors import InternalCheckFailed, ResourceLimit
 from .formula import (
     And as FAnd, Bot as FBot, Box as FBox, Formula, H2, Iff as FIff,
-    Implies as FImplies, L, Modality, Nominal as FNominal, Not as FNot,
+    Implies as FImplies, Modality, Nominal as FNominal, Not as FNot,
     Or as FOr, Top as FTop, Var as FVar, language_of, postorder, variables,
 )
 from .kripke import CounterModel, Frame, Model, Valid, Valuation, model_check
 from .propsat import Unsat
-
-KU = "ku"
-KH2 = "kh2"
 
 REL = Modality.REL
 UNIV = Modality.UNIV
@@ -694,10 +695,10 @@ def _h_add(state: _HState, label: int, nf: NF) -> bool:
             continue
         if f.neg is not None and f.neg in content:
             return False
+        # the node itself too: a disjunction with it as an arm is satisfied
+        content.add(f)
         if f.tag == "and":
             queue.extend(f.args)
-            continue
-        content.add(f)
     return True
 
 
@@ -845,16 +846,6 @@ def _h_model(state: _HState, root: NF) -> Tuple[Model, Dict[int, str]]:
 
 # --- public API --------------------------------------------------------------------
 
-def _check_logic_language(phi: Formula, logic: str) -> None:
-    if logic not in (KU, KH2):
-        raise ValueError("logic must be %r or %r" % (KU, KH2))
-    lang = language_of(phi)
-    if logic == KU and lang == H2:
-        raise LanguageMismatch("hybrid syntax is not part of the universal-box logic")
-    if logic == KH2 and lang == L:
-        raise LanguageMismatch("the universal box is not part of the hybrid logic")
-
-
 def _complete_valuation(model: Model, phi: Formula) -> Model:
     """Bind every variable of phi (default: empty set) so verification by
     model_check never trips over a symbol the tableau had no use for."""
@@ -864,15 +855,15 @@ def _complete_valuation(model: Model, phi: Formula) -> Model:
     return Model(model.frame, Valuation(var_map, dict(model.valuation.nom_map)))
 
 
-def satisfiable(phi: Formula, logic: str, label_budget: int = 50_000) -> Union[Sat, Unsat]:
-    """Complete satisfiability check; Sat carries a finite model and a point
-    that model_check confirms before the result is returned."""
-    _check_logic_language(phi, logic)
-    root = _B.from_formula(phi)
-    if logic == KU:
-        ok, model, point = _ku_satisfiable(root, label_budget)
-    else:
-        ok, model, point = _kh2_satisfiable(root, label_budget)
+def satisfiable(phi: Formula, label_budget: int = 50_000) -> Union[Sat, Unsat]:
+    """Complete satisfiability check in the logic of phi's language: the
+    hybrid tableau for H2, the KU tableau otherwise (a formula without
+    `[u]`, `[h]` or nominals is a K formula, and both logics extend K
+    conservatively).  Sat carries a finite model and a point that
+    model_check confirms before the result is returned.  Raises
+    LanguageError when phi mixes the two languages."""
+    engine = _kh2_satisfiable if language_of(phi) == H2 else _ku_satisfiable
+    ok, model, point = engine(_B.from_formula(phi), label_budget)
     if not ok:
         return Unsat()
     model = _complete_valuation(model, phi)
@@ -881,9 +872,9 @@ def satisfiable(phi: Formula, logic: str, label_budget: int = 50_000) -> Union[S
     return Sat(model, point)
 
 
-def valid(phi: Formula, logic: str, label_budget: int = 50_000) -> Union[Valid, CounterModel]:
+def valid(phi: Formula, label_budget: int = 50_000) -> Union[Valid, CounterModel]:
     """valid(phi) iff not satisfiable(~phi); counter-models are re-verified."""
-    result = satisfiable(FNot(phi), logic, label_budget)
+    result = satisfiable(FNot(phi), label_budget)
     if isinstance(result, Unsat):
         return Valid()
     if model_check(result.model, result.point, phi):  # pragma: no cover

@@ -5,9 +5,9 @@ canonical frame, the configuration formulas over them, the per-instruction
 axioms and their conjunction, the reachability implication that the whole
 reduction revolves around, and the finite canonical frame itself.
 
-Every construction is parametric in a `Mode`: the universal mode renders
-the global diamond with `<u>`, the hybrid mode with the two-step `<h>`
-pattern through a designated nominal.
+Every construction takes the language of the formulas it builds: L
+renders the global diamond with `<u>`, H2 with the two-step `<h>` pattern
+through the nominal n1.  `MODES` gives the two the names users pick them by.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import ParseError, TruncationUnsound
 from .formula import (
-    BOT, TOP, And, Box, Diamond, Formula, Implies, Modality, Nominal, Not, Or,
-    Var, conj, surrogate_exists,
+    BOT, H2, TOP, L, And, Box, Diamond, Formula, Implies, Modality, Nominal,
+    Not, Or, Var, conj, surrogate_exists,
 )
 from .kripke import Frame, parse_frame, serialize_frame, transitive_closure
 from .minsky import (
@@ -32,25 +32,18 @@ UNIV = Modality.UNIV
 HYB = Modality.HYB
 
 
-@dataclass(frozen=True)
-class Mode:
-    kind: str  # "universal" or "hybrid"
-    nominal_index: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("universal", "hybrid"):
-            raise ValueError("unknown mode %r" % self.kind)
+# the user-facing name of each language, as the command line and
+# report.json spell it
+MODES = {"universal": L, "hybrid": H2}
 
 
-UNIVERSAL = Mode("universal")
-HYBRID = Mode("hybrid", 1)
-
-
-def exists(phi: Formula, mode: Mode) -> Formula:
-    """The global diamond: real in universal mode, surrogate in hybrid mode."""
-    if mode.kind == "universal":
+def exists(phi: Formula, language: str) -> Formula:
+    """The global diamond: `<u>` in L, the surrogate through n1 in H2."""
+    if language == L:
         return Diamond(UNIV, phi)
-    return surrogate_exists(phi, mode.nominal_index)
+    if language == H2:
+        return surrogate_exists(phi)
+    raise ValueError("language must be %r or %r" % (L, H2))
 
 
 # --- marker formulas -----------------------------------------------------------
@@ -173,7 +166,7 @@ def tower(i: int, j: int) -> Formula:
 
 def char_formula(name: CharName) -> Formula:
     """Marker formula for a named canonical-frame point; variable-free and
-    mode-independent (it only uses the relational box)."""
+    in both languages (it only uses the relational box)."""
     if name.name == "a":
         return tower(name.i, name.j)
     return _base_formula(name.name)
@@ -193,8 +186,8 @@ def config_formula(c: Config) -> Formula:
     return epsilon(c.state, tower(1, c.c1), tower(2, c.c2))
 
 
-def config_exists(c: Config, mode: Mode) -> Formula:
-    return exists(config_formula(c), mode)
+def config_exists(c: Config, language: str) -> Formula:
+    return exists(config_formula(c), language)
 
 
 # --- variable-carrying counter patterns ----------------------------------------
@@ -231,12 +224,12 @@ def pi_tau(which: str) -> Formula:
 
 # --- instruction and program axioms --------------------------------------------
 
-def ax_instruction(ins: Instruction, mode: Mode) -> Formula:
+def ax_instruction(ins: Instruction, language: str) -> Formula:
     """Axiom stating that the given instruction is simulated correctly."""
     pi1, pi2, tau1, tau2 = pi_tau(PI1), pi_tau(PI2), pi_tau(TAU1), pi_tau(TAU2)
 
     def ex(t, phi, psi):
-        return exists(epsilon(t, phi, psi), mode)
+        return exists(epsilon(t, phi, psi), language)
 
     if isinstance(ins, Inc):
         if ins.counter == 1:
@@ -257,8 +250,8 @@ def ax_instruction(ins: Instruction, mode: Mode) -> Formula:
     raise TypeError("not an instruction: %r" % (ins,))
 
 
-def nom_formula(max_len: int = 6, nominal_index: int = 1) -> Formula:
-    """Conjunction forcing agreement on S-access to the nominal.
+def nom_formula(max_len: int = 6) -> Formula:
+    """Conjunction forcing agreement on S-access to the nominal n1.
 
     One conjunct per nonempty word over the two boxes (length <= max_len):
     <h>n -> M<h>n; and one per nonempty word over the two diamonds:
@@ -266,7 +259,7 @@ def nom_formula(max_len: int = 6, nominal_index: int = 1) -> Formula:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    dh_n = Diamond(HYB, Nominal(nominal_index))
+    dh_n = Diamond(HYB, Nominal(1))
     conjuncts: List[Formula] = []
     for length in range(1, max_len + 1):
         for word in itertools.product((REL, HYB), repeat=length):
@@ -283,20 +276,20 @@ def nom_formula(max_len: int = 6, nominal_index: int = 1) -> Formula:
     return conj(conjuncts)
 
 
-def ax_program(program: MinskyProgram, mode: Mode, nom_len: int = 6) -> Formula:
-    """Conjunction of the instruction axioms; hybrid mode also conjoins the
+def ax_program(program: MinskyProgram, language: str, nom_len: int = 6) -> Formula:
+    """Conjunction of the instruction axioms; in H2 also the
     nominal-agreement formula."""
-    parts = [ax_instruction(ins, mode) for ins in program.instructions]
-    if mode.kind == "hybrid":
-        parts.append(nom_formula(nom_len, mode.nominal_index))
+    parts = [ax_instruction(ins, language) for ins in program.instructions]
+    if language == H2:
+        parts.append(nom_formula(nom_len))
     return conj(parts)
 
 
-def psi(program: MinskyProgram, start: Config, target: Config, mode: Mode) -> Formula:
+def psi(program: MinskyProgram, start: Config, target: Config, language: str) -> Formula:
     """The reduction formula: unifiable exactly when the machine reaches
     `target` from `start`."""
-    antecedent = And(ax_program(program, mode), config_exists(start, mode))
-    return Implies(antecedent, config_exists(target, mode))
+    antecedent = And(ax_program(program, language), config_exists(start, language))
+    return Implies(antecedent, config_exists(target, language))
 
 
 # --- the canonical frame --------------------------------------------------------
@@ -342,7 +335,7 @@ def truncation_level(program: MinskyProgram, configs: Iterable[Config]) -> int:
 
 
 def frame_for_configs(configs: Iterable[Config], level: int,
-                      mode: Mode) -> LabeledFrame:
+                      language: str) -> LabeledFrame:
     """Frame with the eight-point skeleton, towers up to `level`, and one
     point per given configuration; only the alpha point is reflexive."""
     configs = list(configs)
@@ -381,21 +374,21 @@ def frame_for_configs(configs: Iterable[Config], level: int,
 
     r = transitive_closure(base)
     s = None
-    if mode.kind == "hybrid":
+    if language == H2:
         s = frozenset((x, y) for x in points for y in points)
     frame = Frame(tuple(points), r, s)
     return LabeledFrame(frame, labels, truncation=level)
 
 
 def canonical_frame(program: MinskyProgram, start: Config, bound: int,
-                    mode: Mode) -> LabeledFrame:
+                    language: str) -> LabeledFrame:
     """Finite frame encoding the bounded run of the program from `start`.
 
     Eight fixed skeleton points, three marker towers truncated one level
     above every index the run or the program text can mention, and one point
     per reached configuration.  The accessibility relation is the transitive
     closure of the skeleton edges; only the point labeled alpha is reflexive.
-    Hybrid mode adds the full product as S.
+    In H2 the frame adds the full product as S.
 
     Refuses to build when the bounded run is inconclusive: a frame missing
     configurations that the machine could still reach would wrongly certify
@@ -406,7 +399,7 @@ def canonical_frame(program: MinskyProgram, start: Config, bound: int,
         raise TruncationUnsound(
             "run neither halts nor loops within %d steps" % bound)
     level = truncation_level(program, trace.configs)
-    lf = frame_for_configs(trace.configs, level, mode)
+    lf = frame_for_configs(trace.configs, level, language)
     lf.trace = trace
     return lf
 

@@ -13,19 +13,15 @@ unifiability of that formula in the universal-box logic.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .errors import LanguageMismatch, ParseError
 from .formula import (
-    BOT, TOP, And, Bot, Box, Formula, Iff, Implies, Modality, Nominal, Not,
-    Top, Var, _Tokens, postorder,
+    And, Bot, Box, Formula, Iff, Implies, Modality, Nominal, Not, Top, Var,
+    _dag_text, _Parser, postorder,
 )
-
-# the operator text of each box a term may hold
-_BOX_TEXT = {Modality.UNIV: "[1]", Modality.REL: "[2]"}
 
 
 def _check_term(phi: Formula) -> None:
@@ -35,7 +31,7 @@ def _check_term(phi: Formula) -> None:
         if isinstance(node, (Var, Top, Bot, And, Not)):
             continue
         if isinstance(node, Box):
-            if node.modality in _BOX_TEXT:
+            if node.modality is not Modality.HYB:
                 continue
             raise LanguageMismatch("the hybrid box has no term image")
         if isinstance(node, Nominal):
@@ -79,65 +75,32 @@ def theory_implications() -> List[Formula]:
 
 # --- concrete term syntax -------------------------------------------------------
 #
-# Reuses the formula tokens with [1]/[2] for the operators and x<k> for
-# individual variables: term := "~" term | "[1]" term | "[2]" term
-#                             | atom ("&" atom)* ; atom := "true" | x<k> | "(...)".
+# Formula syntax with other spellings: x<k> for p<k>, [1] for [u], [2] for
+# [], and only the connectives & and ~ and the constant true.  Subterms a
+# term shares are named on `$k := <term>` lines, as in formula text.
 
-_TERM_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<box1>\[1\])|(?P<box2>\[2\])|(?P<not>~)|(?P<and>&)"
-    r"|(?P<lp>\()|(?P<rp>\))|(?P<one>true\b)|(?P<var>x\d+))"
-)
-
-
-_TERM_PREFIX = {"not": Not, "box1": functools.partial(Box, Modality.UNIV),
-                "box2": functools.partial(Box, Modality.REL)}
+# formula token -> its term spelling, for the printer
+_TERM_SPELLING = {"p": "x", "[u]": "[1]", "[]": "[2]", "false": "~true"}
+# term operator -> the formula operator the parser reads in its place
+_FORMULA_SPELLING = {"[1]": "[u]", "[2]": "[]"}
 
 
-class _TermParser(_Tokens):
-    token_re = _TERM_TOKEN_RE
+class _TermParser(_Parser):
+    token_re = re.compile(
+        r"\s*(?:(?P<binary>&)|(?P<prefix>~|\[[12]\])|(?P<lp>\()|(?P<rp>\))"
+        r"|(?P<const>true\b)|(?P<var>x\d+)|(?P<ref>\$\d+)|(?P<def>:=))"
+    )
     token_name = "a term token"
 
-    def term(self) -> Formula:
-        """The grammar over explicit stacks: `ops` holds the prefix operators
-        and open parentheses still waiting for their operand, `meets` the
-        meet read so far in each open group (None before its first
-        operand)."""
-        ops: List[str] = []
-        meets: List[Optional[Formula]] = [None]
-        while True:
-            while self.peek() in ("not", "box1", "box2", "lp"):
-                kind = self.next()[0]
-                ops.append(kind)
-                if kind == "lp":
-                    meets.append(None)
-            kind = self.peek()
-            if kind not in ("one", "var"):
-                raise self.error("a term")
-            text = self.tokens[self.i][1]
-            if kind == "var" and int(text[1:]) < 1:
-                raise self.error("a variable index of at least 1")
-            self.next()
-            out = TOP if kind == "one" else Var(int(text[1:]))
-            while True:
-                while ops and ops[-1] != "lp":
-                    out = _TERM_PREFIX[ops.pop()](out)
-                meets[-1] = out if meets[-1] is None else And(meets[-1], out)
-                if self.peek() != "rp" or not ops:
-                    break
-                self.next()
-                ops.pop()
-                out = meets.pop()
-            if self.peek() == "and":
-                self.next()
-                continue
-            if ops:
-                raise self.error("')'")
-            return meets[0]
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.tokens = [(kind, _FORMULA_SPELLING.get(tok, tok), pos)
+                       for kind, tok, pos in self.tokens]
 
 
 def parse_term(text: str) -> Formula:
     parser = _TermParser(text)
-    return parser.parse_all(parser.term, "a term")
+    return parser.parse_all(parser.text_formula, "a term")
 
 
 def parse_equation(text: str) -> Equation:
@@ -148,28 +111,9 @@ def parse_equation(text: str) -> Equation:
 
 
 def print_term(t: Formula) -> str:
-    """t in term syntax, with a meet parenthesized only as the right operand
-    of a meet or the operand of a prefix operator (meet is
-    left-associative); parse_term(print_term(t)) is t, except that false
+    """t in term syntax, with the fewest parentheses and each shared
+    subterm written once; parse_term(print_term(t)) is t, except that false
     prints as ~true."""
     _check_term(t)
-    out: List[str] = []
-    # (term, whether a meet there needs parentheses), or text to emit
-    stack: list = [(t, False)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        f, grouped = item
-        if isinstance(f, And):
-            parts = [(f.left, False), " & ", (f.right, True)]
-            stack.extend(reversed(["("] + parts + [")"] if grouped else parts))
-        elif isinstance(f, Var):
-            out.append("x%d" % f.index)
-        elif f is TOP or f is BOT:
-            out.append("true" if f is TOP else "~true")
-        else:
-            out.append("~" if isinstance(f, Not) else _BOX_TEXT[f.modality])
-            stack.append((f.sub, True))
-    return "".join(out)
+    lines, texts = _dag_text([t], _TERM_SPELLING)
+    return "\n".join(lines + texts)

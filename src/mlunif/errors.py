@@ -22,7 +22,7 @@ class LanguageError(MlunifError):
 
 
 class LanguageMismatch(MlunifError):
-    """Formula language does not match the frame kind or logic."""
+    """Formula language does not match the frame kind or the term signature."""
 
 
 class UnknownPoint(MlunifError):

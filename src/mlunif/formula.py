@@ -241,12 +241,13 @@ def language_of(phi: Formula) -> Optional[str]:
     return None
 
 
-def check_language(phi: Formula, language: str) -> None:
-    """Raise LanguageError unless phi is a well-formed formula of `language`."""
-    if language not in (L, H2):
-        raise ValueError("language must be %r or %r" % (L, H2))
+def check_language(phi: Formula, language: Optional[str]) -> None:
+    """Raise LanguageError unless phi is a well-formed formula of `language`,
+    or of either language when `language` is None."""
+    if language not in (L, H2, None):
+        raise ValueError("language must be %r, %r or None" % (L, H2))
     actual = language_of(phi)
-    if actual is not None and actual != language:
+    if language is not None and actual is not None and actual != language:
         if language == L:
             raise LanguageError("nominals and [h] are not part of the base language")
         raise LanguageError("[u] is not part of the hybrid language")
@@ -298,7 +299,7 @@ def parse_substitution(text: str, language: str = L) -> Substitution:
     comments."""
     # blanked, not removed, so error positions still point into `text`
     p = _Parser(re.sub(r"(?m)^[ \t]*#.*$", lambda m: " " * len(m.group()), text))
-    mapping = dict(p.definitions(("ref", "var")))
+    mapping = p.definitions(("ref", "var"))
     if p.peek() is not None:
         raise p.error("a line 'p<k> := <formula>' or '$<k> := <formula>'")
     for phi in mapping.values():
@@ -322,11 +323,11 @@ def ground_substitutions(var_indices: Iterable[int]) -> Iterator[Substitution]:
         yield Substitution(dict(zip(order, values)))
 
 
-def surrogate_exists(phi: Formula, nominal_index: int) -> Formula:
-    """<h>(n & <h> phi): behaves like a universal diamond where the
-    nominal-agreement constraints hold."""
+def surrogate_exists(phi: Formula) -> Formula:
+    """<h>(n1 & <h> phi): behaves like a universal diamond where the
+    nominal-agreement constraints on n1 hold."""
     check_language(phi, H2)
-    return Diamond(Modality.HYB, And(Nominal(nominal_index), Diamond(Modality.HYB, phi)))
+    return Diamond(Modality.HYB, And(Nominal(1), Diamond(Modality.HYB, phi)))
 
 
 # --- concrete syntax ---------------------------------------------------------
@@ -371,12 +372,13 @@ _PREFIX = {
 _PREFIX_TEXT = {ctor: text for text, ctor in _PREFIX.items()}
 
 
-class _Tokens:
-    """Token stream over one input text, shared by the formula and the term
-    parsers; a subclass names its token pattern and adds the grammar."""
+class _Parser:
+    """Formula grammar over the token stream of one input text.  A subclass
+    may read other spellings: it names its token pattern, and its tokens
+    carry the text of the formula syntax they stand for."""
 
-    token_re: "re.Pattern[str]"
-    token_name: str
+    token_re = _TOKEN_RE
+    token_name = "a formula token"
 
     def __init__(self, text: str):
         self.text = text
@@ -392,6 +394,7 @@ class _Tokens:
             self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
             pos = m.end()
         self.i = 0
+        self.names: Dict[str, Formula] = {}
 
     def peek(self, ahead: int = 0) -> Optional[str]:
         i = self.i + ahead
@@ -415,34 +418,29 @@ class _Tokens:
             raise self.error("end of input")
         return out
 
-
-class _Parser(_Tokens):
-    token_re = _TOKEN_RE
-    token_name = "a formula token"
-
-    def __init__(self, text: str):
-        super().__init__(text)
-        self.names: Dict[str, Formula] = {}
-
     def text_formula(self) -> Formula:
         self.definitions(("ref",))
         return self.formula()
 
-    def definitions(self, heads: Tuple[str, ...]) -> List[Tuple[int, Formula]]:
+    def definitions(self, heads: Tuple[str, ...]) -> Dict[int, Formula]:
         """`head := formula` entries for as long as they continue.  A `$k`
         head names its formula for the entries after it; the `p<k>` entries
-        are returned as (k, formula)."""
-        out = []
+        are returned as {k: formula}.  Each head may be defined once."""
+        out: Dict[int, Formula] = {}
         while self.peek() in heads and self.peek(1) == "def":
             kind, head, _ = self.tokens[self.i]
             if kind == "ref" and head in self.names:
                 raise self.error("a name that is not defined yet")
+            if kind == "var" and int(head[1:]) < 1:
+                raise self.error("an index of at least 1")
+            if kind == "var" and int(head[1:]) in out:
+                raise self.error("a variable that is not defined yet")
             self.i += 2
             phi = self.formula()
             if kind == "ref":
                 self.names[head] = phi
             else:
-                out.append((int(head[1:]), phi))
+                out[int(head[1:])] = phi
         return out
 
     def formula(self) -> Formula:
@@ -508,7 +506,7 @@ class _Parser(_Tokens):
         return (Var if kind == "var" else Nominal)(int(text[1:]))
 
 
-def parse(text: str, language: str = L) -> Formula:
+def parse(text: str, language: Optional[str] = L) -> Formula:
     p = _Parser(text)
     out = p.parse_all(p.text_formula, "a formula")
     check_language(out, language)
@@ -527,9 +525,11 @@ def pretty(phi: Formula) -> str:
     return "\n".join(lines + texts)
 
 
-def _dag_text(roots: List[Formula]) -> Tuple[List[str], List[str]]:
+def _dag_text(roots: List[Formula],
+              spelling: Dict[str, str] = {}) -> Tuple[List[str], List[str]]:
     """The `$k := ...` lines for the subterms the roots share, and the text
-    of each root over those names."""
+    of each root over those names.  `spelling` maps tokens of the formula
+    syntax (`p`, `[u]`, `false`, ...) to the text written in their place."""
     top = tuple(roots)
     nodes = [f for f in postorder(top, lambda f: f if f is top else f.args) if f is not top]
     refs = collections.Counter(roots)
@@ -540,19 +540,19 @@ def _dag_text(roots: List[Formula]) -> Tuple[List[str], List[str]]:
     for f in nodes:
         if f.args and refs[f] > 1:
             # rendered before f gets its own name, which only its uses print
-            lines.append("$%d := %s" % (len(names) + 1, _inline(f, names)))
+            lines.append("$%d := %s" % (len(names) + 1, _inline(f, names, spelling)))
             names[f] = "$%d" % (len(names) + 1)
-    return lines, [names.get(f) or _inline(f, names) for f in roots]
+    return lines, [names.get(f) or _inline(f, names, spelling) for f in roots]
 
 
-def _inline(phi: Formula, names: Dict[Formula, str]) -> str:
+def _inline(phi: Formula, names: Dict[Formula, str], spelling: Dict[str, str]) -> str:
     """phi written out down to atoms and named subterms."""
     out: List[str] = []
     stack: list = [(phi, _PREC_IFF)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            out.append(item)
+            out.append(spelling.get(item, item))
             continue
         f, min_prec = item
         name = names.get(f)
@@ -570,7 +570,7 @@ def _layout(f: Formula) -> Tuple[int, list]:
     """Precedence of f's top connective and its text: strings, and
     (child, least precedence the child may have without parentheses)."""
     if isinstance(f, (Var, Nominal)):
-        return _PREC_ATOM, ["%s%d" % ("p" if isinstance(f, Var) else "n", f.index)]
+        return _PREC_ATOM, ["p" if isinstance(f, Var) else "n", str(f.index)]
     if not f.args:
         return _PREC_ATOM, ["true" if f is TOP else "false"]
     if isinstance(f, _Binary):

@@ -14,24 +14,24 @@ from typing import List
 
 from .formula import And, Formula, Not, Substitution, disj
 from .minsky import Dec, Trace
-from .encoding import Mode, config_exists, tower
+from .encoding import config_exists, tower
 
 
-def defect(i: int, trace: Trace, mode: Mode) -> Formula:
+def defect(i: int, trace: Trace, language: str) -> Formula:
     """Run represented faithfully through step i, but not at step i + 1."""
     if not 0 <= i < len(trace):
         raise IndexError("defect index %d out of range for a %d-step trace"
                          % (i, len(trace)))
-    return defect_formulas(trace, mode)[i]
+    return defect_formulas(trace, language)[i]
 
 
-def defect_formulas(trace: Trace, mode: Mode) -> List[Formula]:
+def defect_formulas(trace: Trace, language: str) -> List[Formula]:
     """defect(i) for every step i; consecutive defects share their
     left-associated prefix conjunction, which is built once."""
     out: List[Formula] = []
-    prefix = config_exists(trace.configs[0], mode)
+    prefix = config_exists(trace.configs[0], language)
     for config in trace.configs[1:]:
-        here = config_exists(config, mode)
+        here = config_exists(config, language)
         out.append(And(prefix, Not(here)))
         prefix = And(prefix, here)
     return out
@@ -52,10 +52,10 @@ def shifted_counter_marker(trace: Trace, i: int, counter: int) -> Formula:
     return tower(counter, shifted_counter_index(trace, i, counter))
 
 
-def witness_from_trace(trace: Trace, mode: Mode) -> Substitution:
+def witness_from_trace(trace: Trace, language: str) -> Substitution:
     """Unifier built from a witnessing run; for a zero-step run both
     variables map to false (the empty disjunction)."""
-    defects = defect_formulas(trace, mode)
+    defects = defect_formulas(trace, language)
     return Substitution({
         counter: disj([And(d, shifted_counter_marker(trace, i, counter))
                        for i, d in enumerate(defects)])

@@ -23,15 +23,15 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 from . import decision
 from .errors import InternalCheckFailed, ResourceLimit
 from .formula import (
-    Formula, Not, Substitution, apply_subst, ground_substitutions, size,
-    variables,
+    H2, L, Formula, Not, Substitution, apply_subst, ground_substitutions,
+    size, variables,
 )
 from .kripke import (
     DisjointUnion, Model, Valid, Valuation, frame_valid, random_frame, truth_mask,
 )
 from .minsky import Config, MinskyProgram, No, Unknown, Yes, reaches
 from .encoding import (
-    LabeledFrame, Mode, ax_program, canonical_frame, config_exists, psi,
+    MODES, LabeledFrame, ax_program, canonical_frame, config_exists, psi,
 )
 from .witness import witness_from_trace
 
@@ -70,29 +70,25 @@ class NotUnifiable:
 PipelineVerdict = Union[Unifiable, NotUnifiable, Unknown]
 
 
-def _suite_models(seed: int, trials: int, max_points: int, mode: Mode,
-                  var_indices=(), nominal_index: int = 1) -> Iterator[Model]:
+def _suite_models(seed: int, trials: int, max_points: int, language: str,
+                  var_indices=()) -> Iterator[Model]:
     rng = random.Random(seed)
     for _ in range(trials):
-        frame_seed = rng.randrange(1 << 30)
-        if mode.kind == "universal":
-            frame = random_frame(frame_seed, max_points)
-        else:
-            frame = random_frame(frame_seed, max_points, kind="H2")
+        frame = random_frame(rng.randrange(1 << 30), max_points, kind=language)
         var_map = {
             v: frozenset(p for p in frame.points if rng.random() < 0.5)
             for v in var_indices
         }
         nom_map = {}
-        if mode.kind == "hybrid":
-            nom_map[nominal_index] = frame.points[rng.randrange(len(frame.points))]
+        if language == H2:
+            nom_map[1] = frame.points[rng.randrange(len(frame.points))]
         yield Model(frame, Valuation(var_map, nom_map))
 
 
-def check_on_random_models(phi: Formula, mode: Mode, seed: int, trials: int,
+def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
                            max_points: int) -> Tuple[int, Optional[Tuple[Model, str]]]:
     """Evaluate phi at every point of `trials` seeded models (variables get
-    random point sets, the designated nominal a random owner); returns the
+    random point sets, in H2 the nominal n1 a random owner); returns the
     number of models checked and the first failure, if any.
 
     The models are folded into one disjoint union as they are drawn and
@@ -104,8 +100,8 @@ def check_on_random_models(phi: Formula, mode: Mode, seed: int, trials: int,
     """
     if trials < 1:
         raise ValueError("the random-model suite needs at least one trial, got %d" % trials)
-    draw = functools.partial(_suite_models, seed, trials, max_points, mode,
-                             sorted(variables(phi)), mode.nominal_index)
+    draw = functools.partial(_suite_models, seed, trials, max_points, language,
+                             sorted(variables(phi)))
     union = DisjointUnion(draw())
     failing = ((1 << union.width) - 1) ^ truth_mask(union, phi)
     if not failing:
@@ -116,7 +112,7 @@ def check_on_random_models(phi: Formula, mode: Mode, seed: int, trials: int,
     return k + 1, (model, model.frame.points[bit - union.offsets[k]])
 
 
-def verify_unifier(bound_formula: Formula, mode: Mode, trace_length: int,
+def verify_unifier(bound_formula: Formula, language: str, trace_length: int,
                    seed: int = 0, trials: int = DEFAULT_TRIALS,
                    max_points: int = DEFAULT_MAX_POINTS,
                    tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> ValidityEvidence:
@@ -128,14 +124,13 @@ def verify_unifier(bound_formula: Formula, mode: Mode, trace_length: int,
     large); the random-model suite is the fallback.  A counter-model from
     either route is an internal-invariant violation, not a verdict.
     """
-    if mode.kind == "universal":
+    if language == L:
         attempt_tableau = trace_length <= DEFAULT_TABLEAU_MAX_STEPS
     else:
         attempt_tableau = trace_length == 0
     if attempt_tableau:
-        logic = decision.KU if mode.kind == "universal" else decision.KH2
         try:
-            verdict = decision.valid(bound_formula, logic, label_budget=tableau_budget)
+            verdict = decision.valid(bound_formula, label_budget=tableau_budget)
         except ResourceLimit:
             verdict = None
         if verdict is not None:
@@ -144,7 +139,8 @@ def verify_unifier(bound_formula: Formula, mode: Mode, trace_length: int,
                     "unifier verification found a counter-model at point %r"
                     % verdict.point)
             return ValidityEvidence("tableau")
-    checked, failure = check_on_random_models(bound_formula, mode, seed, trials, max_points)
+    checked, failure = check_on_random_models(bound_formula, language, seed, trials,
+                                              max_points)
     if failure is not None:
         raise InternalCheckFailed(
             "unifier verification failed on a random model at point %r" % failure[1])
@@ -153,15 +149,16 @@ def verify_unifier(bound_formula: Formula, mode: Mode, trace_length: int,
 
 
 def certificate_checks(lf: LabeledFrame, program: MinskyProgram, start: Config,
-                       target: Config, mode: Mode) -> Dict[str, bool]:
+                       target: Config, language: str) -> Dict[str, bool]:
     """The three facts making a canonical frame a non-unifiability
     certificate: the program axioms are frame-valid, the start marker is
     globally true, and the target marker is globally false (under every
     valuation, so every substitution instance of the reduction formula is
     refuted)."""
-    axp_valid = isinstance(frame_valid(lf.frame, ax_program(program, mode)), Valid)
-    antecedent = isinstance(frame_valid(lf.frame, config_exists(start, mode)), Valid)
-    consequent = isinstance(frame_valid(lf.frame, Not(config_exists(target, mode))), Valid)
+    axp_valid = isinstance(frame_valid(lf.frame, ax_program(program, language)), Valid)
+    antecedent = isinstance(frame_valid(lf.frame, config_exists(start, language)), Valid)
+    consequent = isinstance(frame_valid(lf.frame, Not(config_exists(target, language))),
+                            Valid)
     return {
         "program_axioms_valid": axp_valid,
         "start_marker_globally_true": antecedent,
@@ -170,21 +167,21 @@ def certificate_checks(lf: LabeledFrame, program: MinskyProgram, start: Config,
 
 
 def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
-                                  target: Config, bound: int, mode: Mode,
+                                  target: Config, bound: int, language: str,
                                   seed: int = 0, trials: int = DEFAULT_TRIALS,
                                   max_points: int = DEFAULT_MAX_POINTS,
                                   tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> PipelineVerdict:
     reach = reaches(program, start, target, bound)
     if isinstance(reach, Yes):
-        sigma = witness_from_trace(reach.trace, mode)
-        bound_formula = apply_subst(sigma, psi(program, start, target, mode))
-        evidence = verify_unifier(bound_formula, mode, len(reach.trace),
+        sigma = witness_from_trace(reach.trace, language)
+        bound_formula = apply_subst(sigma, psi(program, start, target, language))
+        evidence = verify_unifier(bound_formula, language, len(reach.trace),
                                   seed=seed, trials=trials, max_points=max_points,
                                   tableau_budget=tableau_budget)
         return Unifiable(sigma, evidence, len(reach.trace))
     if isinstance(reach, No):
-        lf = canonical_frame(program, start, bound, mode)
-        checks = certificate_checks(lf, program, start, target, mode)
+        lf = canonical_frame(program, start, bound, language)
+        checks = certificate_checks(lf, program, start, target, language)
         if not all(checks.values()):
             failed = sorted(k for k, v in checks.items() if not v)
             raise InternalCheckFailed("certificate checks failed: %s" % ", ".join(failed))
@@ -192,8 +189,7 @@ def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
     return reach
 
 
-def ground_unifiable(phi: Formula, logic: str,
-                     label_budget: int = 50_000) -> Optional[Substitution]:
+def ground_unifiable(phi: Formula, label_budget: int = 50_000) -> Optional[Substitution]:
     """First substitution into {false, true} that makes phi valid, if any.
 
     Sound but incomplete for these logics: a formula can be unifiable
@@ -201,24 +197,24 @@ def ground_unifiable(phi: Formula, logic: str,
     not all equivalent to one of the two constants.
     """
     for sigma in ground_substitutions(variables(phi)):
-        if isinstance(decision.valid(apply_subst(sigma, phi), logic,
-                                     label_budget=label_budget), Valid):
+        if isinstance(decision.valid(apply_subst(sigma, phi), label_budget=label_budget),
+                      Valid):
             return sigma
     return None
 
 
 def verdict_report(verdict: PipelineVerdict, program: MinskyProgram, start: Config,
-                   target: Config, bound: int, mode: Mode) -> dict:
+                   target: Config, bound: int, language: str) -> dict:
     """JSON-ready summary of a pipeline run."""
     report = {
-        "mode": mode.kind,
+        "mode": next(name for name, lang in MODES.items() if lang == language),
         "start": str(start),
         "target": str(target),
         "bound": bound,
         "instructions": len(program.instructions),
     }
     if isinstance(verdict, Unifiable):
-        reduction = psi(program, start, target, mode)
+        reduction = psi(program, start, target, language)
         report.update(
             verdict="unifiable",
             trace_length=verdict.trace_length,

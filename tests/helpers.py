@@ -13,13 +13,14 @@ from mlunif.kripke import Frame, Model, Valuation, truth_mask
 from mlunif.workbench import _suite_models
 
 _L_MODS = [Modality.REL, Modality.UNIV]
-_H2_MODS = [Modality.REL, Modality.HYB]
+_MODS = {L: _L_MODS, H2: [Modality.REL, Modality.HYB], None: [Modality.REL]}
 
 
 def random_formula(rng: random.Random, depth: int, num_vars: int = 2,
                    language: str = L, num_noms: int = 0):
-    """Random formula of the given language with at most `depth` nesting."""
-    mods = _L_MODS if language == L else _H2_MODS
+    """Random formula of the given language with at most `depth` nesting;
+    language None gives a K formula, with the relational box only."""
+    mods = _MODS[language]
     atoms = [TOP, BOT] + [Var(i) for i in range(1, num_vars + 1)]
     if language == H2:
         atoms += [Nominal(i) for i in range(1, num_noms + 1)]
@@ -58,7 +59,7 @@ def random_term(rng: random.Random, depth: int):
     return Box(rng.choice(_L_MODS), random_term(rng, depth - 1))
 
 
-def prefix_defect_model(seed, program, trace, i, mode, check):
+def prefix_defect_model(seed, program, trace, i, language, check):
     """Random model on which `check` (a ground formula, typically defect_i)
     holds at every point.
 
@@ -70,7 +71,7 @@ def prefix_defect_model(seed, program, trace, i, mode, check):
     """
     rng = random.Random(seed)
     level = truncation_level(program, trace.configs)
-    lf = frame_for_configs(trace.configs[:i + 1], level, mode)
+    lf = frame_for_configs(trace.configs[:i + 1], level, language)
     points = list(lf.frame.points)
     r = set(lf.frame.r)
     fresh = []
@@ -82,9 +83,9 @@ def prefix_defect_model(seed, program, trace, i, mode, check):
         r.update((name, t) for t in targets)
     s = None
     nom_map = {}
-    if mode.kind == "hybrid":
+    if language == H2:
         s = frozenset((x, y) for x in points for y in points)
-        nom_map = {mode.nominal_index: rng.choice(points)}
+        nom_map = {1: rng.choice(points)}
     frame = Frame(tuple(points), frozenset(r), s)
     model = Model(frame, Valuation({}, nom_map))
     if not holds_everywhere(model, check):
@@ -152,13 +153,13 @@ def compose(outer, inner):
     return Substitution(out)
 
 
-def check_each_random_model(phi, mode, seed, trials, max_points):
+def check_each_random_model(phi, language, seed, trials, max_points):
     """The random-model suite one model at a time: the reference for
     `workbench.check_on_random_models`, which checks the same seeded models
     in one pass over their disjoint union."""
     checked = 0
-    for model in _suite_models(seed, trials, max_points, mode,
-                               sorted(variables(phi)), mode.nominal_index):
+    for model in _suite_models(seed, trials, max_points, language,
+                               sorted(variables(phi))):
         checked += 1
         mask = truth_mask(model, phi)
         full = (1 << len(model.frame.points)) - 1

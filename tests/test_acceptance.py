@@ -8,9 +8,8 @@ import random
 import time
 
 from mlunif import decision, propsat
-from mlunif.decision import KU
 from mlunif.formula import (
-    And, Diamond, Implies, Modality, Nominal, Not, apply_subst, conj,
+    H2, L, And, Diamond, Implies, Modality, Nominal, Not, apply_subst, conj,
     ground_substitutions, parse, pretty,
 )
 from mlunif.kripke import (
@@ -19,7 +18,7 @@ from mlunif.kripke import (
 )
 from mlunif.minsky import Config, Yes, parse_program, reaches, run_trace
 from mlunif.encoding import (
-    HYBRID, UNIVERSAL, ax_program, canonical_frame, nom_formula,
+    ax_program, canonical_frame, nom_formula,
     parse_labeled_frame, psi, serialize_labeled_frame, surrogate_exists, tower,
     PI1, PI2, TAU1, TAU2, pi_tau,
 )
@@ -90,7 +89,7 @@ def test_c01_characteristic_exactness():
     worst = 0.0
     for text, start in SAMPLE_PROGRAMS:
         program = parse_program(text)
-        lf = canonical_frame(program, start, 50, UNIVERSAL)
+        lf = canonical_frame(program, start, 50, L)
         t0 = time.time()
         model = Model(lf.frame, Valuation())
         for point in lf.frame.points:
@@ -126,10 +125,10 @@ def test_c03_program_axioms_valid_on_canonical_frame():
     t0 = time.time()
     for text, start in SAMPLE_PROGRAMS:
         program = parse_program(text)
-        for mode in (UNIVERSAL, HYBRID):
-            lf = canonical_frame(program, start, 50, mode)
-            verdict = frame_valid(lf.frame, ax_program(program, mode))
-            assert isinstance(verdict, Valid), (text, mode.kind)
+        for language in (L, H2):
+            lf = canonical_frame(program, start, 50, language)
+            verdict = frame_valid(lf.frame, ax_program(program, language))
+            assert isinstance(verdict, Valid), (text, language)
     elapsed = time.time() - t0
     assert elapsed < 120.0
     report(3, "program axioms frame-valid", "3 programs x 2 modes, %.1fs" % elapsed)
@@ -144,9 +143,9 @@ def test_c04_reachable_direction_tableau():
         assert isinstance(outcome, Yes)
         assert len(outcome.trace) <= 2
         lengths.append(len(outcome.trace))
-        sigma = witness_from_trace(outcome.trace, UNIVERSAL)
-        bound_formula = apply_subst(sigma, psi(program, start, target, UNIVERSAL))
-        verdict = decision.valid(bound_formula, KU, label_budget=5_000_000)
+        sigma = witness_from_trace(outcome.trace, L)
+        bound_formula = apply_subst(sigma, psi(program, start, target, L))
+        verdict = decision.valid(bound_formula, label_budget=5_000_000)
         assert isinstance(verdict, decision.Valid), (text, a, b)
     elapsed = time.time() - t0
     assert elapsed < 120.0
@@ -162,12 +161,12 @@ def test_c05_reachable_direction_stochastic():
         program, start, target = _case(text, a, b)
         outcome = reaches(program, start, target, 50)
         assert isinstance(outcome, Yes) and len(outcome.trace) <= 5
-        for mode in (UNIVERSAL, HYBRID):
-            sigma = witness_from_trace(outcome.trace, mode)
-            bound_formula = apply_subst(sigma, psi(program, start, target, mode))
+        for language in (L, H2):
+            sigma = witness_from_trace(outcome.trace, language)
+            bound_formula = apply_subst(sigma, psi(program, start, target, language))
             checked, failure = check_on_random_models(
-                bound_formula, mode, 1000 + len(outcome.trace), 1000, 8)
-            assert failure is None, (text, mode.kind, failure)
+                bound_formula, language, 1000 + len(outcome.trace), 1000, 8)
+            assert failure is None, (text, language, failure)
             assert checked == 1000
             models_checked += checked
     report(5, "substituted reduction formula on random models",
@@ -177,16 +176,16 @@ def test_c05_reachable_direction_stochastic():
 def test_c06_unreachable_direction_certificates(tmp_path):
     for index, (text, a, b) in enumerate(UNREACHABLE):
         program, start, target = _case(text, a, b)
-        verdict = check_unifiable_via_reduction(program, start, target, 50, UNIVERSAL)
+        verdict = check_unifiable_via_reduction(program, start, target, 50, L)
         assert isinstance(verdict, NotUnifiable), (text, a, b)
         path = tmp_path / ("cert%d.frame" % index)
         path.write_text(serialize_labeled_frame(verdict.certificate))
         reloaded = parse_labeled_frame(path.read_text())
-        checks = certificate_checks(reloaded, program, start, target, UNIVERSAL)
+        checks = certificate_checks(reloaded, program, start, target, L)
         assert all(checks.values()), (text, checks)
         # every substitution of constants for the two counter variables is
         # refuted on the frame
-        reduction = psi(program, start, target, UNIVERSAL)
+        reduction = psi(program, start, target, L)
         model = Model(reloaded.frame, Valuation())
         ground_count = 0
         for sigma in ground_substitutions({1, 2}):
@@ -204,14 +203,14 @@ CLAIMS_PROGRAM = "1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,-1,0 | 5,0,0"
 def _claim_stream(limit, seed_base):
     program = parse_program(CLAIMS_PROGRAM)
     trace = run_trace(program, Config(1, 1, 1), 50)
-    sigma = witness_from_trace(trace, UNIVERSAL)
+    sigma = witness_from_trace(trace, L)
     produced = 0
     seed = seed_base
     while produced < limit:
         seed += 1
         i = seed % len(trace)
-        model = prefix_defect_model(seed, program, trace, i, UNIVERSAL,
-                                    defect(i, trace, UNIVERSAL))
+        model = prefix_defect_model(seed, program, trace, i, L,
+                                    defect(i, trace, L))
         if model is None:
             continue
         produced += 1
@@ -244,8 +243,8 @@ def test_c08_defect_exclusivity():
         for j in range(3):
             if i == j:
                 continue
-            both = And(defect(i, trace, UNIVERSAL), defect(j, trace, UNIVERSAL))
-            assert isinstance(decision.satisfiable(both, KU), decision.Unsat), (i, j)
+            both = And(defect(i, trace, L), defect(j, trace, L))
+            assert isinstance(decision.satisfiable(both), decision.Unsat), (i, j)
             pairs += 1
     elapsed = time.time() - t0
     assert elapsed < 60.0
@@ -317,7 +316,7 @@ def test_c10_surrogate_matches_global_diamond():
         for _ in range(50):
             phi = random_formula(rng, depth=3, num_vars=1, language="H2")
             somewhere = truth_mask(model, phi) != 0
-            surrogate = truth_mask(model, surrogate_exists(phi, 1))
+            surrogate = truth_mask(model, surrogate_exists(phi))
             assert surrogate == (full if somewhere else 0), (seed, pretty(phi))
         frames += 1
     report(10, "surrogate diamond equals global reach under total S",
@@ -330,7 +329,7 @@ def test_c11_algebra_bridge():
         t = random_term(rng, 4)
         assert parse_term(print_term(t)) is t
     for phi in theory_implications():
-        assert isinstance(decision.valid(phi, KU), decision.Valid), pretty(phi)
+        assert isinstance(decision.valid(phi), decision.Valid), pretty(phi)
     report(11, "algebra-term bridge", "500 round-trips, 4 axiom implications")
 
 
@@ -351,7 +350,7 @@ def test_c12_cross_validation():
     sat_models = 0
     for _ in range(150):
         phi = random_formula(rng, depth=3, num_vars=2, language="L")
-        result = decision.satisfiable(phi, KU)
+        result = decision.satisfiable(phi)
         if isinstance(result, decision.Sat):
             assert model_check(result.model, result.point, phi)
             sat_models += 1

@@ -8,15 +8,16 @@ import pytest
 import mlunif
 
 from mlunif import decision, propsat
-from mlunif.errors import LanguageMismatch, ResourceLimit
+from mlunif.errors import LanguageError, ResourceLimit
 from mlunif.formula import (
-    H2, L, Diamond, Implies, Modality, Not, apply_subst, conj, parse, variables,
+    H2, L, And, Box, Diamond, Implies, Modality, Nominal, Not, Var, apply_subst,
+    conj, parse, variables,
 )
 from mlunif.kripke import (
     DisjointUnion, Frame, Model, Valuation, model_check, random_frame, truth_mask,
 )
-from mlunif.decision import KH2, KU, CounterModel, Sat, Unsat, Valid, satisfiable, valid
-from mlunif.encoding import UNIVERSAL, psi, tower
+from mlunif.decision import CounterModel, Sat, Unsat, Valid, satisfiable, valid
+from mlunif.encoding import psi, tower
 from mlunif.minsky import Config, parse_program, reaches
 from mlunif.witness import witness_from_trace
 from helpers import holds_everywhere, random_formula, random_valuation
@@ -31,34 +32,34 @@ def test_one_unsat_result_type():
 
 
 def test_universal_conflict_unsat():
-    assert isinstance(satisfiable(parse("[u]p1 & ~p1"), KU), Unsat)
+    assert isinstance(satisfiable(parse("[u]p1 & ~p1")), Unsat)
 
 
 def test_diamond_top_sat():
-    result = satisfiable(parse("<>true"), KU)
+    result = satisfiable(parse("<>true"))
     assert isinstance(result, Sat)
     assert model_check(result.model, result.point, parse("<>true"))
 
 
 def test_alpha_and_beta_unsat():
     # a point with a successor cannot be an endpoint at the same time
-    assert isinstance(satisfiable(parse("(<>true & []<>true) & []false"), KU), Unsat)
+    assert isinstance(satisfiable(parse("(<>true & []<>true) & []false")), Unsat)
 
 
 def test_universal_box_implies_rel_box_valid():
-    assert isinstance(valid(parse("[u]p1 -> []p1"), KU), Valid_type := type(valid(parse("true"), KU)))
+    assert isinstance(valid(parse("[u]p1 -> []p1")), Valid_type := type(valid(parse("true"))))
 
 
 def test_valid_standard_axioms():
-    assert isinstance(valid(parse("[u]p1 -> []p1"), KU), Valid)
-    assert isinstance(valid(parse("[u]p1 -> p1"), KU), Valid)
-    assert isinstance(valid(parse("[u]p1 -> [u][u]p1"), KU), Valid)
-    assert isinstance(valid(parse("p1 -> [u]<u>p1"), KU), Valid)
-    assert isinstance(valid(parse("[](p1 -> p2) -> ([]p1 -> []p2)"), KU), Valid)
+    assert isinstance(valid(parse("[u]p1 -> []p1")), Valid)
+    assert isinstance(valid(parse("[u]p1 -> p1")), Valid)
+    assert isinstance(valid(parse("[u]p1 -> [u][u]p1")), Valid)
+    assert isinstance(valid(parse("p1 -> [u]<u>p1")), Valid)
+    assert isinstance(valid(parse("[](p1 -> p2) -> ([]p1 -> []p2)")), Valid)
 
 
 def test_countermodel_for_non_theorem():
-    result = valid(parse("p1 -> []p1"), KU)
+    result = valid(parse("p1 -> []p1"))
     assert isinstance(result, CounterModel)
     assert not model_check(result.model, result.point, parse("p1 -> []p1"))
 
@@ -68,45 +69,48 @@ def test_eq_one_tower_instance_valid():
                   conj([Diamond(REL, tower(1, 0)),
                         Not(Diamond(REL, tower(0, 0))),
                         Not(Diamond(REL, tower(2, 0)))]))
-    assert isinstance(valid(phi, KU), Valid)
+    assert isinstance(valid(phi), Valid)
 
 
 def test_tower_formulas_satisfiable():
     for i in range(3):
-        result = satisfiable(tower(i, 1), KU)
+        result = satisfiable(tower(i, 1))
         assert isinstance(result, Sat)
 
 
-def test_language_mismatch():
-    with pytest.raises(LanguageMismatch):
-        satisfiable(parse("n1", H2), KU)
-    with pytest.raises(LanguageMismatch):
-        satisfiable(parse("[u]p1"), KH2)
+def test_language_picks_the_engine():
+    # only the hybrid tableau builds frames with the second relation S
+    assert valid(parse("<h>p1 -> p1", H2)).model.frame.kind == H2
+    assert valid(parse("n1 -> p1", H2)).model.frame.kind == H2
+    assert valid(parse("[u]p1 -> p1 & p2")).model.frame.kind == L
+    assert valid(parse("[]p1 -> p1")).model.frame.kind == L
+    with pytest.raises(LanguageError):
+        satisfiable(And(Box(UNIV, Var(1)), Nominal(1)))
 
 
 def test_nested_global_operators():
     # truth of a global statement is itself global
-    assert isinstance(valid(parse("<u>p1 -> [u]<u>p1"), KU), Valid)
-    assert isinstance(valid(parse("[]<u>p1 | []~<u>p1"), KU), Valid)
-    result = satisfiable(parse("<u>(p1 & <u>~p1)"), KU)
+    assert isinstance(valid(parse("<u>p1 -> [u]<u>p1")), Valid)
+    assert isinstance(valid(parse("[]<u>p1 | []~<u>p1")), Valid)
+    result = satisfiable(parse("<u>(p1 & <u>~p1)"))
     assert isinstance(result, Sat)
 
 
 def test_kh2_simple_sat():
     phi = parse("<h>(n1 & <h>[]false)", H2)
-    result = satisfiable(phi, KH2)
+    result = satisfiable(phi)
     assert isinstance(result, Sat)
     assert model_check(result.model, result.point, phi)
 
 
 def test_kh2_nominal_merge_unsat():
     phi = parse("<h>(n1 & p1) & <h>(n1 & ~p1)", H2)
-    assert isinstance(satisfiable(phi, KH2), Unsat)
+    assert isinstance(satisfiable(phi), Unsat)
 
 
 def test_kh2_nominal_merge_sat_when_consistent():
     phi = parse("<h>(n1 & p1) & <h>(n1 & p2)", H2)
-    result = satisfiable(phi, KH2)
+    result = satisfiable(phi)
     assert isinstance(result, Sat)
     owner = result.model.valuation.nom_map[1]
     assert owner in result.model.valuation.var_map[1]
@@ -116,22 +120,45 @@ def test_kh2_nominal_merge_sat_when_consistent():
 def test_kh2_two_relations_are_independent():
     # an R-successor obligation does not discharge an S-box constraint
     phi = parse("<>p1 & [h]~p1 & ~p1", H2)
-    result = satisfiable(phi, KH2)
+    result = satisfiable(phi)
     assert isinstance(result, Sat)
-    assert isinstance(valid(parse("[h]false -> ~<h>true", H2), KH2), Valid)
+    assert isinstance(valid(parse("[h]false -> ~<h>true", H2)), Valid)
 
 
 def test_kh2_negative_nominal_only():
-    result = satisfiable(parse("~n1 & <>~n1", H2), KH2)
+    result = satisfiable(parse("~n1 & <>~n1", H2))
     assert isinstance(result, Sat)
     assert 1 in result.model.valuation.nom_map
+
+
+def test_kh2_disjunction_with_a_conjunction_arm():
+    # a label holds the conjunction node itself, not only its conjuncts, so
+    # the disjunction counts as satisfied once that arm is chosen
+    for text in ("(p1 & p2) | n1", "(n1 & p1) | <h>p2", "(p1 & <h>p2) | <h>true"):
+        phi = parse(text, H2)
+        result = satisfiable(phi, label_budget=1000)
+        assert isinstance(result, Sat), text
+        assert model_check(result.model, result.point, phi)
+
+
+def test_ku_and_kh2_engines_agree_on_k_formulas():
+    # K formulas mean the same in both logics, so the two tableaux, which
+    # share no search code, must give the same answers
+    rng = random.Random(7)
+    for _ in range(300):
+        phi = random_formula(rng, depth=5, num_vars=3, language=None)
+        for f in (phi, Not(phi)):
+            root = decision._B.from_formula(f)
+            ku = decision._ku_satisfiable(root, 50_000)[0]
+            kh2 = decision._kh2_satisfiable(root, 50_000)[0]
+            assert ku == kh2, f
 
 
 def test_resource_limit():
     # two universal atoms per level blow up the outer search budget quickly
     deep = parse("<>" * 12 + "p1")
     with pytest.raises(ResourceLimit) as info:
-        satisfiable(deep, KU, label_budget=3)
+        satisfiable(deep, label_budget=3)
     assert str(info.value) == "tableau budget exceeded: 4 node expansions, limit 3"
 
 
@@ -149,9 +176,9 @@ def test_superset_index_holds_only_unconditional_sat_results(monkeypatch):
     monkeypatch.setattr(decision._KEngine, "__init__", recording)
     program = parse_program("1 -> 2,0,-1 | 3,0,0")
     outcome = reaches(program, Config(1, 0, 1), Config(2, 0, 0), 10)
-    sigma = witness_from_trace(outcome.trace, UNIVERSAL)
-    phi = apply_subst(sigma, psi(program, Config(1, 0, 1), Config(2, 0, 0), UNIVERSAL))
-    assert isinstance(valid(phi, KU), Valid)
+    sigma = witness_from_trace(outcome.trace, L)
+    phi = apply_subst(sigma, psi(program, Config(1, 0, 1), Config(2, 0, 0), L))
+    assert isinstance(valid(phi), Valid)
     (engine,) = engines
     assert engine.cond
     indexed = 0
@@ -188,7 +215,7 @@ def test_sat_side_agrees_with_small_model_search():
     union = DisjointUnion(small_models())
     assert len(union.offsets) == 2 * 4 + 16 * 16 + 512 * 64
     for phi in formulas:
-        got = satisfiable(phi, KU)
+        got = satisfiable(phi)
         found = truth_mask(union, phi) != 0
         if found:
             assert isinstance(got, Sat), phi
@@ -201,7 +228,7 @@ def test_unsat_side_spot_checked_on_random_models():
     checked = 0
     for _ in range(150):
         phi = random_formula(rng, depth=2, num_vars=2, language=L)
-        verdict = valid(phi, KU)
+        verdict = valid(phi)
         if not isinstance(verdict, Valid):
             continue
         checked += 1
@@ -214,9 +241,9 @@ def test_unsat_side_spot_checked_on_random_models():
 
 def test_valid_formulas_true_on_random_models_kh2():
     phi = parse("[h](p1 & p2) -> [h]p1", H2)
-    assert isinstance(valid(phi, KH2), Valid)
+    assert isinstance(valid(phi), Valid)
     phi2 = parse("<h>n1 -> <h>true", H2)
-    assert isinstance(valid(phi2, KH2), Valid)
+    assert isinstance(valid(phi2), Valid)
 
 
 # Allocates a seeded ballast before importing mlunif, which shifts the heap
@@ -228,8 +255,8 @@ import random, sys
 rng = random.Random(int(sys.argv[1]))
 ballast = [[None] * rng.randrange(1, 16) for _ in range(rng.randrange(1, 4096))]
 from mlunif import decision, propsat
-from mlunif.encoding import UNIVERSAL, config_exists
-from mlunif.formula import Implies, Not
+from mlunif.encoding import config_exists
+from mlunif.formula import L, Implies, Not
 from mlunif.minsky import Config
 calls = decisions = conflicts = 0
 solve = propsat.Solver.solve
@@ -242,8 +269,8 @@ def counted(self, *args):
     conflicts += self.conflicts - c
     return result
 propsat.Solver.solve = counted
-decision.valid(Implies(config_exists(Config(1, 0, 0), UNIVERSAL),
-                       Not(config_exists(Config(2, 0, 1), UNIVERSAL))), decision.KU)
+decision.valid(Implies(config_exists(Config(1, 0, 0), L),
+                       Not(config_exists(Config(2, 0, 1), L))))
 print(calls, decisions, conflicts)
 """
 

@@ -2,13 +2,13 @@ import pytest
 
 from mlunif.errors import TruncationUnsound
 from mlunif.formula import (
-    TOP, And, Diamond, Implies, Modality, Nominal, Not, Or, Var,
+    H2, L, TOP, And, Diamond, Implies, Modality, Nominal, Not, Or, Var,
     iter_subformulas, language_of, nominals, parse, variables,
 )
 from mlunif.kripke import Model, Valuation, model_check
 from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_program
 from mlunif.encoding import (
-    ALPHA, BETA, GAMMA, HYBRID, UNIVERSAL, ax_instruction, ax_program,
+    ALPHA, BETA, GAMMA, ax_instruction, ax_program,
     canonical_frame, char_formula, config_formula, epsilon, exists,
     nom_formula, parse_labeled_frame, pi_tau, psi, serialize_labeled_frame,
     tower, PI1, PI2, TAU1, TAU2,
@@ -96,46 +96,49 @@ def test_pi_tau_definitions():
 
 
 def test_ax_instruction_inc1():
-    got = ax_instruction(Inc(1, 3, 4), UNIVERSAL)
+    got = ax_instruction(Inc(1, 3, 4), L)
     expected = Implies(
-        exists(epsilon(3, pi_tau(PI1), pi_tau(TAU1)), UNIVERSAL),
-        exists(epsilon(4, pi_tau(PI2), pi_tau(TAU1)), UNIVERSAL),
+        exists(epsilon(3, pi_tau(PI1), pi_tau(TAU1)), L),
+        exists(epsilon(4, pi_tau(PI2), pi_tau(TAU1)), L),
     )
     assert got == expected
 
 
 def test_ax_instruction_inc2():
-    got = ax_instruction(Inc(2, 1, 2), UNIVERSAL)
-    assert got.left == exists(epsilon(1, pi_tau(PI1), pi_tau(TAU1)), UNIVERSAL)
-    assert got.right == exists(epsilon(2, pi_tau(PI1), pi_tau(TAU2)), UNIVERSAL)
+    got = ax_instruction(Inc(2, 1, 2), L)
+    assert got.left == exists(epsilon(1, pi_tau(PI1), pi_tau(TAU1)), L)
+    assert got.right == exists(epsilon(2, pi_tau(PI1), pi_tau(TAU2)), L)
 
 
 def test_ax_instruction_dec1_zero_branch_conjunct():
-    got = ax_instruction(Dec(1, 3, 4, 9), UNIVERSAL)
+    got = ax_instruction(Dec(1, 3, 4, 9), L)
     assert isinstance(got, And)
-    assert got.left.left == exists(epsilon(3, pi_tau(PI2), pi_tau(TAU1)), UNIVERSAL)
-    assert got.left.right == exists(epsilon(4, pi_tau(PI1), pi_tau(TAU1)), UNIVERSAL)
-    assert got.right.left == exists(epsilon(3, tower(1, 0), pi_tau(TAU1)), UNIVERSAL)
-    assert got.right.right == exists(epsilon(9, tower(1, 0), pi_tau(TAU1)), UNIVERSAL)
+    assert got.left.left == exists(epsilon(3, pi_tau(PI2), pi_tau(TAU1)), L)
+    assert got.left.right == exists(epsilon(4, pi_tau(PI1), pi_tau(TAU1)), L)
+    assert got.right.left == exists(epsilon(3, tower(1, 0), pi_tau(TAU1)), L)
+    assert got.right.right == exists(epsilon(9, tower(1, 0), pi_tau(TAU1)), L)
 
 
 def test_ax_instruction_dec2_uses_counter_two_marker():
-    got = ax_instruction(Dec(2, 1, 2, 3), UNIVERSAL)
-    assert got.right.left == exists(epsilon(1, pi_tau(PI1), tower(2, 0)), UNIVERSAL)
-    assert got.right.right == exists(epsilon(3, pi_tau(PI1), tower(2, 0)), UNIVERSAL)
+    got = ax_instruction(Dec(2, 1, 2, 3), L)
+    assert got.right.left == exists(epsilon(1, pi_tau(PI1), tower(2, 0)), L)
+    assert got.right.right == exists(epsilon(3, pi_tau(PI1), tower(2, 0)), L)
 
 
 def test_hybrid_mode_uses_surrogate_everywhere():
-    got = ax_instruction(Inc(1, 1, 2), HYBRID)
+    got = ax_instruction(Inc(1, 1, 2), H2)
     seen = [f for f in iter_subformulas(got)
             if isinstance(f, Diamond) and f.modality is Modality.HYB]
     assert seen, "surrogate diamonds expected"
     assert nominals(got) == {1}
     assert language_of(got) == "H2"
     # universal mode output has no nominal and no [h]
-    uni = ax_instruction(Inc(1, 1, 2), UNIVERSAL)
+    uni = ax_instruction(Inc(1, 1, 2), L)
     assert nominals(uni) == set()
     assert language_of(uni) == "L"
+    # the user-facing mode names are not languages
+    with pytest.raises(ValueError):
+        ax_instruction(Inc(1, 1, 2), "universal")
 
 
 def test_nom_formula_counts():
@@ -150,24 +153,24 @@ def test_nom_formula_counts():
 
 def test_ax_program_universal_counts():
     prog = parse_program("1 -> 2,+1,0\n2 -> 3,0,+1")
-    axp = ax_program(prog, UNIVERSAL)
+    axp = ax_program(prog, L)
     assert len(conjuncts(axp)) == 2
-    assert ax_program(MinskyProgram(()), UNIVERSAL) == TOP
-    assert ax_program(MinskyProgram(()), HYBRID) == nom_formula(6)
+    assert ax_program(MinskyProgram(()), L) == TOP
+    assert ax_program(MinskyProgram(()), H2) == nom_formula(6)
 
 
 def test_psi_shape():
     prog = parse_program("1 -> 2,+1,0")
     a, b = Config(1, 0, 0), Config(2, 1, 0)
-    phi = psi(prog, a, b, UNIVERSAL)
+    phi = psi(prog, a, b, L)
     assert variables(phi) <= {1, 2}
-    assert phi.right == exists(config_formula(b), UNIVERSAL)
+    assert phi.right == exists(config_formula(b), L)
     assert variables(phi.right) == set()
-    assert phi.left.right == exists(config_formula(a), UNIVERSAL)
+    assert phi.left.right == exists(config_formula(a), L)
 
 
 def test_canonical_frame_point_count_empty_program():
-    lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 10, UNIVERSAL)
+    lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 10, L)
     # skeleton 8, towers 3 * (N + 1) with N = 2, one reached configuration
     assert lf.truncation == 2
     assert len(lf.frame.points) == 8 + 3 * 3 + 1
@@ -175,13 +178,13 @@ def test_canonical_frame_point_count_empty_program():
 
 
 def test_canonical_frame_only_reflexive_point_is_a():
-    lf = canonical_frame(parse_program("1 -> 2,+1,0"), Config(1, 0, 0), 10, UNIVERSAL)
+    lf = canonical_frame(parse_program("1 -> 2,+1,0"), Config(1, 0, 0), 10, L)
     loops = [(x, y) for (x, y) in lf.frame.r if x == y]
     assert loops == [("a", "a")]
 
 
 def test_canonical_frame_e_point_successors():
-    lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 10, UNIVERSAL)
+    lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 10, L)
     succ = {y for (x, y) in lf.frame.r if x == "e(1,0,0)"}
     assert succ == {"a0_1", "a0_0", "a1_0", "a2_0", "g", "d", "g1", "d1",
                     "g2", "d2", "a", "b"}
@@ -190,18 +193,18 @@ def test_canonical_frame_e_point_successors():
 def test_canonical_frame_refuses_inconclusive_runs():
     diverging = parse_program("1 -> 1,+1,0")
     with pytest.raises(TruncationUnsound):
-        canonical_frame(diverging, Config(1, 0, 0), 10, UNIVERSAL)
+        canonical_frame(diverging, Config(1, 0, 0), 10, L)
 
 
 def test_canonical_frame_hybrid_s_is_full_product():
-    lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 10, HYBRID)
+    lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 10, H2)
     n = len(lf.frame.points)
     assert len(lf.frame.s) == n * n
 
 
 def test_characteristic_exactness_small():
     prog = parse_program("1 -> 2,+1,0")
-    lf = canonical_frame(prog, Config(1, 0, 0), 10, UNIVERSAL)
+    lf = canonical_frame(prog, Config(1, 0, 0), 10, L)
     model = Model(lf.frame, Valuation())
     for point in lf.frame.points:
         formula = lf.label_formula(point)
@@ -209,7 +212,7 @@ def test_characteristic_exactness_small():
 
 
 def test_labeled_frame_roundtrip():
-    lf = canonical_frame(parse_program("1 -> 2,0,+1"), Config(1, 0, 0), 10, HYBRID)
+    lf = canonical_frame(parse_program("1 -> 2,0,+1"), Config(1, 0, 0), 10, H2)
     text = serialize_labeled_frame(lf)
     back = parse_labeled_frame(text)
     assert back.frame == lf.frame
@@ -217,7 +220,7 @@ def test_labeled_frame_roundtrip():
 
 
 def test_frame_satisfies_marker_expectations():
-    lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 5, UNIVERSAL)
+    lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 5, L)
     model = Model(lf.frame, Valuation())
     assert model_check(model, "b", char_formula(BETA))
     assert not model_check(model, "a", char_formula(BETA))

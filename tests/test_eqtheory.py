@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mlunif.decision import KU, Valid, valid
+from mlunif.decision import Valid, valid
 from mlunif.errors import LanguageMismatch, ParseError
 from mlunif.formula import (
     BOT, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not, Or,
@@ -61,25 +61,25 @@ def test_unification_instance_identity():
     eq = Equation(Var(1), Var(1))
     phi = unification_instance(eq)
     assert phi is parse("p1 <-> p1")
-    assert isinstance(valid(phi, KU), Valid)
+    assert isinstance(valid(phi), Valid)
 
 
 def test_unification_instance_negation_not_ground_unifiable():
     eq = Equation(Var(1), Not(Var(1)))
     phi = unification_instance(eq)
     for sigma in ground_substitutions(variables(phi)):
-        assert not isinstance(valid(apply_subst(sigma, phi), KU), Valid)
+        assert not isinstance(valid(apply_subst(sigma, phi)), Valid)
 
 
 def test_unification_instance_necessitation():
     eq = Equation(TOP, Box(Modality.UNIV, TOP))
     phi = unification_instance(eq)
-    assert isinstance(valid(phi, KU), Valid)
+    assert isinstance(valid(phi), Valid)
 
 
 def test_theory_implications_valid():
     for phi in theory_implications():
-        assert isinstance(valid(phi, KU), Valid), phi
+        assert isinstance(valid(phi), Valid), phi
 
 
 def test_term_parser_roundtrip():
@@ -103,6 +103,18 @@ def test_parse_equation():
     assert eq == Equation(Var(1), Not(Var(1)))
     with pytest.raises(ParseError):
         parse_equation("x1 ~x1")
+
+
+def test_printed_term_is_linear_in_the_dag():
+    # t -> t & ~t doubles the tree each time but adds two DAG nodes; the
+    # tree of the 20-fold term is already 7 MB of text
+    t = Var(1)
+    for _ in range(200):
+        t = And(t, Not(t))
+    text = print_term(t)
+    assert len(text) < 10_000
+    assert text.startswith("$1 := x1 & ~x1\n$2 := $1 & ~$1\n")
+    assert parse_term(text) is t
 
 
 def test_deep_terms_translate_print_and_parse():

@@ -144,11 +144,11 @@ def test_ground_substitutions_order_and_count():
 
 
 def test_surrogate_exists():
-    assert surrogate_exists(TOP, 1) == Diamond(HYB, And(Nominal(1), Diamond(HYB, TOP)))
+    assert surrogate_exists(TOP) == Diamond(HYB, And(Nominal(1), Diamond(HYB, TOP)))
     beta = Box(REL, BOT)
-    assert surrogate_exists(beta, 1) == Diamond(HYB, And(Nominal(1), Diamond(HYB, beta)))
+    assert surrogate_exists(beta) == Diamond(HYB, And(Nominal(1), Diamond(HYB, beta)))
     with pytest.raises(LanguageError):
-        surrogate_exists(Box(UNIV, Var(1)), 1)
+        surrogate_exists(Box(UNIV, Var(1)))
 
 
 def test_symbol_collections_and_depth():
@@ -198,6 +198,13 @@ def test_names_must_be_defined_once_before_use():
     with pytest.raises(ParseError) as e:
         parse_substitution("p1 := $2\n")
     assert e.value.position == 6
+    # a substitution line's head is a variable no other line defines
+    with pytest.raises(ParseError) as e:
+        parse_substitution("p1 := true\np0 := true\n")
+    assert e.value.position == 11
+    with pytest.raises(ParseError) as e:
+        parse_substitution("p1 := true\np1 := false\n")
+    assert e.value.position == 11
 
 
 def test_postorder_visits_children_first_once_each():

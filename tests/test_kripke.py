@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mlunif import propsat
-from mlunif.encoding import HYBRID, ax_program, canonical_frame
+from mlunif.encoding import ax_program, canonical_frame
 from mlunif.errors import LanguageMismatch, UnboundSymbol, UnknownPoint
 from mlunif.formula import (
     BOT, H2, L, TOP, Box, Diamond, Modality, Nominal, Not, Substitution, Var,
@@ -191,8 +191,8 @@ def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     # the program axioms of a hybrid certificate: the solver's search is
     # pinned, and it depends on the variable and nominal atoms coming first
     program = parse_program("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0")
-    frame = canonical_frame(program, Config(1, 0, 0), 100, HYBRID).frame
-    phi = ax_program(program, HYBRID)
+    frame = canonical_frame(program, Config(1, 0, 0), 100, H2).frame
+    phi = ax_program(program, H2)
     cnfs = []
     solve = propsat.solve
     monkeypatch.setattr(propsat, "solve", lambda cnf: cnfs.append(cnf) or solve(cnf))

@@ -8,12 +8,12 @@ import pytest
 import mlunif
 
 from mlunif.formula import (
-    BOT, And, Not, Substitution, apply_subst, nominals, size, variables,
+    BOT, H2, L, And, Not, Substitution, apply_subst, nominals, size, variables,
 )
 from mlunif.kripke import Model, Valuation, random_frame, truth_mask
 from mlunif.minsky import Config, parse_program, reaches, run_trace
 from mlunif.encoding import (
-    HYBRID, PI1, PI2, TAU1, TAU2, UNIVERSAL, config_exists, pi_tau, psi, tower,
+    PI1, PI2, TAU1, TAU2, config_exists, pi_tau, psi, tower,
 )
 from mlunif.witness import (
     defect, defect_formulas, shifted_counter_index, shifted_counter_marker,
@@ -28,31 +28,31 @@ def trace_of(program_text, start, bound=50):
 
 def test_defect_shape():
     trace = trace_of("1 -> 2,+1,0\n2 -> 3,0,+1", Config(1, 0, 0))
-    d0 = defect(0, trace, UNIVERSAL)
-    assert d0 == And(config_exists(Config(1, 0, 0), UNIVERSAL),
-                     Not(config_exists(Config(2, 1, 0), UNIVERSAL)))
-    d1 = defect(1, trace, UNIVERSAL)
+    d0 = defect(0, trace, L)
+    assert d0 == And(config_exists(Config(1, 0, 0), L),
+                     Not(config_exists(Config(2, 1, 0), L)))
+    d1 = defect(1, trace, L)
     assert variables(d1) == set()
-    assert nominals(defect(1, trace, HYBRID)) == {1}
+    assert nominals(defect(1, trace, H2)) == {1}
     with pytest.raises(IndexError):
-        defect(2, trace, UNIVERSAL)
+        defect(2, trace, L)
     with pytest.raises(IndexError):
-        defect(-1, trace, UNIVERSAL)
+        defect(-1, trace, L)
 
 
 def test_witness_zero_step_run():
     trace = trace_of("", Config(1, 0, 0), bound=0)
-    sigma = witness_from_trace(trace, UNIVERSAL)
+    sigma = witness_from_trace(trace, L)
     assert sigma == Substitution({1: BOT, 2: BOT})
 
 
 def test_witness_inc_case_no_shift():
     prog = parse_program("1 -> 2,+1,0")
     result = reaches(prog, Config(1, 0, 0), Config(2, 1, 0), 10)
-    sigma = witness_from_trace(result.trace, UNIVERSAL)
+    sigma = witness_from_trace(result.trace, L)
     # single disjunct, counter value 0, no decrement ahead: marker index 0
-    assert sigma.get(1) == And(defect(0, result.trace, UNIVERSAL), tower(1, 0))
-    assert sigma.get(2) == And(defect(0, result.trace, UNIVERSAL), tower(2, 0))
+    assert sigma.get(1) == And(defect(0, result.trace, L), tower(1, 0))
+    assert sigma.get(2) == And(defect(0, result.trace, L), tower(2, 0))
 
 
 def test_witness_dec_case_shifts_marker():
@@ -62,8 +62,8 @@ def test_witness_dec_case_shifts_marker():
     # counter one holds 1 and the step ahead decrements it: index 1 - 1 = 0
     assert shifted_counter_index(trace, 0, 1) == 0
     assert shifted_counter_marker(trace, 0, 1) == tower(1, 0)
-    sigma = witness_from_trace(trace, UNIVERSAL)
-    assert sigma.get(1) == And(defect(0, trace, UNIVERSAL), tower(1, 0))
+    sigma = witness_from_trace(trace, L)
+    assert sigma.get(1) == And(defect(0, trace, L), tower(1, 0))
 
 
 def test_witness_dec_zero_branch_no_shift():
@@ -76,8 +76,8 @@ def test_witness_dec_zero_branch_no_shift():
 def test_substituted_psi_holds_on_random_models_universal():
     prog = parse_program("1 -> 2,+1,0\n2 -> 3,0,+1")
     a, b = Config(1, 0, 0), Config(3, 1, 1)
-    sigma = witness_from_trace(reaches(prog, a, b, 10).trace, UNIVERSAL)
-    bound_formula = apply_subst(sigma, psi(prog, a, b, UNIVERSAL))
+    sigma = witness_from_trace(reaches(prog, a, b, 10).trace, L)
+    bound_formula = apply_subst(sigma, psi(prog, a, b, L))
     assert variables(bound_formula) == set()
     for seed in range(60):
         frame = random_frame(seed, 6)
@@ -87,8 +87,8 @@ def test_substituted_psi_holds_on_random_models_universal():
 def test_substituted_psi_holds_on_random_models_hybrid():
     prog = parse_program("1 -> 2,+1,0")
     a, b = Config(1, 0, 0), Config(2, 1, 0)
-    sigma = witness_from_trace(reaches(prog, a, b, 10).trace, HYBRID)
-    bound_formula = apply_subst(sigma, psi(prog, a, b, HYBRID))
+    sigma = witness_from_trace(reaches(prog, a, b, 10).trace, H2)
+    bound_formula = apply_subst(sigma, psi(prog, a, b, H2))
     rng = random.Random(5)
     for seed in range(40):
         frame = random_frame(seed, 5, kind="H2")
@@ -96,7 +96,7 @@ def test_substituted_psi_holds_on_random_models_hybrid():
         assert holds_everywhere(Model(frame, valuation), bound_formula), seed
 
 
-def _claim_models(program_text, start, mode, limit):
+def _claim_models(program_text, start, language, limit):
     """Yield (trace, i, model) triples where defect_i holds everywhere."""
     prog = parse_program(program_text)
     trace = run_trace(prog, start, 50)
@@ -105,8 +105,8 @@ def _claim_models(program_text, start, mode, limit):
     while found < limit:
         seed += 1
         i = seed % len(trace)
-        model = prefix_defect_model(seed, prog, trace, i, mode,
-                                    defect(i, trace, mode))
+        model = prefix_defect_model(seed, prog, trace, i, language,
+                                    defect(i, trace, language))
         if model is None:
             continue
         found += 1
@@ -116,8 +116,8 @@ def _claim_models(program_text, start, mode, limit):
 def test_claim_one_equivalences():
     checked = 0
     for trace, i, model in _claim_models("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,-1,0 | 5,0,0",
-                                         Config(1, 1, 1), UNIVERSAL, 25):
-        sigma = witness_from_trace(trace, UNIVERSAL)
+                                         Config(1, 1, 1), L, 25):
+        sigma = witness_from_trace(trace, L)
         lhs = truth_mask(model, apply_subst(sigma, pi_tau(PI1)))
         rhs = truth_mask(model, shifted_counter_marker(trace, i, 1))
         assert lhs == rhs
@@ -131,8 +131,8 @@ def test_claim_one_equivalences():
 def test_claim_two_equivalences():
     checked = 0
     for trace, i, model in _claim_models("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,-1,0 | 5,0,0",
-                                         Config(1, 1, 1), UNIVERSAL, 25):
-        sigma = witness_from_trace(trace, UNIVERSAL)
+                                         Config(1, 1, 1), L, 25):
+        sigma = witness_from_trace(trace, L)
         lhs = truth_mask(model, apply_subst(sigma, pi_tau(PI2)))
         rhs = truth_mask(model, tower(1, shifted_counter_index(trace, i, 1) + 1))
         assert lhs == rhs
@@ -145,7 +145,7 @@ def test_claim_two_equivalences():
 
 def test_defect_formulas_list():
     trace = trace_of("1 -> 2,+1,0\n2 -> 3,0,+1", Config(1, 0, 0))
-    formulas = defect_formulas(trace, UNIVERSAL)
+    formulas = defect_formulas(trace, L)
     assert len(formulas) == len(trace) == 2
 
 
@@ -155,8 +155,8 @@ def test_substituted_psi_dag_grows_linearly(steps, nodes):
     program = parse_program("".join("%d -> %d,+1,0\n" % (k, k + 1)
                                     for k in range(1, steps + 1)))
     start, target = Config(1, 0, 0), Config(steps + 1, steps, 0)
-    sigma = witness_from_trace(run_trace(program, start, steps), UNIVERSAL)
-    got = size(apply_subst(sigma, psi(program, start, target, UNIVERSAL)))
+    sigma = witness_from_trace(run_trace(program, start, steps), L)
+    got = size(apply_subst(sigma, psi(program, start, target, L)))
     assert got == nodes
 
 
@@ -165,9 +165,9 @@ import sys
 limit = sys.getrecursionlimit()
 import mlunif.cli
 assert sys.getrecursionlimit() == limit, "importing mlunif changed the recursion limit"
-from mlunif.encoding import UNIVERSAL, psi, tower
+from mlunif.encoding import psi, tower
 from mlunif.formula import (
-    apply_subst, parse, parse_substitution, pretty, size)
+    L, apply_subst, parse, parse_substitution, pretty, size)
 from mlunif.kripke import Frame, Model, Valid, Valuation, frame_valid, truth_mask
 from mlunif.minsky import Config, parse_program, run_trace
 from mlunif.witness import witness_from_trace
@@ -175,8 +175,8 @@ from mlunif.witness import witness_from_trace
 steps = 800
 program = parse_program("".join("%d -> %d,+1,0\n" % (k, k + 1) for k in range(1, steps + 1)))
 start, target = Config(1, 0, 0), Config(steps + 1, steps, 0)
-reduction = psi(program, start, target, UNIVERSAL)
-sigma = witness_from_trace(run_trace(program, start, steps), UNIVERSAL)
+reduction = psi(program, start, target, L)
+sigma = witness_from_trace(run_trace(program, start, steps), L)
 bound = apply_subst(sigma, reduction)
 assert size(bound) == 40 * steps + 122
 frame = Frame(("a", "b"), frozenset([("a", "b"), ("b", "b")]))

@@ -6,13 +6,12 @@ import sys
 
 import pytest
 
-from mlunif.decision import KH2, KU
 from mlunif.errors import LanguageMismatch, UnboundSymbol
 from mlunif.formula import BOT, H2, L, And, Substitution, TOP, disj, parse
 from mlunif.kripke import model_check
 from mlunif.minsky import Config, MinskyProgram, parse_program, reaches
 from mlunif.encoding import (
-    HYBRID, UNIVERSAL, parse_labeled_frame, psi, serialize_labeled_frame, tower,
+    parse_labeled_frame, psi, serialize_labeled_frame, tower,
 )
 from mlunif.witness import defect_formulas, shifted_counter_index, witness_from_trace
 from mlunif.formula import apply_subst, variables
@@ -29,7 +28,7 @@ from helpers import check_each_random_model, random_formula
 def test_zero_step_reachability_gives_trivial_unifier():
     prog = MinskyProgram(())
     verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(1, 0, 0),
-                                            10, UNIVERSAL)
+                                            10, L)
     assert isinstance(verdict, Unifiable)
     assert verdict.substitution == Substitution({1: BOT, 2: BOT})
     assert verdict.evidence.method == "tableau"
@@ -39,7 +38,7 @@ def test_zero_step_reachability_gives_trivial_unifier():
 def test_one_step_unifiable_with_tableau_evidence():
     prog = parse_program("1 -> 2,+1,0")
     verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(2, 1, 0),
-                                            10, UNIVERSAL)
+                                            10, L)
     assert isinstance(verdict, Unifiable)
     assert verdict.evidence.method == "tableau"
 
@@ -47,29 +46,29 @@ def test_one_step_unifiable_with_tableau_evidence():
 def test_unreachable_gives_certificate():
     prog = MinskyProgram(())
     verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(2, 0, 0),
-                                            10, UNIVERSAL)
+                                            10, L)
     assert isinstance(verdict, NotUnifiable)
     assert len(verdict.certificate.frame.points) == 18
     checks = certificate_checks(verdict.certificate, prog, Config(1, 0, 0),
-                                Config(2, 0, 0), UNIVERSAL)
+                                Config(2, 0, 0), L)
     assert all(checks.values())
 
 
 def test_certificate_survives_serialization():
     prog = parse_program("1 -> 2,-1,0 | 1,0,0")
     a, b = Config(1, 0, 0), Config(2, 0, 0)
-    verdict = check_unifiable_via_reduction(prog, a, b, 10, UNIVERSAL)
+    verdict = check_unifiable_via_reduction(prog, a, b, 10, L)
     assert isinstance(verdict, NotUnifiable)
     text = serialize_labeled_frame(verdict.certificate)
     reloaded = parse_labeled_frame(text)
-    checks = certificate_checks(reloaded, prog, a, b, UNIVERSAL)
+    checks = certificate_checks(reloaded, prog, a, b, L)
     assert all(checks.values())
 
 
 def test_unknown_when_bound_exhausted():
     prog = parse_program("1 -> 1,+1,0")
     verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(2, 0, 0),
-                                            10, UNIVERSAL)
+                                            10, L)
     assert isinstance(verdict, Unknown)
 
 
@@ -84,9 +83,9 @@ def test_mode_agreement_on_verdict_kind():
         prog = parse_program(text)
         start = Config(*map(int, a.split(",")))
         target = Config(*map(int, b.split(",")))
-        uni = check_unifiable_via_reduction(prog, start, target, 10, UNIVERSAL,
+        uni = check_unifiable_via_reduction(prog, start, target, 10, L,
                                             trials=60, max_points=6)
-        hyb = check_unifiable_via_reduction(prog, start, target, 10, HYBRID,
+        hyb = check_unifiable_via_reduction(prog, start, target, 10, H2,
                                             trials=60, max_points=6)
         assert type(uni) is type(hyb), (text, a, b)
 
@@ -94,40 +93,40 @@ def test_mode_agreement_on_verdict_kind():
 def test_hybrid_unifiable_uses_random_suite_beyond_trivial_traces():
     prog = parse_program("1 -> 2,+1,0")
     verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(2, 1, 0),
-                                            10, HYBRID, trials=80, max_points=6)
+                                            10, H2, trials=80, max_points=6)
     assert isinstance(verdict, Unifiable)
     assert verdict.evidence.method == "random_models"
     assert verdict.evidence.trials == 80
 
 
-@pytest.mark.parametrize("program, target, mode, trials", [
-    ("1 -> 2,+1,0", Config(2, 1, 0), HYBRID, 0),
-    ("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0", Config(4, 2, 1), UNIVERSAL, -5),
+@pytest.mark.parametrize("program, target, language, trials", [
+    ("1 -> 2,+1,0", Config(2, 1, 0), H2, 0),
+    ("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0", Config(4, 2, 1), L, -5),
 ], ids=["hybrid-length-1", "universal-length-3"])
-def test_random_suite_refuses_fewer_than_one_trial(program, target, mode, trials):
+def test_random_suite_refuses_fewer_than_one_trial(program, target, language, trials):
     # no model checked is no evidence for a Unifiable verdict
     with pytest.raises(ValueError, match="at least one trial"):
         check_unifiable_via_reduction(parse_program(program), Config(1, 0, 0), target,
-                                      10, mode, trials=trials)
+                                      10, language, trials=trials)
 
 
 def test_random_suite_reports_failures():
     # a diamond of truth fails wherever a random frame has a dead end
     phi = parse("<>true")
-    checked, failure = check_on_random_models(phi, UNIVERSAL, seed=5, trials=400,
+    checked, failure = check_on_random_models(phi, L, seed=5, trials=400,
                                               max_points=6)
     assert failure is not None
     model, point = failure
     assert not model_check(model, point, phi)
-    checked, failure = check_on_random_models(parse("p1 | ~p1"), UNIVERSAL,
+    checked, failure = check_on_random_models(parse("p1 | ~p1"), L,
                                               seed=5, trials=50, max_points=6)
     assert failure is None and checked == 50
 
 
-def marker_mutant(trace, mode, step, counter):
+def marker_mutant(trace, language, step, counter):
     """The unifier of `trace` with the marker index of one counter at one
     step shifted up by one."""
-    defects = defect_formulas(trace, mode)
+    defects = defect_formulas(trace, language)
     return Substitution({
         c: disj([And(d, tower(c, shifted_counter_index(trace, i, c)
                               + (i == step and c == counter)))
@@ -139,24 +138,24 @@ def marker_mutant(trace, mode, step, counter):
 def test_one_pass_suite_matches_model_by_model_reference():
     rng = random.Random(3)
     cases = []
-    for mode, language in ((UNIVERSAL, L), (HYBRID, H2)):
-        cases += [(random_formula(rng, 4, 2, language, num_noms=1), mode, 40)
+    for language in (L, H2):
+        cases += [(random_formula(rng, 4, 2, language, num_noms=1), language, 40)
                   for _ in range(60)]
     # the length-3 runs of the suite benchmark, whose mutants the suite misses
     program = parse_program("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0")
     start, target = Config(1, 0, 0), Config(4, 2, 1)
     trace = reaches(program, start, target, 10).trace
-    for mode in (UNIVERSAL, HYBRID):
-        reduction = psi(program, start, target, mode)
-        sigmas = [witness_from_trace(trace, mode)]
-        sigmas += [marker_mutant(trace, mode, i, c)
+    for language in (L, H2):
+        reduction = psi(program, start, target, language)
+        sigmas = [witness_from_trace(trace, language)]
+        sigmas += [marker_mutant(trace, language, i, c)
                    for i in range(len(trace)) for c in (1, 2)]
         formulas = [apply_subst(sigma, reduction) for sigma in sigmas]
         assert len(set(formulas)) == 7
-        cases += [(phi, mode, 100) for phi in formulas]
+        cases += [(phi, language, 100) for phi in formulas]
     failed = 0
-    for index, (phi, mode, trials) in enumerate(cases):
-        args = (phi, mode, index, trials, 6)
+    for index, (phi, language, trials) in enumerate(cases):
+        args = (phi, language, index, trials, 6)
         checked, failure = check_on_random_models(*args)
         assert (checked, failure) == check_each_random_model(*args), (index, phi)
         failed += failure is not None
@@ -164,38 +163,38 @@ def test_one_pass_suite_matches_model_by_model_reference():
 
 
 def test_one_pass_suite_raises_as_model_by_model_reference():
-    for phi, mode, error in ((parse("n2 | p1", H2), HYBRID, UnboundSymbol),
-                             (parse("[u]p1"), HYBRID, LanguageMismatch),
-                             (parse("[h]p1", H2), UNIVERSAL, LanguageMismatch)):
+    for phi, language, error in ((parse("n2 | p1", H2), H2, UnboundSymbol),
+                                 (parse("[u]p1"), H2, LanguageMismatch),
+                                 (parse("[h]p1", H2), L, LanguageMismatch)):
         for check in (check_on_random_models, check_each_random_model):
             with pytest.raises(error):
-                check(phi, mode, 0, 5, 4)
+                check(phi, language, 0, 5, 4)
 
 
 def test_ground_unifiable_examples():
-    sigma = ground_unifiable(parse("[u]p1"), KU)
+    sigma = ground_unifiable(parse("[u]p1"))
     assert sigma == Substitution({1: TOP})
-    assert ground_unifiable(parse("p1 & ~p1"), KU) is None
+    assert ground_unifiable(parse("p1 & ~p1")) is None
     # ground substitutions come false-first
-    sigma = ground_unifiable(parse("p1 | ~p1"), KU)
+    sigma = ground_unifiable(parse("p1 | ~p1"))
     assert sigma == Substitution({1: BOT})
-    sigma = ground_unifiable(parse("<h>n1 -> <h>n1", "H2"), KH2)
+    sigma = ground_unifiable(parse("<h>n1 -> <h>n1", "H2"))
     assert sigma == Substitution({})
 
 
 def test_pipeline_unifier_is_ground_closed():
     prog = parse_program("1 -> 2,0,+1")
     a, b = Config(1, 0, 0), Config(2, 0, 1)
-    verdict = check_unifiable_via_reduction(prog, a, b, 10, UNIVERSAL)
-    bound_formula = apply_subst(verdict.substitution, psi(prog, a, b, UNIVERSAL))
+    verdict = check_unifiable_via_reduction(prog, a, b, 10, L)
+    bound_formula = apply_subst(verdict.substitution, psi(prog, a, b, L))
     assert variables(bound_formula) == set()
 
 
 def test_verdict_report_fields():
     prog = parse_program("1 -> 2,+1,0")
     a, b = Config(1, 0, 0), Config(2, 1, 0)
-    verdict = check_unifiable_via_reduction(prog, a, b, 10, UNIVERSAL)
-    report = verdict_report(verdict, prog, a, b, 10, UNIVERSAL)
+    verdict = check_unifiable_via_reduction(prog, a, b, 10, L)
+    report = verdict_report(verdict, prog, a, b, 10, L)
     assert report["verdict"] == "unifiable"
     assert report["mode"] == "universal"
     assert report["trace_length"] == 1
@@ -270,25 +269,27 @@ def test_cli_frame_modelcheck_roundtrip(tmp_path, capsys):
 
 
 def test_cli_valid_and_sat(capsys):
-    assert run_cli("valid", "--logic", "ku", "--formula", "[u]p1 -> []p1") == 0
+    assert run_cli("valid", "--formula", "[u]p1 -> []p1") == 0
     assert capsys.readouterr().out.strip() == "valid"
-    assert run_cli("sat", "--logic", "kh2", "--formula", "<h>(n1 & p1)") == 0
+    assert run_cli("sat", "--formula", "<h>(n1 & p1)") == 0
     assert "satisfiable" in capsys.readouterr().out
-    assert run_cli("valid", "--logic", "ku", "--formula", "p1 -> []p1") == 0
+    assert run_cli("sat", "--formula", "(p1 & p2) | n1") == 0
+    assert capsys.readouterr().out.startswith("satisfiable")
+    assert run_cli("valid", "--formula", "p1 -> []p1") == 0
     assert "counter-model" in capsys.readouterr().out
 
 
 def test_cli_ground_unify(capsys):
-    assert run_cli("ground-unify", "--logic", "ku", "--formula", "[u]p1") == 0
+    assert run_cli("ground-unify", "--formula", "[u]p1") == 0
     assert "p1 := true" in capsys.readouterr().out
-    assert run_cli("ground-unify", "--logic", "ku", "--formula", "p1 & ~p1") == 0
+    assert run_cli("ground-unify", "--formula", "p1 & ~p1") == 0
     assert "not ground-unifiable" in capsys.readouterr().out
 
 
 def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert run_cli("reduce", "--program", "/nonexistent") == 1
     assert run_cli("nonsense") == 1
-    assert run_cli("valid", "--logic", "ku", "--formula", "p1 &") == 1
+    assert run_cli("valid", "--formula", "p1 &") == 1
     # malformed input that the parsers see: one error line, no traceback
     frame = tmp_path / "frame.txt"
     frame.write_text("points: a b\nR: a b\n")
@@ -300,7 +301,8 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     bad_frame = modelcheck("--frame", str(bad))
     bad_valuation = modelcheck("--frame", str(frame), "--valuation", str(bad))
     cases = [
-        (None, ("valid", "--logic", "ku", "--formula", "p0")),
+        (None, ("valid", "--formula", "p0")),
+        (None, ("sat", "--formula", "[u]p1 & n1")),
         (None, modelcheck("--frame", str(frame), formula="n0")),
         ("points:\n", bad_frame),
         ("points: a a\n", bad_frame),
@@ -337,7 +339,7 @@ def test_cli_verify_rejects_out_of_range_counts(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("command", ["valid", "sat", "ground-unify"])
 def test_cli_rejects_budget_below_one(capsys, command):
-    code = run_cli(command, "--logic", "ku", "--formula", "p1", "--budget", "-3")
+    code = run_cli(command, "--formula", "p1", "--budget", "-3")
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -346,7 +348,7 @@ def test_cli_rejects_budget_below_one(capsys, command):
 
 
 def test_cli_exit_code_resource_limit(capsys):
-    code = run_cli("sat", "--logic", "ku", "--formula",
+    code = run_cli("sat", "--formula",
                    "<>" * 12 + "p1", "--budget", "3")
     assert code == 2
     assert capsys.readouterr().err == (
