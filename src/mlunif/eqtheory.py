@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import List
 
-from .errors import LanguageMismatch, ParseError
+from .errors import LanguageMismatch
 from .formula import (
     And, Bot, Box, Formula, Iff, Implies, Modality, Nominal, Not, Top, Var,
     _dag_text, _Parser, postorder,
@@ -88,7 +88,7 @@ _FORMULA_SPELLING = {"[1]": "[u]", "[2]": "[]"}
 class _TermParser(_Parser):
     token_re = re.compile(
         r"\s*(?:(?P<binary>&)|(?P<prefix>~|\[[12]\])|(?P<lp>\()|(?P<rp>\))"
-        r"|(?P<const>true\b)|(?P<var>x\d+)|(?P<ref>\$\d+)|(?P<def>:=))"
+        r"|(?P<const>true\b)|(?P<var>x\d+)|(?P<ref>\$\d+)|(?P<def>:=)|(?P<eq>=))"
     )
     token_name = "a term token"
 
@@ -104,10 +104,17 @@ def parse_term(text: str) -> Formula:
 
 
 def parse_equation(text: str) -> Equation:
-    lhs, sep, rhs = text.partition("=")
-    if not sep:
-        raise ParseError(0, "an equation 'lhs = rhs'", text)
-    return Equation(parse_term(lhs), parse_term(rhs))
+    """`lhs = rhs`, after `$k :=` lines that name subterms for both sides."""
+    parser = _TermParser(text)
+
+    def equation() -> Equation:
+        lhs = parser.text_formula()
+        if parser.peek() != "eq":
+            raise parser.error("'='")
+        parser.next()
+        return Equation(lhs, parser.formula())
+
+    return parser.parse_all(equation, "an equation 'lhs = rhs'")
 
 
 def print_term(t: Formula) -> str:

@@ -21,6 +21,15 @@ a box or diamond literal depends only on the point's successor set, so
 it is defined once per distinct successor set (once per node under `[u]`
 or a total S).  Both passes read the derived connectives (or,
 implication, iff, diamonds) as written.
+
+The definitions are polarity-aware (Plaisted and Greenbaum 1986): an atom
+gets only the implication its occurrences need, not a full equivalence.
+The root occurs negatively, since the CNF only asserts it false at some
+point; `~` and the left side of `->` flip the polarity, both sides of
+`<->` get both, and every other connective passes it on.  A negative node
+needs formula -> atom, a positive one atom -> formula, and a shared node
+the union over its occurrences.  In any model of the CNF a false root
+literal then still means a false root, so counter-models stay sound.
 """
 
 from __future__ import annotations
@@ -264,8 +273,11 @@ CLAUSE_BUDGET = 2_000_000  # frame_valid raises ResourceLimit past this many cla
 def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     """Valid iff no valuation and point falsify phi on the frame.
 
-    Counter-models are concrete and re-checked with model_check before
-    being returned, so a non-validity verdict is self-certifying.
+    Each node is defined only in the directions its polarity needs: one
+    pass over the DAG, parents first, marks them (see the module
+    docstring).  Counter-models are concrete and re-checked with
+    model_check before being returned, so a non-validity verdict is
+    self-certifying.
     """
     _check_frame_language(phi, frame.kind)
     nodes = list(postorder(phi))
@@ -287,19 +299,41 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             ids = [distinct.setdefault(tuple(sorted(s)), len(distinct)) for s in succ]
             successors[modality] = (list(distinct), ids)
 
+    # which directions of its definition each node needs (propsat.POS:
+    # its literal implies its formula, propsat.NEG: the converse), parents
+    # before children; the root needs NEG, as its literals are only asserted
+    # false, by the falsifying clause
+    POS, NEG = propsat.POS, propsat.NEG
+    flip = (0, NEG, POS, POS | NEG)
+    need = dict.fromkeys(nodes, 0)
+    need[phi] = NEG
+    for f in reversed(nodes):
+        kind, p = type(f), need[f]
+        if kind is Not:
+            need[f.sub] |= flip[p]
+        elif kind is Implies:
+            need[f.left] |= flip[p]
+            need[f.right] |= p
+        elif kind is Iff:
+            need[f.left] = need[f.right] = POS | NEG
+        else:
+            for a in f.args:
+                need[a] |= p
+
     builder = propsat.CnfBuilder(clause_budget=CLAUSE_BUDGET)
     negate, define_and = builder.negate, builder.define_and
 
-    def implies(a: propsat.Literal, b: propsat.Literal) -> propsat.Literal:
-        return negate(define_and([a, negate(b)]))
+    def implies(a: propsat.Literal, b: propsat.Literal, p: int) -> propsat.Literal:
+        return negate(define_and([a, negate(b)], flip[p]))
 
     # the derived connectives get the literals of their definitions: `a | b`
-    # is ~(~a & ~b), `a -> b` is ~(a & ~b), `a <-> b` is (a -> b) & (b -> a)
+    # is ~(~a & ~b), `a -> b` is ~(a & ~b), `a <-> b` is (a -> b) & (b -> a);
+    # a conjunction under a negation needs the flipped directions
     binary = {
-        And: lambda a, b: define_and([a, b]),
-        Or: lambda a, b: negate(define_and([negate(a), negate(b)])),
+        And: lambda a, b, p: define_and([a, b], p),
+        Or: lambda a, b, p: negate(define_and([negate(a), negate(b)], flip[p])),
         Implies: implies,
-        Iff: lambda a, b: define_and([implies(a, b), implies(b, a)]),
+        Iff: lambda a, b, p: define_and([implies(a, b, p), implies(b, a, p)], p),
     }
 
     # one literal per point for each node: the variable and nominal atoms
@@ -312,7 +346,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
         if type(f) is Nominal:
             builder.exactly_one(lits[f])
     for f in nodes:
-        kind = type(f)
+        kind, p = type(f), need[f]
         if kind is Var or kind is Nominal:
             continue
         if not f.flags & SYMBOL:
@@ -326,13 +360,13 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             tuples, ids = successors[f.modality]
             sub = lits[f.sub]
             if kind is Box:
-                boxes = [define_and([sub[j] for j in t]) for t in tuples]
+                boxes = [define_and([sub[j] for j in t], p) for t in tuples]
                 row = [boxes[k] for k in ids]
             else:
-                boxes = [define_and([negate(sub[j]) for j in t]) for t in tuples]
+                boxes = [define_and([negate(sub[j]) for j in t], flip[p]) for t in tuples]
                 row = [negate(boxes[k]) for k in ids]
         else:
-            row = list(map(binary[kind], lits[f.left], lits[f.right]))
+            row = [binary[kind](a, b, p) for a, b in zip(lits[f.left], lits[f.right])]
         lits[f] = row
 
     falsifiable = [negate(a) for a in lits[phi]]

@@ -390,14 +390,25 @@ def solve(cnf: CNF, conflict_budget: Optional[int] = None) -> SatResult:
     return result
 
 
-# --- Tseitin-style CNF building ----------------------------------------------
+# --- CNF building ------------------------------------------------------------
 
 Literal = Union[int, bool]
 
+# The two directions of a definition a <-> l1 & ... & lk, as bits of a
+# `need` mask: POS is a -> the conjunction (the k binary clauses), NEG is
+# the conjunction -> a (the one long clause).
+POS, NEG = 1, 2
+
 
 class CnfBuilder:
-    """Incremental CNF with fresh-atom definitions: the one encoder under
-    both the frame-validity check and the KU tableau.
+    """Incremental CNF with fresh-atom definitions, under both the
+    frame-validity check and the KU tableau.
+
+    `define_and` writes the polarity-aware encoding of Plaisted and
+    Greenbaum (J. Symbolic Computation 2(3), 1986): a defined atom gets
+    only the directions its callers ask for.  The KU tableau reads the
+    truth of its defined atoms from the model, so it writes full
+    equivalences with `define`.
 
     Methods accept and return `Literal`s: either a nonzero signed atom index
     or a Python bool, so callers can fold constants without special cases.
@@ -407,7 +418,8 @@ class CnfBuilder:
         self.num_atoms = 0
         self.clauses: List[List[int]] = []
         self.clause_budget = clause_budget
-        self.defined: Dict[Tuple[int, ...], int] = {}
+        # sorted tuple of literals -> its atom and the directions written
+        self.defined: Dict[Tuple[int, ...], Tuple[int, int]] = {}
 
     def new_atom(self) -> int:
         self.num_atoms += 1
@@ -431,16 +443,20 @@ class CnfBuilder:
             return not lit
         return -lit
 
-    def define(self, lit: int, lits: List[int]) -> None:
-        """Clauses making `lit` equivalent to the conjunction of `lits`."""
-        for part in lits:
-            self.add_clause([-lit, part])
-        self.add_clause([lit] + [-part for part in lits])
+    def define(self, lit: int, lits: List[int], need: int = POS | NEG) -> None:
+        """Clauses for the directions `need` of `lit` <-> the conjunction of
+        `lits`; by default both, an equivalence."""
+        if need & POS:
+            for part in lits:
+                self.add_clause([-lit, part])
+        if need & NEG:
+            self.add_clause([lit] + [-part for part in lits])
 
-    def define_and(self, lits: Iterable[Literal]) -> Literal:
-        """Literal equivalent to the conjunction of `lits`: a constant, the
-        only non-constant literal, or an atom defined once per sorted tuple
-        of non-constant literals."""
+    def define_and(self, lits: Iterable[Literal], need: int) -> Literal:
+        """Literal for the conjunction of `lits` in the directions `need`: a
+        constant, the only non-constant literal, or an atom defined once per
+        sorted tuple of non-constant literals.  A later request for the same
+        tuple writes only the directions not written yet."""
         out = []
         for lit in lits:
             if lit is False:
@@ -453,11 +469,10 @@ class CnfBuilder:
         if len(out) == 1:
             return out[0]
         key = tuple(sorted(out))
-        a = self.defined.get(key)
-        if a is None:
-            a = self.new_atom()
-            self.define(a, list(key))
-            self.defined[key] = a
+        a, done = self.defined.get(key) or (self.new_atom(), 0)
+        if need & ~done:
+            self.define(a, list(key), need & ~done)
+            self.defined[key] = a, done | need
         return a
 
     def exactly_one(self, lits: List[int]) -> None:

@@ -101,8 +101,18 @@ def test_term_parser_examples():
 def test_parse_equation():
     eq = parse_equation("x1 = ~x1")
     assert eq == Equation(Var(1), Not(Var(1)))
-    with pytest.raises(ParseError):
-        parse_equation("x1 ~x1")
+    for text in ("x1 ~x1", "x1 =", "= x1", "x1 = x2 = x3", "x1 := x2", "$1 := x1 = $2"):
+        with pytest.raises(ParseError):
+            parse_equation(text)
+
+
+def test_parse_equation_names_subterms_for_both_sides():
+    # the `=` inside `:=` does not split the equation
+    eq = parse_equation("$1 := x1 & x2\n$1 = ~$1")
+    assert eq == Equation(parse_term("x1 & x2"), parse_term("~(x1 & x2)"))
+    eq = parse_equation("$1 := x1 & [2]x2\n$2 := $1 & ~$1\n[1]$2 = $2 & $1")
+    s = parse_term("x1 & [2]x2")
+    assert eq == Equation(Box(Modality.UNIV, And(s, Not(s))), And(And(s, Not(s)), s))
 
 
 def test_printed_term_is_linear_in_the_dag():

@@ -7,8 +7,8 @@ from mlunif import propsat
 from mlunif.encoding import ax_program, canonical_frame
 from mlunif.errors import LanguageMismatch, UnboundSymbol, UnknownPoint
 from mlunif.formula import (
-    BOT, H2, L, TOP, Box, Diamond, Modality, Nominal, Not, Substitution, Var,
-    apply_subst, nominals, parse, variables,
+    BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not, Or,
+    Substitution, Var, apply_subst, nominals, parse, variables,
 )
 from mlunif.minsky import Config, parse_program
 from mlunif.kripke import (
@@ -200,18 +200,53 @@ def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     [cnf] = cnfs
     solver = propsat.Solver(cnf)
     assert isinstance(solver.solve(), propsat.Unsat)
-    assert (solver.decisions, solver.conflicts) == (121, 49)
+    assert (solver.decisions, solver.conflicts) == (142, 49)
     # atoms 1..k are the (symbol, point) atoms, the nominal's last: its
-    # at-least-one clause comes first, and once those atoms are fixed every
-    # other atom follows by propagation alone
+    # at-least-one clause comes first
     n = len(frame.points)
     assert n == 22 and nominals(phi) == {1}
     k = (len(variables(phi)) + 1) * n
     assert cnf.clauses[0] == list(range(k - n + 1, k + 1))
-    definitions = propsat.Solver(propsat.CNF(cnf.num_atoms, cnf.clauses[:-1]))
-    inputs = [-a for a in range(1, k - n + 1)] + [k - n + 1] + [-a for a in range(k - n + 2, k + 1)]
-    assert isinstance(definitions.solve(tuple(inputs)), propsat.Sat)
-    assert definitions.decisions == 0
+    # each defined atom gets only the directions its polarity needs: full
+    # equivalences took 38173 clauses over the same atoms
+    assert (cnf.num_atoms, len(cnf.clauses)) == (9043, 11565)
+
+
+def test_frame_valid_agrees_with_brute_force_where_polarities_collide():
+    # every point sees x and y, so `<>~p1` and `[]p1` share one box atom:
+    # the diamond asks for it first, in one direction, and the box then
+    # needs the other
+    frame = Frame(("x", "y", "z"), frozenset((a, b) for a in "xyz" for b in "xy"))
+    phi = parse("(<>~p1 & p2) | ([u]p1 -> []p1)")
+    assert isinstance(frame_valid(frame, phi), Valid)
+    # one shared subformula under ~, ->, <-> and a diamond, so its atoms
+    # are asked for in both directions, in different orders
+    rng = random.Random(2024)
+    checked = verdicts = 0
+    for language, num_noms, modality in ((L, 0, REL), (H2, 1, Modality.HYB)):
+        for trial in range(300):
+            shared = random_formula(rng, depth=2, num_vars=2, language=language,
+                                    num_noms=num_noms)
+            others = [random_formula(rng, depth=2, num_vars=2, language=language,
+                                     num_noms=num_noms) for _ in range(3)]
+            uses = [Not(shared), Implies(shared, others[0]), Iff(others[1], shared),
+                    Diamond(modality, shared),
+                    Box(REL, Or(shared, others[2]))]
+            # an `<->` anywhere above gives both polarities, so most draws
+            # combine a few uses with the one-polarity connectives
+            uses = rng.sample(uses, rng.randint(2, 4))
+            phi = uses[0]
+            for use in uses[1:]:
+                phi = rng.choice((And, Or, Implies, Implies, Iff))(phi, use)
+            frame = random_frame(trial, 3, kind=language)
+            expected = brute_force_frame_valid(frame, phi)
+            got = frame_valid(frame, phi)
+            assert isinstance(got, Valid) == expected, (serialize_frame(frame), phi)
+            if isinstance(got, CounterModel):
+                assert not model_check(got.model, got.point, phi)
+            checked += 1
+            verdicts += expected
+    assert checked == 600 and 0 < verdicts < checked
 
 
 def test_transitive_closure():

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from mlunif.errors import ResourceLimit
-from mlunif.propsat import CNF, CnfBuilder, Sat, Solver, Unsat, check_assignment, solve
+from mlunif.propsat import (
+    CNF, NEG, POS, CnfBuilder, Sat, Solver, Unsat, check_assignment, solve,
+)
 
 
 def sat_by_truth_table(cnf: CNF):
@@ -246,19 +248,48 @@ def test_solver_rejects_literals_out_of_range():
 def test_builder_define_and_or():
     b = CnfBuilder()
     x, y = b.new_atom(), b.new_atom()
-    both = b.define_and([x, y])
+    both = b.define_and([x, y], POS | NEG)
     b.add_clause([both])
     cnf = b.to_cnf()
     result = solve(cnf)
     assert isinstance(result, Sat)
     assert result.assignment[x] and result.assignment[y]
-    assert b.define_and([True, True]) is True
-    assert b.define_and([x, False]) is False
-    assert b.define_and([True, y]) == y
+    for need in (POS, NEG, POS | NEG):
+        assert b.define_and([True, True], need) is True
+        assert b.define_and([x, False], need) is False
+        assert b.define_and([True, y], need) == y
     # one definition per set of literals, whatever their order
     atoms, clauses = b.num_atoms, len(b.clauses)
-    assert b.define_and([y, True, x]) == both
+    assert b.define_and([y, True, x], POS | NEG) == both
     assert (b.num_atoms, len(b.clauses)) == (atoms, clauses)
+
+
+def test_builder_define_and_adds_only_missing_directions():
+    b = CnfBuilder()
+    x, y, z = b.new_atom(), b.new_atom(), b.new_atom()
+    a = b.define_and([x, y, z], POS)
+    assert b.clauses == [[-a, x], [-a, y], [-a, z]]
+    assert b.define_and([z, x, y], NEG) == a
+    assert b.clauses[3:] == [[a, -x, -y, -z]]
+    for need in (POS, NEG, POS | NEG):
+        assert b.define_and([y, z, x], need) == a
+    assert (b.num_atoms, len(b.clauses)) == (4, 4)
+    # the key is the sorted tuple (-y, x), so its clauses list -y first
+    c = b.define_and([x, -y], NEG)
+    assert b.clauses[4:] == [[c, y, -x]]
+    assert b.define_and([-y, x], POS | NEG) == c
+    assert b.clauses[5:] == [[-c, -y], [-c, x]]
+    assert (b.num_atoms, len(b.clauses)) == (5, 7)
+    # each direction alone is the matching implication
+    for need, holds in ((POS, lambda va, vx, vy: not va or (vx and vy)),
+                        (NEG, lambda va, vx, vy: va or not (vx and vy))):
+        b = CnfBuilder()
+        x, y = b.new_atom(), b.new_atom()
+        a = b.define_and([x, y], need)
+        for values in itertools.product((False, True), repeat=3):
+            units = [[lit if v else -lit] for lit, v in zip((a, x, y), values)]
+            sat = isinstance(solve(CNF(3, b.clauses + units)), Sat)
+            assert sat == holds(*values)
 
 
 def test_builder_define_writes_both_directions():

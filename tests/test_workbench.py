@@ -9,9 +9,9 @@ import pytest
 from mlunif.errors import LanguageMismatch, UnboundSymbol
 from mlunif.formula import BOT, H2, L, And, Substitution, TOP, disj, parse
 from mlunif.kripke import model_check
-from mlunif.minsky import Config, MinskyProgram, parse_program, reaches
+from mlunif.minsky import Config, MinskyProgram, parse_config, parse_program, reaches
 from mlunif.encoding import (
-    parse_labeled_frame, psi, serialize_labeled_frame, tower,
+    canonical_frame, parse_labeled_frame, psi, serialize_labeled_frame, tower,
 )
 from mlunif.witness import defect_formulas, shifted_counter_index, witness_from_trace
 from mlunif.formula import apply_subst, variables
@@ -21,7 +21,7 @@ from mlunif.workbench import (
     verdict_report,
 )
 import mlunif
-from mlunif import cli
+from mlunif import cli, propsat
 from helpers import check_each_random_model, random_formula
 
 
@@ -63,6 +63,37 @@ def test_certificate_survives_serialization():
     reloaded = parse_labeled_frame(text)
     checks = certificate_checks(reloaded, prog, a, b, L)
     assert all(checks.values())
+
+
+def counter_chain(steps):
+    return "\n".join("%d -> %d,+1,0" % (k, k + 1) for k in range(1, steps + 1))
+
+
+# the certificate instances C1-C4 of the benchmark (bench/workloads.json):
+# program, start, target, mode, and (atoms, clauses) of each CNF that
+# frame_valid hands to the solver; the other checks fold to a constant
+CERTIFICATE_CNFS = [
+    (counter_chain(20), "1,0,0", "99,0,0", L, [(785, 7439)]),
+    (counter_chain(40), "1,0,0", "99,0,0", L, [(1485, 22559)]),
+    ("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0", "1,0,0", "3,0,0", H2,
+     [(9043, 11565), (23, 255)]),
+    ("1 -> 2,+1,0\n2 -> 3,+1,0\n3 -> 4,0,+1\n4 -> 5,-1,0 | 9,0,0\n5 -> 6,0,-1 | 9,0,0",
+     "1,0,0", "7,0,0", H2, [(19724, 27119), (48, 1130)]),
+]
+
+
+@pytest.mark.parametrize("program, start, target, language, sizes", CERTIFICATE_CNFS,
+                         ids=["C1", "C2", "C3", "C4"])
+def test_certificate_cnf_sizes(monkeypatch, program, start, target, language, sizes):
+    # a machine-independent pin of the frame-validity encoding: a change to
+    # it shows here as a change of size
+    prog, a, b = parse_program(program), parse_config(start), parse_config(target)
+    lf = canonical_frame(prog, a, 100, language)
+    cnfs = []
+    solve = propsat.solve
+    monkeypatch.setattr(propsat, "solve", lambda cnf: cnfs.append(cnf) or solve(cnf))
+    assert all(certificate_checks(lf, prog, a, b, language).values())
+    assert [(cnf.num_atoms, len(cnf.clauses)) for cnf in cnfs] == sizes
 
 
 def test_unknown_when_bound_exhausted():
