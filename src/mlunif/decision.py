@@ -37,7 +37,8 @@ from .errors import InternalCheckFailed, ResourceLimit
 from .formula import (
     And as FAnd, Bot as FBot, Box as FBox, Formula, H2, Iff as FIff,
     Implies as FImplies, Modality, Nominal as FNominal, Not as FNot,
-    Or as FOr, Top as FTop, Var as FVar, language_of, postorder, variables,
+    Or as FOr, Top as FTop, Var as FVar, language_of, nominals, postorder,
+    variables,
 )
 from .kripke import CounterModel, Frame, Model, Valid, Valuation, model_check
 from .propsat import Unsat
@@ -94,52 +95,36 @@ class NfBuilder:
         return self._get(("lit", kind, index, pos), "lit", kind=kind, index=index, pos=pos)
 
     def conj(self, parts) -> NF:
-        seen: Dict[int, NF] = {}
-        stack = list(parts)
-        while stack:
-            p = stack.pop()
-            if p.tag == "top":
-                continue
-            if p.tag == "bot":
-                return self.BOT
-            if p.tag == "and":
-                stack.extend(p.args)
-                continue
-            seen[p.uid] = p
-        for p in seen.values():
-            q = self.negate(p)
-            if q.uid in seen:
-                return self.BOT
-        if not seen:
-            return self.TOP
-        if len(seen) == 1:
-            return next(iter(seen.values()))
-        args = tuple(sorted(seen.values(), key=lambda q: q.uid))
-        return self._get(("and",) + tuple(q.uid for q in args), "and", args=args)
+        return self._junction("and", self.TOP, self.BOT, parts)
 
     def disj(self, parts) -> NF:
+        return self._junction("or", self.BOT, self.TOP, parts)
+
+    def _junction(self, tag: str, unit: NF, zero: NF, parts) -> NF:
+        """The flattened and/or of parts: `unit` drops out, and `zero` or a
+        complementary pair makes the whole `zero`."""
         seen: Dict[int, NF] = {}
         stack = list(parts)
         while stack:
             p = stack.pop()
-            if p.tag == "bot":
+            if p is unit:
                 continue
-            if p.tag == "top":
-                return self.TOP
-            if p.tag == "or":
+            if p is zero:
+                return zero
+            if p.tag == tag:
                 stack.extend(p.args)
                 continue
             seen[p.uid] = p
         for p in seen.values():
             q = self.negate(p)
             if q.uid in seen:
-                return self.TOP
+                return zero
         if not seen:
-            return self.BOT
+            return unit
         if len(seen) == 1:
             return next(iter(seen.values()))
         args = tuple(sorted(seen.values(), key=lambda q: q.uid))
-        return self._get(("or",) + tuple(q.uid for q in args), "or", args=args)
+        return self._get((tag,) + tuple(q.uid for q in args), tag, args=args)
 
     def box(self, mod: Modality, arg: NF) -> NF:
         if arg.tag == "top":
@@ -582,10 +567,18 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
     axioms: List[NF] = []
     obligations: List[NF] = []
 
-    def consistent(obls: List[NF]) -> bool:
+    def worlds_for(obls: List[NF]) -> Optional[List[int]]:
+        """A world for each obligation under the current axioms, or None
+        at the first one that fails."""
         engine.set_axioms(axioms)
         base = frozenset(axioms)
-        return all(engine.sat(base | {o})[0] for o in obls)
+        worlds = []
+        for o in obls:
+            ok, w = engine.sat(base | {o})
+            if not ok:
+                return None
+            worlds.append(w)
+        return worlds
 
     def search(idx: int):
         """Generator for _run: assigns atoms[idx:] depth-first, False first."""
@@ -593,15 +586,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
             root_reduced = _reduce(root, values)
             if root_reduced.tag == "bot":
                 return None
-            engine.set_axioms(axioms)
-            base = frozenset(axioms)
-            worlds = []
-            for o in obligations + [root_reduced]:
-                ok, w = engine.sat(base | {o})
-                if not ok:
-                    return None
-                worlds.append(w)
-            return worlds
+            return worlds_for(obligations + [root_reduced])
         atom = atoms[idx]
         body = atom.args[0]
         for value in (False, True):
@@ -615,7 +600,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
                 else:
                     obligations.append(witness)
                     added_obl = True
-                    feasible = consistent([witness])
+                    feasible = worlds_for([witness]) is not None
             else:
                 axiom = _reduce(_B.negate(body), values)
                 if axiom.tag == "bot":
@@ -623,7 +608,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
                 elif axiom.tag != "top":
                     axioms.append(axiom)
                     added_axiom = True
-                    feasible = consistent(obligations)
+                    feasible = worlds_for(obligations) is not None
             if feasible:
                 if _reduce(root, values, partial=True).tag == "bot":
                     feasible = False
@@ -674,7 +659,7 @@ def _kh2_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Opti
         if outcome == "clash":
             continue
         if outcome == "open":
-            model, names = _h_model(state, root)
+            model, names = _h_model(state)
             return True, model, names[0]
         # otherwise a list of branch states
         stack.extend(reversed(outcome))
@@ -814,7 +799,7 @@ def _h_saturate(state: _HState, charge: _Budget):
         return "open"
 
 
-def _h_model(state: _HState, root: NF) -> Tuple[Model, Dict[int, str]]:
+def _h_model(state: _HState) -> Tuple[Model, Dict[int, str]]:
     labels = sorted(state.content)
     names = {label: "w%d" % i for i, label in enumerate(labels)}
     points = [names[label] for label in labels]
@@ -827,16 +812,6 @@ def _h_model(state: _HState, root: NF) -> Tuple[Model, Dict[int, str]]:
                     var_map.setdefault(f.index, set()).add(names[label])
                 else:
                     nom_map[f.index] = names[label]
-    # nominals mentioned only negatively still need a home: one fresh
-    # isolated point each keeps every label's constraints intact
-    mentioned = {f.index for f in postorder(root) if f.tag == "lit" and f.kind == "n"}
-    fresh = 0
-    for idx in sorted(mentioned):
-        if idx not in nom_map:
-            name = "u%d" % fresh
-            fresh += 1
-            points.append(name)
-            nom_map[idx] = name
     r = frozenset((names[x], names[y]) for (x, mod, y) in state.edges if mod is REL)
     s = frozenset((names[x], names[y]) for (x, mod, y) in state.edges if mod is HYB)
     frame = Frame(tuple(points), r, s)
@@ -847,12 +822,22 @@ def _h_model(state: _HState, root: NF) -> Tuple[Model, Dict[int, str]]:
 # --- public API --------------------------------------------------------------------
 
 def _complete_valuation(model: Model, phi: Formula) -> Model:
-    """Bind every variable of phi (default: empty set) so verification by
-    model_check never trips over a symbol the tableau had no use for."""
+    """Bind every symbol of phi that the search left unplaced, so
+    verification by model_check never trips over one: a variable to the
+    empty set, a nominal to a fresh isolated point of its own.  The normal
+    form can drop a symbol (n1 | ~n1 is true) and a nominal can occur only
+    negatively; a fresh point keeps every other point's constraints."""
     var_map = dict(model.valuation.var_map)
     for v in variables(phi):
         var_map.setdefault(v, frozenset())
-    return Model(model.frame, Valuation(var_map, dict(model.valuation.nom_map)))
+    nom_map = dict(model.valuation.nom_map)
+    unplaced = sorted(nominals(phi) - set(nom_map))
+    fresh = tuple("u%d" % k for k in range(len(unplaced)))
+    nom_map.update(zip(unplaced, fresh))
+    frame = model.frame
+    if fresh:
+        frame = Frame(frame.points + fresh, frame.r, frame.s)
+    return Model(frame, Valuation(var_map, nom_map))
 
 
 def satisfiable(phi: Formula, label_budget: int = 50_000) -> Union[Sat, Unsat]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ParseError, TruncationUnsound
 from .formula import (
@@ -24,7 +24,7 @@ from .formula import (
 )
 from .kripke import Frame, parse_frame, serialize_frame, transitive_closure
 from .minsky import (
-    EXHAUSTED, Config, Dec, Inc, Instruction, MinskyProgram, Trace, run_trace,
+    EXHAUSTED, Config, Dec, Inc, Instruction, MinskyProgram, run_trace,
 )
 
 REL = Modality.REL
@@ -56,45 +56,6 @@ def _dia2(phi: Formula) -> Formula:
     return Diamond(REL, Diamond(REL, phi))
 
 
-@dataclass(frozen=True)
-class CharName:
-    """Name of a marker formula / canonical frame point.
-
-    `name` is one of alpha, beta, gamma, gamma1, gamma2, delta, delta1,
-    delta2, or "a" for the tower family, in which case i in {0, 1, 2} and
-    j >= 0 select the member.
-    """
-    name: str
-    i: int = -1
-    j: int = -1
-
-    def __str__(self):
-        if self.name == "a":
-            return "a(%d,%d)" % (self.i, self.j)
-        return self.name
-
-
-ALPHA = CharName("alpha")
-BETA = CharName("beta")
-GAMMA = CharName("gamma")
-GAMMA1 = CharName("gamma1")
-GAMMA2 = CharName("gamma2")
-DELTA = CharName("delta")
-DELTA1 = CharName("delta1")
-DELTA2 = CharName("delta2")
-
-_BASE_NAMES = {
-    "alpha": ALPHA, "beta": BETA, "gamma": GAMMA, "gamma1": GAMMA1,
-    "gamma2": GAMMA2, "delta": DELTA, "delta1": DELTA1, "delta2": DELTA2,
-}
-
-
-def tower_name(i: int, j: int) -> CharName:
-    if not (0 <= i <= 2) or j < 0:
-        raise ValueError("tower indices out of range")
-    return CharName("a", i, j)
-
-
 def _base_formulas() -> Dict[str, Formula]:
     """The markers of the eight skeleton points, each built from earlier ones."""
     dia_top = _dia(TOP)
@@ -116,23 +77,17 @@ def _base_formulas() -> Dict[str, Formula]:
 _BASE_FORMULAS = _base_formulas()
 
 
-def _base_formula(name: str) -> Formula:
-    if name not in _BASE_FORMULAS:
-        raise ValueError("unknown marker %r" % name)
-    return _BASE_FORMULAS[name]
-
-
 def _chair_pair(k: int) -> Formula:
     """Sees both marker chains of level k in one step; the distinctive shape
     of a level-k tower base."""
-    g = _base_formula(("gamma", "gamma1", "gamma2")[k])
-    d = _base_formula(("delta", "delta1", "delta2")[k])
+    g = _BASE_FORMULAS[("gamma", "gamma1", "gamma2")[k]]
+    d = _BASE_FORMULAS[("delta", "delta1", "delta2")[k]]
     return And(_dia(g), _dia(d))
 
 
 def _tower_base(i: int) -> Formula:
-    g = _base_formula(("gamma", "gamma1", "gamma2")[i])
-    d = _base_formula(("delta", "delta1", "delta2")[i])
+    g = _BASE_FORMULAS[("gamma", "gamma1", "gamma2")[i]]
+    d = _BASE_FORMULAS[("delta", "delta1", "delta2")[i]]
     parts = [_dia(g), _dia(d), Not(_dia2(g)), Not(_dia2(d))]
     parts += [Not(_dia(_chair_pair(k))) for k in range(3) if k != i]
     return conj(parts)
@@ -162,14 +117,6 @@ def tower(i: int, j: int) -> Formula:
         parts += [Not(_dia(_TOWERS[k][0])) for k in range(3) if k != i]
         levels.append(conj(parts))
     return levels[j]
-
-
-def char_formula(name: CharName) -> Formula:
-    """Marker formula for a named canonical-frame point; variable-free and
-    in both languages (it only uses the relational box)."""
-    if name.name == "a":
-        return tower(name.i, name.j)
-    return _base_formula(name.name)
 
 
 def epsilon(t: int, phi: Formula, psi: Formula) -> Formula:
@@ -294,21 +241,35 @@ def psi(program: MinskyProgram, start: Config, target: Config, language: str) ->
 
 # --- the canonical frame --------------------------------------------------------
 
-PointLabel = Union[CharName, Config]
+# the eight skeleton points and the marker names that label them
+_SKELETON = {"a": "alpha", "b": "beta", "g": "gamma", "g1": "gamma1",
+             "g2": "gamma2", "d": "delta", "d1": "delta1", "d2": "delta2"}
+_TOWER_LABEL_RE = re.compile(r"^a\(([0-2]),(\d+)\)$")
+_E_LABEL_RE = re.compile(r"^e\((\d+),(\d+),(\d+)\)$")
+
+
+def marker(label: str) -> Formula:
+    """The marker formula a canonical-frame label names: a skeleton name
+    (alpha ... delta2), `a(i,j)` for tower(i, j) or `e(s,m,n)` for the
+    configuration formula.  Variable-free and in both languages (it only
+    uses the relational box)."""
+    if label in _BASE_FORMULAS:
+        return _BASE_FORMULAS[label]
+    m = _TOWER_LABEL_RE.match(label)
+    if m is not None:
+        return tower(int(m.group(1)), int(m.group(2)))
+    m = _E_LABEL_RE.match(label)
+    if m is not None:
+        return config_formula(Config(*map(int, m.groups())))
+    raise ValueError("not a marker name: %r" % label)
 
 
 @dataclass
 class LabeledFrame:
+    """A frame whose labeled points each carry the name of their marker."""
     frame: Frame
-    labels: Dict[str, PointLabel]
+    labels: Dict[str, str]
     truncation: Optional[int] = None
-    trace: Optional[Trace] = None
-
-    def label_formula(self, point: str) -> Formula:
-        label = self.labels[point]
-        if isinstance(label, Config):
-            return config_formula(label)
-        return char_formula(label)
 
 
 def _tower_point(i: int, j: int) -> str:
@@ -337,22 +298,20 @@ def truncation_level(program: MinskyProgram, configs: Iterable[Config]) -> int:
 def frame_for_configs(configs: Iterable[Config], level: int,
                       language: str) -> LabeledFrame:
     """Frame with the eight-point skeleton, towers up to `level`, and one
-    point per given configuration; only the alpha point is reflexive."""
+    point per given configuration; only the alpha point is reflexive.  A
+    configuration point's name is its own label."""
     configs = list(configs)
-    points = ["a", "b", "g", "g1", "g2", "d", "d1", "d2"]
-    labels: Dict[str, PointLabel] = {
-        "a": ALPHA, "b": BETA, "g": GAMMA, "g1": GAMMA1, "g2": GAMMA2,
-        "d": DELTA, "d1": DELTA1, "d2": DELTA2,
-    }
+    points = list(_SKELETON)
+    labels = dict(_SKELETON)
     for i in range(3):
         for j in range(level + 1):
             name = _tower_point(i, j)
             points.append(name)
-            labels[name] = tower_name(i, j)
+            labels[name] = "a(%d,%d)" % (i, j)
     for c in configs:
         name = _e_point(c)
         points.append(name)
-        labels[name] = c
+        labels[name] = name
 
     base = {
         ("a", "a"), ("g", "a"), ("g", "b"), ("d", "b"),
@@ -399,53 +358,42 @@ def canonical_frame(program: MinskyProgram, start: Config, bound: int,
         raise TruncationUnsound(
             "run neither halts nor loops within %d steps" % bound)
     level = truncation_level(program, trace.configs)
-    lf = frame_for_configs(trace.configs, level, language)
-    lf.trace = trace
-    return lf
+    return frame_for_configs(trace.configs, level, language)
 
 
 # --- labeled frame text format ---------------------------------------------------
 
 def serialize_labeled_frame(lf: LabeledFrame) -> str:
     out = [serialize_frame(lf.frame)]
-    for point in lf.frame.points:
-        label = lf.labels.get(point)
-        if label is None:
-            continue
-        if isinstance(label, Config):
-            out.append("label: %s e(%d,%d,%d)\n" % (point, label.state, label.c1, label.c2))
-        else:
-            out.append("label: %s %s\n" % (point, label))
+    out += ["label: %s %s\n" % (point, lf.labels[point])
+            for point in lf.frame.points if point in lf.labels]
     return "".join(out)
 
 
 _LABEL_RE = re.compile(r"^label:\s+(\S+)\s+(\S+)$")
-_TOWER_LABEL_RE = re.compile(r"^a\(([0-2]),(\d+)\)$")
-_E_LABEL_RE = re.compile(r"^e\((\d+),(\d+),(\d+)\)$")
 
 
 def parse_labeled_frame(text: str) -> LabeledFrame:
+    """Read `serialize_labeled_frame` text.  Each label is checked for
+    syntax only; `marker` builds its formula when one is wanted, which for
+    `a(i,j)` takes j tower levels."""
     frame_lines = []
-    labels: Dict[str, PointLabel] = {}
-    for raw in text.splitlines():
+    labels: Dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line.startswith("label:"):
-            m = _LABEL_RE.match(line)
-            if m is None:
-                raise ParseError(0, "'label: <point> <name>'", raw)
-            point, name = m.group(1), m.group(2)
-            tm = _TOWER_LABEL_RE.match(name)
-            em = _E_LABEL_RE.match(name)
-            if tm is not None:
-                labels[point] = tower_name(int(tm.group(1)), int(tm.group(2)))
-            elif em is not None:
-                labels[point] = Config(int(em.group(1)), int(em.group(2)), int(em.group(3)))
-            elif name in _BASE_NAMES:
-                labels[point] = _BASE_NAMES[name]
-            else:
-                raise ParseError(0, "a marker name or e(s,m,n)", raw)
-        else:
+        if not line.startswith("label:"):
             frame_lines.append(raw)
+            continue
+        # a blank line in its place keeps parse_frame's line numbers
+        frame_lines.append("")
+        m = _LABEL_RE.match(line)
+        if m is None:
+            raise ParseError(0, "'label: <point> <name>' on line %d" % lineno, raw)
+        point, name = m.groups()
+        if not (name in _BASE_FORMULAS or _TOWER_LABEL_RE.match(name)
+                or _E_LABEL_RE.match(name)):
+            raise ParseError(0, "a marker name or e(s,m,n) on line %d" % lineno, raw)
+        labels[point] = name
     frame = parse_frame("\n".join(frame_lines))
     unknown = set(labels) - set(frame.points)
     if unknown:

@@ -18,7 +18,7 @@ from mlunif.kripke import (
 )
 from mlunif.minsky import Config, Yes, parse_program, reaches, run_trace
 from mlunif.encoding import (
-    ax_program, canonical_frame, nom_formula,
+    ax_program, canonical_frame, marker, nom_formula,
     parse_labeled_frame, psi, serialize_labeled_frame, surrogate_exists, tower,
     PI1, PI2, TAU1, TAU2, pi_tau,
 )
@@ -93,7 +93,7 @@ def test_c01_characteristic_exactness():
         t0 = time.time()
         model = Model(lf.frame, Valuation())
         for point in lf.frame.points:
-            where = points_where(model, lf.label_formula(point))
+            where = points_where(model, marker(lf.labels[point]))
             assert where == {point}, (text, point, where)
         worst = max(worst, time.time() - t0)
     assert worst < 5.0

@@ -193,34 +193,50 @@ def test_superset_index_holds_only_unconditional_sat_results(monkeypatch):
 
 def test_sat_side_agrees_with_small_model_search():
     """Satisfiable verdicts double-checked by exhaustive search over all
-    models with at most 3 points, held side by side in one disjoint union;
-    Unsat verdicts spot-checked on random models (the logic has no 3-point
-    small-model property)."""
+    small models, held side by side in one disjoint union: the L models of
+    at most 3 points over p1, p2, and the H2 models of at most 2 points
+    over p1, p2, n1, n2.  A formula that holds somewhere in the union must
+    get Sat, with a model that re-checks.  Unsat verdicts are spot-checked
+    on random models (neither logic has a small-model property this
+    small)."""
     rng = random.Random(2024)
-    formulas = [random_formula(rng, depth=2, num_vars=2, language=L)
-                for _ in range(120)]
+    cases = [
+        (L, 3, 2 * 4 + 16 * 16 + 512 * 64,
+         [random_formula(rng, depth=2, num_vars=2, language=L) for _ in range(120)]),
+        (H2, 2, 2 * 2 * 4 + 16 * 16 * 16 * 4,
+         [random_formula(rng, depth=4, num_vars=2, language=H2, num_noms=2)
+          for _ in range(300)]),
+    ]
 
-    def small_models():
-        for n in (1, 2, 3):
+    def small_models(size, language):
+        for n in range(1, size + 1):
             pts = ("x", "y", "z")[:n]
             pairs = [(a, b) for a in pts for b in pts]
             subsets = [frozenset(p for i, p in enumerate(pts) if bits >> i & 1)
                        for bits in range(1 << n)]
-            for rbits in range(1 << len(pairs)):
-                frame = Frame(pts, frozenset(p for i, p in enumerate(pairs) if rbits >> i & 1))
+            relations = [frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
+                         for bits in range(1 << len(pairs))]
+            if language == L:
+                frames = [Frame(pts, r) for r in relations]
+                nominal_maps = [{}]
+            else:
+                frames = [Frame(pts, r, s) for r in relations for s in relations]
+                nominal_maps = [{1: a, 2: b} for a in pts for b in pts]
+            for frame in frames:
                 for v1 in subsets:
                     for v2 in subsets:
-                        yield Model(frame, Valuation({1: v1, 2: v2}, {}))
+                        for noms in nominal_maps:
+                            yield Model(frame, Valuation({1: v1, 2: v2}, noms))
 
-    union = DisjointUnion(small_models())
-    assert len(union.offsets) == 2 * 4 + 16 * 16 + 512 * 64
-    for phi in formulas:
-        got = satisfiable(phi)
-        found = truth_mask(union, phi) != 0
-        if found:
-            assert isinstance(got, Sat), phi
-        if isinstance(got, Unsat):
-            assert not found, phi
+    for language, size, count, formulas in cases:
+        union = DisjointUnion(small_models(size, language))
+        assert len(union.offsets) == count
+        for phi in formulas:
+            got = satisfiable(phi)
+            if isinstance(got, Sat):
+                assert model_check(got.model, got.point, phi), phi
+            else:
+                assert truth_mask(union, phi) == 0, phi
 
 
 def test_unsat_side_spot_checked_on_random_models():

@@ -1,17 +1,19 @@
+import hashlib
+import time
+
 import pytest
 
-from mlunif.errors import TruncationUnsound
+from mlunif.errors import ParseError, TruncationUnsound
 from mlunif.formula import (
     H2, L, TOP, And, Diamond, Implies, Modality, Nominal, Not, Or, Var,
     iter_subformulas, language_of, nominals, parse, variables,
 )
-from mlunif.kripke import Model, Valuation, model_check
+from mlunif.kripke import Model, Valuation, model_check, serialize_frame
 from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_program
 from mlunif.encoding import (
-    ALPHA, BETA, GAMMA, ax_instruction, ax_program,
-    canonical_frame, char_formula, config_formula, epsilon, exists,
-    nom_formula, parse_labeled_frame, pi_tau, psi, serialize_labeled_frame,
-    tower, PI1, PI2, TAU1, TAU2,
+    ax_instruction, ax_program, canonical_frame, config_formula, epsilon,
+    exists, marker, nom_formula, parse_labeled_frame, pi_tau, psi,
+    serialize_labeled_frame, tower, PI1, PI2, TAU1, TAU2,
 )
 from helpers import modal_depth, points_where
 
@@ -33,13 +35,13 @@ def conjuncts(phi):
 
 
 def test_alpha_beta_definitions():
-    assert char_formula(ALPHA) == parse("<>true & []<>true")
-    assert char_formula(BETA) == parse("[]false")
+    assert marker("alpha") == parse("<>true & []<>true")
+    assert marker("beta") == parse("[]false")
 
 
 def test_gamma_delta_shapes():
-    alpha, beta = char_formula(ALPHA), char_formula(BETA)
-    assert conjuncts(char_formula(GAMMA)) == [
+    alpha, beta = marker("alpha"), marker("beta")
+    assert conjuncts(marker("gamma")) == [
         Diamond(REL, alpha), Diamond(REL, beta),
         Not(Diamond(REL, Diamond(REL, beta))),
     ]
@@ -174,7 +176,7 @@ def test_canonical_frame_point_count_empty_program():
     # skeleton 8, towers 3 * (N + 1) with N = 2, one reached configuration
     assert lf.truncation == 2
     assert len(lf.frame.points) == 8 + 3 * 3 + 1
-    assert lf.labels["e(1,0,0)"] == Config(1, 0, 0)
+    assert lf.labels["e(1,0,0)"] == "e(1,0,0)"
 
 
 def test_canonical_frame_only_reflexive_point_is_a():
@@ -207,7 +209,7 @@ def test_characteristic_exactness_small():
     lf = canonical_frame(prog, Config(1, 0, 0), 10, L)
     model = Model(lf.frame, Valuation())
     for point in lf.frame.points:
-        formula = lf.label_formula(point)
+        formula = marker(lf.labels[point])
         assert points_where(model, formula) == {point}, point
 
 
@@ -219,9 +221,44 @@ def test_labeled_frame_roundtrip():
     assert back.labels == lf.labels
 
 
+def test_labeled_frame_text_is_pinned():
+    # the frame part is the closure of the skeleton edges (91 `R:` lines);
+    # the digest pins the whole text, the label lines are spelled out
+    lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 10, L)
+    text = serialize_labeled_frame(lf)
+    assert text == serialize_frame(lf.frame) + (
+        "label: a alpha\nlabel: b beta\nlabel: g gamma\nlabel: g1 gamma1\n"
+        "label: g2 gamma2\nlabel: d delta\nlabel: d1 delta1\nlabel: d2 delta2\n"
+        "label: a0_0 a(0,0)\nlabel: a0_1 a(0,1)\nlabel: a0_2 a(0,2)\n"
+        "label: a1_0 a(1,0)\nlabel: a1_1 a(1,1)\nlabel: a1_2 a(1,2)\n"
+        "label: a2_0 a(2,0)\nlabel: a2_1 a(2,1)\nlabel: a2_2 a(2,2)\n"
+        "label: e(1,0,0) e(1,0,0)\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "287dcfec67ac56b5a4a2c00818c666a93729bbc8a12f764048956fac2868e5c2")
+
+
+def test_marker_rejects_other_names():
+    assert marker("e(1,0,0)") == config_formula(Config(1, 0, 0))
+    assert marker("a(2,3)") == tower(2, 3)
+    for name in ("epsilon", "a(3,0)", "a(0,-1)", "e(1,0)", "Alpha"):
+        with pytest.raises(ValueError):
+            marker(name)
+
+
+def test_parse_labeled_frame_checks_label_syntax_only():
+    # a tower label names j levels; parsing must not build them
+    t0 = time.perf_counter()
+    lf = parse_labeled_frame("points: a\nlabel: a a(0,200000)\n")
+    assert time.perf_counter() - t0 < 1.0
+    assert lf.labels == {"a": "a(0,200000)"}
+    for name in ("a(3,0)", "e(1,0)", "epsilon"):
+        with pytest.raises(ParseError):
+            parse_labeled_frame("points: a\nlabel: a %s\n" % name)
+
+
 def test_frame_satisfies_marker_expectations():
     lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 5, L)
     model = Model(lf.frame, Valuation())
-    assert model_check(model, "b", char_formula(BETA))
-    assert not model_check(model, "a", char_formula(BETA))
-    assert model_check(model, "a", char_formula(ALPHA))
+    assert model_check(model, "b", marker("beta"))
+    assert not model_check(model, "a", marker("beta"))
+    assert model_check(model, "a", marker("alpha"))

@@ -341,6 +341,7 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
         ("px = {a}\n", bad_valuation),
         ("p0 = {a}\n", bad_valuation),
         ("n0 = a\n", bad_valuation),
+        ("points: a b\nlabel: a alpha\nlabel: b beta\nR: a\n", bad_frame),
     ]
     capsys.readouterr()
     for text, argv in cases:
@@ -351,6 +352,8 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+    # the bad edge of the last case stands on line 4, after two label lines
+    assert "on line 4" in lines[0], lines
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
