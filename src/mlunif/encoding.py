@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import ParseError, TruncationUnsound
+from .errors import ParseError, ResourceLimit, TruncationUnsound
 from .formula import (
     BOT, H2, TOP, L, And, Box, Diamond, Formula, Implies, Modality, Nominal,
     Not, Or, Var, conj, surrogate_exists,
@@ -295,12 +295,21 @@ def truncation_level(program: MinskyProgram, configs: Iterable[Config]) -> int:
     return 1 + max(indices)
 
 
+# frame_for_configs raises ResourceLimit past this many points: R is a
+# transitive closure, and a frame-validity check evaluates masks of n * n bits
+POINT_BUDGET = 1_000
+
+
 def frame_for_configs(configs: Iterable[Config], level: int,
                       language: str) -> LabeledFrame:
     """Frame with the eight-point skeleton, towers up to `level`, and one
     point per given configuration; only the alpha point is reflexive.  A
     configuration point's name is its own label."""
     configs = list(configs)
+    count = len(_SKELETON) + 3 * (level + 1) + len(configs)
+    if count > POINT_BUDGET:
+        raise ResourceLimit("canonical frame budget exceeded: %d points, limit %d"
+                            % (count, POINT_BUDGET))
     points = list(_SKELETON)
     labels = dict(_SKELETON)
     for i in range(3):

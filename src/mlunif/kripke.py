@@ -10,26 +10,33 @@ The universal box of L frames uses the same construction over the "same
 block" relation, so it never looks across models.  One model is a union of
 one block, so a single model and a suite of thousands cost one pass each.
 
-`frame_valid` searches for a falsifying valuation and point with a CNF
-encoding, built in the same one pass over the DAG: each node gets a row
-of n literals, one per point.  Variables and nominals get one atom per
-point, numbered first, with exactly-one constraints tying each nominal to
-a single point.  Subformulas without variables or nominals are
-valuation-independent, so their rows are the constants of one truth-mask
-pass.  Every other node gets defined atoms mirroring the truth relation;
-a box or diamond literal depends only on the point's successor set, so
-it is defined once per distinct successor set (once per node under `[u]`
-or a total S).  Both passes read the derived connectives (or,
-implication, iff, diamonds) as written.
+`frame_valid` first splits phi into its top-level conjuncts, which is
+sound because validity distributes over `&`.  A conjunct with no variable
+and at most one nominal has as valuations exactly the n placements of that
+nominal, so one truth-mask pass over `placements`, a union of n copies of
+the frame with the nominal at point k of copy k, decides it without SAT.
+
+For the other conjuncts `frame_valid` searches for a falsifying
+valuation and point with a CNF encoding, built in one pass over the DAG:
+each node gets a row of n literals, one per point.  Variables and
+nominals get one atom per point, numbered first, with exactly-one
+constraints tying each nominal to a single point.  Subformulas without
+variables or nominals are valuation-independent, so their rows are the
+constants of one truth-mask pass.  Every other node gets defined atoms
+mirroring the truth relation; a box or diamond literal depends only on
+the point's successor set, so it is defined once per distinct successor
+set (once per node under `[u]` or a total S).  Both passes read the
+derived connectives (or, implication, iff, diamonds) as written.
 
 The definitions are polarity-aware (Plaisted and Greenbaum 1986): an atom
 gets only the implication its occurrences need, not a full equivalence.
-The root occurs negatively, since the CNF only asserts it false at some
-point; `~` and the left side of `->` flip the polarity, both sides of
-`<->` get both, and every other connective passes it on.  A negative node
-needs formula -> atom, a positive one atom -> formula, and a shared node
-the union over its occurrences.  In any model of the CNF a false root
-literal then still means a false root, so counter-models stay sound.
+The roots (phi, or the conjuncts left to the CNF) occur negatively, since
+the CNF only asserts one of them false at some point; `~` and the left
+side of `->` flip the polarity, both sides of `<->` get both, and every
+other connective passes it on.  A negative node needs formula -> atom, a
+positive one atom -> formula, and a shared node the union over its
+occurrences.  In any model of the CNF a false root literal then still
+means a false root, so counter-models stay sound.
 """
 
 from __future__ import annotations
@@ -181,6 +188,31 @@ class DisjointUnion:
         self.width = base + n
 
 
+def placements(frame: Frame, nominal_indices: Set[int]) -> DisjointUnion:
+    """The frame n times side by side, with each given nominal at point k of
+    block k: every placement of one nominal in one union of n blocks.  With
+    no nominals, the frame once, under its one valuation.
+
+    Built in one step from the frame's own offset masks: a mask of the
+    n-point block, times the repunit sum(1 << k*n), repeats it in every
+    block, and the diagonal sum(1 << k*(n+1)) holds point k of block k."""
+    one = DisjointUnion([Model(frame, Valuation())])
+    if not nominal_indices:
+        return one
+    n = one.width
+    union = DisjointUnion([])
+    union.kind, union.width = one.kind, n * n
+    union.offsets = list(range(0, n * n, n))
+    repunit = ((1 << n * n) - 1) // ((1 << n) - 1)
+    union.edges = {m: {d: e * repunit for d, e in edges.items()}
+                   for m, edges in one.edges.items()}
+    diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
+    for i in nominal_indices:
+        union.symbols[Nominal, i] = diagonal
+        union.bound[Nominal, i] = n
+    return union
+
+
 def _check_frame_language(phi: Formula, kind: Optional[str]) -> None:
     lang = language_of(phi)
     if lang == H2 and kind == L:
@@ -270,19 +302,92 @@ class CounterModel:
 CLAUSE_BUDGET = 2_000_000  # frame_valid raises ResourceLimit past this many clauses
 
 
+def _below(nodes: List[Formula], roots: List[Formula]) -> List[Formula]:
+    """The nodes of `nodes` (children before parents) that lie under one of
+    `roots`, in the same order."""
+    under = set(roots)
+    for f in reversed(nodes):
+        if f in under:
+            under.update(f.args)
+    return [f for f in nodes if f in under]
+
+
+def _counter_model(frame: Frame, phi: Formula, nodes: List[Formula],
+                   var_map: Dict[int, FrozenSet[str]], nom_map: Dict[int, str],
+                   point: Optional[str]) -> CounterModel:
+    """The counter-model at `point`, with every variable and nominal of phi
+    (`nodes`) that the maps leave out bound to no point or the first point,
+    after model_check confirms that phi is false there."""
+    for f in nodes:
+        if type(f) is Var:
+            var_map.setdefault(f.index, frozenset())
+        elif type(f) is Nominal:
+            nom_map.setdefault(f.index, frame.points[0])
+    model = Model(frame, Valuation(var_map, nom_map))
+    if point is None or model_check(model, point, phi):
+        raise InternalCheckFailed("frame_valid produced a bogus counter-model")
+    return CounterModel(model, point)
+
+
 def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     """Valid iff no valuation and point falsify phi on the frame.
 
-    Each node is defined only in the directions its polarity needs: one
-    pass over the DAG, parents first, marks them (see the module
-    docstring).  Counter-models are concrete and re-checked with
-    model_check before being returned, so a non-validity verdict is
-    self-certifying.
+    Validity distributes over `&`, and the n placements of its nominal are
+    all the valuations of a conjunct with no variable and at most one
+    nominal, so one truth-mask pass over `placements` decides every such
+    top-level conjunct.  The others go to the CNF (see the module
+    docstring); with none decided, phi itself is encoded.  Counter-models
+    bind every symbol of phi and are re-checked with model_check before
+    being returned, so a non-validity verdict is self-certifying.
     """
     _check_frame_language(phi, frame.kind)
-    nodes = list(postorder(phi))
+    every = nodes = list(postorder(phi))
     points = frame.points
     n = len(points)
+
+    # the one symbol of each node: 0 for none, k for nominal k alone, -1
+    # for a variable or two nominals
+    only: Dict[Formula, int] = {}
+    for f in nodes:
+        kind = type(f)
+        if kind is Var:
+            k = -1
+        elif kind is Nominal:
+            k = f.index
+        else:
+            k = 0
+            if f.flags & SYMBOL:
+                for a in f.args:
+                    j = only[a]
+                    if j and j != k:
+                        k = j if not k else -1
+        only[f] = k
+    parts: List[Formula] = []
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if type(f) is And:
+            stack += (f.right, f.left)
+        else:
+            parts.append(f)
+    decided = [f for f in parts if only[f] >= 0]
+    roots = [phi]
+    if decided:
+        noms = {only[f] for f in decided} - {0}
+        union = placements(frame, noms)
+        masks = _truth_masks(union, _below(nodes, decided), set(decided))
+        all_mask = (1 << union.width) - 1
+        for f in decided:
+            failing = all_mask ^ masks[f]
+            if failing:
+                block, i = divmod((failing & -failing).bit_length() - 1, n)
+                return _counter_model(frame, phi, every, {},
+                                      dict.fromkeys(noms, points[block]), points[i])
+        roots = [f for f in parts if only[f] < 0]
+        if not roots:
+            return Valid()
+        nodes = _below(nodes, roots)
+
     fixed = [f for f in nodes if not f.flags & SYMBOL]
     constants = _truth_masks(DisjointUnion([Model(frame, Valuation())]), fixed, set(fixed))
 
@@ -301,12 +406,12 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
 
     # which directions of its definition each node needs (propsat.POS:
     # its literal implies its formula, propsat.NEG: the converse), parents
-    # before children; the root needs NEG, as its literals are only asserted
+    # before children; a root needs NEG, as its literals are only asserted
     # false, by the falsifying clause
     POS, NEG = propsat.POS, propsat.NEG
     flip = (0, NEG, POS, POS | NEG)
     need = dict.fromkeys(nodes, 0)
-    need[phi] = NEG
+    need.update(dict.fromkeys(roots, NEG))
     for f in reversed(nodes):
         kind, p = type(f), need[f]
         if kind is Not:
@@ -369,9 +474,9 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             row = [binary[kind](a, b, p) for a, b in zip(lits[f.left], lits[f.right])]
         lits[f] = row
 
-    falsifiable = [negate(a) for a in lits[phi]]
-    builder.add_clause(falsifiable)
-    if all(a is False for a in falsifiable):
+    falsifiable = [(p, negate(a)) for r in roots for p, a in zip(points, lits[r])]
+    builder.add_clause(a for _, a in falsifiable)
+    if all(a is False for _, a in falsifiable):
         return Valid()
 
     result = propsat.solve(builder.to_cnf())
@@ -388,16 +493,10 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             raise InternalCheckFailed("nominal n%d placed at %d points" % (f.index, len(held)))
         else:
             nom_map[f.index] = held[0]
-    model = Model(frame, Valuation(var_map, nom_map))
-    witness = None
-    for point, value in zip(points, falsifiable):
-        if value is True or (not isinstance(value, bool)
-                             and assignment[abs(value)] == (value > 0)):
-            witness = point
-            break
-    if witness is None or model_check(model, witness, phi):
-        raise InternalCheckFailed("frame_valid produced a bogus counter-model")
-    return CounterModel(model, witness)
+    witness = next((point for point, value in falsifiable
+                    if value is True or (not isinstance(value, bool)
+                                         and assignment[abs(value)] == (value > 0))), None)
+    return _counter_model(frame, phi, every, var_map, nom_map, witness)
 
 
 # --- random generation ---------------------------------------------------------

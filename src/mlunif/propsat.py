@@ -136,15 +136,20 @@ class Solver:
 
     def add_clause(self, clause: List[int]) -> None:
         """Add a clause at decision level zero (i.e. between solve calls)."""
-        for lit in clause:
-            if lit == 0 or abs(lit) > self.n:
-                raise ValueError("literal %d out of range" % lit)
+        lits = sorted(clause, key=abs)
+        # one range check: a 0 sorts first, the largest atom last
+        if lits and (lits[0] == 0 or abs(lits[-1]) > self.n):
+            raise ValueError("literal %d out of range" % (lits[-1] if lits[0] else 0))
         if self.trail_lim:
             self._cancel_until(0)
-        distinct = set(clause)
-        if any(-lit in distinct for lit in distinct):
-            return  # tautological clause, drop
-        lits = sorted(distinct, key=abs)
+        k = len(lits)
+        if k == 2 and abs(lits[0]) == abs(lits[1]) or k > 2 and len(set(map(abs, lits))) < k:
+            # an atom occurs twice: drop duplicates, and the clause if it
+            # holds a literal and its complement
+            distinct = set(lits)
+            if any(-lit in distinct for lit in distinct):
+                return
+            lits = sorted(distinct, key=abs)
         value = self.value
         if len(lits) > 1 and value[lits[0]] == -1 and value[lits[1]] == -1:
             # both watches false at level 0, where propagation may never

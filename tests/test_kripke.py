@@ -13,7 +13,7 @@ from mlunif.formula import (
 from mlunif.minsky import Config, parse_program
 from mlunif.kripke import (
     CounterModel, DisjointUnion, Frame, Model, Valid, Valuation, frame_valid, model_check,
-    parse_frame, parse_valuation, random_frame, serialize_frame,
+    parse_frame, parse_valuation, placements, random_frame, serialize_frame,
     serialize_valuation, transitive_closure, truth_mask,
 )
 from helpers import (
@@ -187,9 +187,81 @@ def test_frame_valid_agrees_with_brute_force_on_hybrid_frames():
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def all_frames(kind, sample_three):
+    """Every frame of the kind with at most 2 points, and the 3-point ones
+    whose edge bits are a multiple of `sample_three`."""
+    for n in (1, 2, 3):
+        pts = tuple("xyz"[:n])
+        all_edges = [(a, b) for a in pts for b in pts]
+        m = len(all_edges)
+        for bits in range(1 << (2 * m if kind == H2 else m)):
+            if n == 3 and bits % sample_three != 0:
+                continue
+            r = frozenset(e for i, e in enumerate(all_edges) if bits >> i & 1)
+            if kind == L:
+                yield Frame(pts, r)
+            else:
+                yield Frame(pts, r, frozenset(e for i, e in enumerate(all_edges)
+                                              if bits >> m + i & 1))
+
+
+def check_against_oracle(frame, phi):
+    """frame_valid's verdict on phi, after checking it against the oracle
+    and checking that a counter-model binds every symbol of phi and
+    falsifies phi at its point."""
+    got = frame_valid(frame, phi)
+    assert isinstance(got, Valid) == brute_force_frame_valid(frame, phi), (
+        serialize_frame(frame), phi)
+    if isinstance(got, CounterModel):
+        valuation = got.model.valuation
+        assert set(valuation.var_map) == variables(phi)
+        assert set(valuation.nom_map) == nominals(phi)
+        assert not model_check(got.model, got.point, phi)
+    return isinstance(got, Valid)
+
+
+def test_frame_valid_by_placements_agrees_with_brute_force():
+    # conjuncts without variables and with at most one nominal are decided
+    # by one truth-mask pass over all placements of the nominal; mixed
+    # with a conjunct that has variables, the rest goes to the CNF
+    rng = random.Random(97)
+    # conjuncts with variables that are valid on every frame, or on some
+    valid_b = [parse("n1 & p1 -> [h](n1 -> p1)", H2), parse("[h]p1 <-> ~<h>~p1", H2),
+               parse("<h>(n1 & p1) -> [h](n1 -> p1)", H2)]
+    verdicts = set()
+    for k, frame in enumerate(all_frames(H2, 4099)):
+        a = random_formula(rng, depth=3, num_vars=0, language=H2, num_noms=1)
+        b = valid_b[k % 4] if k % 4 < 3 else Var(1)
+        while not variables(b):
+            b = random_formula(rng, depth=2, num_vars=2, language=H2, num_noms=1)
+        for phi, kind in ((a, "nominal"), (And(a, b), "mixed"), (And(b, a), "mixed")):
+            verdicts.add((kind, check_against_oracle(frame, phi)))
+    assert verdicts == {(kind, v) for kind in ("nominal", "mixed") for v in (True, False)}
+    # an L formula with no symbol at all has one valuation
+    verdicts.clear()
+    for frame in all_frames(L, 23):
+        phi = random_formula(rng, depth=3, num_vars=0, language=L)
+        verdicts.add(check_against_oracle(frame, And(phi, ALPHA)))
+    assert verdicts == {True, False}
+
+
+def test_placements_is_the_union_of_every_placement():
+    rng = random.Random(8)
+    for seed in range(40):
+        frame = random_frame(seed, 5, kind=H2)
+        union = placements(frame, {1, 2})
+        models = DisjointUnion(Model(frame, Valuation({}, {1: p, 2: p})) for p in frame.points)
+        assert (union.offsets, union.width) == (models.offsets, models.width)
+        for _ in range(10):
+            phi = random_formula(rng, depth=3, num_vars=0, language=H2, num_noms=2)
+            assert truth_mask(union, phi) == truth_mask(models, phi)
+
+
 def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     # the program axioms of a hybrid certificate: the solver's search is
-    # pinned, and it depends on the variable and nominal atoms coming first
+    # pinned, and it depends on the variable and nominal atoms coming first;
+    # the nominal-agreement conjuncts are decided by placements, so the CNF
+    # holds the instruction axioms only
     program = parse_program("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0")
     frame = canonical_frame(program, Config(1, 0, 0), 100, H2).frame
     phi = ax_program(program, H2)
@@ -200,7 +272,7 @@ def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     [cnf] = cnfs
     solver = propsat.Solver(cnf)
     assert isinstance(solver.solve(), propsat.Unsat)
-    assert (solver.decisions, solver.conflicts) == (142, 49)
+    assert (solver.decisions, solver.conflicts) == (36, 7)
     # atoms 1..k are the (symbol, point) atoms, the nominal's last: its
     # at-least-one clause comes first
     n = len(frame.points)
@@ -208,8 +280,8 @@ def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     k = (len(variables(phi)) + 1) * n
     assert cnf.clauses[0] == list(range(k - n + 1, k + 1))
     # each defined atom gets only the directions its polarity needs: full
-    # equivalences took 38173 clauses over the same atoms
-    assert (cnf.num_atoms, len(cnf.clauses)) == (9043, 11565)
+    # equivalences take 992 clauses over the same atoms
+    assert (cnf.num_atoms, len(cnf.clauses)) == (212, 945)
 
 
 def test_frame_valid_agrees_with_brute_force_where_polarities_collide():

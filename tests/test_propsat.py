@@ -243,6 +243,24 @@ def test_solver_rejects_literals_out_of_range():
         solver.add_clause([0])
     with pytest.raises(ValueError):
         solve(CNF(1, [[1, -2]]))
+    with pytest.raises(ValueError):
+        solver.add_clause([2, 0, 1])
+
+
+def test_add_clause_sorts_by_atom_and_drops_repeats():
+    # each clause is watched as its distinct literals in atom order; one
+    # with a literal and its complement is dropped; the input is not touched
+    solver = Solver()
+    solver.ensure_atoms(4)
+    clauses = [[3, -1], [4, 2, 4, -1], [2, 1, -2], [-3, -3], [1, 4, 1]]
+    copies = [list(c) for c in clauses]
+    for clause in clauses:
+        solver.add_clause(clause)
+    assert clauses == copies
+    assert solver.watches[-1] == [[-1, 3], [-1, 2, 4]]
+    assert solver.watches[1] == [[1, 4]] and solver.watches[4] == [[1, 4]]
+    assert solver.watches[2] == [[-1, 2, 4]] and solver.watches[-2] == []
+    assert solver.trail == [-3]
 
 
 def test_builder_define_and_or():

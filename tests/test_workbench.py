@@ -21,7 +21,7 @@ from mlunif.workbench import (
     verdict_report,
 )
 import mlunif
-from mlunif import cli, propsat
+from mlunif import cli, encoding, propsat
 from helpers import check_each_random_model, random_formula
 
 
@@ -71,14 +71,15 @@ def counter_chain(steps):
 
 # the certificate instances C1-C4 of the benchmark (bench/workloads.json):
 # program, start, target, mode, and (atoms, clauses) of each CNF that
-# frame_valid hands to the solver; the other checks fold to a constant
+# frame_valid hands to the solver: the instruction axioms; the other
+# checks, and the nominal-agreement conjuncts of hybrid mode, have no
+# variable and are decided by truth masks
 CERTIFICATE_CNFS = [
     (counter_chain(20), "1,0,0", "99,0,0", L, [(785, 7439)]),
     (counter_chain(40), "1,0,0", "99,0,0", L, [(1485, 22559)]),
-    ("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0", "1,0,0", "3,0,0", H2,
-     [(9043, 11565), (23, 255)]),
+    ("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0", "1,0,0", "3,0,0", H2, [(212, 945)]),
     ("1 -> 2,+1,0\n2 -> 3,+1,0\n3 -> 4,0,+1\n4 -> 5,-1,0 | 9,0,0\n5 -> 6,0,-1 | 9,0,0",
-     "1,0,0", "7,0,0", H2, [(19724, 27119), (48, 1130)]),
+     "1,0,0", "7,0,0", H2, [(870, 4581)]),
 ]
 
 
@@ -387,6 +388,18 @@ def test_cli_exit_code_resource_limit(capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "resource limit: tableau budget exceeded: 4 node expansions, limit 3\n")
+
+
+def test_cli_frame_stops_at_the_point_budget(tmp_path, capsys, monkeypatch):
+    # the run counts counter 1 down from 600, so the frame would have
+    # 8 + 3 * 603 + 1 points; the check comes before R's transitive closure
+    program = tmp_path / "prog.txt"
+    program.write_text("1 -> 2,-1,0 | 3,0,0\n")
+    monkeypatch.setattr(encoding, "transitive_closure", None)
+    code = run_cli("frame", "--program", str(program), "--start", "1,600,0")
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "resource limit: canonical frame budget exceeded: 1816 points, limit 1000\n")
 
 
 # Installs the benchmark's tracer, which wraps functions of every layer by
