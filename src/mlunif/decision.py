@@ -487,16 +487,17 @@ def _k_model(engine: _KEngine, root_worlds: List[int]) -> Tuple[Model, Dict[int,
     roots = tuple(root_worlds)
     walk = postorder(roots, lambda w: w if w is roots else engine.worlds[w][1])
     reachable = sorted(w for w in walk if w is not roots)
-    names = {w: "w%d" % i for i, w in enumerate(reachable)}
-    edges = set()
+    index = {w: i for i, w in enumerate(reachable)}
+    names = {w: "w%d" % i for w, i in index.items()}
+    rows = [0] * len(reachable)
     var_map: Dict[int, Set[str]] = {}
-    for w in reachable:
+    for w, i in index.items():
         true_vars, succs = engine.worlds[w]
         for s in succs:
-            edges.add((names[w], names[s]))
+            rows[i] |= 1 << index[s]
         for idx in true_vars:
             var_map.setdefault(idx, set()).add(names[w])
-    frame = Frame(tuple(names[w] for w in reachable), frozenset(edges))
+    frame = Frame(tuple(names.values()), tuple(rows))
     valuation = Valuation({k: frozenset(v) for k, v in var_map.items()}, {})
     return Model(frame, valuation), names
 
@@ -801,8 +802,8 @@ def _h_saturate(state: _HState, charge: _Budget):
 
 def _h_model(state: _HState) -> Tuple[Model, Dict[int, str]]:
     labels = sorted(state.content)
-    names = {label: "w%d" % i for i, label in enumerate(labels)}
-    points = [names[label] for label in labels]
+    index = {label: i for i, label in enumerate(labels)}
+    names = {label: "w%d" % i for label, i in index.items()}
     var_map: Dict[int, Set[str]] = {}
     nom_map: Dict[int, str] = {}
     for label in labels:
@@ -812,9 +813,10 @@ def _h_model(state: _HState) -> Tuple[Model, Dict[int, str]]:
                     var_map.setdefault(f.index, set()).add(names[label])
                 else:
                     nom_map[f.index] = names[label]
-    r = frozenset((names[x], names[y]) for (x, mod, y) in state.edges if mod is REL)
-    s = frozenset((names[x], names[y]) for (x, mod, y) in state.edges if mod is HYB)
-    frame = Frame(tuple(points), r, s)
+    rows = {REL: [0] * len(labels), HYB: [0] * len(labels)}
+    for x, mod, y in state.edges:
+        rows[mod][index[x]] |= 1 << index[y]
+    frame = Frame(tuple(names.values()), tuple(rows[REL]), tuple(rows[HYB]))
     valuation = Valuation({k: frozenset(v) for k, v in var_map.items()}, nom_map)
     return Model(frame, valuation), names
 
@@ -836,7 +838,9 @@ def _complete_valuation(model: Model, phi: Formula) -> Model:
     nom_map.update(zip(unplaced, fresh))
     frame = model.frame
     if fresh:
-        frame = Frame(frame.points + fresh, frame.r, frame.s)
+        pad = (0,) * len(fresh)
+        frame = Frame(frame.points + fresh, frame.r + pad,
+                      None if frame.s is None else frame.s + pad)
     return Model(frame, Valuation(var_map, nom_map))
 
 

@@ -312,38 +312,29 @@ def frame_for_configs(configs: Iterable[Config], level: int,
                             % (count, POINT_BUDGET))
     points = list(_SKELETON)
     labels = dict(_SKELETON)
-    for i in range(3):
+    # each point's successor row: the skeleton's in the order of _SKELETON,
+    # a tower point's the point below it, a configuration's its three markers
+    a, b, g, g1, g2, d, d1, d2 = (1 << k for k in range(len(_SKELETON)))
+    rows = [a, 0, a | b, g, g1, b, d, d1]
+    for i, bottom in enumerate((g | d, g1 | d1, g2 | d2)):
         for j in range(level + 1):
             name = _tower_point(i, j)
             points.append(name)
             labels[name] = "a(%d,%d)" % (i, j)
-    for c in configs:
-        name = _e_point(c)
-        points.append(name)
-        labels[name] = name
-
-    base = {
-        ("a", "a"), ("g", "a"), ("g", "b"), ("d", "b"),
-        ("g1", "g"), ("g2", "g1"), ("d1", "d"), ("d2", "d1"),
-        (_tower_point(0, 0), "g"), (_tower_point(0, 0), "d"),
-        (_tower_point(1, 0), "g1"), (_tower_point(1, 0), "d1"),
-        (_tower_point(2, 0), "g2"), (_tower_point(2, 0), "d2"),
-    }
-    for i in range(3):
-        for j in range(level):
-            base.add((_tower_point(i, j + 1), _tower_point(i, j)))
+            rows.append(1 << (len(rows) - 1) if j else bottom)
     for c in configs:
         if max(c.state, c.c1, c.c2) >= level:
             raise ValueError("configuration %s exceeds tower level %d" % (c, level))
-        e = _e_point(c)
-        base.add((e, _tower_point(0, c.state)))
-        base.add((e, _tower_point(1, c.c1)))
-        base.add((e, _tower_point(2, c.c2)))
+        name = _e_point(c)
+        points.append(name)
+        labels[name] = name
+        rows.append(sum(1 << (len(_SKELETON) + i * (level + 1) + j)
+                        for i, j in enumerate((c.state, c.c1, c.c2))))
 
-    r = transitive_closure(base)
+    r = transitive_closure(rows)
     s = None
     if language == H2:
-        s = frozenset((x, y) for x in points for y in points)
+        s = ((1 << count) - 1,) * count
     frame = Frame(tuple(points), r, s)
     return LabeledFrame(frame, labels, truncation=level)
 

@@ -1,5 +1,9 @@
 """Finite frames and models, the truth relation, and frame validity.
 
+A `Frame` holds each relation as successor rows, one int per point with
+bit j set when the point sees point j; only the frame text names edges by
+pairs of points.
+
 `truth_mask` evaluates a formula bottom-up over point-set bitmasks in one
 pass over its DAG.  It works on a `DisjointUnion` of models: each model
 owns a contiguous block of bits, and each relation is stored as offset
@@ -24,8 +28,8 @@ constraints tying each nominal to a single point.  Subformulas without
 variables or nominals are valuation-independent, so their rows are the
 constants of one truth-mask pass.  Every other node gets defined atoms
 mirroring the truth relation; a box or diamond literal depends only on
-the point's successor set, so it is defined once per distinct successor
-set (once per node under `[u]` or a total S).  Both passes read the
+the point's successor row, so it is defined once per distinct successor
+row (once per node under `[u]` or a total S).  Both passes read the
 derived connectives (or, implication, iff, diamonds) as written.
 
 The definitions are polarity-aware (Plaisted and Greenbaum 1986): an atom
@@ -56,48 +60,39 @@ from .formula import (
     Nominal, Not, Or, Var, language_of, postorder, pretty,
 )
 
-Edge = Tuple[str, str]
-
-
-def transitive_closure(pairs: Iterable[Edge]) -> FrozenSet[Edge]:
-    """Smallest transitive superset of the given relation."""
-    succ: Dict[str, Set[str]] = {}
-    for x, y in pairs:
-        succ.setdefault(x, set()).add(y)
-    out: Set[Edge] = set()
-    for x in list(succ):
-        # depth-first reachability in one or more steps
-        stack = list(succ.get(x, ()))
-        seen: Set[str] = set()
-        while stack:
-            y = stack.pop()
-            if y in seen:
-                continue
-            seen.add(y)
-            stack.extend(succ.get(y, ()))
-        out.update((x, y) for y in seen)
-    return frozenset(out)
+def transitive_closure(rows: Iterable[int]) -> Tuple[int, ...]:
+    """Smallest transitive superset of the relation given by successor rows:
+    a Warshall pass, in which each point k passes its row on to every row
+    that has bit k."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        row, bit = rows[k], 1 << k
+        for i, other in enumerate(rows):
+            if other & bit:
+                rows[i] = other | row
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class Frame:
+    """Named points and their relations, each relation as successor rows:
+    bit j of `r[i]` is set when point i sees point j.  `s` is present
+    exactly for hybrid frames."""
     points: Tuple[str, ...]
-    r: FrozenSet[Edge]
-    s: Optional[FrozenSet[Edge]] = None  # present exactly for hybrid frames
+    r: Tuple[int, ...]
+    s: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate point names")
         if not self.points:
             raise ValueError("a frame needs at least one point")
-        pts = set(self.points)
-        for x, y in self.r:
-            if x not in pts or y not in pts:
-                raise UnknownPoint("R edge (%s, %s) leaves the frame" % (x, y))
-        if self.s is not None:
-            for x, y in self.s:
-                if x not in pts or y not in pts:
-                    raise UnknownPoint("S edge (%s, %s) leaves the frame" % (x, y))
+        n = len(self.points)
+        for name, rows in (("R", self.r), ("S", self.s)):
+            if rows is not None and len(rows) != n:
+                raise ValueError("%s has %d rows for %d points" % (name, len(rows), n))
+            if rows is not None and (max(rows) >> n or min(rows) < 0):
+                raise UnknownPoint("an %s edge leaves the frame's %d points" % (name, n))
 
     @property
     def kind(self) -> str:
@@ -168,12 +163,13 @@ class DisjointUnion:
                                      for d in range(1 - n, n)}}
         else:
             local, relations[Modality.HYB] = {}, frame.s
-        for modality, pairs in relations.items():
+        for modality, rows in relations.items():
             out = local[modality] = {}
-            for x, y in pairs:
-                i = index[x]
-                d = index[y] - i
-                out[d] = out.get(d, 0) | 1 << i
+            for i, row in enumerate(rows):
+                while row:  # each successor j of i, lowest bit first
+                    d = (row & -row).bit_length() - 1 - i
+                    out[d] = out.get(d, 0) | 1 << i
+                    row &= row - 1
         for modality, out in local.items():
             edges = self.edges[modality]
             for d, e in out.items():
@@ -188,15 +184,14 @@ class DisjointUnion:
         self.width = base + n
 
 
-def placements(frame: Frame, nominal_indices: Set[int]) -> DisjointUnion:
-    """The frame n times side by side, with each given nominal at point k of
-    block k: every placement of one nominal in one union of n blocks.  With
-    no nominals, the frame once, under its one valuation.
+def placements(one: DisjointUnion, nominal_indices: Set[int]) -> DisjointUnion:
+    """The frame of the one-block union `one` n times side by side, with
+    each given nominal at point k of block k: every placement of one
+    nominal in one union of n blocks.  With no nominals, `one` itself.
 
     Built in one step from the frame's own offset masks: a mask of the
     n-point block, times the repunit sum(1 << k*n), repeats it in every
     block, and the diagonal sum(1 << k*(n+1)) holds point k of block k."""
-    one = DisjointUnion([Model(frame, Valuation())])
     if not nominal_indices:
         return one
     n = one.width
@@ -372,9 +367,10 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             parts.append(f)
     decided = [f for f in parts if only[f] >= 0]
     roots = [phi]
+    one = DisjointUnion([Model(frame, Valuation())])
     if decided:
         noms = {only[f] for f in decided} - {0}
-        union = placements(frame, noms)
+        union = placements(one, noms)
         masks = _truth_masks(union, _below(nodes, decided), set(decided))
         all_mask = (1 << union.width) - 1
         for f in decided:
@@ -389,20 +385,18 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
         nodes = _below(nodes, roots)
 
     fixed = [f for f in nodes if not f.flags & SYMBOL]
-    constants = _truth_masks(DisjointUnion([Model(frame, Valuation())]), fixed, set(fixed))
+    constants = _truth_masks(one, fixed, set(fixed))
 
     # each point's successors per modality, as an index into the distinct
-    # ascending successor tuples of that modality
-    index = {p: i for i, p in enumerate(points)}
-    successors = {Modality.UNIV: ([tuple(range(n))], [0] * n)}
-    for modality, edges in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
-        if edges is not None:
-            succ: List[List[int]] = [[] for _ in points]
-            for x, y in edges:
-                succ[index[x]].append(index[y])
-            distinct: Dict[Tuple[int, ...], int] = {}
-            ids = [distinct.setdefault(tuple(sorted(s)), len(distinct)) for s in succ]
-            successors[modality] = (list(distinct), ids)
+    # successor rows of that modality, numbered in point order and listed
+    # as ascending point indices
+    successors = {Modality.UNIV: ([range(n)], [0] * n)}
+    for modality, rows in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
+        if rows is not None:
+            distinct: Dict[int, int] = {}
+            ids = [distinct.setdefault(row, len(distinct)) for row in rows]
+            successors[modality] = ([[j for j in range(n) if row >> j & 1] for row in distinct],
+                                    ids)
 
     # which directions of its definition each node needs (propsat.POS:
     # its literal implies its formula, propsat.NEG: the converse), parents
@@ -460,15 +454,15 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
         elif kind is Not:
             row = [negate(a) for a in lits[f.sub]]
         elif kind is Box or kind is Diamond:
-            # a box literal depends only on the point's successor set, and a
+            # a box literal depends only on the point's successor row, and a
             # diamond is the negated box of the negated body
-            tuples, ids = successors[f.modality]
+            lists, ids = successors[f.modality]
             sub = lits[f.sub]
             if kind is Box:
-                boxes = [define_and([sub[j] for j in t], p) for t in tuples]
+                boxes = [define_and([sub[j] for j in t], p) for t in lists]
                 row = [boxes[k] for k in ids]
             else:
-                boxes = [define_and([negate(sub[j]) for j in t], flip[p]) for t in tuples]
+                boxes = [define_and([negate(sub[j]) for j in t], flip[p]) for t in lists]
                 row = [negate(boxes[k]) for k in ids]
         else:
             row = [binary[kind](a, b, p) for a, b in zip(lits[f.left], lits[f.right])]
@@ -501,47 +495,40 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
 
 # --- random generation ---------------------------------------------------------
 
-def random_frame(seed: int, max_points: int, kind: str = L,
-                 transitive: bool = False, s_universal: bool = False) -> Frame:
+def random_frame(seed: int, max_points: int, kind: str = L) -> Frame:
     """Deterministic in `seed`; edge density is drawn per frame."""
     if max_points < 1:
         raise ValueError("max_points must be >= 1")
     rng = random.Random(seed)
     n = rng.randint(1, max_points)
     points = tuple("w%d" % i for i in range(n))
+    bits = [1 << j for j in range(n)]
     density = rng.uniform(0.1, 0.55)
-    r = {(x, y) for x in points for y in points if rng.random() < density}
-    if transitive:
-        r = transitive_closure(r)
+    r = tuple(sum([b for b in bits if rng.random() < density]) for _ in points)
     if kind == L:
-        return Frame(points, frozenset(r))
-    if s_universal:
-        s = {(x, y) for x in points for y in points}
-    else:
-        s_density = rng.uniform(0.1, 0.55)
-        s = {(x, y) for x in points for y in points if rng.random() < s_density}
-    return Frame(points, frozenset(r), frozenset(s))
+        return Frame(points, r)
+    s_density = rng.uniform(0.1, 0.55)
+    s = tuple(sum([b for b in bits if rng.random() < s_density]) for _ in points)
+    return Frame(points, r, s)
 
 
 # --- text formats ---------------------------------------------------------------
 
 def serialize_frame(frame: Frame) -> str:
-    lines = ["points: " + " ".join(frame.points)]
-    for x, y in sorted(frame.r):
-        lines.append("R: %s %s" % (x, y))
-    if frame.s is not None:
-        if not frame.s:
-            lines.append("S:")
-        for x, y in sorted(frame.s):
-            lines.append("S: %s %s" % (x, y))
+    points = frame.points
+    lines = ["points: " + " ".join(points)]
+    for name, rows in (("R", frame.r), ("S", frame.s or ())):
+        pairs = sorted((x, y) for x, row in zip(points, rows)
+                       for j, y in enumerate(points) if row >> j & 1)
+        lines += ["%s: %s %s" % (name, x, y) for x, y in pairs]
+    if frame.s is not None and not any(frame.s):
+        lines.append("S:")
     return "\n".join(lines) + "\n"
 
 
 def parse_frame(text: str) -> Frame:
     points: Optional[Tuple[str, ...]] = None
-    r: Set[Edge] = set()
-    s: Set[Edge] = set()
-    saw_s = False
+    edges: Dict[str, List[Tuple[str, str]]] = {"R": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -551,24 +538,25 @@ def parse_frame(text: str) -> Frame:
             if not points or len(set(points)) != len(points):
                 raise ParseError(0, "one or more distinct point names on line %d" % lineno, raw)
             continue
-        if line.startswith("R:"):
-            parts = line[2:].split()
-            if len(parts) != 2:
-                raise ParseError(0, "an edge 'R: x y' on line %d" % lineno, raw)
-            r.add((parts[0], parts[1]))
-            continue
-        if line.startswith("S:"):
-            saw_s = True
-            parts = line[2:].split()
-            if parts:
+        if line[:2] in ("R:", "S:"):
+            name, parts = line[0], line[2:].split()
+            pairs = edges.setdefault(name, [])
+            if parts or name == "R":  # a lone `S:` makes the frame hybrid
                 if len(parts) != 2:
-                    raise ParseError(0, "an edge 'S: x y' on line %d" % lineno, raw)
-                s.add((parts[0], parts[1]))
+                    raise ParseError(0, "an edge '%s: x y' on line %d" % (name, lineno), raw)
+                pairs.append((parts[0], parts[1]))
             continue
         raise ParseError(0, "'points:', 'R:' or 'S:' on line %d" % lineno, raw)
     if points is None:
         raise ParseError(0, "a 'points:' line", text)
-    return Frame(points, frozenset(r), frozenset(s) if saw_s else None)
+    index = {p: i for i, p in enumerate(points)}
+    rows = {name: [0] * len(points) for name in edges}
+    for name, pairs in edges.items():
+        for x, y in pairs:
+            if x not in index or y not in index:
+                raise UnknownPoint("%s edge (%s, %s) leaves the frame" % (name, x, y))
+            rows[name][index[x]] |= 1 << index[y]
+    return Frame(points, tuple(rows["R"]), tuple(rows["S"]) if "S" in rows else None)
 
 
 def serialize_valuation(valuation: Valuation) -> str:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import DeterminismError, ParseError
+from .errors import DeterminismError, ParseError, ResourceLimit
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,18 @@ class Trace:
         return Trace(self.configs[:i + 1], self.instrs[:i], self.stopped)
 
 
+# run_trace raises ResourceLimit once a run takes more steps than this:
+# each step keeps a configuration, so memory grows with the run
+STEP_BUDGET = 100_000
+
+
 def run_trace(program: MinskyProgram, start: Config, bound: int) -> Trace:
     """The unique run of at most `bound` steps.
 
     Stops early at a halt or when the next configuration was already
     visited (a deterministic machine then cycles forever); all recorded
-    configurations are distinct.
+    configurations are distinct.  Raises ResourceLimit when the run would
+    take step STEP_BUDGET + 1.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -181,6 +187,9 @@ def run_trace(program: MinskyProgram, start: Config, bound: int) -> Trace:
         if nxt in visited:
             stopped = LOOPED
             break
+        if len(instrs) == STEP_BUDGET:
+            raise ResourceLimit("bounded run budget exceeded: %d steps, limit %d"
+                                % (STEP_BUDGET + 1, STEP_BUDGET))
         instrs.append(program.instruction_for(current.state))
         configs.append(nxt)
         visited.add(nxt)

@@ -1,6 +1,7 @@
 """Seeded random generators and small reference functions shared by the
 test modules."""
 
+import collections
 import random
 
 from mlunif.encoding import frame_for_configs, truncation_level
@@ -73,20 +74,16 @@ def prefix_defect_model(seed, program, trace, i, language, check):
     level = truncation_level(program, trace.configs)
     lf = frame_for_configs(trace.configs[:i + 1], level, language)
     points = list(lf.frame.points)
-    r = set(lf.frame.r)
-    fresh = []
+    r = list(lf.frame.r)
     for k in range(rng.randint(0, 3)):
-        name = "x%d" % k
-        targets = [p for p in points if rng.random() < 0.2]
-        points.append(name)
-        fresh.append(name)
-        r.update((name, t) for t in targets)
+        r.append(sum(1 << j for j in range(len(points)) if rng.random() < 0.2))
+        points.append("x%d" % k)
     s = None
     nom_map = {}
     if language == H2:
-        s = frozenset((x, y) for x in points for y in points)
+        s = ((1 << len(points)) - 1,) * len(points)
         nom_map = {1: rng.choice(points)}
-    frame = Frame(tuple(points), frozenset(r), s)
+    frame = Frame(tuple(points), tuple(r), s)
     model = Model(frame, Valuation({}, nom_map))
     if not holds_everywhere(model, check):
         return None
@@ -116,9 +113,7 @@ def points_within(frame, start, max_dist):
     """Points reachable from `start` in at most `max_dist` steps along R or S."""
     if start not in frame.points:
         raise UnknownPoint(start)
-    succ = {p: set() for p in frame.points}
-    for x, y in frame.r | (frame.s or frozenset()):
-        succ[x].add(y)
+    succ = successors(frame.points, [r | s for r, s in zip(frame.r, frame.s or frame.r)])
     reached = {start}
     frontier = {start}
     for _ in range(max_dist):
@@ -129,12 +124,72 @@ def points_within(frame, start, max_dist):
     return reached
 
 
-def is_transitive(pairs):
-    pairs = set(pairs)
-    succ = {}
-    for x, y in pairs:
-        succ.setdefault(x, set()).add(y)
-    return all((x, z) in pairs for x, y in pairs for z in succ.get(y, ()))
+def bit_rows(bits, n):
+    """The n successor rows of n bits each packed in `bits`: edge (x, y) of
+    an n-point frame is bit x * n + y."""
+    return tuple((bits >> x * n) & ((1 << n) - 1) for x in range(n))
+
+
+def with_total_s(frame):
+    """The hybrid frame with the points and R of `frame` and the total
+    relation as S."""
+    n = len(frame.points)
+    return Frame(frame.points, frame.r, ((1 << n) - 1,) * n)
+
+
+def successors(points, rows):
+    """Each point's set of successor names under the relation given by
+    successor rows: the pairs view that the references below work on."""
+    return {x: {y for j, y in enumerate(points) if row >> j & 1}
+            for x, row in zip(points, rows)}
+
+
+def is_transitive(rows):
+    return all(rows[j] & ~row == 0
+               for row in rows for j in range(len(rows)) if row >> j & 1)
+
+
+def closure_by_search(rows):
+    """Transitive closure of successor rows by a breadth-first search from
+    each point: the reference for `kripke.transitive_closure`."""
+    n = len(rows)
+    out = []
+    for i in range(n):
+        seen = set()
+        queue = collections.deque(j for j in range(n) if rows[i] >> j & 1)
+        while queue:
+            j = queue.popleft()
+            if j not in seen:
+                seen.add(j)
+                queue.extend(k for k in range(n) if rows[j] >> k & 1)
+        out.append(sum(1 << j for j in seen))
+    return tuple(out)
+
+
+def offset_masks_by_pairs(models):
+    """The offset masks of the `DisjointUnion` of `models`, built edge pair
+    by edge pair: (x, y) in a block at offset b sets bit b + i(x) of the
+    mask for d = i(y) - i(x).  The universal relation of L frames holds
+    every pair of its block.  The reference for `DisjointUnion`."""
+    edges = {m: {} for m in Modality}
+    base = 0
+    for model in models:
+        points = model.frame.points
+        index = {p: i for i, p in enumerate(points)}
+        if model.frame.s is None:
+            pairs = {Modality.UNIV: [(x, y) for x in points for y in points]}
+        else:
+            pairs = {Modality.HYB: [(x, y) for x, ys in
+                                    successors(points, model.frame.s).items() for y in ys]}
+        pairs[Modality.REL] = [(x, y) for x, ys in
+                               successors(points, model.frame.r).items() for y in ys]
+        for modality, edge_pairs in pairs.items():
+            out = edges[modality]
+            for x, y in edge_pairs:
+                d = index[y] - index[x]
+                out[d] = out.get(d, 0) | 1 << base + index[x]
+        base += len(points)
+    return edges
 
 
 def modal_depth(phi):
@@ -175,9 +230,9 @@ def truth_set(model, phi):
     point: a reference for `kripke.truth_mask`."""
     frame, valuation = model.frame, model.valuation
     succ = {Modality.UNIV: {x: set(frame.points) for x in frame.points}}
-    for modality, edges in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
-        succ[modality] = {x: {y for (z, y) in edges or () if z == x}
-                          for x in frame.points}
+    for modality, rows in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
+        if rows is not None:
+            succ[modality] = successors(frame.points, rows)
     everywhere = set(frame.points)
     sets = {}
     for f in postorder(phi):

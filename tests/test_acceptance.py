@@ -14,7 +14,7 @@ from mlunif.formula import (
 )
 from mlunif.kripke import (
     Frame, Model, Valid, Valuation, frame_valid, model_check, random_frame,
-    truth_mask,
+    transitive_closure, truth_mask,
 )
 from mlunif.minsky import Config, Yes, parse_program, reaches, run_trace
 from mlunif.encoding import (
@@ -31,8 +31,8 @@ from mlunif.workbench import (
     check_unifiable_via_reduction,
 )
 from helpers import (
-    points_where, points_within, prefix_defect_model, random_formula,
-    random_term,
+    bit_rows, points_where, points_within, prefix_defect_model, random_formula,
+    random_term, with_total_s,
 )
 from test_propsat import random_cnf, sat_by_truth_table
 from test_kripke import brute_force_frame_valid
@@ -111,7 +111,9 @@ def test_c02_tower_schemata_valid_on_random_frames():
             instances.append(Implies(tower(i, j + 1), conj(parts)))
     checked = 0
     for seed in range(200):
-        frame = random_frame(seed, 6, transitive=(seed % 2 == 0))
+        frame = random_frame(seed, 6)
+        if seed % 2 == 0:
+            frame = Frame(frame.points, transitive_closure(frame.r))
         for phi in instances:
             assert isinstance(frame_valid(frame, phi), Valid), (seed, pretty(phi))
             checked += 1
@@ -262,16 +264,15 @@ def _nom_models(limit, seed_base):
         rng = random.Random(seed)
         style = seed % 3
         if style == 0:
-            frame = random_frame(seed, 6, kind="H2", s_universal=True)
+            frame = with_total_s(random_frame(seed, 6))
         elif style == 1:
             frame = random_frame(seed, 6, kind="H2")
         else:
             base = random_frame(seed, 5, kind="L")
             # an island frame: the nominal's point is S-unreachable
-            points = base.points + ("island",)
-            s = frozenset((x, y) for x in base.points for y in base.points
-                          if rng.random() < 0.4)
-            frame = Frame(points, base.r, s)
+            n = len(base.points)
+            s = tuple(sum(1 << j for j in range(n) if rng.random() < 0.4) for _ in range(n))
+            frame = Frame(base.points + ("island",), base.r + (0,), s + (0,))
         owner = "island" if style == 2 else rng.choice(frame.points)
         model = Model(frame, Valuation({}, {1: owner}))
         if not model_check(model, frame.points[0], nom):
@@ -307,7 +308,7 @@ def test_c10_surrogate_matches_global_diamond():
     rng = random.Random(99)
     frames = 0
     for seed in range(200):
-        frame = random_frame(seed, 6, kind="H2", s_universal=True)
+        frame = with_total_s(random_frame(seed, 6))
         owner = frame.points[rng.randrange(len(frame.points))]
         model = Model(frame, Valuation({1: frozenset(
             p for p in frame.points if rng.random() < 0.5)}, {1: owner}))
@@ -367,9 +368,8 @@ def test_c12_cross_validation():
     frames_checked = 0
     for n in (1, 2, 3):
         pts = tuple("xyz"[:n])
-        pairs = [(x, y) for x in pts for y in pts]
-        for bits in range(1 << len(pairs)):
-            frame = Frame(pts, frozenset(p for k, p in enumerate(pairs) if bits >> k & 1))
+        for bits in range(1 << n * n):
+            frame = Frame(pts, bit_rows(bits, n))
             phi = formulas[frames_checked % len(formulas)]
             expected = brute_force_frame_valid(frame, phi)
             assert isinstance(frame_valid(frame, phi), Valid) == expected, (bits, pretty(phi))

@@ -20,7 +20,7 @@ from mlunif.decision import CounterModel, Sat, Unsat, Valid, satisfiable, valid
 from mlunif.encoding import psi, tower
 from mlunif.minsky import Config, parse_program, reaches
 from mlunif.witness import witness_from_trace
-from helpers import holds_everywhere, random_formula, random_valuation
+from helpers import bit_rows, holds_everywhere, random_formula, random_valuation
 
 REL = Modality.REL
 UNIV = Modality.UNIV
@@ -211,11 +211,9 @@ def test_sat_side_agrees_with_small_model_search():
     def small_models(size, language):
         for n in range(1, size + 1):
             pts = ("x", "y", "z")[:n]
-            pairs = [(a, b) for a in pts for b in pts]
             subsets = [frozenset(p for i, p in enumerate(pts) if bits >> i & 1)
                        for bits in range(1 << n)]
-            relations = [frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-                         for bits in range(1 << len(pairs))]
+            relations = [bit_rows(bits, n) for bits in range(1 << n * n)]
             if language == L:
                 frames = [Frame(pts, r) for r in relations]
                 nominal_maps = [{}]

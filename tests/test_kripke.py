@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from mlunif import propsat
 from mlunif.encoding import ax_program, canonical_frame
-from mlunif.errors import LanguageMismatch, UnboundSymbol, UnknownPoint
+from mlunif.errors import LanguageMismatch, ParseError, UnboundSymbol, UnknownPoint
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not, Or,
     Substitution, Var, apply_subst, nominals, parse, variables,
@@ -17,8 +18,8 @@ from mlunif.kripke import (
     serialize_valuation, transitive_closure, truth_mask,
 )
 from helpers import (
-    holds_everywhere, is_transitive, points_where, points_within, random_formula,
-    random_valuation, truth_set,
+    bit_rows, closure_by_search, holds_everywhere, is_transitive, offset_masks_by_pairs,
+    points_where, points_within, random_formula, random_valuation, truth_set,
 )
 
 REL = Modality.REL
@@ -26,8 +27,7 @@ ALPHA = parse("<>true & []<>true")
 
 
 def single_point_frame(reflexive):
-    r = frozenset({("x", "x")}) if reflexive else frozenset()
-    return Frame(("x",), r)
+    return Frame(("x",), (int(reflexive),))
 
 
 def brute_force_frame_valid(frame, phi):
@@ -74,13 +74,13 @@ def test_model_check_errors():
         model_check(model, "x", Var(1))
     with pytest.raises(LanguageMismatch):
         model_check(model, "x", Box(Modality.HYB, TOP))
-    hybrid = Model(Frame(("x",), frozenset(), frozenset()), Valuation())
+    hybrid = Model(Frame(("x",), (0,), (0,)), Valuation())
     with pytest.raises(LanguageMismatch):
         model_check(hybrid, "x", Box(Modality.UNIV, TOP))
 
 
 def test_universal_clauses():
-    frame = Frame(("x", "y"), frozenset({("x", "y")}))
+    frame = parse_frame("points: x y\nR: x y\n")
     model = Model(frame, Valuation({1: frozenset({"y"})}, {}))
     assert model_check(model, "x", Diamond(Modality.UNIV, Var(1)))
     assert not model_check(model, "x", Box(Modality.UNIV, Var(1)))
@@ -88,7 +88,7 @@ def test_universal_clauses():
 
 
 def test_hybrid_clauses():
-    frame = Frame(("x", "y"), frozenset({("x", "y")}), frozenset({("y", "x")}))
+    frame = parse_frame("points: x y\nR: x y\nS: y x\n")
     model = Model(frame, Valuation({1: frozenset({"y"})}, {1: "x"}))
     assert model_check(model, "y", Diamond(Modality.HYB, Nominal(1)))
     assert not model_check(model, "x", Diamond(Modality.HYB, Nominal(1)))
@@ -103,7 +103,7 @@ def test_frame_valid_tautology():
 
 
 def test_frame_valid_countermodel_two_point_chain():
-    frame = Frame(("x", "y"), frozenset({("x", "y")}))
+    frame = parse_frame("points: x y\nR: x y\n")
     phi = parse("p1 -> <>p1")
     result = frame_valid(frame, phi)
     assert isinstance(result, CounterModel)
@@ -127,11 +127,10 @@ def test_frame_valid_agrees_with_brute_force_on_small_frames():
     checked = 0
     for n in (1, 2, 3):
         pts = tuple("xyz"[:n])
-        all_edges = [(a, b) for a in pts for b in pts]
-        for bits in range(1 << len(all_edges)):
+        for bits in range(1 << n * n):
             if n == 3 and bits % 23 != 0:
                 continue  # sample the 512 three-point frames
-            frame = Frame(pts, frozenset(e for i, e in enumerate(all_edges) if bits >> i & 1))
+            frame = Frame(pts, bit_rows(bits, n))
             phi = formulas[checked % len(formulas)]
             expected = brute_force_frame_valid(frame, phi)
             got = frame_valid(frame, phi)
@@ -144,7 +143,7 @@ def test_frame_valid_agrees_with_brute_force_on_small_frames():
 
 
 def test_frame_valid_with_nominals():
-    frame = Frame(("x", "y"), frozenset(), frozenset({("x", "y"), ("y", "x")}))
+    frame = parse_frame("points: x y\nS: x y\nS: y x\n")
     # a nominal holds at exactly one point, so it cannot hold at both ends
     # of a symmetric S pair at once
     phi = parse("n1 -> ~<h>n1", H2)
@@ -169,13 +168,11 @@ def test_frame_valid_agrees_with_brute_force_on_hybrid_frames():
     verdicts = set()
     for n in (1, 2, 3):
         pts = tuple("xyz"[:n])
-        all_edges = [(a, b) for a in pts for b in pts]
-        m = len(all_edges)
+        m = n * n
         for bits in range(1 << 2 * m):
             if n == 3 and bits % 4099 != 0:
                 continue  # sample 64 of the 262144 three-point frames
-            frame = Frame(pts, frozenset(e for i, e in enumerate(all_edges) if bits >> i & 1),
-                          frozenset(e for i, e in enumerate(all_edges) if bits >> m + i & 1))
+            frame = Frame(pts, bit_rows(bits, n), bit_rows(bits >> m, n))
             phi = random_formula(rng, depth=3, num_vars=2, language=H2, num_noms=1)
             for f in fixed + [phi]:
                 expected = brute_force_frame_valid(frame, f)
@@ -192,17 +189,14 @@ def all_frames(kind, sample_three):
     whose edge bits are a multiple of `sample_three`."""
     for n in (1, 2, 3):
         pts = tuple("xyz"[:n])
-        all_edges = [(a, b) for a in pts for b in pts]
-        m = len(all_edges)
+        m = n * n
         for bits in range(1 << (2 * m if kind == H2 else m)):
             if n == 3 and bits % sample_three != 0:
                 continue
-            r = frozenset(e for i, e in enumerate(all_edges) if bits >> i & 1)
             if kind == L:
-                yield Frame(pts, r)
+                yield Frame(pts, bit_rows(bits, n))
             else:
-                yield Frame(pts, r, frozenset(e for i, e in enumerate(all_edges)
-                                              if bits >> m + i & 1))
+                yield Frame(pts, bit_rows(bits, n), bit_rows(bits >> m, n))
 
 
 def check_against_oracle(frame, phi):
@@ -249,7 +243,7 @@ def test_placements_is_the_union_of_every_placement():
     rng = random.Random(8)
     for seed in range(40):
         frame = random_frame(seed, 5, kind=H2)
-        union = placements(frame, {1, 2})
+        union = placements(DisjointUnion([Model(frame, Valuation())]), {1, 2})
         models = DisjointUnion(Model(frame, Valuation({}, {1: p, 2: p})) for p in frame.points)
         assert (union.offsets, union.width) == (models.offsets, models.width)
         for _ in range(10):
@@ -288,7 +282,7 @@ def test_frame_valid_agrees_with_brute_force_where_polarities_collide():
     # every point sees x and y, so `<>~p1` and `[]p1` share one box atom:
     # the diamond asks for it first, in one direction, and the box then
     # needs the other
-    frame = Frame(("x", "y", "z"), frozenset((a, b) for a in "xyz" for b in "xy"))
+    frame = Frame(("x", "y", "z"), (0b011,) * 3)
     phi = parse("(<>~p1 & p2) | ([u]p1 -> []p1)")
     assert isinstance(frame_valid(frame, phi), Valid)
     # one shared subformula under ~, ->, <-> and a diamond, so its atoms
@@ -322,10 +316,18 @@ def test_frame_valid_agrees_with_brute_force_where_polarities_collide():
 
 
 def test_transitive_closure():
-    assert transitive_closure(set()) == frozenset()
-    got = transitive_closure({("a", "b"), ("b", "c")})
-    assert got == frozenset({("a", "b"), ("b", "c"), ("a", "c")})
-    assert is_transitive(got)
+    assert transitive_closure(()) == ()
+    # a -> b -> c gains a -> c
+    assert transitive_closure((0b010, 0b100, 0)) == (0b110, 0b100, 0)
+    rng = random.Random(3)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        rows = tuple(sum(1 << j for j in range(n) if rng.random() < density / 3)
+                     for _ in range(n))
+        got = transitive_closure(rows)
+        assert got == closure_by_search(rows), rows
+        assert is_transitive(got)
 
 
 def test_random_frame_deterministic_and_transitive():
@@ -333,10 +335,36 @@ def test_random_frame_deterministic_and_transitive():
         assert random_frame(seed, 6) == random_frame(seed, 6)
     assert len(random_frame(0, 1).points) == 1
     for seed in range(60):
-        frame = random_frame(seed, 5, transitive=True)
-        assert is_transitive(frame.r)
-    hybrid = random_frame(3, 4, kind=H2, s_universal=True)
-    assert hybrid.s == frozenset((a, b) for a in hybrid.points for b in hybrid.points)
+        frame = random_frame(seed, 5)
+        assert is_transitive(transitive_closure(frame.r))
+
+
+# pinned serialize_frame text of random frames: a change in how a seed
+# draws its frame changes the models the random-model suite checks
+_RANDOM_FRAME_TEXT = {
+    (L, 0): "points: w0 w1 w2 w3\nR: w0 w0\nR: w0 w1\nR: w0 w3\nR: w1 w1\nR: w2 w2\n"
+            "R: w3 w1\n",
+    (L, 2): "points: w0\n",
+    (L, 7): "points: w0 w1 w2\nR: w0 w0\nR: w0 w1\nR: w1 w0\nR: w2 w0\nR: w2 w1\n"
+            "R: w2 w2\n",
+    (H2, 0): "points: w0 w1 w2 w3\nR: w0 w0\nR: w0 w1\nR: w0 w3\nR: w1 w1\nR: w2 w2\n"
+             "R: w3 w1\nS: w0 w1\nS: w1 w2\nS: w1 w3\nS: w3 w1\n",
+    (H2, 2): "points: w0\nS:\n",
+    (H2, 7): "points: w0 w1 w2\nR: w0 w0\nR: w0 w1\nR: w1 w0\nR: w2 w0\nR: w2 w1\n"
+             "R: w2 w2\nS: w0 w1\nS: w2 w0\nS: w2 w2\n",
+}
+_RANDOM_FRAME_DIGEST = {
+    L: "211e4af58ff34795de231c971bda226a09b30d80050cca557f115298b4e9653c",
+    H2: "0a3463b09aea0ccfc4ef4fdf521f824349ea1300a434dcd241eabf31cc40ea55",
+}
+
+
+def test_random_frame_draws_the_recorded_frames():
+    for (kind, seed), text in _RANDOM_FRAME_TEXT.items():
+        assert serialize_frame(random_frame(seed, 4, kind=kind)) == text
+    for kind, digest in _RANDOM_FRAME_DIGEST.items():
+        text = "".join(serialize_frame(random_frame(seed, 8, kind=kind)) for seed in range(200))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_semantic_substitution_lemma():
@@ -366,8 +394,7 @@ def test_variable_free_formulas_are_valuation_independent():
 
 
 def test_points_within():
-    frame = Frame(("a", "b", "c", "d"), frozenset({("a", "b"), ("b", "c")}),
-                  frozenset({("c", "d")}))
+    frame = parse_frame("points: a b c d\nR: a b\nR: b c\nS: c d\n")
     assert points_within(frame, "a", 0) == {"a"}
     assert points_within(frame, "a", 1) == {"a", "b"}
     assert points_within(frame, "a", 3) == {"a", "b", "c", "d"}
@@ -378,8 +405,30 @@ def test_frame_text_roundtrip():
     assert parse_frame(serialize_frame(frame)) == frame
     plain = random_frame(12, 5)
     assert parse_frame(serialize_frame(plain)) == plain
-    empty_s = Frame(("x",), frozenset(), frozenset())
+    empty_s = Frame(("x",), (0,), (0,))
+    assert serialize_frame(empty_s) == "points: x\nS:\n"
     assert parse_frame(serialize_frame(empty_s)) == empty_s
+
+
+def test_frame_row_and_text_errors():
+    with pytest.raises(ValueError):
+        Frame(("x", "y"), (0,))
+    with pytest.raises(ValueError):
+        Frame(("x",), (0,), (0, 0))
+    with pytest.raises(UnknownPoint):
+        Frame(("x", "y"), (0b100, 0))
+    with pytest.raises(UnknownPoint):
+        Frame(("x",), (0,), (-1,))
+    for text, message in (("points: x y\nR: x z\n", "R edge (x, z) leaves the frame"),
+                          ("R: z x\npoints: x\n", "R edge (z, x) leaves the frame"),
+                          ("points: x\nS:\nS: x z\n", "S edge (x, z) leaves the frame")):
+        with pytest.raises(UnknownPoint) as info:
+            parse_frame(text)
+        assert str(info.value) == message
+    for text in ("R: x y\n", "points:\n", "points: x x\n", "points: x\nR: x\n",
+                 "points: x\nS: x x x\n", "points: x\nT: x x\n"):
+        with pytest.raises(ParseError):
+            parse_frame(text)
 
 
 def test_valuation_text_roundtrip():
@@ -398,9 +447,9 @@ def test_holds_everywhere():
 
 
 def test_universal_box_stays_inside_its_block():
-    everywhere = Model(Frame(("a", "b", "c"), frozenset({("a", "b")})),
+    everywhere = Model(parse_frame("points: a b c\nR: a b\n"),
                        Valuation({1: frozenset({"a", "b", "c"})}))
-    nowhere = Model(Frame(("d", "e"), frozenset({("e", "e")})),
+    nowhere = Model(parse_frame("points: d e\nR: e e\n"),
                     Valuation({1: frozenset()}))
     union = DisjointUnion([everywhere, nowhere])
     assert union.offsets == [0, 3] and union.width == 5
@@ -431,12 +480,20 @@ def test_disjoint_union_masks_are_per_model_masks_side_by_side():
             assert truth_mask(union, phi) == expected
 
 
+def test_disjoint_union_offset_masks_match_pairs_reference():
+    for language in (L, H2):
+        models = [Model(random_frame(seed, 6, kind=language), Valuation())
+                  for seed in range(40)]
+        for k in (1, 7, 40):
+            assert DisjointUnion(models[:k]).edges == offset_masks_by_pairs(models[:k])
+
+
 def test_disjoint_union_errors():
-    bound = Model(Frame(("a",), frozenset()), Valuation({1: frozenset({"a"})}))
-    unbound = Model(Frame(("b",), frozenset()), Valuation())
+    bound = Model(Frame(("a",), (0,)), Valuation({1: frozenset({"a"})}))
+    unbound = Model(Frame(("b",), (0,)), Valuation())
     with pytest.raises(UnboundSymbol):
         truth_mask(DisjointUnion([bound, unbound]), parse("p1"))
-    hybrid = Model(Frame(("c",), frozenset(), frozenset()), Valuation())
+    hybrid = Model(Frame(("c",), (0,), (0,)), Valuation())
     with pytest.raises(ValueError):
         DisjointUnion([bound, hybrid])
     with pytest.raises(LanguageMismatch):

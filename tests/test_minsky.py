@@ -1,6 +1,7 @@
 import pytest
 
-from mlunif.errors import DeterminismError, ParseError
+from mlunif import minsky
+from mlunif.errors import DeterminismError, ParseError, ResourceLimit
 from mlunif.minsky import (
     EXHAUSTED, HALTED, LOOPED, Config, Dec, Inc, MinskyProgram, No, Unknown,
     Yes, parse_config, parse_program, reaches, run_trace, step,
@@ -97,6 +98,21 @@ def test_run_trace_detects_loop():
     assert trace.stopped == LOOPED
     assert trace.configs == (Config(1, 0, 0),)
     assert len(set(trace.configs)) == len(trace.configs)
+
+
+def test_run_trace_step_budget(monkeypatch):
+    monkeypatch.setattr(minsky, "STEP_BUDGET", 5)
+    counting = parse_program("1 -> 1,+1,0")
+    # up to the budget the run is cut by its bound, one step past it stops
+    assert run_trace(counting, Config(1, 0, 0), 5).stopped == EXHAUSTED
+    with pytest.raises(ResourceLimit) as info:
+        run_trace(counting, Config(1, 0, 0), 6)
+    assert str(info.value) == "bounded run budget exceeded: 6 steps, limit 5"
+    # runs that halt or loop within the budget are unaffected by the bound
+    halting = parse_program("1 -> 2,+1,0\n2 -> 3,+1,0")
+    assert run_trace(halting, Config(1, 0, 0), 100).stopped == HALTED
+    looping = parse_program("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0")
+    assert run_trace(looping, Config(1, 0, 0), 100).stopped == LOOPED
 
 
 def test_reaches_zero_steps():

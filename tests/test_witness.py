@@ -179,7 +179,7 @@ reduction = psi(program, start, target, L)
 sigma = witness_from_trace(run_trace(program, start, steps), L)
 bound = apply_subst(sigma, reduction)
 assert size(bound) == 40 * steps + 122
-frame = Frame(("a", "b"), frozenset([("a", "b"), ("b", "b")]))
+frame = Frame(("a", "b"), (0b10, 0b10))
 assert isinstance(frame_valid(frame, bound), Valid)
 model = Model(frame, Valuation({1: frozenset("a"), 2: frozenset("b")}, {}))
 truth_mask(model, bound)

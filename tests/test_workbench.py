@@ -390,6 +390,17 @@ def test_cli_exit_code_resource_limit(capsys):
         "resource limit: tableau budget exceeded: 4 node expansions, limit 3\n")
 
 
+def test_cli_verify_stops_at_the_step_budget(tmp_path, capsys):
+    # the counter grows without end, so the run takes every step --bound allows
+    program = tmp_path / "prog.txt"
+    program.write_text("1 -> 1,+1,0\n")
+    code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
+                   "--target", "2,0,0", "--bound", "200000")
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "resource limit: bounded run budget exceeded: 100001 steps, limit 100000\n")
+
+
 def test_cli_frame_stops_at_the_point_budget(tmp_path, capsys, monkeypatch):
     # the run counts counter 1 down from 600, so the frame would have
     # 8 + 3 * 603 + 1 points; the check comes before R's transitive closure
