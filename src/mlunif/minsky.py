@@ -141,22 +141,23 @@ def step(program: MinskyProgram, config: Config) -> Optional[Config]:
 HALTED = "halted"
 LOOPED = "looped"
 EXHAUSTED = "exhausted"
+REACHED = "reached"
 
 
 @dataclass(frozen=True)
 class Trace:
     """A run prefix: len(configs) == len(instrs) + 1, and instrs[i] is the
-    instruction transforming configs[i] into configs[i+1]."""
+    instruction transforming configs[i] into configs[i+1].  `stopped` says
+    why the run ended: the machine halts or loops right after the last
+    configuration, the bound ran out, or (REACHED) the last configuration
+    is the target the run was asked for, and what the machine does after
+    it is not known."""
     configs: Tuple[Config, ...]
     instrs: Tuple[Instruction, ...]
-    stopped: str  # HALTED, LOOPED or EXHAUSTED
+    stopped: str  # HALTED, LOOPED, EXHAUSTED or REACHED
 
     def __len__(self):
         return len(self.instrs)
-
-    def prefix_to(self, target: Config) -> "Trace":
-        i = self.configs.index(target)
-        return Trace(self.configs[:i + 1], self.instrs[:i], self.stopped)
 
 
 # run_trace raises ResourceLimit once a run takes more steps than this:
@@ -164,13 +165,14 @@ class Trace:
 STEP_BUDGET = 100_000
 
 
-def run_trace(program: MinskyProgram, start: Config, bound: int) -> Trace:
+def run_trace(program: MinskyProgram, start: Config, bound: int,
+              target: Optional[Config] = None) -> Trace:
     """The unique run of at most `bound` steps.
 
-    Stops early at a halt or when the next configuration was already
-    visited (a deterministic machine then cycles forever); all recorded
-    configurations are distinct.  Raises ResourceLimit when the run would
-    take step STEP_BUDGET + 1.
+    Stops early at a halt, when the next configuration was already
+    visited (a deterministic machine then cycles forever), or once it has
+    recorded `target`; all recorded configurations are distinct.  Raises
+    ResourceLimit when the run would take step STEP_BUDGET + 1.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -178,8 +180,10 @@ def run_trace(program: MinskyProgram, start: Config, bound: int) -> Trace:
     instrs: List[Instruction] = []
     visited = {start}
     current = start
-    stopped = EXHAUSTED
+    stopped = None
     for _ in range(bound):
+        if current == target:
+            break
         nxt = step(program, current)
         if nxt is None:
             stopped = HALTED
@@ -194,13 +198,14 @@ def run_trace(program: MinskyProgram, start: Config, bound: int) -> Trace:
         configs.append(nxt)
         visited.add(nxt)
         current = nxt
-    else:
-        # bound reached: still classify a halt or loop sitting right at it
-        nxt = step(program, current)
-        if nxt is None:
-            stopped = HALTED
-        elif nxt in visited:
-            stopped = LOOPED
+    if stopped is None:
+        if current == target:
+            stopped = REACHED
+        else:
+            # bound reached: still classify a halt or loop sitting right at it
+            nxt = step(program, current)
+            stopped = (HALTED if nxt is None else LOOPED if nxt in visited
+                       else EXHAUSTED)
     return Trace(tuple(configs), tuple(instrs), stopped)
 
 
@@ -225,13 +230,14 @@ Reachability = Union[Yes, No, Unknown]
 def reaches(program: MinskyProgram, start: Config, target: Config, bound: int) -> Reachability:
     """Bounded reachability with sound negative answers.
 
-    Yes carries the witnessing trace prefix (possibly of length 0).  No is
-    returned only when the run provably halts or loops within the bound
+    Yes carries the run up to the target (possibly of length 0); the run
+    stops there, so a large bound costs nothing once the target is found.
+    No is returned only when the run provably halts or loops within the bound
     without visiting the target; otherwise Unknown.
     """
-    trace = run_trace(program, start, bound)
-    if target in trace.configs:
-        return Yes(trace.prefix_to(target))
+    trace = run_trace(program, start, bound, target)
+    if trace.stopped == REACHED:
+        return Yes(trace)
     if trace.stopped in (HALTED, LOOPED):
         return No()
     return Unknown("no verdict within %d steps" % bound)

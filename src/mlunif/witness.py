@@ -6,35 +6,37 @@ each counter variable to a disjunction over i of (defect_i and the tower
 marker of the counter's value at step i), where the marker index shifts
 down by one exactly when the step ahead decrements that counter from a
 nonzero value.
+
+`step_lemmas` and `no_defect_lemma` reduce the validity of the substituted
+reduction formula, in the universal language, to 2l + 1 small K formulas.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from .formula import And, Formula, Not, Substitution, disj
+from .formula import (
+    L, And, Formula, Implies, Not, Substitution, Var, apply_subst, disj,
+)
 from .minsky import Dec, Trace
-from .encoding import config_exists, tower
+from .encoding import ax_instruction, config_exists, config_formula, tower
 
 
-def defect(i: int, trace: Trace, language: str) -> Formula:
-    """Run represented faithfully through step i, but not at step i + 1."""
-    if not 0 <= i < len(trace):
-        raise IndexError("defect index %d out of range for a %d-step trace"
-                         % (i, len(trace)))
-    return defect_formulas(trace, language)[i]
-
-
-def defect_formulas(trace: Trace, language: str) -> List[Formula]:
-    """defect(i) for every step i; consecutive defects share their
-    left-associated prefix conjunction, which is built once."""
+def _defects(exists: List[Formula]) -> List[Formula]:
+    """exists[0] & ... & exists[i] & ~exists[i + 1] for every i < l; the
+    left-associated prefix conjunctions are built once and shared."""
     out: List[Formula] = []
-    prefix = config_exists(trace.configs[0], language)
-    for config in trace.configs[1:]:
-        here = config_exists(config, language)
+    prefix = exists[0]
+    for here in exists[1:]:
         out.append(And(prefix, Not(here)))
         prefix = And(prefix, here)
     return out
+
+
+def defect_formulas(trace: Trace, language: str) -> List[Formula]:
+    """defect_i for every step i: the run is represented faithfully through
+    step i, but not at step i + 1."""
+    return _defects([config_exists(c, language) for c in trace.configs])
 
 
 def shifted_counter_index(trace: Trace, i: int, counter: int) -> int:
@@ -62,3 +64,61 @@ def witness_from_trace(trace: Trace, language: str) -> Substitution:
         for counter in (1, 2)
     })
 
+
+def step_lemmas(trace: Trace) -> List[Formula]:
+    """Two K formulas per step i of the run, in step order:
+
+        config_formula(c_i) -> A_i[m_i/p]   and   B_i[m_i/p] -> config_formula(c_{i+1})
+
+    where <u>A_i -> <u>B_i is the implication of instruction i's axiom
+    (`ax_instruction` in L) that step i takes: the one implication of an
+    increment, the non-zero or zero implication of a decrement.  m_i maps
+    each counter variable p_c to `shifted_counter_marker(trace, i, c)`.
+
+    If these lemmas and `no_defect_lemma(trace)` are valid, the substituted
+    reduction formula sigma(psi) = sigma(Ax_P) & <u>c_0 -> <u>c_l of the
+    universal language, sigma = `witness_from_trace(trace, L)`, holds at
+    every point of every model.  Proof.  Each defect_i is a boolean
+    combination of `<u>` formulas, so it holds at every point of a model or
+    at none, and the defects are pairwise exclusive (defect_i denies
+    <u>c_{i+1}, which defect_k asserts for k > i).
+    - If no defect holds, substitute <u>config_formula(c_j) for q_j in the
+      valid `no_defect_lemma`: <u>c_0 -> <u>c_l holds everywhere, and so
+      does sigma(psi).
+    - If defect_i holds, then at every point sigma(p_c) holds exactly where
+      m_{i,c} does, since every other disjunct of sigma(p_c) is false; by
+      induction on formulas, sigma(chi) and chi[m_i/p] have the same truth
+      set for every chi.  defect_i gives a point satisfying
+      config_formula(c_i); by the first lemma it satisfies A_i[m_i/p], so
+      sigma(<u>A_i) holds.  defect_i also denies every point
+      config_formula(c_{i+1}); by the second lemma no point satisfies
+      B_i[m_i/p], so sigma(<u>B_i) fails.  The implication
+      <u>A_i -> <u>B_i is a conjunct of Ax_P, so sigma(Ax_P) fails at
+      every point and sigma(psi) holds.
+    The lemmas hold no `[u]`, no `[h]` and no nominal, so they are K
+    formulas; reading the branch off `ax_instruction` keeps them in step
+    with Ax_P.
+    """
+    out: List[Formula] = []
+    for i, ins in enumerate(trace.instrs):
+        branch = ax_instruction(ins, L)
+        if isinstance(ins, Dec):
+            config = trace.configs[i]
+            value = config.c1 if ins.counter == 1 else config.c2
+            branch = branch.left if value != 0 else branch.right
+        markers = Substitution({c: shifted_counter_marker(trace, i, c) for c in (1, 2)})
+        # strip the <u> of either side
+        before = apply_subst(markers, branch.left.sub)
+        after = apply_subst(markers, branch.right.sub)
+        out.append(Implies(config_formula(trace.configs[i]), before))
+        out.append(Implies(after, config_formula(trace.configs[i + 1])))
+    return out
+
+
+def no_defect_lemma(trace: Trace) -> Formula:
+    """The propositional skeleton of the case in which no defect holds:
+    ~(d_0 | ... | d_{l-1}) & q_0 -> q_l, where q_j = p_{j+1} stands for
+    <u>config_formula(c_j) and d_i is defect_i over the q_j
+    (see `step_lemmas`)."""
+    qs = [Var(j + 1) for j in range(len(trace.configs))]
+    return Implies(And(Not(disj(_defects(qs))), qs[0]), qs[-1])

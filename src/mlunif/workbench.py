@@ -1,8 +1,9 @@
 """End-to-end pipeline: compile, decide reachability, and certify.
 
 For a reachable target the pipeline builds the explicit unifier and
-verifies the substituted reduction formula, by tableau within a step
-budget and otherwise against a seeded random-model suite.  For a provably
+verifies the substituted reduction formula: on short runs by tableau
+proofs of the paper's step lemmas (the whole formula in the hybrid
+language), otherwise against a seeded random-model suite.  For a provably
 unreachable target it builds the truncated canonical frame and certifies
 non-unifiability: the program axioms are frame-valid, the start
 configuration's marker is globally true, and the target's marker is
@@ -29,11 +30,11 @@ from .formula import (
 from .kripke import (
     DisjointUnion, Model, Valid, Valuation, frame_valid, random_frame, truth_mask,
 )
-from .minsky import Config, MinskyProgram, No, Unknown, Yes, reaches
+from .minsky import Config, MinskyProgram, No, Trace, Unknown, Yes, reaches
 from .encoding import (
     MODES, LabeledFrame, ax_program, canonical_frame, config_exists, psi,
 )
-from .witness import witness_from_trace
+from .witness import no_defect_lemma, step_lemmas, witness_from_trace
 
 DEFAULT_TRIALS = 1000
 DEFAULT_MAX_POINTS = 8
@@ -112,33 +113,39 @@ def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
     return k + 1, (model, model.frame.points[bit - union.offsets[k]])
 
 
-def verify_unifier(bound_formula: Formula, language: str, trace_length: int,
+def verify_unifier(bound_formula: Formula, language: str, trace: Trace,
                    seed: int = 0, trials: int = DEFAULT_TRIALS,
                    max_points: int = DEFAULT_MAX_POINTS,
                    tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> ValidityEvidence:
-    """Certify that the substituted reduction formula holds everywhere.
+    """Certify that the substituted reduction formula `bound_formula`, the
+    unifier of `trace` applied to psi, holds everywhere.
 
-    The tableau is complete but only attempted within a step budget on
-    short traces (hybrid instances beyond the trivial length go straight
-    to the suite: the nominal-agreement conjunction makes their closure
-    large); the random-model suite is the fallback.  A counter-model from
-    either route is an internal-invariant violation, not a verdict.
+    On runs of at most DEFAULT_TABLEAU_MAX_STEPS steps in the universal
+    language the tableau proves the run's step lemmas and its no-defect
+    lemma, which together imply the formula (`witness.step_lemmas`), each
+    proof within `tableau_budget`.  The hybrid language has no such
+    argument yet, so there the tableau proves the whole formula, and only
+    for zero-step runs (the nominal-agreement conjunction makes the closure
+    of longer ones large).  A proof that runs out of budget falls back to
+    the random-model suite.  A counter-model from either route is an
+    internal-invariant violation, not a verdict.
     """
     if language == L:
-        attempt_tableau = trace_length <= DEFAULT_TABLEAU_MAX_STEPS
+        goals = (step_lemmas(trace) + [no_defect_lemma(trace)]
+                 if len(trace) <= DEFAULT_TABLEAU_MAX_STEPS else [])
     else:
-        attempt_tableau = trace_length == 0
-    if attempt_tableau:
-        try:
-            verdict = decision.valid(bound_formula, label_budget=tableau_budget)
-        except ResourceLimit:
-            verdict = None
-        if verdict is not None:
+        goals = [bound_formula] if len(trace) == 0 else []
+    try:
+        for goal in goals:
+            verdict = decision.valid(goal, label_budget=tableau_budget)
             if not isinstance(verdict, Valid):
                 raise InternalCheckFailed(
                     "unifier verification found a counter-model at point %r"
                     % verdict.point)
-            return ValidityEvidence("tableau")
+    except ResourceLimit:
+        goals = []
+    if goals:
+        return ValidityEvidence("tableau")
     checked, failure = check_on_random_models(bound_formula, language, seed, trials,
                                               max_points)
     if failure is not None:
@@ -175,7 +182,7 @@ def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
     if isinstance(reach, Yes):
         sigma = witness_from_trace(reach.trace, language)
         bound_formula = apply_subst(sigma, psi(program, start, target, language))
-        evidence = verify_unifier(bound_formula, language, len(reach.trace),
+        evidence = verify_unifier(bound_formula, language, reach.trace,
                                   seed=seed, trials=trials, max_points=max_points,
                                   tableau_budget=tableau_budget)
         return Unifiable(sigma, evidence, len(reach.trace))

@@ -24,7 +24,8 @@ from mlunif.encoding import (
 )
 from mlunif.eqtheory import parse_term, print_term, theory_implications
 from mlunif.witness import (
-    defect, shifted_counter_index, shifted_counter_marker, witness_from_trace,
+    defect_formulas, no_defect_lemma, shifted_counter_index, shifted_counter_marker,
+    step_lemmas, witness_from_trace,
 )
 from mlunif.workbench import (
     NotUnifiable, certificate_checks, check_on_random_models,
@@ -149,6 +150,11 @@ def test_c04_reachable_direction_tableau():
         bound_formula = apply_subst(sigma, psi(program, start, target, L))
         verdict = decision.valid(bound_formula, label_budget=5_000_000)
         assert isinstance(verdict, decision.Valid), (text, a, b)
+        # the step lemmas and the no-defect lemma, which the pipeline proves
+        # in place of the whole formula, hold as well
+        for lemma in step_lemmas(outcome.trace) + [no_defect_lemma(outcome.trace)]:
+            verdict = decision.valid(lemma, label_budget=5_000_000)
+            assert isinstance(verdict, decision.Valid), (text, a, b, pretty(lemma))
     elapsed = time.time() - t0
     assert elapsed < 120.0
     assert len(lengths) >= 5
@@ -212,7 +218,7 @@ def _claim_stream(limit, seed_base):
         seed += 1
         i = seed % len(trace)
         model = prefix_defect_model(seed, program, trace, i, L,
-                                    defect(i, trace, L))
+                                    defect_formulas(trace, L)[i])
         if model is None:
             continue
         produced += 1
@@ -240,12 +246,13 @@ def test_c08_defect_exclusivity():
     program = parse_program("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0")
     trace = run_trace(program, Config(1, 0, 0), 50)
     assert len(trace) == 3
+    defects = defect_formulas(trace, L)
     pairs = 0
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
-            both = And(defect(i, trace, L), defect(j, trace, L))
+            both = And(defects[i], defects[j])
             assert isinstance(decision.satisfiable(both), decision.Unsat), (i, j)
             pairs += 1
     elapsed = time.time() - t0

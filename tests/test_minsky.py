@@ -3,7 +3,7 @@ import pytest
 from mlunif import minsky
 from mlunif.errors import DeterminismError, ParseError, ResourceLimit
 from mlunif.minsky import (
-    EXHAUSTED, HALTED, LOOPED, Config, Dec, Inc, MinskyProgram, No, Unknown,
+    EXHAUSTED, HALTED, LOOPED, REACHED, Config, Dec, Inc, MinskyProgram, No, Unknown,
     Yes, parse_config, parse_program, reaches, run_trace, step,
 )
 
@@ -113,6 +113,21 @@ def test_run_trace_step_budget(monkeypatch):
     assert run_trace(halting, Config(1, 0, 0), 100).stopped == HALTED
     looping = parse_program("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0")
     assert run_trace(looping, Config(1, 0, 0), 100).stopped == LOOPED
+
+
+def test_run_trace_stops_at_its_target(monkeypatch):
+    monkeypatch.setattr(minsky, "STEP_BUDGET", 10)
+    counting = parse_program("1 -> 1,+1,0")
+    trace = run_trace(counting, Config(1, 0, 0), 1000, target=Config(1, 3, 0))
+    assert trace.configs[-1] == Config(1, 3, 0)
+    assert len(trace) == 3
+    assert trace.stopped == REACHED
+    # a start that is the target takes no step, even under bound 0
+    assert run_trace(counting, Config(1, 0, 0), 0, target=Config(1, 0, 0)).stopped == REACHED
+    # a target past the budget still stops the run there
+    with pytest.raises(ResourceLimit):
+        run_trace(counting, Config(1, 0, 0), 1000, target=Config(1, 11, 0))
+    assert reaches(counting, Config(1, 0, 0), Config(1, 10, 0), 1000).trace.stopped == REACHED
 
 
 def test_reaches_zero_steps():

@@ -18,8 +18,6 @@ UNREFERENCED_ALLOWED = {
     # the readers of written evidence, for `mlunif check` (ROADMAP item 4)
     "encoding.marker",
     "formula.parse_substitution",
-    # one defect formula; the pipeline builds them all with defect_formulas
-    "witness.defect",
 }
 
 

@@ -7,17 +7,21 @@ import pytest
 
 import mlunif
 
+from mlunif import decision, witness
 from mlunif.formula import (
-    BOT, H2, L, And, Not, Substitution, apply_subst, nominals, size, variables,
+    BOT, H2, L, And, Not, Substitution, apply_subst, language_of, nominals,
+    parse, pretty, size, variables,
 )
-from mlunif.kripke import Model, Valuation, random_frame, truth_mask
-from mlunif.minsky import Config, parse_program, reaches, run_trace
+from mlunif.kripke import (
+    Frame, Model, Valuation, random_frame, transitive_closure, truth_mask,
+)
+from mlunif.minsky import Config, parse_config, parse_program, reaches, run_trace
 from mlunif.encoding import (
-    PI1, PI2, TAU1, TAU2, config_exists, pi_tau, psi, tower,
+    PI1, PI2, TAU1, TAU2, config_exists, config_formula, pi_tau, psi, tower,
 )
 from mlunif.witness import (
-    defect, defect_formulas, shifted_counter_index, shifted_counter_marker,
-    witness_from_trace,
+    defect_formulas, no_defect_lemma, shifted_counter_index, shifted_counter_marker,
+    step_lemmas, witness_from_trace,
 )
 from helpers import holds_everywhere, prefix_defect_model
 
@@ -28,16 +32,13 @@ def trace_of(program_text, start, bound=50):
 
 def test_defect_shape():
     trace = trace_of("1 -> 2,+1,0\n2 -> 3,0,+1", Config(1, 0, 0))
-    d0 = defect(0, trace, L)
+    d0, d1 = defect_formulas(trace, L)
     assert d0 == And(config_exists(Config(1, 0, 0), L),
                      Not(config_exists(Config(2, 1, 0), L)))
-    d1 = defect(1, trace, L)
     assert variables(d1) == set()
-    assert nominals(defect(1, trace, H2)) == {1}
+    assert nominals(defect_formulas(trace, H2)[1]) == {1}
     with pytest.raises(IndexError):
-        defect(2, trace, L)
-    with pytest.raises(IndexError):
-        defect(-1, trace, L)
+        defect_formulas(trace, L)[2]
 
 
 def test_witness_zero_step_run():
@@ -51,8 +52,9 @@ def test_witness_inc_case_no_shift():
     result = reaches(prog, Config(1, 0, 0), Config(2, 1, 0), 10)
     sigma = witness_from_trace(result.trace, L)
     # single disjunct, counter value 0, no decrement ahead: marker index 0
-    assert sigma.get(1) == And(defect(0, result.trace, L), tower(1, 0))
-    assert sigma.get(2) == And(defect(0, result.trace, L), tower(2, 0))
+    d0, = defect_formulas(result.trace, L)
+    assert sigma.get(1) == And(d0, tower(1, 0))
+    assert sigma.get(2) == And(d0, tower(2, 0))
 
 
 def test_witness_dec_case_shifts_marker():
@@ -63,7 +65,7 @@ def test_witness_dec_case_shifts_marker():
     assert shifted_counter_index(trace, 0, 1) == 0
     assert shifted_counter_marker(trace, 0, 1) == tower(1, 0)
     sigma = witness_from_trace(trace, L)
-    assert sigma.get(1) == And(defect(0, trace, L), tower(1, 0))
+    assert sigma.get(1) == And(defect_formulas(trace, L)[0], tower(1, 0))
 
 
 def test_witness_dec_zero_branch_no_shift():
@@ -106,7 +108,7 @@ def _claim_models(program_text, start, language, limit):
         seed += 1
         i = seed % len(trace)
         model = prefix_defect_model(seed, prog, trace, i, language,
-                                    defect(i, trace, language))
+                                    defect_formulas(trace, language)[i])
         if model is None:
             continue
         found += 1
@@ -147,6 +149,110 @@ def test_defect_formulas_list():
     trace = trace_of("1 -> 2,+1,0\n2 -> 3,0,+1", Config(1, 0, 0))
     formulas = defect_formulas(trace, L)
     assert len(formulas) == len(trace) == 2
+
+
+# the runs of the benchmark's tableau instances T1-T3 and suite instances
+# S1 and S2, and a decrement that takes its zero branch
+LEMMA_RUNS = {
+    "T1": ("1 -> 2,0,-1 | 3,0,0", "1,0,1", "2,0,0"),
+    "T2": ("1 -> 2,0,+1", "1,0,0", "2,0,1"),
+    "T3": ("1 -> 2,-1,0 | 3,0,0", "1,1,0", "2,0,0"),
+    "S1": ("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0", "1,0,0", "4,2,1"),
+    "S2": ("1 -> 2,+1,0\n2 -> 3,+1,0\n3 -> 4,0,+1\n4 -> 5,-1,0 | 9,0,0\n"
+           "5 -> 6,0,-1 | 9,0,0", "1,0,0", "6,1,0"),
+    "zero": ("1 -> 2,-1,0 | 3,0,0", "1,0,0", "3,0,0"),
+}
+
+
+def lemma_run(name):
+    text, start, target = LEMMA_RUNS[name]
+    program = parse_program(text)
+    start, target = parse_config(start), parse_config(target)
+    return program, start, target, reaches(program, start, target, 50).trace
+
+
+def test_step_lemmas_shape():
+    _, _, _, trace = lemma_run("S1")
+    lemmas = step_lemmas(trace)
+    assert len(lemmas) == 2 * len(trace) == 6
+    for lemma in lemmas + [no_defect_lemma(trace)]:
+        assert language_of(lemma) is None  # plain K: no [u], [h] or nominal
+    # step 0 increments counter 1 from 1,0,0: its configuration formula is
+    # the first lemma's antecedent, the next configuration's the second's
+    # consequent
+    assert lemmas[0].left is config_formula(Config(1, 0, 0))
+    assert lemmas[1].right is config_formula(Config(2, 1, 0))
+    assert no_defect_lemma(trace) is parse(
+        "~(p1 & ~p2 | p1 & p2 & ~p3 | p1 & p2 & p3 & ~p4) & p1 -> p4")
+    # a zero-step run has no step lemma, and q_0 -> q_0 is its no-defect lemma
+    empty = run_trace(parse_program(""), Config(1, 0, 0), 0)
+    assert step_lemmas(empty) == []
+    assert no_defect_lemma(empty) is parse("~false & p1 -> p1")
+
+
+def shifted_step_lemmas(monkeypatch, trace, i, counter, delta):
+    """The lemmas of step i with counter's marker index shifted by delta."""
+    unshifted = witness.shifted_counter_index
+
+    def shifted(t, j, c):
+        return unshifted(t, j, c) + (delta if (j, c) == (i, counter) else 0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(witness, "shifted_counter_index", shifted)
+        return step_lemmas(trace)[2 * i:2 * i + 2]
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "T1", "T2", "T3"])
+def test_every_marker_shift_fails_a_step_lemma(monkeypatch, name):
+    # shifting one counter's marker index at one step by +1, or by -1 where
+    # the index stays >= 0, must give a counter-model to a lemma of that step
+    _, _, _, trace = lemma_run(name)
+    mutants = 0
+    for i in range(len(trace)):
+        for counter in (1, 2):
+            for delta in (1, -1):
+                if shifted_counter_index(trace, i, counter) + delta < 0:
+                    continue
+                step = shifted_step_lemmas(monkeypatch, trace, i, counter, delta)
+                assert any(isinstance(decision.valid(lemma), decision.CounterModel)
+                           for lemma in step), (name, i, counter, delta)
+                mutants += 1
+    assert mutants >= 2 * len(trace)
+
+
+def test_zero_branch_lemmas_leave_the_decremented_marker_free(monkeypatch):
+    # the zero branch of a counter-1 decrement does not mention p1, so the
+    # lemmas, and the argument, hold for any marker of counter 1 at that step
+    _, _, _, trace = lemma_run("zero")
+    assert shifted_step_lemmas(monkeypatch, trace, 0, 1, 1) == step_lemmas(trace)
+    step = shifted_step_lemmas(monkeypatch, trace, 0, 2, 1)
+    assert any(isinstance(decision.valid(lemma), decision.CounterModel) for lemma in step)
+
+
+def test_valid_lemmas_give_valid_substituted_psi():
+    # the glue of the step-lemma argument, checked on models: on prefix
+    # frames where defect_i holds everywhere, and on random frames where
+    # mostly no defect holds, sigma(psi) holds at every point
+    for name in sorted(LEMMA_RUNS):
+        program, start, target, trace = lemma_run(name)
+        for lemma in step_lemmas(trace) + [no_defect_lemma(trace)]:
+            assert isinstance(decision.valid(lemma), decision.Valid), (name, pretty(lemma))
+        bound_formula = apply_subst(witness_from_trace(trace, L),
+                                    psi(program, start, target, L))
+        defects = defect_formulas(trace, L)
+        covered = set()
+        for seed in range(40):
+            i = seed % len(trace)
+            model = prefix_defect_model(seed, program, trace, i, L, defects[i])
+            if model is not None:
+                covered.add(i)
+                assert holds_everywhere(model, bound_formula), (name, seed, i)
+        assert covered == set(range(len(trace))), name
+        for seed in range(40):
+            frame = random_frame(seed, 6)
+            if seed % 2:
+                frame = Frame(frame.points, transitive_closure(frame.r))
+            assert holds_everywhere(Model(frame, Valuation()), bound_formula), (name, seed)
 
 
 @pytest.mark.parametrize("steps, nodes", [(50, 2122), (100, 4122)])

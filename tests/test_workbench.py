@@ -401,6 +401,84 @@ def test_cli_verify_stops_at_the_step_budget(tmp_path, capsys):
         "", "resource limit: bounded run budget exceeded: 100001 steps, limit 100000\n")
 
 
+def test_cli_verify_stops_the_run_at_the_target(tmp_path, capsys):
+    # the target comes at step 5, so a bound past the step budget is harmless
+    program = tmp_path / "prog.txt"
+    program.write_text("1 -> 1,+1,0\n")
+    code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
+                   "--target", "1,5,0", "--bound", "200000", "--trials", "10")
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "unifiable"
+    assert report["trace_length"] == 5
+
+
+def test_cli_verify_falls_back_to_the_suite_when_a_lemma_runs_out(tmp_path, capsys):
+    program = tmp_path / "prog.txt"
+    program.write_text("1 -> 2,0,+1\n")
+    out = tmp_path / "out"
+    code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
+                   "--target", "2,0,1", "--budget", "3", "--out", str(out))
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdict"] == "unifiable"
+    assert report["evidence"]["method"] == "random_models"
+
+
+# Runs one reachable instance in a fresh interpreter (NF uids are
+# process-wide, so solver counts depend on what ran before) and prints the
+# evidence, the number of Solver.solve calls and whether decision.valid
+# was asked about the whole substituted reduction formula.
+_COUNTED_VERIFY = """
+import json, sys
+from mlunif import decision, propsat, workbench
+from mlunif.minsky import parse_config, parse_program
+calls = {"solve": 0, "whole": False}
+bound = []
+solve, valid, verify = propsat.Solver.solve, decision.valid, workbench.verify_unifier
+
+def counted_solve(self, *args, **kwargs):
+    calls["solve"] += 1
+    return solve(self, *args, **kwargs)
+
+def watched_valid(phi, *args, **kwargs):
+    calls["whole"] |= phi in bound
+    return valid(phi, *args, **kwargs)
+
+def watched_verify(bound_formula, *args, **kwargs):
+    bound.append(bound_formula)
+    return verify(bound_formula, *args, **kwargs)
+
+propsat.Solver.solve = counted_solve
+decision.valid = watched_valid
+workbench.verify_unifier = watched_verify
+verdict = workbench.check_unifiable_via_reduction(
+    parse_program(sys.argv[1]), parse_config(sys.argv[2]), parse_config(sys.argv[3]),
+    100, "L")
+print(json.dumps({"method": verdict.evidence.method, "solves": calls["solve"],
+                  "whole": calls["whole"]}))
+"""
+
+
+@pytest.mark.parametrize("program, start, target", [
+    ("1 -> 2,0,-1 | 3,0,0", "1,0,1", "2,0,0"),
+    ("1 -> 2,0,+1", "1,0,0", "2,0,1"),
+    ("1 -> 2,-1,0 | 3,0,0", "1,1,0", "2,0,0"),
+])
+def test_universal_tableau_evidence_proves_lemmas_not_the_whole_formula(program, start,
+                                                                        target):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlunif.__file__)))
+    out = subprocess.run([sys.executable, "-S", "-c", _COUNTED_VERIFY, program, start, target],
+                         env={"PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    got = json.loads(out.stdout)
+    assert got["method"] == "tableau"
+    assert not got["whole"]
+    # the whole formula took 2,241-2,585 solves on these instances
+    assert 0 < got["solves"] <= 400
+
+
 def test_cli_frame_stops_at_the_point_budget(tmp_path, capsys, monkeypatch):
     # the run counts counter 1 down from 600, so the frame would have
     # 8 + 3 * 603 + 1 points; the check comes before R's transitive closure
