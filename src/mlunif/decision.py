@@ -68,9 +68,9 @@ class NF:
 
 
 class NfBuilder:
-    """Interning factory.  One instance, `_B`, is shared process-wide: a
-    later call reuses the NF nodes, and so the uids, that an earlier call
-    built."""
+    """Interning factory, one per `satisfiable` call: uids number the nodes
+    of that call's formula in the order the call builds them, so the search
+    is the same whatever ran before in the process."""
 
     def __init__(self):
         self.table: Dict[tuple, NF] = {}
@@ -202,9 +202,6 @@ def _polar_children(key: Tuple[Formula, bool]) -> List[Tuple[Formula, bool]]:
     return [(a, pos) for a in f.args]
 
 
-_B = NfBuilder()
-
-
 # --- results --------------------------------------------------------------------
 
 @dataclass
@@ -283,7 +280,8 @@ class _KEngine:
 
     INF = float("inf")
 
-    def __init__(self, budget: _Budget):
+    def __init__(self, b: NfBuilder, budget: _Budget):
+        self.b = b
         self.budget = budget
         self.cache: Dict[tuple, Tuple[bool, Optional[int]]] = {}
         self.cond: Dict[tuple, Tuple[int, int, int]] = {}
@@ -300,7 +298,7 @@ class _KEngine:
         # true and stands for TOP, its negation for BOT
         self.cnf = propsat.CnfBuilder()
         self.cnf.add_clause([self.cnf.new_atom()])
-        self.lit_of: Dict[int, int] = {_B.TOP.uid: 1, _B.BOT.uid: -1}
+        self.lit_of: Dict[int, int] = {b.TOP.uid: 1, b.BOT.uid: -1}
         self.encoded: Set[int] = set()
         # one warm incremental solver per axiom set, fed the shared
         # structural clauses on demand
@@ -324,7 +322,7 @@ class _KEngine:
         # x86-64 VM.
         hit = self.lit_of.get(nf.uid)
         if hit is None:
-            neg = _B.negate(nf)
+            neg = self.b.negate(nf)
             atom = self.cnf.new_atom()
             hit = atom if nf.uid < neg.uid else -atom
             self.lit_of[nf.uid] = hit
@@ -341,7 +339,7 @@ class _KEngine:
             if nf.uid in self.encoded:
                 continue
             self.encoded.add(nf.uid)
-            self.encoded.add(_B.negate(nf).uid)
+            self.encoded.add(self.b.negate(nf).uid)
             lf = self._lit(nf)
             if nf.tag in ("and", "or"):
                 arms = [self._lit(a) for a in nf.args]
@@ -502,21 +500,21 @@ def _k_model(engine: _KEngine, root_worlds: List[int]) -> Tuple[Model, Dict[int,
     return Model(frame, valuation), names
 
 
-def _global_atom(nf: NF) -> Optional[NF]:
+def _global_atom(b: NfBuilder, nf: NF) -> Optional[NF]:
     """The universal diamond that nf is, or whose complement nf is."""
     if nf.tag in ("box", "dia") and nf.mod is UNIV:
-        return nf if nf.tag == "dia" else _B.negate(nf)
+        return nf if nf.tag == "dia" else b.negate(nf)
     return None
 
 
-def _collect_globals(root: NF) -> List[NF]:
+def _collect_globals(b: NfBuilder, root: NF) -> List[NF]:
     """Canonical global atoms (universal diamonds), innermost first."""
     rank: Dict[int, int] = {}
     atoms: Dict[int, NF] = {}
 
     def children(nf: NF):
         yield from nf.args
-        atom = _global_atom(nf)
+        atom = _global_atom(b, nf)
         if atom is not None:
             yield atom.args[0]
 
@@ -524,7 +522,7 @@ def _collect_globals(root: NF) -> List[NF]:
         if nf.uid in rank:  # a universal diamond ranked through its box
             continue
         r = max((rank[a.uid] for a in nf.args), default=0)
-        atom = _global_atom(nf)
+        atom = _global_atom(b, nf)
         if atom is not None:
             r = max(r, rank[atom.args[0].uid]) + 1
             atoms[atom.uid] = atom
@@ -533,37 +531,38 @@ def _collect_globals(root: NF) -> List[NF]:
     return sorted(atoms.values(), key=lambda a: (rank[a.uid], a.uid))
 
 
-def _reduce(root: NF, values: Dict[int, bool], partial: bool = False) -> NF:
+def _reduce(b: NfBuilder, root: NF, values: Dict[int, bool], partial: bool = False) -> NF:
     """root with every assigned global atom replaced by its truth value;
     unassigned ones are an error unless `partial`."""
     def assigned(nf: NF) -> bool:
-        atom = _global_atom(nf)
+        atom = _global_atom(b, nf)
         return atom is not None and atom.uid in values
 
     memo: Dict[int, NF] = {}
     for nf in postorder(root, lambda g: () if assigned(g) else g.args):
         if assigned(nf):
-            truth = values[_global_atom(nf).uid] != (nf.tag == "box")
-            out = _B.TOP if truth else _B.BOT
-        elif not partial and _global_atom(nf) is not None:  # pragma: no cover
+            truth = values[_global_atom(b, nf).uid] != (nf.tag == "box")
+            out = b.TOP if truth else b.BOT
+        elif not partial and _global_atom(b, nf) is not None:  # pragma: no cover
             raise AssertionError("global atom not yet assigned")
         elif nf.tag == "and":
-            out = _B.conj([memo[a.uid] for a in nf.args])
+            out = b.conj([memo[a.uid] for a in nf.args])
         elif nf.tag == "or":
-            out = _B.disj([memo[a.uid] for a in nf.args])
+            out = b.disj([memo[a.uid] for a in nf.args])
         elif nf.tag == "box":
-            out = _B.box(nf.mod, memo[nf.args[0].uid])
+            out = b.box(nf.mod, memo[nf.args[0].uid])
         elif nf.tag == "dia":
-            out = _B.dia(nf.mod, memo[nf.args[0].uid])
+            out = b.dia(nf.mod, memo[nf.args[0].uid])
         else:
             out = nf
         memo[nf.uid] = out
     return memo[root.uid]
 
 
-def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optional[str]]:
-    atoms = _collect_globals(root)
-    engine = _KEngine(_Budget(budget))
+def _ku_satisfiable(b: NfBuilder, root: NF,
+                    budget: int) -> Tuple[bool, Optional[Model], Optional[str]]:
+    atoms = _collect_globals(b, root)
+    engine = _KEngine(b, _Budget(budget))
     values: Dict[int, bool] = {}
     axioms: List[NF] = []
     obligations: List[NF] = []
@@ -584,7 +583,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
     def search(idx: int):
         """Generator for _run: assigns atoms[idx:] depth-first, False first."""
         if idx == len(atoms):
-            root_reduced = _reduce(root, values)
+            root_reduced = _reduce(b, root, values)
             if root_reduced.tag == "bot":
                 return None
             return worlds_for(obligations + [root_reduced])
@@ -595,7 +594,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
             added_axiom = added_obl = False
             feasible = True
             if value:
-                witness = _reduce(body, values)
+                witness = _reduce(b, body, values)
                 if witness.tag == "bot":
                     feasible = False
                 else:
@@ -603,7 +602,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
                     added_obl = True
                     feasible = worlds_for([witness]) is not None
             else:
-                axiom = _reduce(_B.negate(body), values)
+                axiom = _reduce(b, b.negate(body), values)
                 if axiom.tag == "bot":
                     feasible = False
                 elif axiom.tag != "top":
@@ -611,7 +610,7 @@ def _ku_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optio
                     added_axiom = True
                     feasible = worlds_for(obligations) is not None
             if feasible:
-                if _reduce(root, values, partial=True).tag == "bot":
+                if _reduce(b, root, values, partial=True).tag == "bot":
                     feasible = False
             if feasible:
                 result = yield (idx + 1,)
@@ -648,7 +647,8 @@ class _HState:
                        set(self.edges), set(self.processed), self.counter)
 
 
-def _kh2_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Optional[str]]:
+def _kh2_satisfiable(b: NfBuilder, root: NF,
+                     budget: int) -> Tuple[bool, Optional[Model], Optional[str]]:
     charge = _Budget(budget)
     initial = _HState({0: set()}, set(), set(), 1)
     if not _h_add(initial, 0, root):
@@ -656,7 +656,7 @@ def _kh2_satisfiable(root: NF, budget: int) -> Tuple[bool, Optional[Model], Opti
     stack = [initial]
     while stack:
         state = stack.pop()
-        outcome = _h_saturate(state, charge)
+        outcome = _h_saturate(b, state, charge)
         if outcome == "clash":
             continue
         if outcome == "open":
@@ -688,7 +688,7 @@ def _h_add(state: _HState, label: int, nf: NF) -> bool:
     return True
 
 
-def _h_saturate(state: _HState, charge: _Budget):
+def _h_saturate(b: NfBuilder, state: _HState, charge: _Budget):
     """Apply deterministic rules to a fixpoint; returns "clash", "open", or a
     list of two branch states for the chosen disjunction."""
     while True:
@@ -742,7 +742,7 @@ def _h_saturate(state: _HState, charge: _Budget):
                     if arm in content:
                         satisfied = True
                         break
-                    if _B.negate(arm) in content:
+                    if b.negate(arm) in content:
                         continue
                     live.append(arm)
                 if satisfied:
@@ -766,9 +766,9 @@ def _h_saturate(state: _HState, charge: _Budget):
             if not _h_add(first, label, live[0]):
                 first = None
             second = state.copy()
-            ok = _h_add(second, label, _B.negate(live[0]))
+            ok = _h_add(second, label, b.negate(live[0]))
             if ok:
-                ok = _h_add(second, label, _B.disj(live[1:]))
+                ok = _h_add(second, label, b.disj(live[1:]))
             if not ok:
                 second = None
             branches = [s for s in (first, second) if s is not None]
@@ -852,7 +852,8 @@ def satisfiable(phi: Formula, label_budget: int = 50_000) -> Union[Sat, Unsat]:
     model_check confirms before the result is returned.  Raises
     LanguageError when phi mixes the two languages."""
     engine = _kh2_satisfiable if language_of(phi) == H2 else _ku_satisfiable
-    ok, model, point = engine(_B.from_formula(phi), label_budget)
+    b = NfBuilder()
+    ok, model, point = engine(b, b.from_formula(phi), label_budget)
     if not ok:
         return Unsat()
     model = _complete_valuation(model, phi)

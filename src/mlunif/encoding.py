@@ -223,12 +223,12 @@ def nom_formula(max_len: int = 6) -> Formula:
     return conj(conjuncts)
 
 
-def ax_program(program: MinskyProgram, language: str, nom_len: int = 6) -> Formula:
+def ax_program(program: MinskyProgram, language: str) -> Formula:
     """Conjunction of the instruction axioms; in H2 also the
     nominal-agreement formula."""
     parts = [ax_instruction(ins, language) for ins in program.instructions]
     if language == H2:
-        parts.append(nom_formula(nom_len))
+        parts.append(nom_formula())
     return conj(parts)
 
 

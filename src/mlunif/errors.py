@@ -43,7 +43,7 @@ class TruncationUnsound(MlunifError):
 
 
 class ResourceLimit(MlunifError):
-    """A configurable work budget (clauses, conflicts, labels) was exceeded."""
+    """A work budget (CNF clauses, tableau nodes, run steps, frame points) ran out."""
 
 
 class InternalCheckFailed(MlunifError):

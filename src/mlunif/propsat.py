@@ -91,9 +91,8 @@ class Solver:
     clauses are resolution consequences of the database alone, so they
     stay valid across calls."""
 
-    def __init__(self, cnf: Optional[CNF] = None, conflict_budget: Optional[int] = None):
+    def __init__(self, cnf: Optional[CNF] = None):
         self.n = 0
-        self.budget = conflict_budget
         self.watches: List[List[List[int]]] = [[]]  # clauses watching each literal
         self.value: List[int] = [0]           # by literal: 0 unknown, 1 true, -1 false
         self.level: List[int] = [0]
@@ -304,10 +303,7 @@ class Solver:
         self._qhead = len(self.trail)
 
     def solve(self, assumptions: Tuple[int, ...] = ()) -> SatResult:
-        """Sat with a model, or Unsat, of the clauses under `assumptions`.
-
-        Raises ResourceLimit once this call has seen more conflicts than
-        the solver's conflict budget."""
+        """Sat with a model, or Unsat, of the clauses under `assumptions`."""
         for lit in assumptions:
             if lit == 0 or abs(lit) > self.n:
                 raise ValueError("literal %d out of range" % lit)
@@ -323,21 +319,14 @@ class Solver:
         trail, trail_lim, value = self.trail, self.trail_lim, self.value
         level, reason, phase = self.level, self.reason, self.phase
         heap, act, in_heap = self.heap, self.activity, self.in_heap
-        budget = self.budget
         restart_count = 0
         limit = _luby(restart_count) * 64
         conflicts_here = 0  # since the last restart
-        conflicts_call = 0
         while True:
             confl = self._propagate()
             if confl is not None:
                 self.conflicts += 1
-                conflicts_call += 1
                 conflicts_here += 1
-                if budget is not None and conflicts_call > budget:
-                    raise ResourceLimit(
-                        "SAT conflict budget exceeded: %d conflicts in one solve call, limit %d"
-                        % (conflicts_call, budget))
                 if not trail_lim:
                     self.unsat = True
                     return Unsat()
@@ -386,9 +375,9 @@ class Solver:
             trail.append(lit)
 
 
-def solve(cnf: CNF, conflict_budget: Optional[int] = None) -> SatResult:
+def solve(cnf: CNF) -> SatResult:
     """Complete satisfiability check; Sat results are verified before return."""
-    result = Solver(cnf, conflict_budget).solve()
+    result = Solver(cnf).solve()
     if isinstance(result, Sat):
         if not check_assignment(cnf, result.assignment):
             raise AssertionError("solver returned a non-model")  # pragma: no cover

@@ -8,7 +8,8 @@ down by one exactly when the step ahead decrements that counter from a
 nonzero value.
 
 `step_lemmas` and `no_defect_lemma` reduce the validity of the substituted
-reduction formula, in the universal language, to 2l + 1 small K formulas.
+reduction formula, in the universal language and for zero-step runs in
+either language, to 2l + 1 small K formulas.
 """
 
 from __future__ import annotations
@@ -97,7 +98,10 @@ def step_lemmas(trace: Trace) -> List[Formula]:
       every point and sigma(psi) holds.
     The lemmas hold no `[u]`, no `[h]` and no nominal, so they are K
     formulas; reading the branch off `ax_instruction` keeps them in step
-    with Ax_P.
+    with Ax_P.  A zero-step run has no step lemma and no defect, so only
+    the first case arises, with q_0 standing for `config_exists(c_0)`.
+    That case needs no global defect, so for zero-step runs the argument
+    holds in the hybrid language too, and no whole formula needs a proof.
     """
     out: List[Formula] = []
     for i, ins in enumerate(trace.instrs):

@@ -1,15 +1,14 @@
 """End-to-end pipeline: compile, decide reachability, and certify.
 
 For a reachable target the pipeline builds the explicit unifier and
-verifies the substituted reduction formula: on short runs by tableau
-proofs of the paper's step lemmas (the whole formula in the hybrid
-language), otherwise against a seeded random-model suite.  For a provably
-unreachable target it builds the truncated canonical frame and certifies
-non-unifiability: the program axioms are frame-valid, the start
-configuration's marker is globally true, and the target's marker is
-globally false, which refutes every substitution instance at once because
-frame validity is closed under substitution and the target marker carries
-no variables.
+verifies the substituted reduction formula: on short runs by one tableau
+proof of the conjunction of the paper's step lemmas, otherwise against a
+seeded random-model suite.  For a provably unreachable target it builds
+the truncated canonical frame and certifies non-unifiability: the program
+axioms are frame-valid, the start configuration's marker is globally true,
+and the target's marker is globally false, which refutes every
+substitution instance at once because frame validity is closed under
+substitution and the target marker carries no variables.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 from . import decision
 from .errors import InternalCheckFailed, ResourceLimit
 from .formula import (
-    H2, L, Formula, Not, Substitution, apply_subst, ground_substitutions,
+    H2, L, Formula, Not, Substitution, apply_subst, conj, ground_substitutions,
     size, variables,
 )
 from .kripke import (
@@ -121,31 +120,26 @@ def verify_unifier(bound_formula: Formula, language: str, trace: Trace,
     unifier of `trace` applied to psi, holds everywhere.
 
     On runs of at most DEFAULT_TABLEAU_MAX_STEPS steps in the universal
-    language the tableau proves the run's step lemmas and its no-defect
-    lemma, which together imply the formula (`witness.step_lemmas`), each
-    proof within `tableau_budget`.  The hybrid language has no such
-    argument yet, so there the tableau proves the whole formula, and only
-    for zero-step runs (the nominal-agreement conjunction makes the closure
-    of longer ones large).  A proof that runs out of budget falls back to
-    the random-model suite.  A counter-model from either route is an
-    internal-invariant violation, not a verdict.
+    language, and on zero-step runs in the hybrid one, one tableau call
+    within `tableau_budget` proves the conjunction of the run's step lemmas
+    and its no-defect lemma, which implies the formula
+    (`witness.step_lemmas`).  A zero-step run has no step lemma, and its
+    no-defect lemma needs no global defect, so the argument holds in both
+    languages; longer hybrid runs have no such argument yet.  A proof that runs out of
+    budget falls back to the random-model suite, as do all other runs.  A
+    counter-model is an internal-invariant violation, not a verdict.
     """
-    if language == L:
-        goals = (step_lemmas(trace) + [no_defect_lemma(trace)]
-                 if len(trace) <= DEFAULT_TABLEAU_MAX_STEPS else [])
-    else:
-        goals = [bound_formula] if len(trace) == 0 else []
-    try:
-        for goal in goals:
-            verdict = decision.valid(goal, label_budget=tableau_budget)
+    if len(trace) <= (DEFAULT_TABLEAU_MAX_STEPS if language == L else 0):
+        lemmas = conj(step_lemmas(trace) + [no_defect_lemma(trace)])
+        try:
+            verdict = decision.valid(lemmas, label_budget=tableau_budget)
+        except ResourceLimit:
+            pass
+        else:
             if not isinstance(verdict, Valid):
                 raise InternalCheckFailed(
-                    "unifier verification found a counter-model at point %r"
-                    % verdict.point)
-    except ResourceLimit:
-        goals = []
-    if goals:
-        return ValidityEvidence("tableau")
+                    "unifier verification found a counter-model at point %r" % verdict.point)
+            return ValidityEvidence("tableau")
     checked, failure = check_on_random_models(bound_formula, language, seed, trials,
                                               max_points)
     if failure is not None:

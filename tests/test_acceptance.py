@@ -150,11 +150,12 @@ def test_c04_reachable_direction_tableau():
         bound_formula = apply_subst(sigma, psi(program, start, target, L))
         verdict = decision.valid(bound_formula, label_budget=5_000_000)
         assert isinstance(verdict, decision.Valid), (text, a, b)
-        # the step lemmas and the no-defect lemma, which the pipeline proves
-        # in place of the whole formula, hold as well
-        for lemma in step_lemmas(outcome.trace) + [no_defect_lemma(outcome.trace)]:
-            verdict = decision.valid(lemma, label_budget=5_000_000)
-            assert isinstance(verdict, decision.Valid), (text, a, b, pretty(lemma))
+        # the conjunction of the step lemmas and the no-defect lemma, which
+        # the pipeline proves in one call in place of the whole formula,
+        # holds as well
+        lemmas = conj(step_lemmas(outcome.trace) + [no_defect_lemma(outcome.trace)])
+        verdict = decision.valid(lemmas, label_budget=5_000_000)
+        assert isinstance(verdict, decision.Valid), (text, a, b)
     elapsed = time.time() - t0
     assert elapsed < 120.0
     assert len(lengths) >= 5

@@ -148,9 +148,10 @@ def test_ku_and_kh2_engines_agree_on_k_formulas():
     for _ in range(300):
         phi = random_formula(rng, depth=5, num_vars=3, language=None)
         for f in (phi, Not(phi)):
-            root = decision._B.from_formula(f)
-            ku = decision._ku_satisfiable(root, 50_000)[0]
-            kh2 = decision._kh2_satisfiable(root, 50_000)[0]
+            b = decision.NfBuilder()
+            root = b.from_formula(f)
+            ku = decision._ku_satisfiable(b, root, 50_000)[0]
+            kh2 = decision._kh2_satisfiable(b, root, 50_000)[0]
             assert ku == kh2, f
 
 
@@ -169,8 +170,8 @@ def test_superset_index_holds_only_unconditional_sat_results(monkeypatch):
     engines = []
     init = decision._KEngine.__init__
 
-    def recording(self, budget):
-        init(self, budget)
+    def recording(self, *args):
+        init(self, *args)
         engines.append(self)
 
     monkeypatch.setattr(decision._KEngine, "__init__", recording)

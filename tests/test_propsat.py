@@ -110,25 +110,6 @@ def pigeonhole(pigeons, holes):
     return CNF(pigeons * holes, clauses)
 
 
-def test_conflict_budget():
-    cnf = pigeonhole(6, 5)
-    with pytest.raises(ResourceLimit) as info:
-        solve(cnf, conflict_budget=10)
-    assert str(info.value) == ("SAT conflict budget exceeded: 11 conflicts in one solve call, "
-                               "limit 10")
-    assert isinstance(solve(cnf), Unsat)
-
-
-def test_conflict_budget_counts_the_whole_call():
-    # pigeonhole 8 -> 7 needs thousands of conflicts; the budget bounds the
-    # conflicts of one solve call, whatever the Luby restarts do
-    for budget in (100, 300):
-        solver = Solver(pigeonhole(8, 7), conflict_budget=budget)
-        with pytest.raises(ResourceLimit):
-            solver.solve()
-        assert solver.conflicts <= budget + 1
-
-
 def random_3cnf(rng, num_atoms, num_clauses):
     return CNF(num_atoms, [[v if rng.random() < 0.5 else -v
                             for v in rng.sample(range(1, num_atoms + 1), 3)]

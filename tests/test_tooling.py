@@ -70,3 +70,70 @@ def unreferenced_names():
 
 def test_every_top_level_name_has_a_caller_in_the_package():
     assert unreferenced_names() == UNREFERENCED_ALLOWED
+
+
+# defaulted parameters that no call in the package passes, with the reason
+# each one stays
+UNSET_ALLOWED = {
+    "cli.main(argv)": "the console script passes none, so argv comes from sys.argv",
+    "formula.parse_substitution(language)": "waits for `mlunif check` (ROADMAP item 4)",
+    "encoding.nom_formula(max_len)": "the word-count tests build shorter formulas",
+}
+
+
+def unset_parameters():
+    """Every defaulted parameter of a package function, as
+    "module.function(parameter)", that no call in the package passes by
+    keyword or by position.  Calls match definitions by bare function or
+    method name; a call of a class counts for its `__init__`, and
+    `functools.partial(f, ...)` for f."""
+    defs = []  # (module, qualified name, leading parameters skipped, definition)
+    calls = []
+    for entry in sorted(os.listdir(SRC)):
+        if not entry.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, entry), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        methods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        methods[item] = node.name + "." + item.name, 0 if static else 1
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+        defs += [(entry[:-3],) + methods.get(node, (node.name, 0)) + (node,)
+                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def name_of(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    passed = {}  # bare name -> [(positional count, keywords, passes every argument)]
+    for call in calls:
+        name, args = name_of(call.func), call.args
+        if name == "partial" and args:
+            name, args = name_of(args[0]), args[1:]
+        unpacks = (any(isinstance(a, ast.Starred) for a in args)
+                   or any(k.arg is None for k in call.keywords))
+        passed.setdefault(name, []).append(
+            (len(args), {k.arg for k in call.keywords}, unpacks))
+    out = set()
+    for module, qualified, skip, fn in defs:
+        # a class is called by its own name
+        name = qualified.split(".")[0] if fn.name == "__init__" else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        defaulted = positional[len(positional) - len(fn.args.defaults):]
+        defaulted += [a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+        for arg in defaulted:
+            index = positional.index(arg) - skip if arg in positional else None
+            if not any(unpacks or arg.arg in keywords or index is not None and count > index
+                       for count, keywords, unpacks in passed.get(name, ())):
+                out.add("%s.%s(%s)" % (module, qualified, arg.arg))
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_in_the_package():
+    assert unset_parameters() == set(UNSET_ALLOWED)

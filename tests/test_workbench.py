@@ -7,13 +7,18 @@ import sys
 import pytest
 
 from mlunif.errors import LanguageMismatch, UnboundSymbol
-from mlunif.formula import BOT, H2, L, And, Substitution, TOP, disj, parse
+from mlunif.formula import (
+    BOT, H2, L, And, Substitution, TOP, conj, disj, language_of, parse,
+)
 from mlunif.kripke import model_check
 from mlunif.minsky import Config, MinskyProgram, parse_config, parse_program, reaches
 from mlunif.encoding import (
     canonical_frame, parse_labeled_frame, psi, serialize_labeled_frame, tower,
 )
-from mlunif.witness import defect_formulas, shifted_counter_index, witness_from_trace
+from mlunif.witness import (
+    defect_formulas, no_defect_lemma, shifted_counter_index, step_lemmas,
+    witness_from_trace,
+)
 from mlunif.formula import apply_subst, variables
 from mlunif.workbench import (
     NotUnifiable, Unifiable, Unknown, certificate_checks,
@@ -21,7 +26,7 @@ from mlunif.workbench import (
     verdict_report,
 )
 import mlunif
-from mlunif import cli, encoding, propsat
+from mlunif import cli, decision, encoding, propsat
 from helpers import check_each_random_model, random_formula
 
 
@@ -425,58 +430,83 @@ def test_cli_verify_falls_back_to_the_suite_when_a_lemma_runs_out(tmp_path, caps
     assert report["evidence"]["method"] == "random_models"
 
 
-# Runs one reachable instance in a fresh interpreter (NF uids are
-# process-wide, so solver counts depend on what ran before) and prints the
-# evidence, the number of Solver.solve calls and whether decision.valid
-# was asked about the whole substituted reduction formula.
-_COUNTED_VERIFY = """
-import json, sys
-from mlunif import decision, propsat, workbench
-from mlunif.minsky import parse_config, parse_program
-calls = {"solve": 0, "whole": False}
-bound = []
-solve, valid, verify = propsat.Solver.solve, decision.valid, workbench.verify_unifier
-
-def counted_solve(self, *args, **kwargs):
-    calls["solve"] += 1
-    return solve(self, *args, **kwargs)
-
-def watched_valid(phi, *args, **kwargs):
-    calls["whole"] |= phi in bound
-    return valid(phi, *args, **kwargs)
-
-def watched_verify(bound_formula, *args, **kwargs):
-    bound.append(bound_formula)
-    return verify(bound_formula, *args, **kwargs)
-
-propsat.Solver.solve = counted_solve
-decision.valid = watched_valid
-workbench.verify_unifier = watched_verify
-verdict = workbench.check_unifiable_via_reduction(
-    parse_program(sys.argv[1]), parse_config(sys.argv[2]), parse_config(sys.argv[3]),
-    100, "L")
-print(json.dumps({"method": verdict.evidence.method, "solves": calls["solve"],
-                  "whole": calls["whole"]}))
-"""
+# The tableau instances of the benchmark, with the Solver.solve calls of
+# their one validity call
+TABLEAU_INSTANCES = {
+    "T1": ("1 -> 2,0,-1 | 3,0,0", "1,0,1", "2,0,0", 227),
+    "T2": ("1 -> 2,0,+1", "1,0,0", "2,0,1", 224),
+    "T3": ("1 -> 2,-1,0 | 3,0,0", "1,1,0", "2,0,0", 278),
+}
 
 
-@pytest.mark.parametrize("program, start, target", [
-    ("1 -> 2,0,-1 | 3,0,0", "1,0,1", "2,0,0"),
-    ("1 -> 2,0,+1", "1,0,0", "2,0,1"),
-    ("1 -> 2,-1,0 | 3,0,0", "1,1,0", "2,0,0"),
-])
-def test_universal_tableau_evidence_proves_lemmas_not_the_whole_formula(program, start,
-                                                                        target):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mlunif.__file__)))
-    out = subprocess.run([sys.executable, "-S", "-c", _COUNTED_VERIFY, program, start, target],
-                         env={"PYTHONPATH": src}, capture_output=True, text=True,
-                         timeout=300)
-    assert out.returncode == 0, out.stderr[-2000:]
-    got = json.loads(out.stdout)
-    assert got["method"] == "tableau"
-    assert not got["whole"]
+def counted_verify(monkeypatch, program, start, target):
+    """The evidence method of one universal-mode run of the pipeline, its
+    number of Solver.solve calls and the formulas it asked decision.valid
+    about."""
+    solves, goals = [0], []
+    solve, valid = propsat.Solver.solve, decision.valid
+
+    def counted_solve(self, *args):
+        solves[0] += 1
+        return solve(self, *args)
+
+    def recorded_valid(phi, *args, **kwargs):
+        goals.append(phi)
+        return valid(phi, *args, **kwargs)
+
+    monkeypatch.setattr(propsat.Solver, "solve", counted_solve)
+    monkeypatch.setattr(decision, "valid", recorded_valid)
+    verdict = check_unifiable_via_reduction(
+        parse_program(program), parse_config(start), parse_config(target), 100, L)
+    monkeypatch.undo()
+    return verdict.evidence.method, solves[0], goals
+
+
+@pytest.mark.parametrize("program, start, target",
+                         [case[:3] for case in TABLEAU_INSTANCES.values()])
+def test_universal_tableau_evidence_proves_lemmas_not_the_whole_formula(
+        monkeypatch, program, start, target):
+    method, solves, goals = counted_verify(monkeypatch, program, start, target)
+    assert method == "tableau"
+    prog, a, b = parse_program(program), parse_config(start), parse_config(target)
+    trace = reaches(prog, a, b, 100).trace
+    bound = apply_subst(witness_from_trace(trace, L), psi(prog, a, b, L))
+    # one call, on the lemma conjunction, never on the whole formula
+    assert goals == [conj(step_lemmas(trace) + [no_defect_lemma(trace)])]
+    assert goals[0] is not bound
     # the whole formula took 2,241-2,585 solves on these instances
-    assert 0 < got["solves"] <= 400
+    assert 0 < solves <= 400
+
+
+def test_tableau_solve_counts_do_not_depend_on_run_order(monkeypatch):
+    # each validity call numbers its formula's normal form afresh, so what
+    # ran before in the process cannot change the search
+    pinned = {name: case[3] for name, case in TABLEAU_INSTANCES.items()}
+    for order in (list(TABLEAU_INSTANCES), list(reversed(TABLEAU_INSTANCES))):
+        counts = {name: counted_verify(monkeypatch, *TABLEAU_INSTANCES[name][:3])[1]
+                  for name in order}
+        assert counts == pinned, order
+
+
+def test_cli_verify_proves_a_zero_step_hybrid_run_by_its_k_lemma(tmp_path, capsys,
+                                                                  monkeypatch):
+    languages = []
+    valid = decision.valid
+
+    def recorded_valid(phi, *args, **kwargs):
+        languages.append(language_of(phi))
+        return valid(phi, *args, **kwargs)
+
+    monkeypatch.setattr(decision, "valid", recorded_valid)
+    program = tmp_path / "prog.txt"
+    program.write_text("1 -> 2,+1,0\n")
+    code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
+                   "--target", "1,0,0", "--mode", "hybrid")
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["trace_length"] == 0
+    assert report["evidence"] == {"method": "tableau"}
+    assert languages and H2 not in languages
 
 
 def test_cli_frame_stops_at_the_point_budget(tmp_path, capsys, monkeypatch):
