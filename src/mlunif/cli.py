@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="decide %s; the formula's language picks the logic"
                            % name)
         p.add_argument("--formula", required=True)
-        p.add_argument("--budget", type=_at_least(1), default=50_000)
+        p.add_argument("--budget", type=_at_least(1), default=decision.DEFAULT_LABEL_BUDGET)
         p.set_defaults(func=func)
 
     verify_p = sub.add_parser("verify", help="run the full pipeline")
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gu_p = sub.add_parser("ground-unify", help="search substitutions into constants")
     gu_p.add_argument("--formula", required=True)
-    gu_p.add_argument("--budget", type=_at_least(1), default=50_000)
+    gu_p.add_argument("--budget", type=_at_least(1), default=decision.DEFAULT_LABEL_BUDGET)
     gu_p.set_defaults(func=cmd_ground_unify)
     return parser
 

@@ -47,6 +47,10 @@ REL = Modality.REL
 UNIV = Modality.UNIV
 HYB = Modality.HYB
 
+# node expansions one `satisfiable` or `valid` call may make when its caller
+# names no budget
+DEFAULT_LABEL_BUDGET = 50_000
+
 
 # --- interned negation normal form ---------------------------------------------
 
@@ -844,7 +848,8 @@ def _complete_valuation(model: Model, phi: Formula) -> Model:
     return Model(frame, Valuation(var_map, nom_map))
 
 
-def satisfiable(phi: Formula, label_budget: int = 50_000) -> Union[Sat, Unsat]:
+def satisfiable(phi: Formula,
+                label_budget: int = DEFAULT_LABEL_BUDGET) -> Union[Sat, Unsat]:
     """Complete satisfiability check in the logic of phi's language: the
     hybrid tableau for H2, the KU tableau otherwise (a formula without
     `[u]`, `[h]` or nominals is a K formula, and both logics extend K
@@ -862,7 +867,8 @@ def satisfiable(phi: Formula, label_budget: int = 50_000) -> Union[Sat, Unsat]:
     return Sat(model, point)
 
 
-def valid(phi: Formula, label_budget: int = 50_000) -> Union[Valid, CounterModel]:
+def valid(phi: Formula,
+          label_budget: int = DEFAULT_LABEL_BUDGET) -> Union[Valid, CounterModel]:
     """valid(phi) iff not satisfiable(~phi); counter-models are re-verified."""
     result = satisfiable(FNot(phi), label_budget)
     if isinstance(result, Unsat):

@@ -203,6 +203,12 @@ def nom_formula(max_len: int = 6) -> Formula:
     One conjunct per nonempty word over the two boxes (length <= max_len):
     <h>n -> M<h>n; and one per nonempty word over the two diamonds:
     M'<h>n -> <h>n.
+
+    The words stop at length 6 because the deepest variable of an
+    instruction axiom in H2 lies under 6 modalities, the 2 S-steps of the
+    surrogate and then 4 R-steps inside `epsilon`: the hybrid case of the
+    step-lemma proof (`witness.step_lemmas`) needs S-access to n1 at every
+    point where the axiom reads a variable.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")

@@ -211,22 +211,17 @@ def postorder(root, children=operator.attrgetter("args")):
             yield node
 
 
-def iter_subformulas(phi: Formula) -> Iterator[Formula]:
-    """Every distinct subterm of the DAG rooted at phi, once each."""
-    return postorder(phi)
-
-
 def variables(phi: Formula) -> Set[int]:
-    return {f.index for f in iter_subformulas(phi) if isinstance(f, Var)}
+    return {f.index for f in postorder(phi) if isinstance(f, Var)}
 
 
 def nominals(phi: Formula) -> Set[int]:
-    return {f.index for f in iter_subformulas(phi) if isinstance(f, Nominal)}
+    return {f.index for f in postorder(phi) if isinstance(f, Nominal)}
 
 
 def size(phi: Formula) -> int:
     """Number of distinct subterms (DAG size)."""
-    return sum(1 for _ in iter_subformulas(phi))
+    return sum(1 for _ in postorder(phi))
 
 
 def language_of(phi: Formula) -> Optional[str]:

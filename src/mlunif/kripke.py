@@ -276,7 +276,7 @@ def truth_mask(model: Union[Model, DisjointUnion], phi: Formula) -> int:
 
 def model_check(model: Model, point: str, phi: Formula) -> bool:
     if point not in model.frame.points:
-        raise UnknownPoint(point)
+        raise UnknownPoint("point %s is not in the frame" % point)
     mask = truth_mask(model, phi)
     return bool(mask >> model.frame.points.index(point) & 1)
 
@@ -585,6 +585,9 @@ def parse_valuation(text: str) -> Valuation:
         if symbol is None or int(symbol.group(2)) < 1:
             raise ParseError(0, "a name p<k> or n<k> with k >= 1 on line %d" % lineno, raw)
         index = int(symbol.group(2))
+        if index in (var_map if symbol.group(1) == "p" else nom_map):
+            raise ParseError(0, "a symbol that no earlier line gives, on line %d" % lineno,
+                             raw)
         if symbol.group(1) == "p":
             if not (rhs.startswith("{") and rhs.endswith("}")):
                 raise ParseError(0, "a point set in braces on line %d" % lineno, raw)

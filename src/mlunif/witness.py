@@ -8,8 +8,7 @@ down by one exactly when the step ahead decrements that counter from a
 nonzero value.
 
 `step_lemmas` and `no_defect_lemma` reduce the validity of the substituted
-reduction formula, in the universal language and for zero-step runs in
-either language, to 2l + 1 small K formulas.
+reduction formula, in either language, to 2l + 1 small K formulas.
 """
 
 from __future__ import annotations
@@ -77,9 +76,10 @@ def step_lemmas(trace: Trace) -> List[Formula]:
     each counter variable p_c to `shifted_counter_marker(trace, i, c)`.
 
     If these lemmas and `no_defect_lemma(trace)` are valid, the substituted
-    reduction formula sigma(psi) = sigma(Ax_P) & <u>c_0 -> <u>c_l of the
-    universal language, sigma = `witness_from_trace(trace, L)`, holds at
-    every point of every model.  Proof.  Each defect_i is a boolean
+    reduction formula sigma(psi) = sigma(Ax_P) & Ec_0 -> Ec_l, sigma =
+    `witness_from_trace(trace, language)`, holds at every point of every
+    model, in either language; E is the language's global diamond.  Proof,
+    universal language (E is `<u>`).  Each defect_i is a boolean
     combination of `<u>` formulas, so it holds at every point of a model or
     at none, and the defects are pairwise exclusive (defect_i denies
     <u>c_{i+1}, which defect_k asserts for k > i).
@@ -96,12 +96,29 @@ def step_lemmas(trace: Trace) -> List[Formula]:
       B_i[m_i/p], so sigma(<u>B_i) fails.  The implication
       <u>A_i -> <u>B_i is a conjunct of Ax_P, so sigma(Ax_P) fails at
       every point and sigma(psi) holds.
+    Hybrid language (E is the surrogate <h>(n1 & <h>phi)).  Let v be the
+    point of n1 and G(phi) say that v S-sees a phi-point; G does not depend
+    on the point of evaluation.  At a point x, Ephi is Sv(x) & G(phi), so
+    defect_i is Sv & D_i, where D_i is defect_i with G in place of E: the
+    D_i are global and pairwise exclusive, as the defects of L are.  Let
+    sigma(Ax_P) & Ec_0 hold at w; then Sv(w).
+    - The variable-free conjunct `nom_formula()` of Ax_P turns Sv(w) into
+      Sv at every point that a word over R and S of length <= 6 reaches
+      from w.  Every variable of `ax_instruction(ins, H2)` lies at modal
+      depth at most 6 (the two S-steps of the surrogate, then at most four
+      R-steps inside `epsilon`), so sigma(Ax_P) reads every sigma(p_c) at
+      a point with Sv, where it equals m_{i,c} if D_i holds and false if
+      no D_i does.
+    - If D_i holds, then, as in L with G for <u>, sigma(Ax_P) at w is
+      Ax_P[m_i/p] at w, whose conjunct G(A_i[m_i/p]) -> G(B_i[m_i/p])
+      fails by the two lemmas, since G(c_i) and not G(c_{i+1}).  So no D_i
+      holds at w, and the no-defect lemma with G(c_j) for q_j gives
+      G(c_l), hence Ec_l at w.
     The lemmas hold no `[u]`, no `[h]` and no nominal, so they are K
-    formulas; reading the branch off `ax_instruction` keeps them in step
-    with Ax_P.  A zero-step run has no step lemma and no defect, so only
-    the first case arises, with q_0 standing for `config_exists(c_0)`.
-    That case needs no global defect, so for zero-step runs the argument
-    holds in the hybrid language too, and no whole formula needs a proof.
+    formulas and the same in both languages; reading the branch off
+    `ax_instruction` keeps them in step with Ax_P.  A zero-step run has no
+    step lemma and no defect, so only the no-defect case arises, with q_0
+    standing for Ec_0.
     """
     out: List[Formula] = []
     for i, ins in enumerate(trace.instrs):

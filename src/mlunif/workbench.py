@@ -23,7 +23,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 from . import decision
 from .errors import InternalCheckFailed, ResourceLimit
 from .formula import (
-    H2, L, Formula, Not, Substitution, apply_subst, conj, ground_substitutions,
+    H2, Formula, Not, Substitution, apply_subst, conj, ground_substitutions,
     size, variables,
 )
 from .kripke import (
@@ -112,24 +112,22 @@ def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
     return k + 1, (model, model.frame.points[bit - union.offsets[k]])
 
 
-def verify_unifier(bound_formula: Formula, language: str, trace: Trace,
-                   seed: int = 0, trials: int = DEFAULT_TRIALS,
+def verify_unifier(sigma: Substitution, reduction: Formula, language: str,
+                   trace: Trace, seed: int = 0, trials: int = DEFAULT_TRIALS,
                    max_points: int = DEFAULT_MAX_POINTS,
                    tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> ValidityEvidence:
-    """Certify that the substituted reduction formula `bound_formula`, the
-    unifier of `trace` applied to psi, holds everywhere.
+    """Certify that sigma(reduction), the unifier `sigma` of `trace` applied
+    to psi, holds everywhere.
 
-    On runs of at most DEFAULT_TABLEAU_MAX_STEPS steps in the universal
-    language, and on zero-step runs in the hybrid one, one tableau call
-    within `tableau_budget` proves the conjunction of the run's step lemmas
-    and its no-defect lemma, which implies the formula
-    (`witness.step_lemmas`).  A zero-step run has no step lemma, and its
-    no-defect lemma needs no global defect, so the argument holds in both
-    languages; longer hybrid runs have no such argument yet.  A proof that runs out of
-    budget falls back to the random-model suite, as do all other runs.  A
-    counter-model is an internal-invariant violation, not a verdict.
+    On runs of at most DEFAULT_TABLEAU_MAX_STEPS steps, in either language,
+    one tableau call within `tableau_budget` proves the conjunction of the
+    run's step lemmas and its no-defect lemma, which implies the formula
+    (`witness.step_lemmas`).  A proof that runs out of budget falls back to
+    the random-model suite, as do longer runs; only the suite builds
+    sigma(reduction).  A counter-model is an internal-invariant violation,
+    not a verdict.
     """
-    if len(trace) <= (DEFAULT_TABLEAU_MAX_STEPS if language == L else 0):
+    if len(trace) <= DEFAULT_TABLEAU_MAX_STEPS:
         lemmas = conj(step_lemmas(trace) + [no_defect_lemma(trace)])
         try:
             verdict = decision.valid(lemmas, label_budget=tableau_budget)
@@ -140,8 +138,8 @@ def verify_unifier(bound_formula: Formula, language: str, trace: Trace,
                 raise InternalCheckFailed(
                     "unifier verification found a counter-model at point %r" % verdict.point)
             return ValidityEvidence("tableau")
-    checked, failure = check_on_random_models(bound_formula, language, seed, trials,
-                                              max_points)
+    checked, failure = check_on_random_models(apply_subst(sigma, reduction), language,
+                                              seed, trials, max_points)
     if failure is not None:
         raise InternalCheckFailed(
             "unifier verification failed on a random model at point %r" % failure[1])
@@ -175,8 +173,8 @@ def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
     reach = reaches(program, start, target, bound)
     if isinstance(reach, Yes):
         sigma = witness_from_trace(reach.trace, language)
-        bound_formula = apply_subst(sigma, psi(program, start, target, language))
-        evidence = verify_unifier(bound_formula, language, reach.trace,
+        reduction = psi(program, start, target, language)
+        evidence = verify_unifier(sigma, reduction, language, reach.trace,
                                   seed=seed, trials=trials, max_points=max_points,
                                   tableau_budget=tableau_budget)
         return Unifiable(sigma, evidence, len(reach.trace))
@@ -190,7 +188,8 @@ def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
     return reach
 
 
-def ground_unifiable(phi: Formula, label_budget: int = 50_000) -> Optional[Substitution]:
+def ground_unifiable(phi: Formula,
+                     label_budget: int = decision.DEFAULT_LABEL_BUDGET) -> Optional[Substitution]:
     """First substitution into {false, true} that makes phi valid, if any.
 
     Sound but incomplete for these logics: a formula can be unifiable

@@ -192,11 +192,18 @@ def offset_masks_by_pairs(models):
     return edges
 
 
-def modal_depth(phi):
+def modal_depth(phi, at=None):
+    """The most modalities above a node of phi; with `at`, above a node of
+    class `at` (None when phi has no such node)."""
     depth = {}
     for f in postorder(phi):
-        d = max((depth[a] for a in f.args), default=0)
-        depth[f] = d + 1 if isinstance(f, (Box, Diamond)) else d
+        below = [depth[a] for a in f.args if depth[a] is not None]
+        if at is not None and isinstance(f, at):
+            depth[f] = 0
+        elif below:
+            depth[f] = max(below) + isinstance(f, (Box, Diamond))
+        else:
+            depth[f] = None if at else 0
     return depth[phi]
 
 

@@ -150,8 +150,8 @@ def test_ku_and_kh2_engines_agree_on_k_formulas():
         for f in (phi, Not(phi)):
             b = decision.NfBuilder()
             root = b.from_formula(f)
-            ku = decision._ku_satisfiable(b, root, 50_000)[0]
-            kh2 = decision._kh2_satisfiable(b, root, 50_000)[0]
+            ku = decision._ku_satisfiable(b, root, decision.DEFAULT_LABEL_BUDGET)[0]
+            kh2 = decision._kh2_satisfiable(b, root, decision.DEFAULT_LABEL_BUDGET)[0]
             assert ku == kh2, f
 
 

@@ -6,7 +6,7 @@ import pytest
 from mlunif.errors import ParseError, TruncationUnsound
 from mlunif.formula import (
     H2, L, TOP, And, Diamond, Implies, Modality, Nominal, Not, Or, Var,
-    iter_subformulas, language_of, nominals, parse, variables,
+    language_of, nominals, parse, postorder, variables,
 )
 from mlunif.kripke import Model, Valuation, model_check, serialize_frame
 from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_program
@@ -129,7 +129,7 @@ def test_ax_instruction_dec2_uses_counter_two_marker():
 
 def test_hybrid_mode_uses_surrogate_everywhere():
     got = ax_instruction(Inc(1, 1, 2), H2)
-    seen = [f for f in iter_subformulas(got)
+    seen = [f for f in postorder(got)
             if isinstance(f, Diamond) and f.modality is Modality.HYB]
     assert seen, "surrogate diamonds expected"
     assert nominals(got) == {1}
@@ -151,6 +151,16 @@ def test_nom_formula_counts():
     dh_n = Diamond(Modality.HYB, Nominal(1))
     for part in conjuncts(nom6):
         assert part.left == dh_n or part.right == dh_n
+
+
+def test_nominal_agreement_reaches_every_variable_of_a_hybrid_axiom():
+    # the one numeric condition of the hybrid step-lemma proof: the words of
+    # nom_formula() reach every point where an instruction axiom reads a
+    # variable, so S-access to n1 holds there
+    longest_word = modal_depth(nom_formula(), Nominal) - 1  # under the word, <h>n1
+    assert longest_word == 6
+    for ins in (Inc(1, 1, 2), Inc(2, 1, 2), Dec(1, 1, 2, 3), Dec(2, 1, 2, 3)):
+        assert modal_depth(ax_instruction(ins, H2), Var) <= longest_word, ins
 
 
 def test_ax_program_universal_counts():

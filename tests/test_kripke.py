@@ -439,6 +439,19 @@ def test_valuation_text_roundtrip():
     assert parse_valuation(text) == val
 
 
+@pytest.mark.parametrize("text, line, lineno", [
+    ("p1 = {a}\np1 = {b}\n", "p1 = {b}", 2),
+    ("n1 = a\n# b owns n1\nn1 = b\n", "n1 = b", 3),
+])
+def test_valuation_text_gives_each_symbol_once(text, line, lineno):
+    # a repeated symbol is an error, not a silent overwrite
+    with pytest.raises(ParseError) as info:
+        parse_valuation(text)
+    assert str(info.value) == ("parse error at 0 near %r: expected a symbol that no "
+                               "earlier line gives, on line %d" % (line, lineno))
+    assert parse_valuation("p1 = {a}\nn1 = a\n") == Valuation({1: frozenset("a")}, {1: "a"})
+
+
 def test_holds_everywhere():
     frame = single_point_frame(True)
     model = Model(frame, Valuation())

@@ -13,7 +13,7 @@ from mlunif.formula import (
     parse, pretty, size, variables,
 )
 from mlunif.kripke import (
-    Frame, Model, Valuation, random_frame, transitive_closure, truth_mask,
+    DisjointUnion, Frame, Model, Valuation, random_frame, transitive_closure, truth_mask,
 )
 from mlunif.minsky import Config, parse_config, parse_program, reaches, run_trace
 from mlunif.encoding import (
@@ -190,8 +190,8 @@ def test_step_lemmas_shape():
     assert no_defect_lemma(empty) is parse("~false & p1 -> p1")
 
 
-def shifted_step_lemmas(monkeypatch, trace, i, counter, delta):
-    """The lemmas of step i with counter's marker index shifted by delta."""
+def with_shifted_marker(monkeypatch, i, counter, delta, build):
+    """build() while counter's marker index at step i is shifted by delta."""
     unshifted = witness.shifted_counter_index
 
     def shifted(t, j, c):
@@ -199,7 +199,13 @@ def shifted_step_lemmas(monkeypatch, trace, i, counter, delta):
 
     with monkeypatch.context() as patch:
         patch.setattr(witness, "shifted_counter_index", shifted)
-        return step_lemmas(trace)[2 * i:2 * i + 2]
+        return build()
+
+
+def shifted_step_lemmas(monkeypatch, trace, i, counter, delta):
+    """The lemmas of step i with counter's marker index shifted by delta."""
+    return with_shifted_marker(monkeypatch, i, counter, delta,
+                               lambda: step_lemmas(trace)[2 * i:2 * i + 2])
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "T1", "T2", "T3"])
@@ -253,6 +259,42 @@ def test_valid_lemmas_give_valid_substituted_psi():
             if seed % 2:
                 frame = Frame(frame.points, transitive_closure(frame.r))
             assert holds_everywhere(Model(frame, Valuation()), bound_formula), (name, seed)
+
+
+def test_valid_lemmas_give_valid_substituted_hybrid_psi(monkeypatch):
+    # the hybrid glue of the step-lemma argument, checked on models: on H2
+    # prefix frames, where defect_i holds everywhere, sigma(psi) holds at
+    # every point, and shifting a marker that its step's lemmas read by one
+    # index gives a sigma(psi) that fails on a prefix frame of that step
+    for name in sorted(LEMMA_RUNS):
+        program, start, target, trace = lemma_run(name)
+        reduction = psi(program, start, target, H2)
+        defects = defect_formulas(trace, H2)
+        prefix_models = {}
+        for seed in range(40):
+            i = seed % len(trace)
+            model = prefix_defect_model(seed, program, trace, i, H2, defects[i])
+            if model is not None:
+                prefix_models.setdefault(i, []).append(model)
+        assert set(prefix_models) == set(range(len(trace))), name
+        bound_formula = apply_subst(witness_from_trace(trace, H2), reduction)
+        for i, models in prefix_models.items():
+            assert all(holds_everywhere(m, bound_formula) for m in models), (name, i)
+        mutants = 0
+        for i, models in prefix_models.items():
+            union = DisjointUnion(models)
+            for counter in (1, 2):
+                for delta in (1, -1):
+                    if (shifted_counter_index(trace, i, counter) + delta < 0
+                            or shifted_step_lemmas(monkeypatch, trace, i, counter, delta)
+                            == step_lemmas(trace)[2 * i:2 * i + 2]):
+                        continue
+                    sigma = with_shifted_marker(monkeypatch, i, counter, delta,
+                                                lambda: witness_from_trace(trace, H2))
+                    mask = truth_mask(union, apply_subst(sigma, reduction))
+                    assert mask != (1 << union.width) - 1, (name, i, counter, delta)
+                    mutants += 1
+        assert mutants >= len(trace), name
 
 
 @pytest.mark.parametrize("steps, nodes", [(50, 2122), (100, 4122)])

@@ -127,19 +127,30 @@ def test_mode_agreement_on_verdict_kind():
         assert type(uni) is type(hyb), (text, a, b)
 
 
+# the suite benchmark's 3-step run, one step past the tableau's limit
+S3_PROGRAM = "1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0"
+
+
 def test_hybrid_unifiable_uses_random_suite_beyond_trivial_traces():
+    # a hybrid run goes to the suite by its length alone, as a universal one
     prog = parse_program("1 -> 2,+1,0")
     verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(2, 1, 0),
                                             10, H2, trials=80, max_points=6)
     assert isinstance(verdict, Unifiable)
+    assert verdict.evidence.method == "tableau"
+    verdict = check_unifiable_via_reduction(parse_program(S3_PROGRAM), Config(1, 0, 0),
+                                            Config(4, 2, 1), 10, H2, trials=80,
+                                            max_points=6)
+    assert isinstance(verdict, Unifiable)
+    assert verdict.trace_length == 3
     assert verdict.evidence.method == "random_models"
     assert verdict.evidence.trials == 80
 
 
 @pytest.mark.parametrize("program, target, language, trials", [
-    ("1 -> 2,+1,0", Config(2, 1, 0), H2, 0),
-    ("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0", Config(4, 2, 1), L, -5),
-], ids=["hybrid-length-1", "universal-length-3"])
+    (S3_PROGRAM, Config(4, 2, 1), H2, 0),
+    (S3_PROGRAM, Config(4, 2, 1), L, -5),
+], ids=["hybrid-length-3", "universal-length-3"])
 def test_random_suite_refuses_fewer_than_one_trial(program, target, language, trials):
     # no model checked is no evidence for a Unifiable verdict
     with pytest.raises(ValueError, match="at least one trial"):
@@ -179,7 +190,7 @@ def test_one_pass_suite_matches_model_by_model_reference():
         cases += [(random_formula(rng, 4, 2, language, num_noms=1), language, 40)
                   for _ in range(60)]
     # the length-3 runs of the suite benchmark, whose mutants the suite misses
-    program = parse_program("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0")
+    program = parse_program(S3_PROGRAM)
     start, target = Config(1, 0, 0), Config(4, 2, 1)
     trace = reaches(program, start, target, 10).trace
     for language in (L, H2):
@@ -303,6 +314,15 @@ def test_cli_frame_modelcheck_roundtrip(tmp_path, capsys):
                    "--formula", "[]false")
     assert code == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_cli_modelcheck_names_a_point_outside_the_frame(tmp_path, capsys):
+    frame_file = tmp_path / "frame.txt"
+    frame_file.write_text("points: a b\nR: a b\n")
+    code = run_cli("modelcheck", "--frame", str(frame_file), "--point", "z",
+                   "--formula", "true")
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: point z is not in the frame\n")
 
 
 def test_cli_valid_and_sat(capsys):
@@ -488,8 +508,17 @@ def test_tableau_solve_counts_do_not_depend_on_run_order(monkeypatch):
         assert counts == pinned, order
 
 
-def test_cli_verify_proves_a_zero_step_hybrid_run_by_its_k_lemma(tmp_path, capsys,
-                                                                  monkeypatch):
+@pytest.mark.parametrize("program, start, target, steps", [
+    ("1 -> 2,+1,0", "1,0,0", "1,0,0", 0),
+    TABLEAU_INSTANCES["T1"][:3] + (1,),
+    TABLEAU_INSTANCES["T2"][:3] + (1,),
+    TABLEAU_INSTANCES["T3"][:3] + (1,),
+    ("1 -> 2,+1,0\n2 -> 3,-1,0 | 4,0,0", "1,0,0", "3,0,0", 2),
+], ids=["0-steps", "1-step-T1", "1-step-T2", "1-step-T3", "2-steps"])
+def test_cli_verify_proves_a_short_hybrid_run_by_its_k_lemmas(
+        tmp_path, capsys, monkeypatch, program, start, target, steps):
+    # the lemmas are K formulas, so the hybrid proof never asks the hybrid
+    # tableau about the whole formula
     languages = []
     valid = decision.valid
 
@@ -498,13 +527,13 @@ def test_cli_verify_proves_a_zero_step_hybrid_run_by_its_k_lemma(tmp_path, capsy
         return valid(phi, *args, **kwargs)
 
     monkeypatch.setattr(decision, "valid", recorded_valid)
-    program = tmp_path / "prog.txt"
-    program.write_text("1 -> 2,+1,0\n")
-    code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
-                   "--target", "1,0,0", "--mode", "hybrid")
+    path = tmp_path / "prog.txt"
+    path.write_text(program + "\n")
+    code = run_cli("verify", "--program", str(path), "--start", start,
+                   "--target", target, "--mode", "hybrid")
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["trace_length"] == 0
+    assert report["trace_length"] == steps
     assert report["evidence"] == {"method": "tableau"}
     assert languages and H2 not in languages
 
@@ -523,8 +552,8 @@ def test_cli_frame_stops_at_the_point_budget(tmp_path, capsys, monkeypatch):
 
 # Installs the benchmark's tracer, which wraps functions of every layer by
 # module attribute, runs `verify` on an unreachable target (frame validity)
-# and on a reachable one in hybrid mode (random models), and prints the
-# per-layer metrics.
+# and on a reachable one in hybrid mode past the tableau's step limit
+# (random models), and prints the per-layer metrics.
 _TRACED_VERIFY = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -536,7 +565,7 @@ main = tracer.wrap(cli, "main", "cli.main")
 assert main(["verify", "--program", sys.argv[2], "--start", "1,0,0",
              "--target", "2,0,0", "--bound", "10", "--out", sys.argv[3] + "/a"]) == 0
 assert main(["verify", "--program", sys.argv[2], "--start", "1,0,0",
-             "--target", "3,1,0", "--mode", "hybrid", "--trials", "5",
+             "--target", "4,2,1", "--mode", "hybrid", "--trials", "5",
              "--out", sys.argv[3] + "/b"]) == 0
 print(json.dumps(tracer.layer_metrics()))
 """
@@ -546,7 +575,7 @@ def test_bench_tracer_wraps_current_names(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(mlunif.__file__)))
     bench = os.path.join(os.path.dirname(src), "bench")
     program = tmp_path / "prog.txt"
-    program.write_text("1 -> 3,+1,0\n")
+    program.write_text(S3_PROGRAM + "\n")
     out = subprocess.run(
         [sys.executable, "-S", "-c", _TRACED_VERIFY, bench, str(program), str(tmp_path)],
         env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
