@@ -20,24 +20,31 @@ and at most one nominal has as valuations exactly the n placements of that
 nominal, so one truth-mask pass over `placements`, a union of n copies of
 the frame with the nominal at point k of copy k, decides it without SAT.
 
-For the other conjuncts `frame_valid` searches for a falsifying
-valuation and point with a CNF encoding, built in one pass over the DAG:
-each node gets a row of n literals, one per point.  Variables and
-nominals get one atom per point, numbered first, with exactly-one
-constraints tying each nominal to a single point.  Subformulas without
-variables or nominals are valuation-independent, so their rows are the
-constants of one truth-mask pass.  Every other node gets defined atoms
-mirroring the truth relation; a box or diamond literal depends only on
-the point's successor row, so it is defined once per distinct successor
-row (once per node under `[u]` or a total S).  Both passes read the
-derived connectives (or, implication, iff, diamonds) as written.
+The other conjuncts are the roots of one CNF that searches for a
+falsifying valuation and point, and encodes only the (node, point) pairs
+that can matter.  A bounds pass, bottom-up, gives each node two masks: lo,
+where it is true under every valuation, and hi, where it is true under
+some (Kleene's three-valued truth, every variable and nominal unknown).
+Where they agree the node is a constant: a variable-free subformula, but
+also `pi1` off the tower-1 points or `epsilon(t, ...)` off the
+configuration points of state t.  A relevance pass, top-down, marks a
+root relevant everywhere, an argument of a connective where the
+connective is relevant and undetermined, and the body of a box or diamond
+at the successors of such points.  Only these live pairs get literals;
+elsewhere a parent reads its argument's constant.  A variable has atoms at
+its live points, a nominal one per point under an exactly-one constraint.
+A box or diamond literal is defined once per distinct set of live body
+points among the successors, a connective's once per distinct pair of
+argument literals, so a node that is constant over a block of points
+(under `[u]` or a total S) is defined once.  Every pass reads the derived
+connectives (or, implication, iff, diamonds) as written.
 
 The definitions are polarity-aware (Plaisted and Greenbaum 1986): an atom
 gets only the implication its occurrences need, not a full equivalence.
-The roots (phi, or the conjuncts left to the CNF) occur negatively, since
-the CNF only asserts one of them false at some point; `~` and the left
-side of `->` flip the polarity, both sides of `<->` get both, and every
-other connective passes it on.  A negative node needs formula -> atom, a
+The roots occur negatively, since the CNF only asserts, by one clause,
+that one of them is false at some live point; `~` and the left side of
+`->` flip the polarity, both sides of `<->` get both, and every other
+connective passes it on.  A negative node needs formula -> atom, a
 positive one atom -> formula, and a shared node the union over its
 occurrences.  In any model of the CNF a false root literal then still
 means a false root, so counter-models stay sound.
@@ -48,7 +55,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union,
+)
 
 from . import propsat
 from .errors import (
@@ -324,16 +333,87 @@ def _counter_model(frame: Frame, phi: Formula, nodes: List[Formula],
     return CounterModel(model, point)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _row_groups(frame: Frame) -> Dict[Modality, List[Tuple[int, int]]]:
+    """Each modality's distinct successor rows, in order of first point,
+    each with the mask of the points that have it; `[u]` has one row."""
+    all_mask = (1 << len(frame.points)) - 1
+    groups = {Modality.UNIV: [(all_mask, all_mask)]}
+    for modality, rows in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
+        if rows is not None:
+            held: Dict[int, int] = {}
+            for i, row in enumerate(rows):
+                held[row] = held.get(row, 0) | 1 << i
+            groups[modality] = list(held.items())
+    return groups
+
+
+def _modal_mask(group: List[Tuple[int, int]], m: int, box: bool) -> int:
+    """The points whose successor row, among the distinct rows `group`,
+    lies inside `m` (for a box) or meets it (for a diamond)."""
+    out = 0
+    for row, held in group:
+        if (row & m == row) if box else row & m:
+            out |= held
+    return out
+
+
+def _bounds(nodes: List[Formula], groups: Dict[Modality, List[Tuple[int, int]]],
+            all_mask: int) -> Dict[Formula, Tuple[int, int]]:
+    """For each node of `nodes` (children before parents), the masks
+    (lo, hi) of the points where it is true under every valuation and
+    under some valuation: Kleene's three-valued truth on the frame, with
+    every variable and nominal unknown at every point."""
+    bounds: Dict[Formula, Tuple[int, int]] = {}
+    for f in nodes:
+        kind = type(f)
+        if kind is Box or kind is Diamond:
+            lo, hi = bounds[f.sub]
+            group, box = groups[f.modality], kind is Box
+            lo = _modal_mask(group, lo, box)
+            # a node without symbols has lo = hi
+            bound = lo, _modal_mask(group, hi, box) if f.flags & SYMBOL else lo
+        elif kind is Not:
+            lo, hi = bounds[f.sub]
+            bound = all_mask ^ hi, all_mask ^ lo
+        elif kind is Var or kind is Nominal:
+            bound = 0, all_mask
+        elif f.args:
+            (lo_a, hi_a), (lo_b, hi_b) = bounds[f.left], bounds[f.right]
+            if kind is And:
+                bound = lo_a & lo_b, hi_a & hi_b
+            elif kind is Or:
+                bound = lo_a | lo_b, hi_a | hi_b
+            elif kind is Implies:
+                bound = (all_mask ^ hi_a) | lo_b, (all_mask ^ lo_a) | hi_b
+            else:  # Iff: sides known equal, and sides not known different
+                bound = ((lo_a & lo_b) | (all_mask ^ (hi_a | hi_b)),
+                         all_mask ^ ((lo_a & ~hi_b) | (lo_b & ~hi_a)))
+        else:
+            bound = (all_mask, all_mask) if f is TOP else (0, 0)
+        bounds[f] = bound
+    return bounds
+
+
 def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     """Valid iff no valuation and point falsify phi on the frame.
 
     Validity distributes over `&`, and the n placements of its nominal are
     all the valuations of a conjunct with no variable and at most one
     nominal, so one truth-mask pass over `placements` decides every such
-    top-level conjunct.  The others go to the CNF (see the module
-    docstring); with none decided, phi itself is encoded.  Counter-models
-    bind every symbol of phi and are re-checked with model_check before
-    being returned, so a non-validity verdict is self-certifying.
+    top-level conjunct.  The others are the roots of the CNF (see the
+    module docstring), which encodes only their relevant, undetermined
+    (node, point) pairs; a root that the bounds make false at some point
+    needs no CNF.  Counter-models bind every symbol of phi and are
+    re-checked with model_check before being returned, so a non-validity
+    verdict is self-certifying.
     """
     _check_frame_language(phi, frame.kind)
     every = nodes = list(postorder(phi))
@@ -366,11 +446,9 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
         else:
             parts.append(f)
     decided = [f for f in parts if only[f] >= 0]
-    roots = [phi]
-    one = DisjointUnion([Model(frame, Valuation())])
     if decided:
         noms = {only[f] for f in decided} - {0}
-        union = placements(one, noms)
+        union = placements(DisjointUnion([Model(frame, Valuation())]), noms)
         masks = _truth_masks(union, _below(nodes, decided), set(decided))
         all_mask = (1 << union.width) - 1
         for f in decided:
@@ -379,26 +457,45 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
                 block, i = divmod((failing & -failing).bit_length() - 1, n)
                 return _counter_model(frame, phi, every, {},
                                       dict.fromkeys(noms, points[block]), points[i])
-        roots = [f for f in parts if only[f] < 0]
-        if not roots:
-            return Valid()
-        nodes = _below(nodes, roots)
+    roots = [f for f in parts if only[f] < 0]
+    if not roots:
+        return Valid()
+    nodes = _below(nodes, roots)
 
-    fixed = [f for f in nodes if not f.flags & SYMBOL]
-    constants = _truth_masks(one, fixed, set(fixed))
+    all_mask = (1 << n) - 1
+    groups = _row_groups(frame)
+    bounds = _bounds(nodes, groups, all_mask)
+    for f in roots:
+        never = all_mask ^ bounds[f][1]
+        if never:  # the root is false there under every valuation
+            return _counter_model(frame, phi, every, {}, {},
+                                  points[(never & -never).bit_length() - 1])
 
-    # each point's successors per modality, as an index into the distinct
-    # successor rows of that modality, numbered in point order and listed
-    # as ascending point indices
-    successors = {Modality.UNIV: ([range(n)], [0] * n)}
-    for modality, rows in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
-        if rows is not None:
-            distinct: Dict[int, int] = {}
-            ids = [distinct.setdefault(row, len(distinct)) for row in rows]
-            successors[modality] = ([[j for j in range(n) if row >> j & 1] for row in distinct],
-                                    ids)
+    # the live points of each node, parents before children: those where it
+    # is relevant and undetermined.  A root is relevant everywhere, the
+    # argument of a connective where the connective is live, and the body
+    # of a box or diamond at the successors of its live points.  Where a
+    # connective is undetermined, every argument can still take the value
+    # that decides it (an `&` sibling can be true, an `|` sibling false,
+    # and so on), so no argument is relevant in vain.
+    live: Dict[Formula, int] = {}
+    relevant = dict.fromkeys(roots, all_mask)
+    for f in reversed(nodes):
+        lo, hi = bounds[f]
+        here = relevant.get(f, 0) & hi & ~lo
+        if not here:
+            continue
+        live[f] = here
+        if type(f) is Box or type(f) is Diamond:
+            succ = 0
+            for row, held in groups[f.modality]:
+                if held & here:
+                    succ |= row
+            here = succ
+        for a in f.args:
+            relevant[a] = relevant.get(a, 0) | here
 
-    # which directions of its definition each node needs (propsat.POS:
+    # which directions of its definition each live node needs (propsat.POS:
     # its literal implies its formula, propsat.NEG: the converse), parents
     # before children; a root needs NEG, as its literals are only asserted
     # false, by the falsifying clause
@@ -407,6 +504,8 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     need = dict.fromkeys(nodes, 0)
     need.update(dict.fromkeys(roots, NEG))
     for f in reversed(nodes):
+        if f not in live:
+            continue
         kind, p = type(f), need[f]
         if kind is Not:
             need[f.sub] |= flip[p]
@@ -435,44 +534,76 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
         Iff: lambda a, b, p: define_and([implies(a, b, p), implies(b, a, p)], p),
     }
 
-    # one literal per point for each node: the variable and nominal atoms
-    # first, then the rest in one pass, children before parents
-    lits: Dict[Formula, List[propsat.Literal]] = {}
-    symbols = sorted((f for f in nodes if type(f) is Var or type(f) is Nominal),
+    # a literal for each live (node, point) pair, keyed by point: the
+    # variable atoms at their live points and each nominal's n atoms first,
+    # then the rest in one pass, children before parents.  A parent reads
+    # an argument's literal where the argument is live and its constant
+    # (the bound) elsewhere.  Points whose arguments have the same literals
+    # share one, so a node that is constant over a block of points is
+    # defined once.
+    lits: Dict[Formula, Dict[int, propsat.Literal]] = {}
+    symbols = sorted((f for f in live if type(f) is Var or type(f) is Nominal),
                      key=lambda f: (type(f) is Nominal, f.index))
     for f in symbols:
-        lits[f] = [builder.new_atom() for _ in points]
-        if type(f) is Nominal:
-            builder.exactly_one(lits[f])
-    for f in nodes:
-        kind, p = type(f), need[f]
-        if kind is Var or kind is Nominal:
-            continue
-        if not f.flags & SYMBOL:
-            m = constants[f]
-            row = [bool(m >> i & 1) for i in range(n)]
-        elif kind is Not:
-            row = [negate(a) for a in lits[f.sub]]
-        elif kind is Box or kind is Diamond:
-            # a box literal depends only on the point's successor row, and a
-            # diamond is the negated box of the negated body
-            lists, ids = successors[f.modality]
-            sub = lits[f.sub]
-            if kind is Box:
-                boxes = [define_and([sub[j] for j in t], p) for t in lists]
-                row = [boxes[k] for k in ids]
-            else:
-                boxes = [define_and([negate(sub[j]) for j in t], flip[p]) for t in lists]
-                row = [negate(boxes[k]) for k in ids]
+        if type(f) is Var:
+            lits[f] = {i: builder.new_atom() for i in _bits(live[f])}
         else:
-            row = [binary[kind](a, b, p) for a, b in zip(lits[f.left], lits[f.right])]
+            atoms = [builder.new_atom() for _ in points]
+            builder.exactly_one(atoms)
+            lits[f] = dict(enumerate(atoms))
+    for f in nodes:
+        if f not in live or f in lits:
+            continue
+        kind, p, here = type(f), need[f], live[f]
+        row: Dict[int, propsat.Literal] = {}
+        made: Dict[object, propsat.Literal] = {}  # by what a literal is made of
+        if kind is Not:
+            sub = lits[f.sub]
+            for i in _bits(here):
+                row[i] = negate(sub[i])
+        elif kind is Box or kind is Diamond:
+            # at a live point, a box literal is the conjunction of the body
+            # at the undetermined successors (the others are true), and a
+            # diamond the disjunction (the others are false)
+            sub = lits[f.sub]
+            lo, hi = bounds[f.sub]
+            unknown = hi & ~lo
+            for succ, held in groups[f.modality]:
+                held &= here
+                if not held:
+                    continue
+                key = succ & unknown
+                a = made.get(key)
+                if a is None:
+                    if kind is Box:
+                        a = define_and([sub[j] for j in _bits(key)], p)
+                    else:
+                        a = negate(define_and([negate(sub[j]) for j in _bits(key)], flip[p]))
+                    made[key] = a
+                for i in _bits(held):
+                    row[i] = a
+        else:
+            left, right = lits.get(f.left, {}), lits.get(f.right, {})
+            lo_a, lo_b = bounds[f.left][0], bounds[f.right][0]
+            define = binary[kind]
+            for i in _bits(here):
+                pair = (left[i] if i in left else bool(lo_a >> i & 1),
+                        right[i] if i in right else bool(lo_b >> i & 1))
+                a = made.get(pair)
+                if a is None:
+                    a = made[pair] = define(pair[0], pair[1], p)
+                row[i] = a
         lits[f] = row
 
-    falsifiable = [(p, negate(a)) for r in roots for p, a in zip(points, lits[r])]
-    builder.add_clause(a for _, a in falsifiable)
-    if all(a is False for _, a in falsifiable):
+    # one clause: some root is false at some live point; each literal is
+    # kept once, with the first point where it falsifies a root
+    falsifying: Dict[propsat.Literal, int] = {}
+    for f in roots:
+        for i, a in lits.get(f, {}).items():
+            falsifying.setdefault(negate(a), i)
+    if not falsifying:
         return Valid()
-
+    builder.add_clause(falsifying)
     result = propsat.solve(builder.to_cnf())
     if isinstance(result, propsat.Unsat):
         return Valid()
@@ -480,16 +611,15 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     assignment = result.assignment
     var_map, nom_map = {}, {}
     for f in symbols:
-        held = [p for p, a in zip(points, lits[f]) if assignment[a]]
+        held = [points[i] for i, a in lits[f].items() if assignment[a]]
         if type(f) is Var:
             var_map[f.index] = frozenset(held)
         elif len(held) != 1:
             raise InternalCheckFailed("nominal n%d placed at %d points" % (f.index, len(held)))
         else:
             nom_map[f.index] = held[0]
-    witness = next((point for point, value in falsifiable
-                    if value is True or (not isinstance(value, bool)
-                                         and assignment[abs(value)] == (value > 0))), None)
+    witness = next((points[i] for a, i in falsifying.items()
+                    if assignment[abs(a)] == (a > 0)), None)
     return _counter_model(frame, phi, every, var_map, nom_map, witness)
 
 

@@ -60,6 +60,7 @@ class Unifiable:
     substitution: Substitution
     evidence: ValidityEvidence
     trace_length: int
+    psi_size: int          # DAG size of the reduction formula the unifier unifies
 
 
 @dataclass
@@ -177,7 +178,7 @@ def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
         evidence = verify_unifier(sigma, reduction, language, reach.trace,
                                   seed=seed, trials=trials, max_points=max_points,
                                   tableau_budget=tableau_budget)
-        return Unifiable(sigma, evidence, len(reach.trace))
+        return Unifiable(sigma, evidence, len(reach.trace), size(reduction))
     if isinstance(reach, No):
         lf = canonical_frame(program, start, bound, language)
         checks = certificate_checks(lf, program, start, target, language)
@@ -214,13 +215,12 @@ def verdict_report(verdict: PipelineVerdict, program: MinskyProgram, start: Conf
         "instructions": len(program.instructions),
     }
     if isinstance(verdict, Unifiable):
-        reduction = psi(program, start, target, language)
         report.update(
             verdict="unifiable",
             trace_length=verdict.trace_length,
             evidence=verdict.evidence.as_dict(),
             formula_sizes={
-                "psi": size(reduction),
+                "psi": verdict.psi_size,
                 "sigma_p1": size(verdict.substitution.get(1)),
                 "sigma_p2": size(verdict.substitution.get(2)),
             },

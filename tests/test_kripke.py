@@ -9,7 +9,7 @@ from mlunif.encoding import ax_program, canonical_frame
 from mlunif.errors import LanguageMismatch, ParseError, UnboundSymbol, UnknownPoint
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not, Or,
-    Substitution, Var, apply_subst, nominals, parse, variables,
+    Substitution, Var, apply_subst, conj, nominals, parse, variables,
 )
 from mlunif.minsky import Config, parse_program
 from mlunif.kripke import (
@@ -266,16 +266,16 @@ def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     [cnf] = cnfs
     solver = propsat.Solver(cnf)
     assert isinstance(solver.solve(), propsat.Unsat)
-    assert (solver.decisions, solver.conflicts) == (36, 7)
-    # atoms 1..k are the (symbol, point) atoms, the nominal's last: its
-    # at-least-one clause comes first
+    assert (solver.decisions, solver.conflicts) == (30, 7)
+    # the variables come first, with atoms only at the points where the
+    # axioms read them (16 of the 2 * 22 pairs), then the nominal's atoms
+    # at every point: its at-least-one clause comes first
     n = len(frame.points)
-    assert n == 22 and nominals(phi) == {1}
-    k = (len(variables(phi)) + 1) * n
-    assert cnf.clauses[0] == list(range(k - n + 1, k + 1))
+    assert n == 22 and nominals(phi) == {1} and variables(phi) == {1, 2}
+    assert cnf.clauses[0] == list(range(17, 17 + n))
     # each defined atom gets only the directions its polarity needs: full
-    # equivalences take 992 clauses over the same atoms
-    assert (cnf.num_atoms, len(cnf.clauses)) == (212, 945)
+    # equivalences take 473 clauses over the same atoms
+    assert (cnf.num_atoms, len(cnf.clauses)) == (98, 471)
 
 
 def test_frame_valid_agrees_with_brute_force_where_polarities_collide():
@@ -313,6 +313,33 @@ def test_frame_valid_agrees_with_brute_force_where_polarities_collide():
             checked += 1
             verdicts += expected
     assert checked == 600 and 0 < verdicts < checked
+
+
+def test_pruned_encoding_agrees_with_brute_force():
+    # several top-level conjuncts over p1, p2 (and n1 in H2) whose leaves
+    # hold variable-free subformulas, so the bounds fix part of each
+    # conjunct and the relevance pass drops what no root reads; on frames
+    # of at most four points every valuation is enumerated
+    rng = random.Random(20)
+
+    def folded(language, num_noms):
+        # a random formula with a variable-free subformula in place of p3
+        g = random_formula(rng, depth=3, num_vars=3, language=language, num_noms=num_noms)
+        fixed = random_formula(rng, depth=2, num_vars=0, language=language)
+        return apply_subst(Substitution({3: fixed}), g)
+
+    verdicts = set()
+    for language, num_noms in ((L, 0), (H2, 1)):
+        for trial in range(200):
+            parts = []
+            for _ in range(rng.randint(2, 4)):
+                f, g = folded(language, num_noms), folded(language, num_noms)
+                # f -> f is valid, but the bounds alone do not decide it
+                parts.append(rng.choice((f, Implies(f, f), Or(Not(f), g))))
+            phi = conj(parts)
+            frame = random_frame(1000 * trial + len(parts), 4, kind=language)
+            verdicts.add((language, check_against_oracle(frame, phi)))
+    assert verdicts == {(language, v) for language in (L, H2) for v in (True, False)}
 
 
 def test_transitive_closure():

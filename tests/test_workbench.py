@@ -10,10 +10,13 @@ from mlunif.errors import LanguageMismatch, UnboundSymbol
 from mlunif.formula import (
     BOT, H2, L, And, Substitution, TOP, conj, disj, language_of, parse,
 )
-from mlunif.kripke import model_check
-from mlunif.minsky import Config, MinskyProgram, parse_config, parse_program, reaches
+from mlunif.kripke import CounterModel, frame_valid, model_check
+from mlunif.minsky import (
+    Config, MinskyProgram, parse_config, parse_program, reaches, run_trace,
+)
 from mlunif.encoding import (
-    canonical_frame, parse_labeled_frame, psi, serialize_labeled_frame, tower,
+    ax_program, canonical_frame, frame_for_configs, parse_labeled_frame, psi,
+    serialize_labeled_frame, tower, truncation_level,
 )
 from mlunif.witness import (
     defect_formulas, no_defect_lemma, shifted_counter_index, step_lemmas,
@@ -80,11 +83,11 @@ def counter_chain(steps):
 # checks, and the nominal-agreement conjuncts of hybrid mode, have no
 # variable and are decided by truth masks
 CERTIFICATE_CNFS = [
-    (counter_chain(20), "1,0,0", "99,0,0", L, [(785, 7439)]),
-    (counter_chain(40), "1,0,0", "99,0,0", L, [(1485, 22559)]),
-    ("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0", "1,0,0", "3,0,0", H2, [(212, 945)]),
+    (counter_chain(20), "1,0,0", "99,0,0", L, [(293, 1650)]),
+    (counter_chain(40), "1,0,0", "99,0,0", L, [(573, 5280)]),
+    ("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0", "1,0,0", "3,0,0", H2, [(98, 471)]),
     ("1 -> 2,+1,0\n2 -> 3,+1,0\n3 -> 4,0,+1\n4 -> 5,-1,0 | 9,0,0\n5 -> 6,0,-1 | 9,0,0",
-     "1,0,0", "7,0,0", H2, [(870, 4581)]),
+     "1,0,0", "7,0,0", H2, [(546, 2201)]),
 ]
 
 
@@ -100,6 +103,24 @@ def test_certificate_cnf_sizes(monkeypatch, program, start, target, language, si
     monkeypatch.setattr(propsat, "solve", lambda cnf: cnfs.append(cnf) or solve(cnf))
     assert all(certificate_checks(lf, prog, a, b, language).values())
     assert [(cnf.num_atoms, len(cnf.clauses)) for cnf in cnfs] == sizes
+
+
+@pytest.mark.parametrize("language", [L, H2])
+def test_certificate_without_the_last_configuration_fails(language):
+    # a certificate must be able to fail: on C1's canonical frame without
+    # its last configuration point, the last instruction's antecedent can
+    # hold while its consequent holds nowhere, and the pruned encoding must
+    # keep the pairs that carry that refutation
+    prog, start = parse_program(counter_chain(20)), parse_config("1,0,0")
+    trace = run_trace(prog, start, 100)
+    lf = frame_for_configs(trace.configs[:-1], truncation_level(prog, trace.configs),
+                           language)
+    checks = certificate_checks(lf, prog, start, parse_config("99,0,0"), language)
+    assert checks["program_axioms_valid"] is False
+    axioms = ax_program(prog, language)
+    got = frame_valid(lf.frame, axioms)
+    assert isinstance(got, CounterModel)
+    assert not model_check(got.model, got.point, axioms)
 
 
 def test_unknown_when_bound_exhausted():
@@ -551,9 +572,9 @@ def test_cli_frame_stops_at_the_point_budget(tmp_path, capsys, monkeypatch):
 
 
 # Installs the benchmark's tracer, which wraps functions of every layer by
-# module attribute, runs `verify` on an unreachable target (frame validity)
-# and on a reachable one in hybrid mode past the tableau's step limit
-# (random models), and prints the per-layer metrics.
+# module attribute, runs `verify` on certificate instance C3 (frame
+# validity) and on a reachable target in hybrid mode past the tableau's step
+# limit (random models), and prints the per-layer metrics.
 _TRACED_VERIFY = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -563,10 +584,11 @@ tracer = tracing.Tracer()
 tracer.install()
 main = tracer.wrap(cli, "main", "cli.main")
 assert main(["verify", "--program", sys.argv[2], "--start", "1,0,0",
-             "--target", "2,0,0", "--bound", "10", "--out", sys.argv[3] + "/a"]) == 0
-assert main(["verify", "--program", sys.argv[2], "--start", "1,0,0",
+             "--target", "3,0,0", "--mode", "hybrid", "--bound", "100",
+             "--out", sys.argv[4] + "/a"]) == 0
+assert main(["verify", "--program", sys.argv[3], "--start", "1,0,0",
              "--target", "4,2,1", "--mode", "hybrid", "--trials", "5",
-             "--out", sys.argv[3] + "/b"]) == 0
+             "--out", sys.argv[4] + "/b"]) == 0
 print(json.dumps(tracer.layer_metrics()))
 """
 
@@ -574,14 +596,19 @@ print(json.dumps(tracer.layer_metrics()))
 def test_bench_tracer_wraps_current_names(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(mlunif.__file__)))
     bench = os.path.join(os.path.dirname(src), "bench")
-    program = tmp_path / "prog.txt"
-    program.write_text(S3_PROGRAM + "\n")
+    certificate, suite = tmp_path / "c3.txt", tmp_path / "s3.txt"
+    c3, _, _, _, [c3_cnf] = CERTIFICATE_CNFS[2]
+    certificate.write_text(c3 + "\n")
+    suite.write_text(S3_PROGRAM + "\n")
     out = subprocess.run(
-        [sys.executable, "-S", "-c", _TRACED_VERIFY, bench, str(program), str(tmp_path)],
+        [sys.executable, "-S", "-c", _TRACED_VERIFY, bench, str(certificate), str(suite),
+         str(tmp_path)],
         env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     metrics = json.loads(out.stdout.splitlines()[-1])
-    assert metrics["kripke.cnf_clauses"] > 0
+    # the one CNF of the run, counted through the propsat.solve wrapper: a
+    # CNF solved past the wrapper would leave these short of the pin
+    assert (metrics["kripke.cnf_atoms"], metrics["kripke.cnf_clauses"]) == c3_cnf
     assert metrics["kripke.truth_mask_calls"] > 0
     assert metrics["formula.language_of_calls"] > 0
     assert metrics["formula.text_bytes"] > 0
