@@ -471,41 +471,28 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             return _counter_model(frame, phi, every, {}, {},
                                   points[(never & -never).bit_length() - 1])
 
-    # the live points of each node, parents before children: those where it
-    # is relevant and undetermined.  A root is relevant everywhere, the
+    # one pass, parents before children, gives each node its live points,
+    # those where it is relevant and undetermined, and the directions of its
+    # definition it needs (propsat.POS: its literal implies its formula,
+    # propsat.NEG: the converse).  A root is relevant everywhere, the
     # argument of a connective where the connective is live, and the body
     # of a box or diamond at the successors of its live points.  Where a
     # connective is undetermined, every argument can still take the value
     # that decides it (an `&` sibling can be true, an `|` sibling false,
-    # and so on), so no argument is relevant in vain.
+    # and so on), so no argument is relevant in vain.  A root needs NEG, as
+    # its literals are only asserted false, by the falsifying clause.
+    POS, NEG = propsat.POS, propsat.NEG
+    flip = (0, NEG, POS, POS | NEG)
     live: Dict[Formula, int] = {}
     relevant = dict.fromkeys(roots, all_mask)
+    need = dict.fromkeys(nodes, 0)
+    need.update(dict.fromkeys(roots, NEG))
     for f in reversed(nodes):
         lo, hi = bounds[f]
         here = relevant.get(f, 0) & hi & ~lo
         if not here:
             continue
         live[f] = here
-        if type(f) is Box or type(f) is Diamond:
-            succ = 0
-            for row, held in groups[f.modality]:
-                if held & here:
-                    succ |= row
-            here = succ
-        for a in f.args:
-            relevant[a] = relevant.get(a, 0) | here
-
-    # which directions of its definition each live node needs (propsat.POS:
-    # its literal implies its formula, propsat.NEG: the converse), parents
-    # before children; a root needs NEG, as its literals are only asserted
-    # false, by the falsifying clause
-    POS, NEG = propsat.POS, propsat.NEG
-    flip = (0, NEG, POS, POS | NEG)
-    need = dict.fromkeys(nodes, 0)
-    need.update(dict.fromkeys(roots, NEG))
-    for f in reversed(nodes):
-        if f not in live:
-            continue
         kind, p = type(f), need[f]
         if kind is Not:
             need[f.sub] |= flip[p]
@@ -517,6 +504,14 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
         else:
             for a in f.args:
                 need[a] |= p
+        if kind is Box or kind is Diamond:
+            succ = 0
+            for row, held in groups[f.modality]:
+                if held & here:
+                    succ |= row
+            here = succ
+        for a in f.args:
+            relevant[a] = relevant.get(a, 0) | here
 
     builder = propsat.CnfBuilder(clause_budget=CLAUSE_BUDGET)
     negate, define_and = builder.negate, builder.define_and
@@ -539,7 +534,8 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     # then the rest in one pass, children before parents.  A parent reads
     # an argument's literal where the argument is live and its constant
     # (the bound) elsewhere.  Points whose arguments have the same literals
-    # share one, so a node that is constant over a block of points is
+    # share one (`CnfBuilder.define_and` keeps one atom per tuple of
+    # literals), so a node that is constant over a block of points is
     # defined once.
     lits: Dict[Formula, Dict[int, propsat.Literal]] = {}
     symbols = sorted((f for f in live if type(f) is Var or type(f) is Nominal),
@@ -556,7 +552,6 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             continue
         kind, p, here = type(f), need[f], live[f]
         row: Dict[int, propsat.Literal] = {}
-        made: Dict[object, propsat.Literal] = {}  # by what a literal is made of
         if kind is Not:
             sub = lits[f.sub]
             for i in _bits(here):
@@ -568,6 +563,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             sub = lits[f.sub]
             lo, hi = bounds[f.sub]
             unknown = hi & ~lo
+            made: Dict[int, propsat.Literal] = {}  # by undetermined successors
             for succ, held in groups[f.modality]:
                 held &= here
                 if not held:
@@ -587,12 +583,8 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             lo_a, lo_b = bounds[f.left][0], bounds[f.right][0]
             define = binary[kind]
             for i in _bits(here):
-                pair = (left[i] if i in left else bool(lo_a >> i & 1),
-                        right[i] if i in right else bool(lo_b >> i & 1))
-                a = made.get(pair)
-                if a is None:
-                    a = made[pair] = define(pair[0], pair[1], p)
-                row[i] = a
+                row[i] = define(left[i] if i in left else bool(lo_a >> i & 1),
+                                right[i] if i in right else bool(lo_b >> i & 1), p)
         lits[f] = row
 
     # one clause: some root is false at some live point; each literal is

@@ -342,6 +342,18 @@ def test_pruned_encoding_agrees_with_brute_force():
     assert verdicts == {(language, v) for language in (L, H2) for v in (True, False)}
 
 
+def test_constant_and_literal_arguments_get_different_literals():
+    # p1 takes atom 1 at a; `<>true | p1` is that atom at a and the constant
+    # true at b, so the `&` above it has the argument pairs (1, L) at a and
+    # (True, L) at b, which must not share one literal although True == 1
+    frame = parse_frame("points: a b\nR: b a\n")
+    phi = parse("~(((<>true | p1) & <u>p2) & [u]~p1)")
+    assert not brute_force_frame_valid(frame, phi)
+    got = frame_valid(frame, phi)
+    assert isinstance(got, CounterModel)
+    assert not model_check(got.model, got.point, phi)
+
+
 def test_transitive_closure():
     assert transitive_closure(()) == ()
     # a -> b -> c gains a -> c
