@@ -22,7 +22,7 @@ from .formula import (
     BOT, H2, TOP, L, And, Box, Diamond, Formula, Implies, Modality, Nominal,
     Not, Or, Var, conj, surrogate_exists,
 )
-from .kripke import Frame, parse_frame, serialize_frame, transitive_closure
+from .kripke import Frame, parse_frame, serialize_generators, transitive_closure
 from .minsky import (
     EXHAUSTED, Config, Dec, Inc, Instruction, MinskyProgram, run_trace,
 )
@@ -370,7 +370,10 @@ def canonical_frame(program: MinskyProgram, start: Config, bound: int,
 # --- labeled frame text format ---------------------------------------------------
 
 def serialize_labeled_frame(lf: LabeledFrame) -> str:
-    out = [serialize_frame(lf.frame)]
+    """The frame as its generators (`serialize_generators`): a canonical
+    frame's R is the closure of the skeleton, tower and marker edges, and a
+    hybrid one's S is total.  Then one `label:` line per labeled point."""
+    out = [serialize_generators(lf.frame)]
     out += ["label: %s %s\n" % (point, lf.labels[point])
             for point in lf.frame.points if point in lf.labels]
     return "".join(out)

@@ -82,6 +82,24 @@ def transitive_closure(rows: Iterable[int]) -> Tuple[int, ...]:
     return tuple(rows)
 
 
+def transitive_reduction(rows: Iterable[int]) -> Tuple[int, ...]:
+    """The edges (i, j) of the closure of `rows` with no third point k
+    between them (i sees k, k sees j), together with the closure's loops.
+    When the closure has no cycle through two or more points, these are the
+    fewest edges with the same closure, and the only such set (Aho, Garey
+    and Ullman 1972).  On a cycle the reduction loses edges, so its own
+    closure is smaller: a caller that needs the closure back compares."""
+    closure = transitive_closure(rows)
+    reduced = []
+    for i, row in enumerate(closure):
+        loop = row & 1 << i
+        later = 0  # the points two or more edges past i, through a third point
+        for k in _bits(row ^ loop):
+            later |= closure[k] & ~(1 << k)
+        reduced.append((row ^ loop) & ~later | loop)
+    return tuple(reduced)
+
+
 @dataclass(frozen=True)
 class Frame:
     """Named points and their relations, each relation as successor rows:
@@ -636,21 +654,48 @@ def random_frame(seed: int, max_points: int, kind: str = L) -> Frame:
 
 # --- text formats ---------------------------------------------------------------
 
+def _edge_lines(name: str, points: Tuple[str, ...], rows: Iterable[int]) -> List[str]:
+    """One `name: x y` line per edge, sorted by the point names."""
+    pairs = sorted((x, points[j]) for x, row in zip(points, rows) for j in _bits(row))
+    return ["%s: %s %s" % (name, x, y) for x, y in pairs]
+
+
 def serialize_frame(frame: Frame) -> str:
-    points = frame.points
-    lines = ["points: " + " ".join(points)]
-    for name, rows in (("R", frame.r), ("S", frame.s or ())):
-        pairs = sorted((x, y) for x, row in zip(points, rows)
-                       for j, y in enumerate(points) if row >> j & 1)
-        lines += ["%s: %s %s" % (name, x, y) for x, y in pairs]
-    if frame.s is not None and not any(frame.s):
-        lines.append("S:")
+    """Every edge on its own line.  A hybrid frame with no S edge gets a
+    lone `S:` line, which is what makes it hybrid."""
+    lines = ["points: " + " ".join(frame.points)] + _edge_lines("R", frame.points, frame.r)
+    if frame.s is not None:
+        lines += _edge_lines("S", frame.points, frame.s) or ["S:"]
+    return "\n".join(lines) + "\n"
+
+
+def serialize_generators(frame: Frame) -> str:
+    """The frame text with each relation written by what generates it, where
+    that gives back the same rows: R as `R*:` lines, the edges of its
+    transitive reduction, when their closure is R (not so when R is not
+    transitive or has a cycle through two or more points), and a total S as
+    the one line `S: all`.  Otherwise as `serialize_frame`."""
+    points, lines = frame.points, ["points: " + " ".join(frame.points)]
+    reduction = transitive_reduction(frame.r)
+    if transitive_closure(reduction) == frame.r:
+        lines += _edge_lines("R*", points, reduction)
+    else:
+        lines += _edge_lines("R", points, frame.r)
+    if frame.s is not None:
+        full = (1 << len(points)) - 1
+        if all(row == full for row in frame.s):
+            lines.append("S: all")
+        else:
+            lines += _edge_lines("S", points, frame.s) or ["S:"]
     return "\n".join(lines) + "\n"
 
 
 def parse_frame(text: str) -> Frame:
+    """Read either text: R is the transitive closure of the `R*:` edges
+    joined with the `R:` edges, and `S: all` makes S total."""
     points: Optional[Tuple[str, ...]] = None
-    edges: Dict[str, List[Tuple[str, str]]] = {"R": []}
+    edges: Dict[str, List[Tuple[str, str, int]]] = {"R": []}
+    total_s = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -660,25 +705,37 @@ def parse_frame(text: str) -> Frame:
             if not points or len(set(points)) != len(points):
                 raise ParseError(0, "one or more distinct point names on line %d" % lineno, raw)
             continue
-        if line[:2] in ("R:", "S:"):
-            name, parts = line[0], line[2:].split()
+        name, colon, rest = line.partition(":")
+        if colon and name in ("R", "R*", "S"):
+            parts = rest.split()
             pairs = edges.setdefault(name, [])
-            if parts or name == "R":  # a lone `S:` makes the frame hybrid
+            if name == "S" and parts[:1] == ["all"]:
+                if len(parts) != 1:
+                    raise ParseError(0, "'S: all' alone on line %d" % lineno, raw)
+                total_s = True
+            elif parts or name != "S":  # a lone `S:` makes the frame hybrid
                 if len(parts) != 2:
                     raise ParseError(0, "an edge '%s: x y' on line %d" % (name, lineno), raw)
-                pairs.append((parts[0], parts[1]))
+                pairs.append((parts[0], parts[1], lineno))
             continue
-        raise ParseError(0, "'points:', 'R:' or 'S:' on line %d" % lineno, raw)
+        raise ParseError(0, "'points:', 'R:', 'R*:' or 'S:' on line %d" % lineno, raw)
     if points is None:
         raise ParseError(0, "a 'points:' line", text)
     index = {p: i for i, p in enumerate(points)}
     rows = {name: [0] * len(points) for name in edges}
     for name, pairs in edges.items():
-        for x, y in pairs:
+        for x, y, lineno in pairs:
             if x not in index or y not in index:
-                raise UnknownPoint("%s edge (%s, %s) leaves the frame" % (name, x, y))
+                where = " on line %d" % lineno if name == "R*" else ""
+                raise UnknownPoint("%s edge (%s, %s)%s leaves the frame" % (name, x, y, where))
             rows[name][index[x]] |= 1 << index[y]
-    return Frame(points, tuple(rows["R"]), tuple(rows["S"]) if "S" in rows else None)
+    r = rows["R"]
+    if "R*" in rows:
+        r = [a | b for a, b in zip(r, transitive_closure(rows["R*"]))]
+    s = rows.get("S")
+    if total_s:
+        s = [(1 << len(points)) - 1] * len(points)
+    return Frame(points, tuple(r), None if s is None else tuple(s))
 
 
 def serialize_valuation(valuation: Valuation) -> str:

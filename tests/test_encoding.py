@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 
 import pytest
@@ -8,11 +9,13 @@ from mlunif.formula import (
     H2, L, TOP, And, Diamond, Implies, Modality, Nominal, Not, Or, Var,
     language_of, nominals, parse, postorder, variables,
 )
-from mlunif.kripke import Model, Valuation, model_check, serialize_frame
+from mlunif.kripke import (
+    Frame, Model, Valuation, model_check, random_frame, transitive_closure,
+)
 from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_program
 from mlunif.encoding import (
-    ax_instruction, ax_program, canonical_frame, config_formula, epsilon,
-    exists, marker, nom_formula, parse_labeled_frame, pi_tau, psi,
+    LabeledFrame, ax_instruction, ax_program, canonical_frame, config_formula,
+    epsilon, exists, marker, nom_formula, parse_labeled_frame, pi_tau, psi,
     serialize_labeled_frame, tower, PI1, PI2, TAU1, TAU2,
 )
 from helpers import modal_depth, points_where, successors
@@ -232,11 +235,19 @@ def test_labeled_frame_roundtrip():
 
 
 def test_labeled_frame_text_is_pinned():
-    # the frame part is the closure of the skeleton edges (91 `R:` lines);
-    # the digest pins the whole text, the label lines are spelled out
+    # R is written as its 23 generators (`R*:` lines): the skeleton's edges,
+    # alpha's loop, each tower point's edge down and the configuration
+    # point's three markers; the digest pins the whole text
     lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 10, L)
     text = serialize_labeled_frame(lf)
-    assert text == serialize_frame(lf.frame) + (
+    assert text == (
+        "points: a b g g1 g2 d d1 d2 a0_0 a0_1 a0_2 a1_0 a1_1 a1_2 a2_0 a2_1 a2_2 e(1,0,0)\n"
+        "R*: a a\nR*: a0_0 d\nR*: a0_0 g\nR*: a0_1 a0_0\nR*: a0_2 a0_1\n"
+        "R*: a1_0 d1\nR*: a1_0 g1\nR*: a1_1 a1_0\nR*: a1_2 a1_1\n"
+        "R*: a2_0 d2\nR*: a2_0 g2\nR*: a2_1 a2_0\nR*: a2_2 a2_1\n"
+        "R*: d b\nR*: d1 d\nR*: d2 d1\n"
+        "R*: e(1,0,0) a0_1\nR*: e(1,0,0) a1_0\nR*: e(1,0,0) a2_0\n"
+        "R*: g a\nR*: g b\nR*: g1 g\nR*: g2 g1\n"
         "label: a alpha\nlabel: b beta\nlabel: g gamma\nlabel: g1 gamma1\n"
         "label: g2 gamma2\nlabel: d delta\nlabel: d1 delta1\nlabel: d2 delta2\n"
         "label: a0_0 a(0,0)\nlabel: a0_1 a(0,1)\nlabel: a0_2 a(0,2)\n"
@@ -244,7 +255,60 @@ def test_labeled_frame_text_is_pinned():
         "label: a2_0 a(2,0)\nlabel: a2_1 a(2,1)\nlabel: a2_2 a(2,2)\n"
         "label: e(1,0,0) e(1,0,0)\n")
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "287dcfec67ac56b5a4a2c00818c666a93729bbc8a12f764048956fac2868e5c2")
+        "69f3f20e54474c86059d79026317a8b4e3740282e802f214b9c7846eae98d449")
+
+
+def test_labeled_frame_text_falls_back_to_explicit_edges():
+    # only a relation its generators give back is written by them
+    points = ("x", "y", "z")
+
+    def text(r, s=None):
+        lf = LabeledFrame(Frame(points, r, s), {"x": "alpha"})
+        written = serialize_labeled_frame(lf)
+        back = parse_labeled_frame(written)
+        assert (back.frame, back.labels) == (lf.frame, lf.labels)
+        return written
+
+    # a cycle through three points: its reduction has only the loops
+    everything = transitive_closure((0b010, 0b100, 0b001))
+    assert text(everything) == "points: x y z\n" + "".join(
+        "R: %s %s\n" % (a, b) for a in points for b in points) + "label: x alpha\n"
+    # not transitive: the closure of x -> y -> z would add x -> z
+    assert text((0b010, 0b100, 0)) == "points: x y z\nR: x y\nR: y z\nlabel: x alpha\n"
+    # a partial S keeps its edges, next to R's generators
+    assert text((0b110, 0b100, 0), (0b011, 0b111, 0b100)) == (
+        "points: x y z\nR*: x y\nR*: y z\nS: x x\nS: x y\nS: y x\nS: y y\nS: y z\n"
+        "S: z z\nlabel: x alpha\n")
+    # an empty S is still the lone line that makes the frame hybrid
+    assert text((0, 0, 0), (0, 0, 0)) == "points: x y z\nS:\nlabel: x alpha\n"
+    assert text((0, 0, 0), (0b111,) * 3) == "points: x y z\nS: all\nlabel: x alpha\n"
+
+
+def test_labeled_frame_text_reads_back_on_random_frames():
+    # relations of each shape the writer tells apart: R transitive or not,
+    # with or without a cycle; S absent, empty, total or partial
+    rng = random.Random(21)
+    names = ["alpha", "delta2", "a(0,3)", "a(2,0)", "e(1,0,0)", "e(4,2,7)"]
+    forms = set()
+    for seed in range(200):
+        frame = random_frame(seed, 8, kind=(L, H2)[seed % 2])
+        n = len(frame.points)
+        r = frame.r
+        if seed % 3 == 1:
+            r = transitive_closure(r)
+        elif seed % 3 == 2:  # no cycle through two points: keep edges up and loops
+            r = transitive_closure(row >> i << i for i, row in enumerate(r))
+        s = frame.s
+        if s is not None and seed // 2 % 3:  # S as drawn, or empty, or total
+            s = (((1 << n) - 1) * (seed // 2 % 3 - 1),) * n
+        labels = {p: rng.choice(names) for p in frame.points if rng.random() < 0.5}
+        lf = LabeledFrame(Frame(frame.points, r, s), labels)
+        text = serialize_labeled_frame(lf)
+        back = parse_labeled_frame(text)
+        assert (back.frame, back.labels) == (lf.frame, lf.labels), text
+        forms.update(line if len(line.split()) < 3 else line.split()[0] + " x y"
+                     for line in text.splitlines() if line.startswith(("R", "S")))
+    assert forms == {"R: x y", "R*: x y", "S: x y", "S:", "S: all"}
 
 
 def test_marker_rejects_other_names():

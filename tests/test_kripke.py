@@ -15,7 +15,7 @@ from mlunif.minsky import Config, parse_program
 from mlunif.kripke import (
     CounterModel, DisjointUnion, Frame, Model, Valid, Valuation, frame_valid, model_check,
     parse_frame, parse_valuation, placements, random_frame, serialize_frame,
-    serialize_valuation, transitive_closure, truth_mask,
+    serialize_valuation, transitive_closure, transitive_reduction, truth_mask,
 )
 from helpers import (
     bit_rows, closure_by_search, holds_everywhere, is_transitive, offset_masks_by_pairs,
@@ -369,6 +369,34 @@ def test_transitive_closure():
         assert is_transitive(got)
 
 
+def test_transitive_reduction():
+    # a -> b -> c with a -> c: the edge a -> c is implied
+    assert transitive_reduction((0b110, 0b100, 0)) == (0b010, 0b100, 0)
+    # a loop stays, since no other edge gives it back
+    assert transitive_reduction((0b011, 0)) == (0b011, 0)
+    # on a cycle through three points the reduction loses edges
+    cycle = transitive_closure((0b010, 0b100, 0b001))
+    assert transitive_closure(transitive_reduction(cycle)) != cycle
+    rng = random.Random(4)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        # no cycle through two or more points: every edge goes up or is a loop
+        rows = tuple(sum(1 << j for j in range(i, n) if rng.random() < density / 2)
+                     for i in range(n))
+        reduced = transitive_reduction(rows)
+        closure = closure_by_search(rows)
+        assert closure_by_search(reduced) == closure, rows
+        # the fewest edges: a generating set holds every one, and each is needed
+        assert all(kept & ~given == 0 for kept, given in zip(reduced, rows)), rows
+        for i, row in enumerate(reduced):
+            for j in range(n):
+                if row >> j & 1:
+                    fewer = list(reduced)
+                    fewer[i] ^= 1 << j
+                    assert closure_by_search(fewer) != closure, (rows, i, j)
+
+
 def test_random_frame_deterministic_and_transitive():
     for seed in (0, 1, 7):
         assert random_frame(seed, 6) == random_frame(seed, 6)
@@ -447,6 +475,10 @@ def test_frame_text_roundtrip():
     empty_s = Frame(("x",), (0,), (0,))
     assert serialize_frame(empty_s) == "points: x\nS:\n"
     assert parse_frame(serialize_frame(empty_s)) == empty_s
+    # R is the closure of the `R*` edges joined with the `R:` edges, not the
+    # closure of both; `S: all` makes S total
+    assert parse_frame("points: x y z\nR*: x y\nR*: y z\nR: z x\nS: all\n") == Frame(
+        ("x", "y", "z"), (0b110, 0b100, 0b001), (0b111,) * 3)
 
 
 def test_frame_row_and_text_errors():
@@ -468,6 +500,15 @@ def test_frame_row_and_text_errors():
                  "points: x\nS: x x x\n", "points: x\nT: x x\n"):
         with pytest.raises(ParseError):
             parse_frame(text)
+    # the generator forms: the error names the line
+    with pytest.raises(UnknownPoint) as info:
+        parse_frame("points: x y\nR*: x y\nR*: y z\n")
+    assert str(info.value) == "R* edge (y, z) on line 3 leaves the frame"
+    for text in ("points: x y\nR*: x\n", "points: x y\nR*: x y x\n", "points: x y\nR*:\n",
+                 "points: x y\nS: all x\n", "points: x y\nS: all all\n"):
+        with pytest.raises(ParseError) as info:
+            parse_frame(text)
+        assert "on line 2" in str(info.value), text
 
 
 def test_valuation_text_roundtrip():

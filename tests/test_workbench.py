@@ -10,7 +10,7 @@ from mlunif.errors import LanguageMismatch, UnboundSymbol
 from mlunif.formula import (
     BOT, H2, L, And, Substitution, TOP, conj, disj, language_of, parse,
 )
-from mlunif.kripke import CounterModel, frame_valid, model_check
+from mlunif.kripke import CounterModel, frame_valid, model_check, transitive_reduction
 from mlunif.minsky import (
     Config, MinskyProgram, parse_config, parse_program, reaches, run_trace,
 )
@@ -103,6 +103,49 @@ def test_certificate_cnf_sizes(monkeypatch, program, start, target, language, si
     monkeypatch.setattr(propsat, "solve", lambda cnf: cnfs.append(cnf) or solve(cnf))
     assert all(certificate_checks(lf, prog, a, b, language).values())
     assert [(cnf.num_atoms, len(cnf.clauses)) for cnf in cnfs] == sizes
+
+
+@pytest.mark.parametrize("program, start, target, language, sizes", CERTIFICATE_CNFS,
+                         ids=["C1", "C2", "C3", "C4"])
+def test_certificate_text_is_its_generators(program, start, target, language, sizes):
+    # R is written as its transitive reduction and a hybrid frame's total S
+    # as one line, and the text reads back as the same rows and labels
+    lf = canonical_frame(parse_program(program), parse_config(start), 100, language)
+    text = serialize_labeled_frame(lf)
+    back = parse_labeled_frame(text)
+    assert (back.frame, back.labels) == (lf.frame, lf.labels)
+    lines = text.splitlines()
+    generators = sum(bin(row).count("1") for row in transitive_reduction(lf.frame.r))
+    assert sum(line.startswith("R*: ") for line in lines) == generators
+    assert not any(line.startswith("R:") for line in lines)
+    assert [line for line in lines if line.startswith("S:")] == ["S: all"] * (language == H2)
+
+
+def test_every_generator_line_of_a_certificate_is_needed():
+    # C1's certificate without any one of its `R*:` lines reads back as
+    # another R: no generator line is redundant
+    lf = canonical_frame(parse_program(CERTIFICATE_CNFS[0][0]), parse_config("1,0,0"), 100, L)
+    lines = serialize_labeled_frame(lf).splitlines(keepends=True)
+    generators = [k for k, line in enumerate(lines) if line.startswith("R*:")]
+    assert len(generators) == 143
+    for k in generators:
+        back = parse_labeled_frame("".join(lines[:k] + lines[k + 1:]))
+        assert back.frame.r != lf.frame.r, lines[k]
+
+
+def test_a_certificate_without_its_total_s_fails():
+    # without `S: all`, C3's certificate is no hybrid frame at all; with a
+    # lone `S:` in its place it is one with an empty S, and a check fails
+    program, start, target, language, _ = CERTIFICATE_CNFS[2]
+    prog, a, b = parse_program(program), parse_config(start), parse_config(target)
+    text = serialize_labeled_frame(canonical_frame(prog, a, 100, language))
+    assert text.count("S: all\n") == 1
+    with pytest.raises(LanguageMismatch):
+        certificate_checks(parse_labeled_frame(text.replace("S: all\n", "")),
+                           prog, a, b, language)
+    checks = certificate_checks(parse_labeled_frame(text.replace("S: all\n", "S:\n")),
+                                prog, a, b, language)
+    assert not all(checks.values())
 
 
 @pytest.mark.parametrize("language", [L, H2])
@@ -337,6 +380,17 @@ def test_cli_frame_modelcheck_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
+@pytest.mark.parametrize("mode, language", [("universal", L), ("hybrid", H2)])
+def test_cli_frame_text_reads_back(tmp_path, capsys, mode, language):
+    program = tmp_path / "prog.txt"
+    program.write_text("1 -> 2,-1,0 | 3,0,0\n")
+    code = run_cli("frame", "--program", str(program), "--start", "1,4,0", "--mode", mode)
+    assert code == 0
+    back = parse_labeled_frame(capsys.readouterr().out)
+    lf = canonical_frame(parse_program("1 -> 2,-1,0 | 3,0,0"), Config(1, 4, 0), 100, language)
+    assert (back.frame, back.labels) == (lf.frame, lf.labels)
+
+
 def test_cli_modelcheck_names_a_point_outside_the_frame(tmp_path, capsys):
     frame_file = tmp_path / "frame.txt"
     frame_file.write_text("points: a b\nR: a b\n")
@@ -388,6 +442,11 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
         ("px = {a}\n", bad_valuation),
         ("p0 = {a}\n", bad_valuation),
         ("n0 = a\n", bad_valuation),
+        # malformed generator lines, each named by its line
+        ("points: a b\nlabel: a alpha\nR*: a\n", bad_frame),
+        ("points: a b\nlabel: a alpha\nR*: a z\n", bad_frame),
+        ("points: a b\nlabel: a alpha\nS: all a\n", bad_frame),
+        # the bad edge stands on line 4, after two label lines
         ("points: a b\nlabel: a alpha\nlabel: b beta\nR: a\n", bad_frame),
     ]
     capsys.readouterr()
@@ -399,8 +458,8 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
-    # the bad edge of the last case stands on line 4, after two label lines
-    assert "on line 4" in lines[0], lines
+        if argv is bad_frame:  # each bad frame text goes wrong on its last line
+            assert "on line %d" % text.count("\n") in lines[0], lines
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
