@@ -131,16 +131,16 @@ def cmd_verify(args) -> int:
         seed=args.seed, trials=args.trials, max_points=args.max_points,
         tableau_budget=args.budget)
     report = workbench.verdict_report(verdict, program, start, target, args.bound, language)
+    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, "report.json"),
-               json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write(os.path.join(args.out, "report.json"), text + "\n")
         if isinstance(verdict, workbench.Unifiable):
             _write(os.path.join(args.out, "sigma.txt"), verdict.substitution.serialize())
         if isinstance(verdict, workbench.NotUnifiable):
             _write(os.path.join(args.out, "certificate.frame"),
                    serialize_labeled_frame(verdict.certificate))
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(text)
     return 0
 
 

@@ -29,8 +29,6 @@ being returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from . import propsat
 from .errors import InternalCheckFailed, ResourceLimit
@@ -42,6 +40,7 @@ from .formula import (
 )
 from .kripke import CounterModel, Frame, Model, Valid, Valuation, model_check
 from .propsat import Unsat
+from .record import Record
 
 REL = Modality.REL
 UNIV = Modality.UNIV
@@ -77,7 +76,7 @@ class NfBuilder:
     is the same whatever ran before in the process."""
 
     def __init__(self):
-        self.table: Dict[tuple, NF] = {}
+        self.table: dict[tuple, NF] = {}
         self.counter = itertools.count()
         self.TOP = self._new(("top",), "top", None, None, None, True, ())
         self.BOT = self._new(("bot",), "bot", None, None, None, True, ())
@@ -107,7 +106,7 @@ class NfBuilder:
     def _junction(self, tag: str, unit: NF, zero: NF, parts) -> NF:
         """The flattened and/or of parts: `unit` drops out, and `zero` or a
         complementary pair makes the whole `zero`."""
-        seen: Dict[int, NF] = {}
+        seen: dict[int, NF] = {}
         stack = list(parts)
         while stack:
             p = stack.pop()
@@ -165,7 +164,7 @@ class NfBuilder:
     def from_formula(self, phi: Formula) -> NF:
         """The NF of phi, built over (subformula, polarity) pairs: a pair
         with polarity False stands for the subformula's negation."""
-        memo: Dict[Tuple[Formula, bool], NF] = {}
+        memo: dict[tuple[Formula, bool], NF] = {}
         for key in postorder((phi, True), _polar_children):
             f, pos = key
             if isinstance(f, FVar):
@@ -195,7 +194,7 @@ class NfBuilder:
         return memo[phi, True]
 
 
-def _polar_children(key: Tuple[Formula, bool]) -> List[Tuple[Formula, bool]]:
+def _polar_children(key: tuple[Formula, bool]) -> list[tuple[Formula, bool]]:
     f, pos = key
     if isinstance(f, FNot):
         return [(f.sub, not pos)]
@@ -208,8 +207,7 @@ def _polar_children(key: Tuple[Formula, bool]) -> List[Tuple[Formula, bool]]:
 
 # --- results --------------------------------------------------------------------
 
-@dataclass
-class Sat:
+class Sat(Record):
     model: Model
     point: str
 
@@ -287,28 +285,28 @@ class _KEngine:
     def __init__(self, b: NfBuilder, budget: _Budget):
         self.b = b
         self.budget = budget
-        self.cache: Dict[tuple, Tuple[bool, Optional[int]]] = {}
-        self.cond: Dict[tuple, Tuple[int, int, int]] = {}
+        self.cache: dict[tuple, tuple[bool, int | None]] = {}
+        self.cond: dict[tuple, tuple[int, int, int]] = {}
         # per axiom set: uid -> (content key, world) of each unconditional
         # Sat content that holds the uid outside the axioms
-        self.supersets: Dict[FrozenSet[int], Dict[int, List[Tuple[FrozenSet[int], int]]]] = {}
-        self.worlds: Dict[int, Tuple[tuple, List[int]]] = {}
+        self.supersets: dict[frozenset[int], dict[int, list[tuple[frozenset[int], int]]]] = {}
+        self.worlds: dict[int, tuple[tuple, list[int]]] = {}
         self.world_counter = itertools.count()
-        self.epoch: List[int] = []
+        self.epoch: list[int] = []
         self.epoch_counter = itertools.count(1)
-        self.axioms: List[NF] = []
-        self.axioms_key: FrozenSet[int] = frozenset()
+        self.axioms: list[NF] = []
+        self.axioms_key: frozenset[int] = frozenset()
         # shared propositional encoding of the formula DAG; atom 1 is fixed
         # true and stands for TOP, its negation for BOT
         self.cnf = propsat.CnfBuilder()
         self.cnf.add_clause([self.cnf.new_atom()])
-        self.lit_of: Dict[int, int] = {b.TOP.uid: 1, b.BOT.uid: -1}
-        self.encoded: Set[int] = set()
+        self.lit_of: dict[int, int] = {b.TOP.uid: 1, b.BOT.uid: -1}
+        self.encoded: set[int] = set()
         # one warm incremental solver per axiom set, fed the shared
         # structural clauses on demand
-        self.solvers: Dict[FrozenSet[int], Tuple[propsat.Solver, List[int]]] = {}
+        self.solvers: dict[frozenset[int], tuple[propsat.Solver, list[int]]] = {}
 
-    def set_axioms(self, axioms: List[NF]) -> None:
+    def set_axioms(self, axioms: list[NF]) -> None:
         self.axioms = list(axioms)
         self.axioms_key = frozenset(nf.uid for nf in self.axioms)
         for nf in self.axioms:
@@ -353,12 +351,12 @@ class _KEngine:
                     self.cnf.define(-lf, [-a for a in arms])
                 stack.extend(nf.args)
 
-    def sat(self, content: FrozenSet[NF]) -> Tuple[bool, Optional[int]]:
+    def sat(self, content: frozenset[NF]) -> tuple[bool, int | None]:
         ok, _, world = _run(self._sat, frozenset(content), {}, 0)
         return ok, world
 
-    def _sat(self, content: FrozenSet[NF], path: Dict[FrozenSet[int], Tuple[int, int]],
-             depth: int) -> Tuple[bool, float, Optional[int]]:
+    def _sat(self, content: frozenset[NF], path: dict[frozenset[int], tuple[int, int]],
+             depth: int) -> tuple[bool, float, int | None]:
         ckey = frozenset(nf.uid for nf in content)
         gkey = (ckey, self.axioms_key)
         hit = self.cache.get(gkey)
@@ -413,8 +411,8 @@ class _KEngine:
             fed[0] += 1
         return solver
 
-    def _node_sat(self, content: FrozenSet[NF], path, depth: int,
-                  world: int) -> Tuple[bool, float]:
+    def _node_sat(self, content: frozenset[NF], path, depth: int,
+                  world: int) -> tuple[bool, float]:
         # uid order, not the address order of the frozenset: atom numbering
         # and with it the solver's search must not depend on the heap layout
         for nf in sorted(content, key=lambda f: f.uid):
@@ -457,7 +455,7 @@ class _KEngine:
                          if nf.tag == "lit" and nf.kind == "p" and nf.pos}
             box_args = [b.args[0] for b in boxes]
             min_block = self.INF
-            edges: List[int] = []
+            edges: list[int] = []
             failed = None
             for d in dias:
                 succ = frozenset([d.args[0]] + box_args + self.axioms)
@@ -483,7 +481,7 @@ class _KEngine:
             return True, min_block
 
 
-def _k_model(engine: _KEngine, root_worlds: List[int]) -> Tuple[Model, Dict[int, str]]:
+def _k_model(engine: _KEngine, root_worlds: list[int]) -> tuple[Model, dict[int, str]]:
     """Model over the worlds reachable from the given roots; cycles from
     blocked successors are kept as plain edges."""
     roots = tuple(root_worlds)
@@ -492,7 +490,7 @@ def _k_model(engine: _KEngine, root_worlds: List[int]) -> Tuple[Model, Dict[int,
     index = {w: i for i, w in enumerate(reachable)}
     names = {w: "w%d" % i for w, i in index.items()}
     rows = [0] * len(reachable)
-    var_map: Dict[int, Set[str]] = {}
+    var_map: dict[int, set[str]] = {}
     for w, i in index.items():
         true_vars, succs = engine.worlds[w]
         for s in succs:
@@ -504,17 +502,17 @@ def _k_model(engine: _KEngine, root_worlds: List[int]) -> Tuple[Model, Dict[int,
     return Model(frame, valuation), names
 
 
-def _global_atom(b: NfBuilder, nf: NF) -> Optional[NF]:
+def _global_atom(b: NfBuilder, nf: NF) -> NF | None:
     """The universal diamond that nf is, or whose complement nf is."""
     if nf.tag in ("box", "dia") and nf.mod is UNIV:
         return nf if nf.tag == "dia" else b.negate(nf)
     return None
 
 
-def _collect_globals(b: NfBuilder, root: NF) -> List[NF]:
+def _collect_globals(b: NfBuilder, root: NF) -> list[NF]:
     """Canonical global atoms (universal diamonds), innermost first."""
-    rank: Dict[int, int] = {}
-    atoms: Dict[int, NF] = {}
+    rank: dict[int, int] = {}
+    atoms: dict[int, NF] = {}
 
     def children(nf: NF):
         yield from nf.args
@@ -535,14 +533,14 @@ def _collect_globals(b: NfBuilder, root: NF) -> List[NF]:
     return sorted(atoms.values(), key=lambda a: (rank[a.uid], a.uid))
 
 
-def _reduce(b: NfBuilder, root: NF, values: Dict[int, bool], partial: bool = False) -> NF:
+def _reduce(b: NfBuilder, root: NF, values: dict[int, bool], partial: bool = False) -> NF:
     """root with every assigned global atom replaced by its truth value;
     unassigned ones are an error unless `partial`."""
     def assigned(nf: NF) -> bool:
         atom = _global_atom(b, nf)
         return atom is not None and atom.uid in values
 
-    memo: Dict[int, NF] = {}
+    memo: dict[int, NF] = {}
     for nf in postorder(root, lambda g: () if assigned(g) else g.args):
         if assigned(nf):
             truth = values[_global_atom(b, nf).uid] != (nf.tag == "box")
@@ -564,14 +562,14 @@ def _reduce(b: NfBuilder, root: NF, values: Dict[int, bool], partial: bool = Fal
 
 
 def _ku_satisfiable(b: NfBuilder, root: NF,
-                    budget: int) -> Tuple[bool, Optional[Model], Optional[str]]:
+                    budget: int) -> tuple[bool, Model | None, str | None]:
     atoms = _collect_globals(b, root)
     engine = _KEngine(b, _Budget(budget))
-    values: Dict[int, bool] = {}
-    axioms: List[NF] = []
-    obligations: List[NF] = []
+    values: dict[int, bool] = {}
+    axioms: list[NF] = []
+    obligations: list[NF] = []
 
-    def worlds_for(obls: List[NF]) -> Optional[List[int]]:
+    def worlds_for(obls: list[NF]) -> list[int] | None:
         """A world for each obligation under the current axioms, or None
         at the first one that fails."""
         engine.set_axioms(axioms)
@@ -641,9 +639,9 @@ class _HState:
     __slots__ = ("content", "edges", "processed", "counter")
 
     def __init__(self, content, edges, processed, counter):
-        self.content: Dict[int, Set[NF]] = content
-        self.edges: Set[Tuple[int, Modality, int]] = edges
-        self.processed: Set[Tuple[int, int]] = processed
+        self.content: dict[int, set[NF]] = content
+        self.edges: set[tuple[int, Modality, int]] = edges
+        self.processed: set[tuple[int, int]] = processed
         self.counter = counter
 
     def copy(self) -> "_HState":
@@ -652,7 +650,7 @@ class _HState:
 
 
 def _kh2_satisfiable(b: NfBuilder, root: NF,
-                     budget: int) -> Tuple[bool, Optional[Model], Optional[str]]:
+                     budget: int) -> tuple[bool, Model | None, str | None]:
     charge = _Budget(budget)
     initial = _HState({0: set()}, set(), set(), 1)
     if not _h_add(initial, 0, root):
@@ -708,7 +706,7 @@ def _h_saturate(b: NfBuilder, state: _HState, charge: _Budget):
                             return "clash"
                         changed = True
         # nominal co-reference: merge labels sharing a positive nominal
-        owners: Dict[int, int] = {}
+        owners: dict[int, int] = {}
         merge_pair = None
         for label in sorted(state.content):
             for f in state.content[label]:
@@ -804,12 +802,12 @@ def _h_saturate(b: NfBuilder, state: _HState, charge: _Budget):
         return "open"
 
 
-def _h_model(state: _HState) -> Tuple[Model, Dict[int, str]]:
+def _h_model(state: _HState) -> tuple[Model, dict[int, str]]:
     labels = sorted(state.content)
     index = {label: i for i, label in enumerate(labels)}
     names = {label: "w%d" % i for label, i in index.items()}
-    var_map: Dict[int, Set[str]] = {}
-    nom_map: Dict[int, str] = {}
+    var_map: dict[int, set[str]] = {}
+    nom_map: dict[int, str] = {}
     for label in labels:
         for f in state.content[label]:
             if f.tag == "lit" and f.pos:
@@ -849,7 +847,7 @@ def _complete_valuation(model: Model, phi: Formula) -> Model:
 
 
 def satisfiable(phi: Formula,
-                label_budget: int = DEFAULT_LABEL_BUDGET) -> Union[Sat, Unsat]:
+                label_budget: int = DEFAULT_LABEL_BUDGET) -> Sat | Unsat:
     """Complete satisfiability check in the logic of phi's language: the
     hybrid tableau for H2, the KU tableau otherwise (a formula without
     `[u]`, `[h]` or nominals is a K formula, and both logics extend K
@@ -868,7 +866,7 @@ def satisfiable(phi: Formula,
 
 
 def valid(phi: Formula,
-          label_budget: int = DEFAULT_LABEL_BUDGET) -> Union[Valid, CounterModel]:
+          label_budget: int = DEFAULT_LABEL_BUDGET) -> Valid | CounterModel:
     """valid(phi) iff not satisfiable(~phi); counter-models are re-verified."""
     result = satisfiable(FNot(phi), label_budget)
     if isinstance(result, Unsat):

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections.abc import Iterable
 
 from .errors import ParseError, ResourceLimit, TruncationUnsound
 from .formula import (
@@ -26,6 +25,7 @@ from .kripke import Frame, parse_frame, serialize_generators, transitive_closure
 from .minsky import (
     EXHAUSTED, Config, Dec, Inc, Instruction, MinskyProgram, run_trace,
 )
+from .record import Record
 
 REL = Modality.REL
 UNIV = Modality.UNIV
@@ -56,7 +56,7 @@ def _dia2(phi: Formula) -> Formula:
     return Diamond(REL, Diamond(REL, phi))
 
 
-def _base_formulas() -> Dict[str, Formula]:
+def _base_formulas() -> dict[str, Formula]:
     """The markers of the eight skeleton points, each built from earlier ones."""
     dia_top = _dia(TOP)
     alpha = And(dia_top, Box(REL, dia_top))
@@ -95,7 +95,7 @@ def _tower_base(i: int) -> Formula:
 
 # the members of each tower family built so far, from level 0 up; each
 # member is defined from the one below, so they are built bottom-up
-_TOWERS: Tuple[List[Formula], ...] = tuple([_tower_base(i)] for i in range(3))
+_TOWERS: tuple[list[Formula], ...] = tuple([_tower_base(i)] for i in range(3))
 
 
 def tower(i: int, j: int) -> Formula:
@@ -213,7 +213,7 @@ def nom_formula(max_len: int = 6) -> Formula:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     dh_n = Diamond(HYB, Nominal(1))
-    conjuncts: List[Formula] = []
+    conjuncts: list[Formula] = []
     for length in range(1, max_len + 1):
         for word in itertools.product((REL, HYB), repeat=length):
             body = dh_n
@@ -270,12 +270,11 @@ def marker(label: str) -> Formula:
     raise ValueError("not a marker name: %r" % label)
 
 
-@dataclass
-class LabeledFrame:
+class LabeledFrame(Record):
     """A frame whose labeled points each carry the name of their marker."""
     frame: Frame
-    labels: Dict[str, str]
-    truncation: Optional[int] = None
+    labels: dict[str, str]
+    truncation: int | None = None
 
 
 def _tower_point(i: int, j: int) -> str:
@@ -387,7 +386,7 @@ def parse_labeled_frame(text: str) -> LabeledFrame:
     syntax only; `marker` builds its formula when one is wanted, which for
     `a(i,j)` takes j tower levels."""
     frame_lines = []
-    labels: Dict[str, str] = {}
+    labels: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line.startswith("label:"):

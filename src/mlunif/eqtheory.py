@@ -14,14 +14,13 @@ unifiability of that formula in the universal-box logic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List
 
 from .errors import LanguageMismatch
 from .formula import (
     And, Bot, Box, Formula, Iff, Implies, Modality, Nominal, Not, Top, Var,
     _dag_text, _Parser, postorder,
 )
+from .record import FrozenRecord
 
 
 def _check_term(phi: Formula) -> None:
@@ -40,8 +39,7 @@ def _check_term(phi: Formula) -> None:
             "no term image for %r; write it with ~, & and boxes" % (node,))
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(FrozenRecord):
     lhs: Formula
     rhs: Formula
 
@@ -57,7 +55,7 @@ def unification_instance(eq: Equation) -> Formula:
     return Iff(eq.lhs, eq.rhs)
 
 
-def theory_implications() -> List[Formula]:
+def theory_implications() -> list[Formula]:
     """The four inequalities pinning the first operator down as a universal
     box, rendered as implications (an inequality abbreviates a meet
     equation, and the translated biconditional is equivalent to the

@@ -15,7 +15,7 @@ import itertools
 import operator
 import re
 import weakref
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from collections.abc import Iterable, Iterator
 
 from .errors import LanguageError, ParseError
 
@@ -42,7 +42,7 @@ class Formula:
     """
 
     __slots__ = ("args", "flags", "__weakref__")
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
         key = (cls,) + fields
@@ -211,11 +211,11 @@ def postorder(root, children=operator.attrgetter("args")):
             yield node
 
 
-def variables(phi: Formula) -> Set[int]:
+def variables(phi: Formula) -> set[int]:
     return {f.index for f in postorder(phi) if isinstance(f, Var)}
 
 
-def nominals(phi: Formula) -> Set[int]:
+def nominals(phi: Formula) -> set[int]:
     return {f.index for f in postorder(phi) if isinstance(f, Nominal)}
 
 
@@ -224,7 +224,7 @@ def size(phi: Formula) -> int:
     return sum(1 for _ in postorder(phi))
 
 
-def language_of(phi: Formula) -> Optional[str]:
+def language_of(phi: Formula) -> str | None:
     """L, H2, or None when the formula fits both (no U-box, H-box or nominal)."""
     flags = phi.flags
     if flags & UNIV_BOX:
@@ -236,7 +236,7 @@ def language_of(phi: Formula) -> Optional[str]:
     return None
 
 
-def check_language(phi: Formula, language: Optional[str]) -> None:
+def check_language(phi: Formula, language: str | None) -> None:
     """Raise LanguageError unless phi is a well-formed formula of `language`,
     or of either language when `language` is None."""
     if language not in (L, H2, None):
@@ -248,7 +248,7 @@ def check_language(phi: Formula, language: Optional[str]) -> None:
         raise LanguageError("[u] is not part of the hybrid language")
 
 
-def _rebuild(f: Formula, args: List[Formula]) -> Formula:
+def _rebuild(f: Formula, args: list[Formula]) -> Formula:
     """The node of f's class and fields, with `args` as its children."""
     if isinstance(f, _Modal):
         return type(f)(f.modality, *args)
@@ -258,8 +258,8 @@ def _rebuild(f: Formula, args: List[Formula]) -> Formula:
 class Substitution:
     """Finite map from variable indices to formulas; nominals are never touched."""
 
-    def __init__(self, mapping: Optional[Dict[int, Formula]] = None):
-        self.mapping: Dict[int, Formula] = dict(mapping or {})
+    def __init__(self, mapping: dict[int, Formula] | None = None):
+        self.mapping: dict[int, Formula] = dict(mapping or {})
 
     def __eq__(self, other):
         return isinstance(other, Substitution) and self.mapping == other.mapping
@@ -272,7 +272,7 @@ class Substitution:
 
     def apply(self, phi: Formula) -> Formula:
         """Homomorphic replacement of variables; visits each distinct subterm once."""
-        memo: Dict[Formula, Formula] = {}
+        memo: dict[Formula, Formula] = {}
         for f in postorder(phi):
             if isinstance(f, Var):
                 memo[f] = self.mapping.get(f.index, f)
@@ -377,7 +377,7 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: List[Tuple[str, str, int]] = []
+        self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
             m = self.token_re.match(text, pos)
@@ -389,13 +389,13 @@ class _Parser:
             self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
             pos = m.end()
         self.i = 0
-        self.names: Dict[str, Formula] = {}
+        self.names: dict[str, Formula] = {}
 
-    def peek(self, ahead: int = 0) -> Optional[str]:
+    def peek(self, ahead: int = 0) -> str | None:
         i = self.i + ahead
         return self.tokens[i][0] if i < len(self.tokens) else None
 
-    def next(self) -> Tuple[str, str, int]:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
@@ -417,11 +417,11 @@ class _Parser:
         self.definitions(("ref",))
         return self.formula()
 
-    def definitions(self, heads: Tuple[str, ...]) -> Dict[int, Formula]:
+    def definitions(self, heads: tuple[str, ...]) -> dict[int, Formula]:
         """`head := formula` entries for as long as they continue.  A `$k`
         head names its formula for the entries after it; the `p<k>` entries
         are returned as {k: formula}.  Each head may be defined once."""
-        out: Dict[int, Formula] = {}
+        out: dict[int, Formula] = {}
         while self.peek() in heads and self.peek(1) == "def":
             kind, head, _ = self.tokens[self.i]
             if kind == "ref" and head in self.names:
@@ -442,8 +442,8 @@ class _Parser:
         """Operator precedence over an explicit stack: `ops` holds the prefix
         operators, open parentheses and binary connectives still waiting
         for their right operand, `operands` the formulas read so far."""
-        operands: List[Formula] = []
-        ops: List[str] = []
+        operands: list[Formula] = []
+        ops: list[str] = []
         open_groups = 0
         while True:
             while self.peek() in ("prefix", "lp"):
@@ -472,7 +472,7 @@ class _Parser:
             ops.append(text)
 
     @staticmethod
-    def _reduce(operands: List[Formula], ops: List[str], prec: int, right_assoc: bool) -> None:
+    def _reduce(operands: list[Formula], ops: list[str], prec: int, right_assoc: bool) -> None:
         """Apply the pending binary connectives that bind tighter than a
         connective of precedence `prec` arriving next (or as tight, when it
         associates to the left); stops at an open parenthesis."""
@@ -501,7 +501,7 @@ class _Parser:
         return (Var if kind == "var" else Nominal)(int(text[1:]))
 
 
-def parse(text: str, language: Optional[str] = L) -> Formula:
+def parse(text: str, language: str | None = L) -> Formula:
     p = _Parser(text)
     out = p.parse_all(p.text_formula, "a formula")
     check_language(out, language)
@@ -520,8 +520,8 @@ def pretty(phi: Formula) -> str:
     return "\n".join(lines + texts)
 
 
-def _dag_text(roots: List[Formula],
-              spelling: Dict[str, str] = {}) -> Tuple[List[str], List[str]]:
+def _dag_text(roots: list[Formula],
+              spelling: dict[str, str] = {}) -> tuple[list[str], list[str]]:
     """The `$k := ...` lines for the subterms the roots share, and the text
     of each root over those names.  `spelling` maps tokens of the formula
     syntax (`p`, `[u]`, `false`, ...) to the text written in their place."""
@@ -530,7 +530,7 @@ def _dag_text(roots: List[Formula],
     refs = collections.Counter(roots)
     for f in nodes:
         refs.update(f.args)
-    names: Dict[Formula, str] = {}
+    names: dict[Formula, str] = {}
     lines = []
     for f in nodes:
         if f.args and refs[f] > 1:
@@ -540,9 +540,9 @@ def _dag_text(roots: List[Formula],
     return lines, [names.get(f) or _inline(f, names, spelling) for f in roots]
 
 
-def _inline(phi: Formula, names: Dict[Formula, str], spelling: Dict[str, str]) -> str:
+def _inline(phi: Formula, names: dict[Formula, str], spelling: dict[str, str]) -> str:
     """phi written out down to atoms and named subterms."""
-    out: List[str] = []
+    out: list[str] = []
     stack: list = [(phi, _PREC_IFF)]
     while stack:
         item = stack.pop()
@@ -561,7 +561,7 @@ def _inline(phi: Formula, names: Dict[Formula, str], spelling: Dict[str, str]) -
     return "".join(out)
 
 
-def _layout(f: Formula) -> Tuple[int, list]:
+def _layout(f: Formula) -> tuple[int, list]:
     """Precedence of f's top connective and its text: strings, and
     (child, least precedence the child may have without parentheses)."""
     if isinstance(f, (Var, Nominal)):

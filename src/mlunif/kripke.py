@@ -54,10 +54,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
-from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union,
-)
+from collections.abc import Iterable, Iterator
 
 from . import propsat
 from .errors import (
@@ -68,8 +65,10 @@ from .formula import (
     SYMBOL, TOP, And, Box, Diamond, Formula, H2, Iff, Implies, L, Modality,
     Nominal, Not, Or, Var, language_of, postorder, pretty,
 )
+from .record import FrozenRecord, Record
 
-def transitive_closure(rows: Iterable[int]) -> Tuple[int, ...]:
+
+def transitive_closure(rows: Iterable[int]) -> tuple[int, ...]:
     """Smallest transitive superset of the relation given by successor rows:
     a Warshall pass, in which each point k passes its row on to every row
     that has bit k."""
@@ -82,7 +81,7 @@ def transitive_closure(rows: Iterable[int]) -> Tuple[int, ...]:
     return tuple(rows)
 
 
-def transitive_reduction(rows: Iterable[int]) -> Tuple[int, ...]:
+def transitive_reduction(rows: Iterable[int]) -> tuple[int, ...]:
     """The edges (i, j) of the closure of `rows` with no third point k
     between them (i sees k, k sees j), together with the closure's loops.
     When the closure has no cycle through two or more points, these are the
@@ -100,22 +99,25 @@ def transitive_reduction(rows: Iterable[int]) -> Tuple[int, ...]:
     return tuple(reduced)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(FrozenRecord):
     """Named points and their relations, each relation as successor rows:
     bit j of `r[i]` is set when point i sees point j.  `s` is present
     exactly for hybrid frames."""
-    points: Tuple[str, ...]
-    r: Tuple[int, ...]
-    s: Optional[Tuple[int, ...]] = None
+    points: tuple[str, ...]
+    r: tuple[int, ...]
+    s: tuple[int, ...] | None
 
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, points: tuple[str, ...], r: tuple[int, ...],
+                 s: tuple[int, ...] | None = None):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        if len(set(points)) != len(points):
             raise ValueError("duplicate point names")
-        if not self.points:
+        if not points:
             raise ValueError("a frame needs at least one point")
-        n = len(self.points)
-        for name, rows in (("R", self.r), ("S", self.s)):
+        n = len(points)
+        for name, rows in (("R", r), ("S", s)):
             if rows is not None and len(rows) != n:
                 raise ValueError("%s has %d rows for %d points" % (name, len(rows), n))
             if rows is not None and (max(rows) >> n or min(rows) < 0):
@@ -126,10 +128,14 @@ class Frame:
         return L if self.s is None else H2
 
 
-@dataclass(frozen=True)
-class Valuation:
-    var_map: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    nom_map: Dict[int, str] = field(default_factory=dict)
+class Valuation(FrozenRecord):
+    var_map: dict[int, frozenset[str]]
+    nom_map: dict[int, str]
+
+    def __init__(self, var_map: dict[int, frozenset[str]] | None = None,
+                 nom_map: dict[int, str] | None = None):
+        object.__setattr__(self, "var_map", {} if var_map is None else var_map)
+        object.__setattr__(self, "nom_map", {} if nom_map is None else nom_map)
 
     def check_against(self, frame: Frame) -> None:
         pts = set(frame.points)
@@ -141,13 +147,14 @@ class Valuation:
                 raise UnknownPoint("valuation of n%d leaves the frame" % idx)
 
 
-@dataclass
-class Model:
+class Model(Record):
     frame: Frame
     valuation: Valuation
 
-    def __post_init__(self):
-        self.valuation.check_against(self.frame)
+    def __init__(self, frame: Frame, valuation: Valuation):
+        self.frame = frame
+        self.valuation = valuation
+        valuation.check_against(frame)
 
 
 class DisjointUnion:
@@ -167,12 +174,12 @@ class DisjointUnion:
     """
 
     def __init__(self, models: Iterable[Model]):
-        self.kind: Optional[str] = None
-        self.offsets: List[int] = []
+        self.kind: str | None = None
+        self.offsets: list[int] = []
         self.width = 0
-        self.symbols: Dict[Tuple[type, int], int] = {}
-        self.bound: Dict[Tuple[type, int], int] = {}
-        self.edges: Dict[Modality, Dict[int, int]] = {m: {} for m in Modality}
+        self.symbols: dict[tuple[type, int], int] = {}
+        self.bound: dict[tuple[type, int], int] = {}
+        self.edges: dict[Modality, dict[int, int]] = {m: {} for m in Modality}
         for model in models:
             self._add(model)
 
@@ -211,7 +218,7 @@ class DisjointUnion:
         self.width = base + n
 
 
-def placements(one: DisjointUnion, nominal_indices: Set[int]) -> DisjointUnion:
+def placements(one: DisjointUnion, nominal_indices: set[int]) -> DisjointUnion:
     """The frame of the one-block union `one` n times side by side, with
     each given nominal at point k of block k: every placement of one
     nominal in one union of n blocks.  With no nominals, `one` itself.
@@ -235,7 +242,7 @@ def placements(one: DisjointUnion, nominal_indices: Set[int]) -> DisjointUnion:
     return union
 
 
-def _check_frame_language(phi: Formula, kind: Optional[str]) -> None:
+def _check_frame_language(phi: Formula, kind: str | None) -> None:
     lang = language_of(phi)
     if lang == H2 and kind == L:
         raise LanguageMismatch("hybrid formula on a frame without S")
@@ -243,8 +250,8 @@ def _check_frame_language(phi: Formula, kind: Optional[str]) -> None:
         raise LanguageMismatch("universal-box formula on a hybrid frame")
 
 
-def _truth_masks(union: DisjointUnion, nodes: List[Formula],
-                 keep: Set[Formula]) -> Dict[Formula, int]:
+def _truth_masks(union: DisjointUnion, nodes: list[Formula],
+                 keep: set[Formula]) -> dict[Formula, int]:
     """Bitmask over the union's points where each formula of `keep` holds,
     for `nodes` listed children before parents (as `postorder` yields them).
     Any other mask is dropped once its last parent in `nodes` has been
@@ -252,8 +259,8 @@ def _truth_masks(union: DisjointUnion, nodes: List[Formula],
     all_mask = (1 << union.width) - 1
     blocks = len(union.offsets)
     symbols, bound, edges = union.symbols, union.bound, union.edges
-    masks: Dict[Formula, int] = {}
-    uses: Dict[Formula, int] = {}
+    masks: dict[Formula, int] = {}
+    uses: dict[Formula, int] = {}
     for f in nodes:
         for a in f.args:
             uses[a] = uses.get(a, 0) + 1
@@ -293,7 +300,7 @@ def _truth_masks(union: DisjointUnion, nodes: List[Formula],
     return masks
 
 
-def truth_mask(model: Union[Model, DisjointUnion], phi: Formula) -> int:
+def truth_mask(model: Model | DisjointUnion, phi: Formula) -> int:
     """Bitmask over point indices where phi is true; for a disjoint union,
     over the points of all its models, block after block."""
     union = model if isinstance(model, DisjointUnion) else DisjointUnion([model])
@@ -310,13 +317,11 @@ def model_check(model: Model, point: str, phi: Formula) -> bool:
 
 # --- frame validity -----------------------------------------------------------
 
-@dataclass
-class Valid:
+class Valid(Record):
     pass
 
 
-@dataclass
-class CounterModel:
+class CounterModel(Record):
     model: Model
     point: str
 
@@ -324,7 +329,7 @@ class CounterModel:
 CLAUSE_BUDGET = 2_000_000  # frame_valid raises ResourceLimit past this many clauses
 
 
-def _below(nodes: List[Formula], roots: List[Formula]) -> List[Formula]:
+def _below(nodes: list[Formula], roots: list[Formula]) -> list[Formula]:
     """The nodes of `nodes` (children before parents) that lie under one of
     `roots`, in the same order."""
     under = set(roots)
@@ -334,9 +339,9 @@ def _below(nodes: List[Formula], roots: List[Formula]) -> List[Formula]:
     return [f for f in nodes if f in under]
 
 
-def _counter_model(frame: Frame, phi: Formula, nodes: List[Formula],
-                   var_map: Dict[int, FrozenSet[str]], nom_map: Dict[int, str],
-                   point: Optional[str]) -> CounterModel:
+def _counter_model(frame: Frame, phi: Formula, nodes: list[Formula],
+                   var_map: dict[int, frozenset[str]], nom_map: dict[int, str],
+                   point: str | None) -> CounterModel:
     """The counter-model at `point`, with every variable and nominal of phi
     (`nodes`) that the maps leave out bound to no point or the first point,
     after model_check confirms that phi is false there."""
@@ -359,21 +364,21 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _row_groups(frame: Frame) -> Dict[Modality, List[Tuple[int, int]]]:
+def _row_groups(frame: Frame) -> dict[Modality, list[tuple[int, int]]]:
     """Each modality's distinct successor rows, in order of first point,
     each with the mask of the points that have it; `[u]` has one row."""
     all_mask = (1 << len(frame.points)) - 1
     groups = {Modality.UNIV: [(all_mask, all_mask)]}
     for modality, rows in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
         if rows is not None:
-            held: Dict[int, int] = {}
+            held: dict[int, int] = {}
             for i, row in enumerate(rows):
                 held[row] = held.get(row, 0) | 1 << i
             groups[modality] = list(held.items())
     return groups
 
 
-def _modal_mask(group: List[Tuple[int, int]], m: int, box: bool) -> int:
+def _modal_mask(group: list[tuple[int, int]], m: int, box: bool) -> int:
     """The points whose successor row, among the distinct rows `group`,
     lies inside `m` (for a box) or meets it (for a diamond)."""
     out = 0
@@ -383,13 +388,13 @@ def _modal_mask(group: List[Tuple[int, int]], m: int, box: bool) -> int:
     return out
 
 
-def _bounds(nodes: List[Formula], groups: Dict[Modality, List[Tuple[int, int]]],
-            all_mask: int) -> Dict[Formula, Tuple[int, int]]:
+def _bounds(nodes: list[Formula], groups: dict[Modality, list[tuple[int, int]]],
+            all_mask: int) -> dict[Formula, tuple[int, int]]:
     """For each node of `nodes` (children before parents), the masks
     (lo, hi) of the points where it is true under every valuation and
     under some valuation: Kleene's three-valued truth on the frame, with
     every variable and nominal unknown at every point."""
-    bounds: Dict[Formula, Tuple[int, int]] = {}
+    bounds: dict[Formula, tuple[int, int]] = {}
     for f in nodes:
         kind = type(f)
         if kind is Box or kind is Diamond:
@@ -420,7 +425,7 @@ def _bounds(nodes: List[Formula], groups: Dict[Modality, List[Tuple[int, int]]],
     return bounds
 
 
-def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
+def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
     """Valid iff no valuation and point falsify phi on the frame.
 
     Validity distributes over `&`, and the n placements of its nominal are
@@ -440,7 +445,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
 
     # the one symbol of each node: 0 for none, k for nominal k alone, -1
     # for a variable or two nominals
-    only: Dict[Formula, int] = {}
+    only: dict[Formula, int] = {}
     for f in nodes:
         kind = type(f)
         if kind is Var:
@@ -455,7 +460,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
                     if j and j != k:
                         k = j if not k else -1
         only[f] = k
-    parts: List[Formula] = []
+    parts: list[Formula] = []
     stack = [phi]
     while stack:
         f = stack.pop()
@@ -501,7 +506,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     # its literals are only asserted false, by the falsifying clause.
     POS, NEG = propsat.POS, propsat.NEG
     flip = (0, NEG, POS, POS | NEG)
-    live: Dict[Formula, int] = {}
+    live: dict[Formula, int] = {}
     relevant = dict.fromkeys(roots, all_mask)
     need = dict.fromkeys(nodes, 0)
     need.update(dict.fromkeys(roots, NEG))
@@ -555,7 +560,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
     # share one (`CnfBuilder.define_and` keeps one atom per tuple of
     # literals), so a node that is constant over a block of points is
     # defined once.
-    lits: Dict[Formula, Dict[int, propsat.Literal]] = {}
+    lits: dict[Formula, dict[int, propsat.Literal]] = {}
     symbols = sorted((f for f in live if type(f) is Var or type(f) is Nominal),
                      key=lambda f: (type(f) is Nominal, f.index))
     for f in symbols:
@@ -569,7 +574,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
         if f not in live or f in lits:
             continue
         kind, p, here = type(f), need[f], live[f]
-        row: Dict[int, propsat.Literal] = {}
+        row: dict[int, propsat.Literal] = {}
         if kind is Not:
             sub = lits[f.sub]
             for i in _bits(here):
@@ -581,7 +586,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
             sub = lits[f.sub]
             lo, hi = bounds[f.sub]
             unknown = hi & ~lo
-            made: Dict[int, propsat.Literal] = {}  # by undetermined successors
+            made: dict[int, propsat.Literal] = {}  # by undetermined successors
             for succ, held in groups[f.modality]:
                 held &= here
                 if not held:
@@ -607,7 +612,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Union[Valid, CounterModel]:
 
     # one clause: some root is false at some live point; each literal is
     # kept once, with the first point where it falsifies a root
-    falsifying: Dict[propsat.Literal, int] = {}
+    falsifying: dict[propsat.Literal, int] = {}
     for f in roots:
         for i, a in lits.get(f, {}).items():
             falsifying.setdefault(negate(a), i)
@@ -654,7 +659,7 @@ def random_frame(seed: int, max_points: int, kind: str = L) -> Frame:
 
 # --- text formats ---------------------------------------------------------------
 
-def _edge_lines(name: str, points: Tuple[str, ...], rows: Iterable[int]) -> List[str]:
+def _edge_lines(name: str, points: tuple[str, ...], rows: Iterable[int]) -> list[str]:
     """One `name: x y` line per edge, sorted by the point names."""
     pairs = sorted((x, points[j]) for x, row in zip(points, rows) for j in _bits(row))
     return ["%s: %s %s" % (name, x, y) for x, y in pairs]
@@ -693,8 +698,8 @@ def serialize_generators(frame: Frame) -> str:
 def parse_frame(text: str) -> Frame:
     """Read either text: R is the transitive closure of the `R*:` edges
     joined with the `R:` edges, and `S: all` makes S total."""
-    points: Optional[Tuple[str, ...]] = None
-    edges: Dict[str, List[Tuple[str, str, int]]] = {"R": []}
+    points: tuple[str, ...] | None = None
+    edges: dict[str, list[tuple[str, str, int]]] = {"R": []}
     total_s = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -749,8 +754,8 @@ def serialize_valuation(valuation: Valuation) -> str:
 
 
 def parse_valuation(text: str) -> Valuation:
-    var_map: Dict[int, FrozenSet[str]] = {}
-    nom_map: Dict[int, str] = {}
+    var_map: dict[int, frozenset[str]] = {}
+    nom_map: dict[int, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

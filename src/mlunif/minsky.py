@@ -8,20 +8,21 @@ cut off at a halt, at the first repeated configuration, or at the step bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DeterminismError, ParseError, ResourceLimit
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(FrozenRecord):
     state: int
     c1: int
     c2: int
 
-    def __post_init__(self):
-        if self.state < 0 or self.c1 < 0 or self.c2 < 0:
+    def __init__(self, state: int, c1: int, c2: int):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        if state < 0 or c1 < 0 or c2 < 0:
             raise ValueError("configuration components must be nonnegative")
 
     def __str__(self):
@@ -35,16 +36,14 @@ def parse_config(text: str) -> Config:
     return Config(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-@dataclass(frozen=True)
-class Inc:
+class Inc(FrozenRecord):
     """src -> <dst, 1, 0> when counter == 1, src -> <dst, 0, 1> when counter == 2."""
     counter: int
     src: int
     dst: int
 
 
-@dataclass(frozen=True)
-class Dec:
+class Dec(FrozenRecord):
     """src -> <dst, -1, 0>(<zero_dst, 0, 0>) and the counter-2 analogue."""
     counter: int
     src: int
@@ -52,22 +51,21 @@ class Dec:
     zero_dst: int
 
 
-Instruction = Union[Inc, Dec]
+Instruction = Inc | Dec
 
 
-@dataclass(frozen=True)
-class MinskyProgram:
-    instructions: Tuple[Instruction, ...]
+class MinskyProgram(FrozenRecord):
+    instructions: tuple[Instruction, ...]
 
     def __post_init__(self):
-        seen: Dict[int, Instruction] = {}
+        seen: dict[int, Instruction] = {}
         for ins in self.instructions:
             if ins.src in seen:
                 raise DeterminismError("state %d has two instructions" % ins.src)
             seen[ins.src] = ins
         object.__setattr__(self, "_table", seen)
 
-    def instruction_for(self, state: int) -> Optional[Instruction]:
+    def instruction_for(self, state: int) -> Instruction | None:
         return self._table.get(state)
 
     def serialize(self) -> str:
@@ -94,7 +92,7 @@ def parse_program(text: str) -> MinskyProgram:
     Increments look like `1 -> 2,+1,0`; decrements carry the zero branch,
     `1 -> 2,-1,0 | 3,0,0`.  Exactly one of the two deltas is nonzero.
     """
-    instructions: List[Instruction] = []
+    instructions: list[Instruction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,7 +119,7 @@ def parse_program(text: str) -> MinskyProgram:
     return MinskyProgram(tuple(instructions))
 
 
-def step(program: MinskyProgram, config: Config) -> Optional[Config]:
+def step(program: MinskyProgram, config: Config) -> Config | None:
     """One machine step; None means the machine halts at `config`."""
     ins = program.instruction_for(config.state)
     if ins is None:
@@ -144,16 +142,15 @@ EXHAUSTED = "exhausted"
 REACHED = "reached"
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(FrozenRecord):
     """A run prefix: len(configs) == len(instrs) + 1, and instrs[i] is the
     instruction transforming configs[i] into configs[i+1].  `stopped` says
     why the run ended: the machine halts or loops right after the last
     configuration, the bound ran out, or (REACHED) the last configuration
     is the target the run was asked for, and what the machine does after
     it is not known."""
-    configs: Tuple[Config, ...]
-    instrs: Tuple[Instruction, ...]
+    configs: tuple[Config, ...]
+    instrs: tuple[Instruction, ...]
     stopped: str  # HALTED, LOOPED, EXHAUSTED or REACHED
 
     def __len__(self):
@@ -166,7 +163,7 @@ STEP_BUDGET = 100_000
 
 
 def run_trace(program: MinskyProgram, start: Config, bound: int,
-              target: Optional[Config] = None) -> Trace:
+              target: Config | None = None) -> Trace:
     """The unique run of at most `bound` steps.
 
     Stops early at a halt, when the next configuration was already
@@ -177,7 +174,7 @@ def run_trace(program: MinskyProgram, start: Config, bound: int,
     if bound < 0:
         raise ValueError("bound must be >= 0")
     configs = [start]
-    instrs: List[Instruction] = []
+    instrs: list[Instruction] = []
     visited = {start}
     current = start
     stopped = None
@@ -188,7 +185,8 @@ def run_trace(program: MinskyProgram, start: Config, bound: int,
         if nxt is None:
             stopped = HALTED
             break
-        if nxt in visited:
+        visited.add(nxt)  # one hash per step: adding a repeat keeps the size
+        if len(visited) == len(configs):
             stopped = LOOPED
             break
         if len(instrs) == STEP_BUDGET:
@@ -196,7 +194,6 @@ def run_trace(program: MinskyProgram, start: Config, bound: int,
                                 % (STEP_BUDGET + 1, STEP_BUDGET))
         instrs.append(program.instruction_for(current.state))
         configs.append(nxt)
-        visited.add(nxt)
         current = nxt
     if stopped is None:
         if current == target:
@@ -209,22 +206,19 @@ def run_trace(program: MinskyProgram, start: Config, bound: int,
     return Trace(tuple(configs), tuple(instrs), stopped)
 
 
-@dataclass(frozen=True)
-class Yes:
+class Yes(FrozenRecord):
     trace: Trace
 
 
-@dataclass(frozen=True)
-class No:
+class No(FrozenRecord):
     pass
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(FrozenRecord):
     reason: str = ""
 
 
-Reachability = Union[Yes, No, Unknown]
+Reachability = Yes | No | Unknown
 
 
 def reaches(program: MinskyProgram, start: Config, target: Config, bound: int) -> Reachability:

@@ -29,34 +29,34 @@ validity check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import ResourceLimit
+from .record import Record
 
 
-@dataclass
-class CNF:
+class CNF(Record):
     num_atoms: int
-    clauses: List[List[int]] = field(default_factory=list)
+    clauses: list[list[int]] = []
 
 
-class SatResult:
+class SatResult(Record):
     pass
 
 
-@dataclass
 class Sat(SatResult):
-    assignment: List[bool]  # indexed by atom; slot 0 is unused
+    assignment: list[bool]  # indexed by atom; slot 0 is unused
+
+    def __init__(self, assignment: list[bool]):
+        self.assignment = assignment
 
 
-@dataclass
 class Unsat(SatResult):
-    pass
+    def __init__(self):
+        pass
 
 
-def check_assignment(cnf: CNF, assignment: List[bool]) -> bool:
+def check_assignment(cnf: CNF, assignment: list[bool]) -> bool:
     """Independent clause-by-clause check of a model."""
     for clause in cnf.clauses:
         if not any(assignment[abs(lit)] == (lit > 0) for lit in clause):
@@ -91,22 +91,22 @@ class Solver:
     clauses are resolution consequences of the database alone, so they
     stay valid across calls."""
 
-    def __init__(self, cnf: Optional[CNF] = None):
+    def __init__(self, cnf: CNF | None = None):
         self.n = 0
-        self.watches: List[List[List[int]]] = [[]]  # clauses watching each literal
-        self.value: List[int] = [0]           # by literal: 0 unknown, 1 true, -1 false
-        self.level: List[int] = [0]
-        self.reason: List[Optional[List[int]]] = [None]  # implying clause
-        self.trail: List[int] = []
-        self.trail_lim: List[int] = []
-        self.activity: List[float] = [0.0]
+        self.watches: list[list[list[int]]] = [[]]  # clauses watching each literal
+        self.value: list[int] = [0]           # by literal: 0 unknown, 1 true, -1 false
+        self.level: list[int] = [0]
+        self.reason: list[list[int] | None] = [None]  # implying clause
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.activity: list[float] = [0.0]
         self.var_inc = 1.0
-        self.phase: List[bool] = [False]
-        self.seen: List[bool] = [False]
+        self.phase: list[bool] = [False]
+        self.seen: list[bool] = [False]
         # order heap: (-activity, atom) entries; an entry is live while its
         # atom is marked in_heap and its activity is current
-        self.heap: List[Tuple[float, int]] = []
-        self.in_heap: List[bool] = [False]
+        self.heap: list[tuple[float, int]] = []
+        self.in_heap: list[bool] = [False]
         self.conflicts = 0
         self.decisions = 0
         self.unsat = False  # the clauses alone are unsatisfiable
@@ -133,7 +133,7 @@ class Solver:
             heappush(self.heap, (-0.0, v))
         self.n = n
 
-    def add_clause(self, clause: List[int]) -> None:
+    def add_clause(self, clause: list[int]) -> None:
         """Add a clause at decision level zero (i.e. between solve calls)."""
         lits = sorted(clause, key=abs)
         # one range check: a 0 sorts first, the largest atom last
@@ -164,7 +164,7 @@ class Solver:
         elif not lits or value[lits[0]] == -1:
             self.unsat = True
 
-    def _assign(self, lit: int, reason: Optional[List[int]]) -> None:
+    def _assign(self, lit: int, reason: list[int] | None) -> None:
         """Make the unassigned `lit` true at the current decision level;
         the hot paths inline this."""
         value = self.value
@@ -175,7 +175,7 @@ class Solver:
         self.reason[var] = reason
         self.trail.append(lit)
 
-    def _propagate(self) -> Optional[List[int]]:
+    def _propagate(self) -> list[int] | None:
         """Returns a conflicting clause or None."""
         trail = self.trail
         value = self.value
@@ -235,7 +235,7 @@ class Solver:
         self.heap[:] = [(-act[v], v) for v in range(1, self.n + 1) if in_heap[v]]
         heapify(self.heap)
 
-    def _analyze(self, confl: List[int]) -> Tuple[List[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         trail, level, reason = self.trail, self.level, self.reason
         seen, act, in_heap = self.seen, self.activity, self.in_heap
         learnt = [0]
@@ -302,7 +302,7 @@ class Solver:
             del self.trail_lim[lvl:]
         self._qhead = len(self.trail)
 
-    def solve(self, assumptions: Tuple[int, ...] = ()) -> SatResult:
+    def solve(self, assumptions: tuple[int, ...] = ()) -> SatResult:
         """Sat with a model, or Unsat, of the clauses under `assumptions`."""
         for lit in assumptions:
             if lit == 0 or abs(lit) > self.n:
@@ -386,7 +386,7 @@ def solve(cnf: CNF) -> SatResult:
 
 # --- CNF building ------------------------------------------------------------
 
-Literal = Union[int, bool]
+Literal = int | bool
 
 # The two directions of a definition a <-> l1 & ... & lk, as bits of a
 # `need` mask: POS is a -> the conjunction (the k binary clauses), NEG is
@@ -408,12 +408,12 @@ class CnfBuilder:
     or a Python bool, so callers can fold constants without special cases.
     """
 
-    def __init__(self, clause_budget: Optional[int] = None):
+    def __init__(self, clause_budget: int | None = None):
         self.num_atoms = 0
-        self.clauses: List[List[int]] = []
+        self.clauses: list[list[int]] = []
         self.clause_budget = clause_budget
         # sorted tuple of literals -> its atom and the directions written
-        self.defined: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+        self.defined: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def new_atom(self) -> int:
         self.num_atoms += 1
@@ -437,7 +437,7 @@ class CnfBuilder:
             return not lit
         return -lit
 
-    def define(self, lit: int, lits: List[int], need: int = POS | NEG) -> None:
+    def define(self, lit: int, lits: list[int], need: int = POS | NEG) -> None:
         """Clauses for the directions `need` of `lit` <-> the conjunction of
         `lits`; by default both, an equivalence."""
         if need & POS:
@@ -469,7 +469,7 @@ class CnfBuilder:
             self.defined[key] = a, done | need
         return a
 
-    def exactly_one(self, lits: List[int]) -> None:
+    def exactly_one(self, lits: list[int]) -> None:
         """At-least-one clause plus pairwise at-most-one constraints."""
         self.add_clause(list(lits))
         for i in range(len(lits)):

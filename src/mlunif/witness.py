@@ -13,8 +13,6 @@ reduction formula, in either language, to 2l + 1 small K formulas.
 
 from __future__ import annotations
 
-from typing import List
-
 from .formula import (
     L, And, Formula, Implies, Not, Substitution, Var, apply_subst, disj,
 )
@@ -22,10 +20,10 @@ from .minsky import Dec, Trace
 from .encoding import ax_instruction, config_exists, config_formula, tower
 
 
-def _defects(exists: List[Formula]) -> List[Formula]:
+def _defects(exists: list[Formula]) -> list[Formula]:
     """exists[0] & ... & exists[i] & ~exists[i + 1] for every i < l; the
     left-associated prefix conjunctions are built once and shared."""
-    out: List[Formula] = []
+    out: list[Formula] = []
     prefix = exists[0]
     for here in exists[1:]:
         out.append(And(prefix, Not(here)))
@@ -33,7 +31,7 @@ def _defects(exists: List[Formula]) -> List[Formula]:
     return out
 
 
-def defect_formulas(trace: Trace, language: str) -> List[Formula]:
+def defect_formulas(trace: Trace, language: str) -> list[Formula]:
     """defect_i for every step i: the run is represented faithfully through
     step i, but not at step i + 1."""
     return _defects([config_exists(c, language) for c in trace.configs])
@@ -65,7 +63,7 @@ def witness_from_trace(trace: Trace, language: str) -> Substitution:
     })
 
 
-def step_lemmas(trace: Trace) -> List[Formula]:
+def step_lemmas(trace: Trace) -> list[Formula]:
     """Two K formulas per step i of the run, in step order:
 
         config_formula(c_i) -> A_i[m_i/p]   and   B_i[m_i/p] -> config_formula(c_{i+1})
@@ -120,7 +118,7 @@ def step_lemmas(trace: Trace) -> List[Formula]:
     step lemma and no defect, so only the no-defect case arises, with q_0
     standing for Ec_0.
     """
-    out: List[Formula] = []
+    out: list[Formula] = []
     for i, ins in enumerate(trace.instrs):
         branch = ax_instruction(ins, L)
         if isinstance(ins, Dec):

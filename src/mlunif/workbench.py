@@ -17,8 +17,7 @@ import bisect
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple, Union
+from collections.abc import Iterator
 
 from . import decision
 from .errors import InternalCheckFailed, ResourceLimit
@@ -33,6 +32,7 @@ from .minsky import Config, MinskyProgram, No, Trace, Unknown, Yes, reaches
 from .encoding import (
     MODES, LabeledFrame, ax_program, canonical_frame, config_exists, psi,
 )
+from .record import Record
 from .witness import no_defect_lemma, step_lemmas, witness_from_trace
 
 DEFAULT_TRIALS = 1000
@@ -41,8 +41,7 @@ DEFAULT_TABLEAU_BUDGET = 2_000_000
 DEFAULT_TABLEAU_MAX_STEPS = 2
 
 
-@dataclass
-class ValidityEvidence:
+class ValidityEvidence(Record):
     method: str            # "tableau" or "random_models"
     trials: int = 0
     seed: int = 0
@@ -55,20 +54,18 @@ class ValidityEvidence:
         return out
 
 
-@dataclass
-class Unifiable:
+class Unifiable(Record):
     substitution: Substitution
     evidence: ValidityEvidence
     trace_length: int
     psi_size: int          # DAG size of the reduction formula the unifier unifies
 
 
-@dataclass
-class NotUnifiable:
+class NotUnifiable(Record):
     certificate: LabeledFrame
 
 
-PipelineVerdict = Union[Unifiable, NotUnifiable, Unknown]
+PipelineVerdict = Unifiable | NotUnifiable | Unknown
 
 
 def _suite_models(seed: int, trials: int, max_points: int, language: str,
@@ -87,7 +84,7 @@ def _suite_models(seed: int, trials: int, max_points: int, language: str,
 
 
 def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
-                           max_points: int) -> Tuple[int, Optional[Tuple[Model, str]]]:
+                           max_points: int) -> tuple[int, tuple[Model, str] | None]:
     """Evaluate phi at every point of `trials` seeded models (variables get
     random point sets, in H2 the nominal n1 a random owner); returns the
     number of models checked and the first failure, if any.
@@ -149,7 +146,7 @@ def verify_unifier(sigma: Substitution, reduction: Formula, language: str,
 
 
 def certificate_checks(lf: LabeledFrame, program: MinskyProgram, start: Config,
-                       target: Config, language: str) -> Dict[str, bool]:
+                       target: Config, language: str) -> dict[str, bool]:
     """The three facts making a canonical frame a non-unifiability
     certificate: the program axioms are frame-valid, the start marker is
     globally true, and the target marker is globally false (under every
@@ -190,7 +187,7 @@ def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
 
 
 def ground_unifiable(phi: Formula,
-                     label_budget: int = decision.DEFAULT_LABEL_BUDGET) -> Optional[Substitution]:
+                     label_budget: int = decision.DEFAULT_LABEL_BUDGET) -> Substitution | None:
     """First substitution into {false, true} that makes phi valid, if any.
 
     Sound but incomplete for these logics: a formula can be unifiable

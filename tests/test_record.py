@@ -1,0 +1,183 @@
+"""Every record class of the package: construction, defaults, equality,
+hashing, immutability, validation and repr."""
+
+import pytest
+
+from mlunif import decision, encoding, eqtheory, kripke, minsky, propsat, workbench
+from mlunif.errors import DeterminismError, UnknownPoint
+from mlunif.formula import Substitution, Var
+from mlunif.record import FrozenRecord, Record
+
+CONFIG = minsky.Config(1, 0, 0)
+INC = minsky.Inc(1, 1, 2)
+TRACE = minsky.Trace((CONFIG, minsky.Config(2, 1, 0)), (INC,), minsky.REACHED)
+FRAME = kripke.Frame(("a", "b"), (2, 0), (3, 3))
+VALUATION = kripke.Valuation({1: frozenset({"a"})}, {1: "b"})
+MODEL = kripke.Model(FRAME, VALUATION)
+LABELED = encoding.LabeledFrame(FRAME, {"a": "m"}, 2)
+EVIDENCE = workbench.ValidityEvidence("random_models", 10, 1, 8)
+
+# one instance's field values for each record class, in field order
+EXAMPLES = {
+    minsky.Config: (1, 0, 0),
+    minsky.Inc: (1, 1, 2),
+    minsky.Dec: (2, 1, 2, 3),
+    minsky.MinskyProgram: ((INC,),),
+    minsky.Trace: ((CONFIG, minsky.Config(2, 1, 0)), (INC,), minsky.REACHED),
+    minsky.Yes: (TRACE,),
+    minsky.No: (),
+    minsky.Unknown: ("no verdict",),
+    kripke.Frame: (("a", "b"), (2, 0), (3, 3)),
+    kripke.Valuation: ({1: frozenset({"a"})}, {1: "b"}),
+    kripke.Model: (FRAME, VALUATION),
+    kripke.Valid: (),
+    kripke.CounterModel: (MODEL, "a"),
+    propsat.CNF: (2, [[1, -2]]),
+    propsat.SatResult: (),
+    propsat.Sat: ([False, True, False],),
+    propsat.Unsat: (),
+    decision.Sat: (MODEL, "b"),
+    encoding.LabeledFrame: (FRAME, {"a": "m"}, 2),
+    workbench.ValidityEvidence: ("random_models", 10, 1, 8),
+    workbench.Unifiable: (Substitution({1: Var(2)}), EVIDENCE, 1, 5),
+    workbench.NotUnifiable: (LABELED,),
+    eqtheory.Equation: (Var(1), Var(2)),
+}
+CLASSES = sorted(EXAMPLES, key=lambda cls: cls.__module__ + "." + cls.__qualname__)
+FROZEN = [cls for cls in CLASSES if issubclass(cls, FrozenRecord)]
+
+
+def record_classes(base=Record):
+    for sub in base.__subclasses__():
+        if sub is not FrozenRecord:
+            yield sub
+        yield from record_classes(sub)
+
+
+def test_every_record_class_has_an_example():
+    assert set(record_classes()) == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__qualname__)
+def test_positional_and_keyword_construction(cls):
+    values = EXAMPLES[cls]
+    record = cls(*values)
+    assert cls._fields == tuple(cls.__annotations__)
+    assert tuple(getattr(record, f) for f in cls._fields) == values
+    assert cls(**dict(zip(cls._fields, values))) == record
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=1)
+    if values:
+        with pytest.raises(TypeError):
+            cls(*values, **{cls._fields[0]: values[0]})
+
+
+@pytest.mark.parametrize("cls", [cls for cls in CLASSES if EXAMPLES[cls]
+                                 and cls not in (kripke.Valuation, minsky.Unknown)],
+                         ids=lambda cls: cls.__qualname__)
+def test_missing_argument(cls):
+    """(A Valuation or an Unknown has a default for every field.)"""
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(**dict(zip(cls._fields[1:], EXAMPLES[cls][1:])))
+
+
+def test_defaults():
+    assert kripke.Frame(("a",), (0,)).s is None
+    assert minsky.Unknown().reason == ""
+    assert encoding.LabeledFrame(FRAME, {}).truncation is None
+    assert workbench.ValidityEvidence("tableau") == workbench.ValidityEvidence("tableau", 0, 0, 0)
+    first, second = propsat.CNF(3), propsat.CNF(3)
+    assert first.clauses == [] and first.clauses is not second.clauses
+    first.clauses.append([1])
+    assert propsat.CNF(3).clauses == []
+    first, second = kripke.Valuation(), kripke.Valuation()
+    assert first == kripke.Valuation({}, {})
+    assert first.var_map is not second.var_map and first.nom_map is not second.nom_map
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__qualname__)
+def test_equality_by_class_and_fields(cls):
+    record = cls(*EXAMPLES[cls])
+    assert record == cls(*EXAMPLES[cls])
+    assert not record != cls(*EXAMPLES[cls])
+    assert record != object()
+    others = [other(*EXAMPLES[other]) for other in CLASSES if other is not cls]
+    assert all(record != other for other in others)
+
+
+def test_equality_examples():
+    assert propsat.Unsat() == propsat.Unsat()
+    assert kripke.Valid() != propsat.Unsat()
+    assert minsky.No() != kripke.Valid()
+    assert minsky.Config(1, 0, 0) != minsky.Config(1, 0, 1)
+    assert propsat.Sat([True]) != decision.Sat(MODEL, "a")
+    assert kripke.Frame(("a",), (0,)) != kripke.Frame(("a",), (0,), (0,))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__qualname__)
+def test_hashing(cls):
+    record, twin = cls(*EXAMPLES[cls]), cls(*EXAMPLES[cls])
+    if cls not in FROZEN or cls is kripke.Valuation:  # a Valuation holds dicts
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+        assert len({record, twin}) == 1
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__qualname__)
+def test_frozen_fields_cannot_change(cls):
+    record = cls(*EXAMPLES[cls])
+    name = cls._fields[0] if cls._fields else "anything"
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    if cls._fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == EXAMPLES[cls][0]
+
+
+def test_records_that_are_not_frozen_can_change():
+    cnf = propsat.CNF(2)
+    cnf.num_atoms = 3
+    assert cnf == propsat.CNF(3)
+
+
+def test_validation_on_construction():
+    with pytest.raises(ValueError, match="nonnegative"):
+        minsky.Config(-1, 0, 0)
+    with pytest.raises(DeterminismError):
+        minsky.MinskyProgram((minsky.Inc(1, 1, 2), minsky.Dec(1, 1, 3, 4)))
+    assert minsky.MinskyProgram((INC,)).instruction_for(1) == INC
+    with pytest.raises(ValueError, match="duplicate point names"):
+        kripke.Frame(("a", "a"), (0, 0))
+    with pytest.raises(ValueError, match="at least one point"):
+        kripke.Frame((), ())
+    with pytest.raises(ValueError, match="R has 1 rows for 2 points"):
+        kripke.Frame(("a", "b"), (0,))
+    with pytest.raises(ValueError, match="S has 3 rows for 2 points"):
+        kripke.Frame(("a", "b"), (0, 0), (0, 0, 0))
+    with pytest.raises(UnknownPoint, match="an R edge leaves"):
+        kripke.Frame(("a", "b"), (4, 0))
+    with pytest.raises(UnknownPoint, match="an S edge leaves"):
+        kripke.Frame(("a", "b"), (0, 0), (0, -1))
+    with pytest.raises(UnknownPoint, match="valuation of p1"):
+        kripke.Model(FRAME, kripke.Valuation({1: frozenset({"c"})}, {}))
+    with pytest.raises(UnknownPoint, match="valuation of n1"):
+        kripke.Model(FRAME, kripke.Valuation({}, {1: "c"}))
+
+
+def test_repr():
+    assert repr(minsky.Config(1, 0, 0)) == "Config(state=1, c1=0, c2=0)"
+    assert repr(minsky.No()) == "No()"
+    assert repr(minsky.Unknown("x")) == "Unknown(reason='x')"
+    assert repr(FRAME) == "Frame(points=('a', 'b'), r=(2, 0), s=(3, 3))"
+    assert repr(propsat.Sat([True])) == "Sat(assignment=[True])"
+    assert repr(propsat.CNF(2)) == "CNF(num_atoms=2, clauses=[])"
+    assert repr(minsky.Yes(TRACE)) == (
+        "Yes(trace=Trace(configs=(Config(state=1, c1=0, c2=0), Config(state=2, c1=1, c2=0)),"
+        " instrs=(Inc(counter=1, src=1, dst=2),), stopped='reached'))")

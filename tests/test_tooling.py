@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import mlunif
 
@@ -137,3 +139,15 @@ def unset_parameters():
 
 def test_every_defaulted_parameter_is_set_by_a_caller_in_the_package():
     assert unset_parameters() == set(UNSET_ALLOWED)
+
+
+def test_start_up_loads_no_heavy_modules():
+    """Every `mlunif` call is a fresh process, so the package's imports are
+    paid on each one: none of these may be loaded (`dataclasses` alone
+    brings in `inspect`, `ast`, `dis` and `tokenize`)."""
+    heavy = ("dataclasses", "typing", "inspect", "ast", "dis", "tokenize")
+    code = ("import sys, mlunif.cli, mlunif.eqtheory; "
+            "print(' '.join(name for name in %r if name in sys.modules))" % (heavy,))
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)), check=True)
+    assert run.stdout.split() == []
