@@ -13,6 +13,10 @@ per node for blocks of at most n points, however many blocks there are.
 The universal box of L frames uses the same construction over the "same
 block" relation, so it never looks across models.  One model is a union of
 one block, so a single model and a suite of thousands cost one pass each.
+A union is folded from blocks (a frame's successor rows and the points of
+each symbol as a mask), so a caller that draws its models, as the random
+suite does with `draw_rows`, builds no `Frame`, `Valuation` or `Model` per
+block; each union-wide mask is built once, after the last block.
 
 `frame_valid` first splits phi into its top-level conjuncts, which is
 sound because validity distributes over `&`.  A conjunct with no variable
@@ -169,53 +173,102 @@ class DisjointUnion:
     across models.  `symbols` maps each variable and nominal, as
     (Var, index) or (Nominal, index), to the points where it holds, one
     block after another, and `bound` counts the blocks that bind it.
-    Models are folded in as they are drawn from `models`, so a generator of
-    models is never held in memory.
+
+    The union is folded from blocks, each a frame's R rows, its S rows (None
+    for L frames) and a list of (symbol, mask) pairs, the block-local points
+    where each bound symbol holds: `of_blocks` takes them as drawn, and
+    `DisjointUnion(models)` turns each model into one.  The fold records
+    the union bit of every edge and symbol point and builds each union-wide
+    mask once, at the end, so a block costs the same however many came
+    before it, and a generator of blocks is never held in memory.
     """
 
     def __init__(self, models: Iterable[Model]):
-        self.kind: str | None = None
-        self.offsets: list[int] = []
-        self.width = 0
-        self.symbols: dict[tuple[type, int], int] = {}
-        self.bound: dict[tuple[type, int], int] = {}
-        self.edges: dict[Modality, dict[int, int]] = {m: {} for m in Modality}
-        for model in models:
-            self._add(model)
+        self._fold(_model_block(model) for model in models)
 
-    def _add(self, model: Model) -> None:
-        frame, valuation = model.frame, model.valuation
-        if self.offsets and frame.kind != self.kind:
-            raise ValueError("a disjoint union needs models of one frame kind")
-        self.kind = frame.kind
-        base, n = self.width, len(frame.points)
-        index = {p: i for i, p in enumerate(frame.points)}
-        relations = {Modality.REL: frame.r}
-        if frame.s is None:
-            # the universal relation: i reaches i + d when both lie in the block
-            local = {Modality.UNIV: {d: ((1 << (n - abs(d))) - 1) << max(0, -d)
-                                     for d in range(1 - n, n)}}
-        else:
-            local, relations[Modality.HYB] = {}, frame.s
-        for modality, rows in relations.items():
-            out = local[modality] = {}
-            for i, row in enumerate(rows):
-                while row:  # each successor j of i, lowest bit first
-                    d = (row & -row).bit_length() - 1 - i
-                    out[d] = out.get(d, 0) | 1 << i
-                    row &= row - 1
-        for modality, out in local.items():
-            edges = self.edges[modality]
-            for d, e in out.items():
-                edges[d] = edges.get(d, 0) | e << base
-        held = [((Var, v), sum(1 << index[p] for p in points))
-                for v, points in valuation.var_map.items()]
-        held += [((Nominal, m), 1 << index[p]) for m, p in valuation.nom_map.items()]
-        for symbol, mask in held:
-            self.symbols[symbol] = self.symbols.get(symbol, 0) | mask << base
-            self.bound[symbol] = self.bound.get(symbol, 0) + 1
-        self.offsets.append(base)
-        self.width = base + n
+    @classmethod
+    def of_blocks(cls, blocks: Iterable[tuple]) -> DisjointUnion:
+        union = cls.__new__(cls)
+        union._fold(blocks)
+        return union
+
+    def _fold(self, blocks: Iterable[tuple]) -> None:
+        kind: str | None = None
+        offsets: list[int] = []
+        width = 0
+        bound: dict[tuple[type, int], int] = {}
+        # the union bits of each edge offset d of R and S, and of each symbol
+        r_at: dict[int, list[int]] = {}
+        s_at: dict[int, list[int]] = {}
+        held_at: dict[tuple[type, int], list[int]] = {}
+        for r, s, held in blocks:
+            block_kind = L if s is None else H2
+            if block_kind != kind:
+                if offsets:
+                    raise ValueError("a disjoint union needs models of one frame kind")
+                kind = block_kind
+            offsets.append(width)
+            for rows, out in ((r, r_at),) if s is None else ((r, r_at), (s, s_at)):
+                for i, row in enumerate(rows):
+                    at = width + i
+                    while row:  # each successor j of i, lowest bit first
+                        low = row & -row
+                        d = low.bit_length() - 1 - i
+                        bits = out.get(d)
+                        if bits is None:
+                            out[d] = [at]
+                        else:
+                            bits.append(at)
+                        row ^= low
+            for symbol, mask in held:
+                bound[symbol] = bound.get(symbol, 0) + 1
+                bits = held_at.setdefault(symbol, [])
+                while mask:
+                    low = mask & -mask
+                    bits.append(width + low.bit_length() - 1)
+                    mask ^= low
+            width += len(r)
+        self.kind, self.offsets, self.width, self.bound = kind, offsets, width, bound
+        self.symbols = {symbol: _mask(bits, width) for symbol, bits in held_at.items()}
+        self.edges = {m: {d: _mask(bits, width) for d, bits in out.items()}
+                      for m, out in ((Modality.REL, r_at), (Modality.HYB, s_at))}
+        self.edges[Modality.UNIV] = _same_block(offsets, width) if kind == L else {}
+
+
+def _model_block(model: Model) -> tuple:
+    """A model as a block of `DisjointUnion`: its rows and symbol masks."""
+    frame, valuation = model.frame, model.valuation
+    index = {p: i for i, p in enumerate(frame.points)}
+    held = [((Var, v), sum(1 << index[p] for p in points))
+            for v, points in valuation.var_map.items()]
+    held += [((Nominal, m), 1 << index[p]) for m, p in valuation.nom_map.items()]
+    return frame.r, frame.s, held
+
+
+def _mask(bits: list[int], width: int) -> int:
+    """The int with the given bits set, all below `width`, built in one
+    step from a string of binary digits."""
+    digits = bytearray(b"0") * width
+    for i in bits:
+        digits[i] = 49  # "1"
+    return int(digits[::-1], 2)
+
+
+def _same_block(offsets: list[int], width: int) -> dict[int, int]:
+    """Offset masks of the relation that joins every two points of one
+    block: E_d holds i when no block starts in i + 1 ... i + d (the end of
+    the union counting as a start), and E_-d is E_d moved up by d."""
+    starts = _mask(offsets[1:] + [width], width + 1)
+    everything = (1 << width) - 1
+    out = {0: everything}
+    apart, d = 0, 1
+    while True:
+        apart |= starts >> d
+        e = everything & ~apart
+        if not e:
+            return out
+        out[d], out[-d] = e, e << d
+        d += 1
 
 
 def placements(one: DisjointUnion, nominal_indices: set[int]) -> DisjointUnion:
@@ -640,21 +693,29 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
 
 # --- random generation ---------------------------------------------------------
 
-def random_frame(seed: int, max_points: int, kind: str = L) -> Frame:
-    """Deterministic in `seed`; edge density is drawn per frame."""
+def draw_rows(rng: random.Random, max_points: int,
+              kind: str) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """The successor rows of R and, in H2, of S of a random frame, drawn from
+    `rng`: the point count n, R's edge density, one `rng.random()` per pair
+    of points, row by row, then S's density and pairs the same way.  S is
+    None for L frames."""
     if max_points < 1:
         raise ValueError("max_points must be >= 1")
-    rng = random.Random(seed)
     n = rng.randint(1, max_points)
-    points = tuple("w%d" % i for i in range(n))
     bits = [1 << j for j in range(n)]
+    coin = rng.random
     density = rng.uniform(0.1, 0.55)
-    r = tuple(sum([b for b in bits if rng.random() < density]) for _ in points)
+    r = tuple([sum([b for b in bits if coin() < density]) for _ in bits])
     if kind == L:
-        return Frame(points, r)
-    s_density = rng.uniform(0.1, 0.55)
-    s = tuple(sum([b for b in bits if rng.random() < s_density]) for _ in points)
-    return Frame(points, r, s)
+        return r, None
+    density = rng.uniform(0.1, 0.55)
+    return r, tuple([sum([b for b in bits if coin() < density]) for _ in bits])
+
+
+def random_frame(seed: int, max_points: int, kind: str = L) -> Frame:
+    """Deterministic in `seed`; edge density is drawn per frame."""
+    r, s = draw_rows(random.Random(seed), max_points, kind)
+    return Frame(tuple("w%d" % i for i in range(len(r))), r, s)
 
 
 # --- text formats ---------------------------------------------------------------

@@ -25,6 +25,16 @@ class Config(FrozenRecord):
         if state < 0 or c1 < 0 or c2 < 0:
             raise ValueError("configuration components must be nonnegative")
 
+    # a run compares and hashes a configuration per step, so these two read
+    # the fields directly rather than through the record base's field tuple
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.state == other.state and self.c1 == other.c1 and self.c2 == other.c2
+
+    def __hash__(self):
+        return hash((self.state, self.c1, self.c2))
+
     def __str__(self):
         return "%d,%d,%d" % (self.state, self.c1, self.c2)
 

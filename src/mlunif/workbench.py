@@ -14,7 +14,6 @@ substitution and the target marker carries no variables.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import random
 from collections.abc import Iterator
@@ -22,11 +21,12 @@ from collections.abc import Iterator
 from . import decision
 from .errors import InternalCheckFailed, ResourceLimit
 from .formula import (
-    H2, Formula, Not, Substitution, apply_subst, conj, ground_substitutions,
-    size, variables,
+    H2, Formula, Nominal, Not, Substitution, Var, apply_subst, conj,
+    ground_substitutions, size, variables,
 )
 from .kripke import (
-    DisjointUnion, Model, Valid, Valuation, frame_valid, random_frame, truth_mask,
+    DisjointUnion, Model, Valid, Valuation, draw_rows, frame_valid, random_frame,
+    truth_mask,
 )
 from .minsky import Config, MinskyProgram, No, Trace, Unknown, Yes, reaches
 from .encoding import (
@@ -68,18 +68,44 @@ class NotUnifiable(Record):
 PipelineVerdict = Unifiable | NotUnifiable | Unknown
 
 
+def _draw_symbols(rng: random.Random, n: int, language: str,
+                  var_indices) -> list[tuple[tuple[type, int], int]]:
+    """One model's valuation on n points, as (symbol, mask) pairs: each
+    variable holds at a point when `rng.random() < 0.5`, point by point, and
+    in H2 the nominal n1 sits at `rng.randrange(n)`."""
+    coin = rng.random
+    held = [((Var, v), sum([1 << i for i in range(n) if coin() < 0.5])) for v in var_indices]
+    if language == H2:
+        held.append(((Nominal, 1), 1 << rng.randrange(n)))
+    return held
+
+
+def _suite_blocks(seed: int, trials: int, max_points: int, language: str,
+                  var_indices) -> Iterator[tuple]:
+    """The suite's seeded models as `DisjointUnion` blocks: per trial, a
+    frame drawn from a stream seeded by `rng.randrange(1 << 30)` (the stream
+    of `random_frame` with that seed), then its valuation from `rng` itself."""
+    rng, frame_rng = random.Random(seed), random.Random(0)
+    for _ in range(trials):
+        frame_rng.seed(rng.randrange(1 << 30))
+        r, s = draw_rows(frame_rng, max_points, language)
+        yield r, s, _draw_symbols(rng, len(r), language, var_indices)
+
+
 def _suite_models(seed: int, trials: int, max_points: int, language: str,
                   var_indices=()) -> Iterator[Model]:
+    """The models of `_suite_blocks`, from the same draws, as `Model`s on
+    `random_frame`'s frames: for replaying a failing model."""
     rng = random.Random(seed)
     for _ in range(trials):
         frame = random_frame(rng.randrange(1 << 30), max_points, kind=language)
-        var_map = {
-            v: frozenset(p for p in frame.points if rng.random() < 0.5)
-            for v in var_indices
-        }
-        nom_map = {}
-        if language == H2:
-            nom_map[1] = frame.points[rng.randrange(len(frame.points))]
+        points = frame.points
+        var_map, nom_map = {}, {}
+        for (kind, index), mask in _draw_symbols(rng, len(points), language, var_indices):
+            if kind is Var:
+                var_map[index] = frozenset(p for i, p in enumerate(points) if mask >> i & 1)
+            else:
+                nom_map[index] = points[mask.bit_length() - 1]
         yield Model(frame, Valuation(var_map, nom_map))
 
 
@@ -89,24 +115,24 @@ def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
     random point sets, in H2 the nominal n1 a random owner); returns the
     number of models checked and the first failure, if any.
 
-    The models are folded into one disjoint union as they are drawn and
-    checked by a single `truth_mask` pass.  The lowest failing bit names
-    the first failing model and point; that model is drawn again by
-    replaying the seeded stream.  As in a model-by-model check, the count
-    stops at the first failing model.  Raises ValueError for fewer than
-    one trial, which would check nothing.
+    The models are drawn straight into the blocks of one disjoint union, as
+    successor rows and symbol masks with no `Model` per trial, and checked
+    by a single `truth_mask` pass.  The lowest failing bit names the first
+    failing model and point; that model alone is drawn again as a `Model`
+    by replaying the seeded stream.  As in a model-by-model check, the
+    count stops at the first failing model.  Raises ValueError for fewer
+    than one trial, which would check nothing, or fewer than one point.
     """
     if trials < 1:
         raise ValueError("the random-model suite needs at least one trial, got %d" % trials)
-    draw = functools.partial(_suite_models, seed, trials, max_points, language,
-                             sorted(variables(phi)))
-    union = DisjointUnion(draw())
+    draw = (seed, trials, max_points, language, sorted(variables(phi)))
+    union = DisjointUnion.of_blocks(_suite_blocks(*draw))
     failing = ((1 << union.width) - 1) ^ truth_mask(union, phi)
     if not failing:
         return len(union.offsets), None
     bit = (failing & -failing).bit_length() - 1
     k = bisect.bisect_right(union.offsets, bit) - 1
-    model = next(itertools.islice(draw(), k, None))
+    model = next(itertools.islice(_suite_models(*draw), k, None))
     return k + 1, (model, model.frame.points[bit - union.offsets[k]])
 
 

@@ -118,6 +118,18 @@ def test_equality_examples():
     assert kripke.Frame(("a",), (0,)) != kripke.Frame(("a",), (0,), (0,))
 
 
+def test_config_compares_and_hashes_its_own_fields():
+    config = minsky.Config(1, 2, 3)
+    assert "__eq__" in vars(minsky.Config) and "__hash__" in vars(minsky.Config)
+    assert config == minsky.Config(1, 2, 3) and not config != minsky.Config(1, 2, 3)
+    assert all(config != minsky.Config(*fields)
+               for fields in ((0, 2, 3), (1, 0, 3), (1, 2, 0)))
+    # another record class with the same field values, and a plain tuple
+    assert config != minsky.Inc(1, 2, 3) and not config == minsky.Inc(1, 2, 3)
+    assert config != (1, 2, 3)
+    assert hash(config) == hash((1, 2, 3))
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__qualname__)
 def test_hashing(cls):
     record, twin = cls(*EXAMPLES[cls]), cls(*EXAMPLES[cls])

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
+import time
 
 import mlunif
 
@@ -151,3 +153,27 @@ def test_start_up_loads_no_heavy_modules():
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)), check=True)
     assert run.stdout.split() == []
+
+
+def test_traced_run_keeps_the_random_model_suite_spans(tmp_path):
+    """`bench/tracing.py` wraps `truth_mask` at the name `workbench` calls it
+    by, so a traced run of a suite instance counts its one truth-mask pass
+    and times the suite."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    with open(os.path.join(bench, "workloads.json"), encoding="utf-8") as handle:
+        instance = json.load(handle)["workloads"]["suite"]["instances"][0]
+    program = tmp_path / "program.txt"
+    program.write_text(instance["program"].replace(" / ", "\n") + "\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "layout": 0, "trace": 1, "result": str(tmp_path / "result.json"),
+        "argv": ["verify", "--program", str(program), "--start", instance["start"],
+                 "--target", instance["target"], "--mode", instance["mode"],
+                 "--seed", "1", "--out", str(tmp_path / "out")]}))
+    subprocess.run([sys.executable, "-S", os.path.join(bench, "child.py"), str(spec),
+                    repr(time.perf_counter())],
+                   env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)), cwd=tmp_path,
+                   check=True, capture_output=True)
+    layers = json.loads((tmp_path / "result.json").read_text())["layers"]
+    assert layers["kripke.truth_mask_calls"] == 1
+    assert layers["workbench.check_on_random_models_s"] > 0

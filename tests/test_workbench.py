@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -8,9 +9,12 @@ import pytest
 
 from mlunif.errors import LanguageMismatch, UnboundSymbol
 from mlunif.formula import (
-    BOT, H2, L, And, Substitution, TOP, conj, disj, language_of, parse,
+    BOT, H2, L, And, Nominal, Substitution, TOP, Var, conj, disj, language_of, parse,
 )
-from mlunif.kripke import CounterModel, frame_valid, model_check, transitive_reduction
+from mlunif.kripke import (
+    CounterModel, DisjointUnion, frame_valid, model_check, serialize_frame,
+    serialize_valuation, transitive_reduction,
+)
 from mlunif.minsky import (
     Config, MinskyProgram, parse_config, parse_program, reaches, run_trace,
 )
@@ -24,13 +28,13 @@ from mlunif.witness import (
 )
 from mlunif.formula import apply_subst, variables
 from mlunif.workbench import (
-    NotUnifiable, Unifiable, Unknown, certificate_checks,
+    NotUnifiable, Unifiable, Unknown, _suite_blocks, _suite_models, certificate_checks,
     check_on_random_models, check_unifiable_via_reduction, ground_unifiable,
     verdict_report,
 )
 import mlunif
 from mlunif import cli, decision, encoding, propsat
-from helpers import check_each_random_model, random_formula
+from helpers import check_each_random_model, offset_masks_by_pairs, random_formula
 
 
 def test_zero_step_reachability_gives_trivial_unifier():
@@ -272,6 +276,59 @@ def test_one_pass_suite_matches_model_by_model_reference():
         assert (checked, failure) == check_each_random_model(*args), (index, phi)
         failed += failure is not None
     assert len(cases) // 2 <= failed < len(cases)
+
+
+# sha256 of the serialize_frame + serialize_valuation text of
+# `_suite_models(1, 200, 8, language, [1, 2])`, recorded before the suite drew
+# its models straight into a disjoint union: a change in how the suite draws
+# changes the models it checks
+_SUITE_DIGEST = {
+    L: "f35d3f0cff5e7d75ecc1790afcf9508d8d9900e4ff367248414db0c7c2a1e031",
+    H2: "587288c051f321dfedb09b16481a3a29eb754a7ee0a1d09d62c276bd1f0a2dd6",
+}
+
+
+def test_suite_draws_the_recorded_models():
+    for language, digest in _SUITE_DIGEST.items():
+        text = "".join(serialize_frame(model.frame) + serialize_valuation(model.valuation)
+                       for model in _suite_models(1, 200, 8, language, [1, 2]))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_suite_union_matches_the_fold_of_its_models():
+    def nonzero(edges):
+        return {m: {d: e for d, e in masks.items() if e} for m, masks in edges.items()}
+
+    for language in (L, H2):
+        for var_indices in ((), (1,), (1, 2, 3)):
+            for trials in (1, 97):
+                for max_points in (1, 8):
+                    draw = (trials + max_points, trials, max_points, language, var_indices)
+                    union = DisjointUnion.of_blocks(_suite_blocks(*draw))
+                    models = list(_suite_models(*draw))
+                    folded = DisjointUnion(models)
+                    assert union.kind == folded.kind == language
+                    assert union.offsets == folded.offsets
+                    assert union.width == folded.width == sum(len(m.frame.points)
+                                                               for m in models)
+                    assert nonzero(union.edges) == nonzero(folded.edges)
+                    assert nonzero(union.edges) == nonzero(offset_masks_by_pairs(models))
+                    assert union.symbols == folded.symbols
+                    assert union.bound == folded.bound
+                    # the symbols point by point, block after block
+                    symbols = {}
+                    for model, offset in zip(models, union.offsets):
+                        points = model.frame.points
+                        held = [((Var, v), ps) for v, ps in model.valuation.var_map.items()]
+                        held += [((Nominal, m), {p}) for m, p in model.valuation.nom_map.items()]
+                        for symbol, ps in held:
+                            symbols[symbol] = symbols.get(symbol, 0) | sum(
+                                1 << offset + points.index(p) for p in ps)
+                    assert union.symbols == symbols
+                    assert union.bound == dict.fromkeys(symbols, trials)
+    for trials, max_points in ((0, 8), (5, 0)):
+        with pytest.raises(ValueError):
+            check_on_random_models(parse("p1"), L, 0, trials, max_points)
 
 
 def test_one_pass_suite_raises_as_model_by_model_reference():
