@@ -15,8 +15,7 @@ from . import decision, workbench
 from .errors import InternalCheckFailed, MlunifError, ResourceLimit
 from .formula import parse, pretty
 from .kripke import (
-    Model, Valid, Valuation, model_check, parse_valuation, serialize_frame,
-    serialize_valuation,
+    Model, Valid, model_check, parse_valuation, serialize_frame, serialize_valuation,
 )
 from .minsky import Yes, parse_config, parse_program, reaches
 from .encoding import (
@@ -87,14 +86,19 @@ def cmd_frame(args) -> int:
 
 def cmd_modelcheck(args) -> int:
     frame = parse_labeled_frame(_read(args.frame)).frame
-    if args.valuation:
-        valuation = parse_valuation(_read(args.valuation))
-    else:
-        valuation = Valuation()
+    valuation = parse_valuation(_read(args.valuation), frame.points) if args.valuation else {}
     phi = parse(args.formula, frame.kind)
     result = model_check(Model(frame, valuation), args.point, phi)
     print("true" if result else "false")
     return 0
+
+
+def _print_pointed_model(heading: str, result) -> None:
+    """A `CounterModel` or `decision.Sat`: the heading with its point, then
+    the frame text and the valuation text."""
+    print("%s at point %s:" % (heading, result.point))
+    sys.stdout.write(serialize_frame(result.model.frame))
+    sys.stdout.write(serialize_valuation(result.model))
 
 
 def cmd_valid(args) -> int:
@@ -103,9 +107,7 @@ def cmd_valid(args) -> int:
     if isinstance(result, Valid):
         print("valid")
     else:
-        print("not valid; counter-model at point %s:" % result.point)
-        sys.stdout.write(serialize_frame(result.model.frame))
-        sys.stdout.write(serialize_valuation(result.model.valuation))
+        _print_pointed_model("not valid; counter-model", result)
     return 0
 
 
@@ -115,9 +117,7 @@ def cmd_sat(args) -> int:
     if isinstance(result, decision.Unsat):
         print("unsatisfiable")
     else:
-        print("satisfiable at point %s:" % result.point)
-        sys.stdout.write(serialize_frame(result.model.frame))
-        sys.stdout.write(serialize_valuation(result.model.valuation))
+        _print_pointed_model("satisfiable", result)
     return 0
 
 

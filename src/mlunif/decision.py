@@ -38,7 +38,7 @@ from .formula import (
     Or as FOr, Top as FTop, Var as FVar, language_of, nominals, postorder,
     variables,
 )
-from .kripke import CounterModel, Frame, Model, Valid, Valuation, model_check
+from .kripke import CounterModel, Frame, Model, Valid, model_check
 from .propsat import Unsat
 from .record import Record
 
@@ -481,25 +481,25 @@ class _KEngine:
             return True, min_block
 
 
-def _k_model(engine: _KEngine, root_worlds: list[int]) -> tuple[Model, dict[int, str]]:
-    """Model over the worlds reachable from the given roots; cycles from
-    blocked successors are kept as plain edges."""
+def _k_model(engine: _KEngine, root_worlds: list[int]) -> tuple[Model, str]:
+    """Model over the worlds reachable from the given roots, and the point
+    of the last root; cycles from blocked successors are kept as plain
+    edges."""
     roots = tuple(root_worlds)
     walk = postorder(roots, lambda w: w if w is roots else engine.worlds[w][1])
     reachable = sorted(w for w in walk if w is not roots)
     index = {w: i for i, w in enumerate(reachable)}
-    names = {w: "w%d" % i for w, i in index.items()}
     rows = [0] * len(reachable)
-    var_map: dict[int, set[str]] = {}
+    valuation: dict[Formula, int] = {}
     for w, i in index.items():
         true_vars, succs = engine.worlds[w]
         for s in succs:
             rows[i] |= 1 << index[s]
         for idx in true_vars:
-            var_map.setdefault(idx, set()).add(names[w])
-    frame = Frame(tuple(names.values()), tuple(rows))
-    valuation = Valuation({k: frozenset(v) for k, v in var_map.items()}, {})
-    return Model(frame, valuation), names
+            v = FVar(idx)
+            valuation[v] = valuation.get(v, 0) | 1 << i
+    frame = Frame(tuple("w%d" % i for i in range(len(rows))), tuple(rows))
+    return Model(frame, valuation), frame.points[index[roots[-1]]]
 
 
 def _global_atom(b: NfBuilder, nf: NF) -> NF | None:
@@ -628,9 +628,9 @@ def _ku_satisfiable(b: NfBuilder, root: NF,
     roots = _run(search, 0)
     if roots is None:
         return False, None, None
-    model, names = _k_model(engine, roots)
     # the last root carries the reduced original formula
-    return True, model, names[roots[-1]]
+    model, point = _k_model(engine, roots)
+    return True, model, point
 
 
 # --- the hybrid tableau -----------------------------------------------------------
@@ -662,8 +662,8 @@ def _kh2_satisfiable(b: NfBuilder, root: NF,
         if outcome == "clash":
             continue
         if outcome == "open":
-            model, names = _h_model(state)
-            return True, model, names[0]
+            model = _h_model(state)
+            return True, model, model.frame.points[0]
         # otherwise a list of branch states
         stack.extend(reversed(outcome))
     return False, None, None
@@ -802,25 +802,24 @@ def _h_saturate(b: NfBuilder, state: _HState, charge: _Budget):
         return "open"
 
 
-def _h_model(state: _HState) -> tuple[Model, dict[int, str]]:
+def _h_model(state: _HState) -> Model:
+    """Model over the labels, label 0 first."""
     labels = sorted(state.content)
     index = {label: i for i, label in enumerate(labels)}
-    names = {label: "w%d" % i for label, i in index.items()}
-    var_map: dict[int, set[str]] = {}
-    nom_map: dict[int, str] = {}
-    for label in labels:
+    valuation: dict[Formula, int] = {}
+    for label, i in index.items():
         for f in state.content[label]:
             if f.tag == "lit" and f.pos:
                 if f.kind == "p":
-                    var_map.setdefault(f.index, set()).add(names[label])
+                    v = FVar(f.index)
+                    valuation[v] = valuation.get(v, 0) | 1 << i
                 else:
-                    nom_map[f.index] = names[label]
+                    valuation[FNominal(f.index)] = 1 << i
     rows = {REL: [0] * len(labels), HYB: [0] * len(labels)}
     for x, mod, y in state.edges:
         rows[mod][index[x]] |= 1 << index[y]
-    frame = Frame(tuple(names.values()), tuple(rows[REL]), tuple(rows[HYB]))
-    valuation = Valuation({k: frozenset(v) for k, v in var_map.items()}, nom_map)
-    return Model(frame, valuation), names
+    points = tuple("w%d" % i for i in range(len(labels)))
+    return Model(Frame(points, tuple(rows[REL]), tuple(rows[HYB])), valuation)
 
 
 # --- public API --------------------------------------------------------------------
@@ -831,19 +830,19 @@ def _complete_valuation(model: Model, phi: Formula) -> Model:
     empty set, a nominal to a fresh isolated point of its own.  The normal
     form can drop a symbol (n1 | ~n1 is true) and a nominal can occur only
     negatively; a fresh point keeps every other point's constraints."""
-    var_map = dict(model.valuation.var_map)
+    valuation = dict(model.valuation)
     for v in variables(phi):
-        var_map.setdefault(v, frozenset())
-    nom_map = dict(model.valuation.nom_map)
-    unplaced = sorted(nominals(phi) - set(nom_map))
-    fresh = tuple("u%d" % k for k in range(len(unplaced)))
-    nom_map.update(zip(unplaced, fresh))
+        valuation.setdefault(FVar(v), 0)
+    unplaced = sorted(k for k in nominals(phi) if FNominal(k) not in valuation)
     frame = model.frame
-    if fresh:
-        pad = (0,) * len(fresh)
-        frame = Frame(frame.points + fresh, frame.r + pad,
-                      None if frame.s is None else frame.s + pad)
-    return Model(frame, Valuation(var_map, nom_map))
+    if unplaced:
+        n = len(frame.points)
+        for k, m in enumerate(unplaced):
+            valuation[FNominal(m)] = 1 << n + k
+        pad = (0,) * len(unplaced)
+        frame = Frame(frame.points + tuple("u%d" % k for k in range(len(unplaced))),
+                      frame.r + pad, None if frame.s is None else frame.s + pad)
+    return Model(frame, valuation)
 
 
 def satisfiable(phi: Formula,

@@ -73,15 +73,6 @@ class Formula:
     def __repr__(self):
         return "parse(%r)" % pretty(self)
 
-    def __and__(self, other):
-        return And(self, other)
-
-    def __or__(self, other):
-        return Or(self, other)
-
-    def __invert__(self):
-        return Not(self)
-
 
 UNIV_BOX, HYB_BOX, NOMINAL, SYMBOL = 1, 2, 4, 8
 

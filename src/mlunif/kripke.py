@@ -1,8 +1,9 @@
 """Finite frames and models, the truth relation, and frame validity.
 
 A `Frame` holds each relation as successor rows, one int per point with
-bit j set when the point sees point j; only the frame text names edges by
-pairs of points.
+bit j set when the point sees point j, and a `Model`'s valuation maps each
+variable and nominal node to the mask of the points where it holds; only
+the frame and valuation texts name points.
 
 `truth_mask` evaluates a formula bottom-up over point-set bitmasks in one
 pass over its DAG.  It works on a `DisjointUnion` of models: each model
@@ -13,10 +14,10 @@ per node for blocks of at most n points, however many blocks there are.
 The universal box of L frames uses the same construction over the "same
 block" relation, so it never looks across models.  One model is a union of
 one block, so a single model and a suite of thousands cost one pass each.
-A union is folded from blocks (a frame's successor rows and the points of
-each symbol as a mask), so a caller that draws its models, as the random
-suite does with `draw_rows`, builds no `Frame`, `Valuation` or `Model` per
-block; each union-wide mask is built once, after the last block.
+A union is folded from blocks, a frame's successor rows and a valuation's
+(symbol, mask) pairs, so a caller that draws its models, as the random
+suite does with `draw_rows`, builds no `Frame` or `Model` per block; each
+union-wide mask is built once, after the last block.
 
 `frame_valid` first splits phi into its top-level conjuncts, which is
 sound because validity distributes over `&`.  A conjunct with no variable
@@ -132,33 +133,22 @@ class Frame(FrozenRecord):
         return L if self.s is None else H2
 
 
-class Valuation(FrozenRecord):
-    var_map: dict[int, frozenset[str]]
-    nom_map: dict[int, str]
-
-    def __init__(self, var_map: dict[int, frozenset[str]] | None = None,
-                 nom_map: dict[int, str] | None = None):
-        object.__setattr__(self, "var_map", {} if var_map is None else var_map)
-        object.__setattr__(self, "nom_map", {} if nom_map is None else nom_map)
-
-    def check_against(self, frame: Frame) -> None:
-        pts = set(frame.points)
-        for idx, points in self.var_map.items():
-            if not set(points) <= pts:
-                raise UnknownPoint("valuation of p%d leaves the frame" % idx)
-        for idx, point in self.nom_map.items():
-            if point not in pts:
-                raise UnknownPoint("valuation of n%d leaves the frame" % idx)
-
-
 class Model(Record):
+    """A frame and a valuation: each variable and nominal node, `Var(k)` or
+    `Nominal(k)`, mapped to the mask of the points where it holds, in the
+    bit order of the frame's points.  A nominal holds at exactly one point."""
     frame: Frame
-    valuation: Valuation
+    valuation: dict[Formula, int]
 
-    def __init__(self, frame: Frame, valuation: Valuation):
+    def __init__(self, frame: Frame, valuation: dict[Formula, int]):
         self.frame = frame
         self.valuation = valuation
-        valuation.check_against(frame)
+        n = len(frame.points)
+        for symbol, mask in valuation.items():
+            if mask >> n:  # a negative mask, too, has bits at and above n
+                raise UnknownPoint("valuation of %s leaves the frame" % pretty(symbol))
+            if type(symbol) is Nominal and (not mask or mask & mask - 1):
+                raise ValueError("nominal %s holds at other than one point" % pretty(symbol))
 
 
 class DisjointUnion:
@@ -170,37 +160,30 @@ class DisjointUnion:
     kept as offset masks: `edges[modality][d]` holds bit i when point i has
     an edge to point i + d, which lies in the same block.  The universal
     relation of L frames is the "same block" relation, so `[u]` never looks
-    across models.  `symbols` maps each variable and nominal, as
-    (Var, index) or (Nominal, index), to the points where it holds, one
-    block after another, and `bound` counts the blocks that bind it.
+    across models.  `symbols` maps each variable and nominal node, `Var(k)`
+    or `Nominal(k)`, to the points where it holds, one block after another,
+    and `bound` counts the blocks that bind it.
 
     The union is folded from blocks, each a frame's R rows, its S rows (None
-    for L frames) and a list of (symbol, mask) pairs, the block-local points
-    where each bound symbol holds: `of_blocks` takes them as drawn, and
-    `DisjointUnion(models)` turns each model into one.  The fold records
-    the union bit of every edge and symbol point and builds each union-wide
-    mask once, at the end, so a block costs the same however many came
-    before it, and a generator of blocks is never held in memory.
+    for L frames) and the (symbol, mask) pairs of its valuation, the
+    block-local points where each bound symbol holds: a model is the block
+    `(frame.r, frame.s, valuation.items())`, and a caller that draws its
+    models, as the random suite does, folds the drawn rows and masks with
+    no `Frame` or `Model` per block.  The fold records the union bit of
+    every edge and symbol point and builds each union-wide mask once, at
+    the end, so a block costs the same however many came before it, and a
+    generator of blocks is never held in memory.
     """
 
-    def __init__(self, models: Iterable[Model]):
-        self._fold(_model_block(model) for model in models)
-
-    @classmethod
-    def of_blocks(cls, blocks: Iterable[tuple]) -> DisjointUnion:
-        union = cls.__new__(cls)
-        union._fold(blocks)
-        return union
-
-    def _fold(self, blocks: Iterable[tuple]) -> None:
+    def __init__(self, blocks: Iterable[tuple]):
         kind: str | None = None
         offsets: list[int] = []
         width = 0
-        bound: dict[tuple[type, int], int] = {}
+        bound: dict[Formula, int] = {}
         # the union bits of each edge offset d of R and S, and of each symbol
         r_at: dict[int, list[int]] = {}
         s_at: dict[int, list[int]] = {}
-        held_at: dict[tuple[type, int], list[int]] = {}
+        held_at: dict[Formula, list[int]] = {}
         for r, s, held in blocks:
             block_kind = L if s is None else H2
             if block_kind != kind:
@@ -233,16 +216,6 @@ class DisjointUnion:
         self.edges = {m: {d: _mask(bits, width) for d, bits in out.items()}
                       for m, out in ((Modality.REL, r_at), (Modality.HYB, s_at))}
         self.edges[Modality.UNIV] = _same_block(offsets, width) if kind == L else {}
-
-
-def _model_block(model: Model) -> tuple:
-    """A model as a block of `DisjointUnion`: its rows and symbol masks."""
-    frame, valuation = model.frame, model.valuation
-    index = {p: i for i, p in enumerate(frame.points)}
-    held = [((Var, v), sum(1 << index[p] for p in points))
-            for v, points in valuation.var_map.items()]
-    held += [((Nominal, m), 1 << index[p]) for m, p in valuation.nom_map.items()]
-    return frame.r, frame.s, held
 
 
 def _mask(bits: list[int], width: int) -> int:
@@ -290,8 +263,8 @@ def placements(one: DisjointUnion, nominal_indices: set[int]) -> DisjointUnion:
                    for m, edges in one.edges.items()}
     diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
     for i in nominal_indices:
-        union.symbols[Nominal, i] = diagonal
-        union.bound[Nominal, i] = n
+        union.symbols[Nominal(i)] = diagonal
+        union.bound[Nominal(i)] = n
     return union
 
 
@@ -339,10 +312,9 @@ def _truth_masks(union: DisjointUnion, nodes: list[Formula],
         elif kind is Iff:
             m = all_mask ^ (masks[f.left] ^ masks[f.right])
         elif kind is Var or kind is Nominal:
-            key = (kind, f.index)
-            if bound.get(key, 0) != blocks:
+            if bound.get(f, 0) != blocks:
                 raise UnboundSymbol("%s is not in the valuation" % pretty(f))
-            m = symbols.get(key, 0)
+            m = symbols.get(f, 0)
         else:
             m = all_mask if f is TOP else 0
         masks[f] = m
@@ -356,9 +328,10 @@ def _truth_masks(union: DisjointUnion, nodes: list[Formula],
 def truth_mask(model: Model | DisjointUnion, phi: Formula) -> int:
     """Bitmask over point indices where phi is true; for a disjoint union,
     over the points of all its models, block after block."""
-    union = model if isinstance(model, DisjointUnion) else DisjointUnion([model])
-    _check_frame_language(phi, union.kind)
-    return _truth_masks(union, list(postorder(phi)), {phi})[phi]
+    if isinstance(model, Model):
+        model = DisjointUnion([(model.frame.r, model.frame.s, model.valuation.items())])
+    _check_frame_language(phi, model.kind)
+    return _truth_masks(model, list(postorder(phi)), {phi})[phi]
 
 
 def model_check(model: Model, point: str, phi: Formula) -> bool:
@@ -393,20 +366,20 @@ def _below(nodes: list[Formula], roots: list[Formula]) -> list[Formula]:
 
 
 def _counter_model(frame: Frame, phi: Formula, nodes: list[Formula],
-                   var_map: dict[int, frozenset[str]], nom_map: dict[int, str],
-                   point: str | None) -> CounterModel:
-    """The counter-model at `point`, with every variable and nominal of phi
-    (`nodes`) that the maps leave out bound to no point or the first point,
-    after model_check confirms that phi is false there."""
+                   valuation: dict[Formula, int], point: int | None) -> CounterModel:
+    """The counter-model at point index `point`, with every variable and
+    nominal of phi (`nodes`) that `valuation` leaves out bound to no point
+    or the first point, after a truth-mask pass confirms that phi is false
+    there."""
     for f in nodes:
         if type(f) is Var:
-            var_map.setdefault(f.index, frozenset())
+            valuation.setdefault(f, 0)
         elif type(f) is Nominal:
-            nom_map.setdefault(f.index, frame.points[0])
-    model = Model(frame, Valuation(var_map, nom_map))
-    if point is None or model_check(model, point, phi):
+            valuation.setdefault(f, 1)
+    model = Model(frame, valuation)
+    if point is None or truth_mask(model, phi) >> point & 1:
         raise InternalCheckFailed("frame_valid produced a bogus counter-model")
-    return CounterModel(model, point)
+    return CounterModel(model, frame.points[point])
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -493,8 +466,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
     """
     _check_frame_language(phi, frame.kind)
     every = nodes = list(postorder(phi))
-    points = frame.points
-    n = len(points)
+    n = len(frame.points)
 
     # the one symbol of each node: 0 for none, k for nominal k alone, -1
     # for a variable or two nominals
@@ -524,15 +496,15 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
     decided = [f for f in parts if only[f] >= 0]
     if decided:
         noms = {only[f] for f in decided} - {0}
-        union = placements(DisjointUnion([Model(frame, Valuation())]), noms)
+        union = placements(DisjointUnion([(frame.r, frame.s, ())]), noms)
         masks = _truth_masks(union, _below(nodes, decided), set(decided))
         all_mask = (1 << union.width) - 1
         for f in decided:
             failing = all_mask ^ masks[f]
             if failing:
                 block, i = divmod((failing & -failing).bit_length() - 1, n)
-                return _counter_model(frame, phi, every, {},
-                                      dict.fromkeys(noms, points[block]), points[i])
+                return _counter_model(frame, phi, every,
+                                      {Nominal(k): 1 << block for k in noms}, i)
     roots = [f for f in parts if only[f] < 0]
     if not roots:
         return Valid()
@@ -544,8 +516,8 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
     for f in roots:
         never = all_mask ^ bounds[f][1]
         if never:  # the root is false there under every valuation
-            return _counter_model(frame, phi, every, {}, {},
-                                  points[(never & -never).bit_length() - 1])
+            return _counter_model(frame, phi, every, {},
+                                  (never & -never).bit_length() - 1)
 
     # one pass, parents before children, gives each node its live points,
     # those where it is relevant and undetermined, and the directions of its
@@ -620,7 +592,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
         if type(f) is Var:
             lits[f] = {i: builder.new_atom() for i in _bits(live[f])}
         else:
-            atoms = [builder.new_atom() for _ in points]
+            atoms = [builder.new_atom() for _ in range(n)]
             builder.exactly_one(atoms)
             lits[f] = dict(enumerate(atoms))
     for f in nodes:
@@ -677,18 +649,14 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
         return Valid()
 
     assignment = result.assignment
-    var_map, nom_map = {}, {}
+    valuation = {}
     for f in symbols:
-        held = [points[i] for i, a in lits[f].items() if assignment[a]]
-        if type(f) is Var:
-            var_map[f.index] = frozenset(held)
-        elif len(held) != 1:
+        held = [i for i, a in lits[f].items() if assignment[a]]
+        if type(f) is Nominal and len(held) != 1:
             raise InternalCheckFailed("nominal n%d placed at %d points" % (f.index, len(held)))
-        else:
-            nom_map[f.index] = held[0]
-    witness = next((points[i] for a, i in falsifying.items()
-                    if assignment[abs(a)] == (a > 0)), None)
-    return _counter_model(frame, phi, every, var_map, nom_map, witness)
+        valuation[f] = sum(1 << i for i in held)
+    witness = next((i for a, i in falsifying.items() if assignment[abs(a)] == (a > 0)), None)
+    return _counter_model(frame, phi, every, valuation, witness)
 
 
 # --- random generation ---------------------------------------------------------
@@ -710,12 +678,6 @@ def draw_rows(rng: random.Random, max_points: int,
         return r, None
     density = rng.uniform(0.1, 0.55)
     return r, tuple([sum([b for b in bits if coin() < density]) for _ in bits])
-
-
-def random_frame(seed: int, max_points: int, kind: str = L) -> Frame:
-    """Deterministic in `seed`; edge density is drawn per frame."""
-    r, s = draw_rows(random.Random(seed), max_points, kind)
-    return Frame(tuple("w%d" % i for i in range(len(r))), r, s)
 
 
 # --- text formats ---------------------------------------------------------------
@@ -767,6 +729,8 @@ def parse_frame(text: str) -> Frame:
         if not line:
             continue
         if line.startswith("points:"):
+            if points is not None:
+                raise ParseError(0, "one 'points:' line, not a second on line %d" % lineno, raw)
             points = tuple(line[len("points:"):].split())
             if not points or len(set(points)) != len(points):
                 raise ParseError(0, "one or more distinct point names on line %d" % lineno, raw)
@@ -804,19 +768,24 @@ def parse_frame(text: str) -> Frame:
     return Frame(points, tuple(r), None if s is None else tuple(s))
 
 
-def serialize_valuation(valuation: Valuation) -> str:
-    lines = []
-    for idx in sorted(valuation.var_map):
-        inner = ", ".join(sorted(valuation.var_map[idx]))
-        lines.append("p%d = {%s}" % (idx, inner))
-    for idx in sorted(valuation.nom_map):
-        lines.append("n%d = %s" % (idx, valuation.nom_map[idx]))
+def serialize_valuation(model: Model) -> str:
+    """One line per symbol, variables then nominals, each by index: a
+    variable's points sorted by name in braces, a nominal's one point."""
+    points, lines = model.frame.points, []
+    for f in sorted(model.valuation, key=lambda f: (type(f) is Nominal, f.index)):
+        held = [points[i] for i in _bits(model.valuation[f])]
+        if type(f) is Nominal:
+            lines.append("n%d = %s" % (f.index, held[0]))
+        else:
+            lines.append("p%d = {%s}" % (f.index, ", ".join(sorted(held))))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_valuation(text: str) -> Valuation:
-    var_map: dict[int, frozenset[str]] = {}
-    nom_map: dict[int, str] = {}
+def parse_valuation(text: str, points: tuple[str, ...]) -> dict[Formula, int]:
+    """Read `serialize_valuation` text as a valuation on the given points;
+    a point outside them raises UnknownPoint, naming its line."""
+    index = {p: i for i, p in enumerate(points)}
+    valuation: dict[Formula, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -829,16 +798,21 @@ def parse_valuation(text: str) -> Valuation:
         symbol = re.fullmatch(r"([pn])(\d+)", name)
         if symbol is None or int(symbol.group(2)) < 1:
             raise ParseError(0, "a name p<k> or n<k> with k >= 1 on line %d" % lineno, raw)
-        index = int(symbol.group(2))
-        if index in (var_map if symbol.group(1) == "p" else nom_map):
+        f = (Var if symbol.group(1) == "p" else Nominal)(int(symbol.group(2)))
+        if f in valuation:
             raise ParseError(0, "a symbol that no earlier line gives, on line %d" % lineno,
                              raw)
-        if symbol.group(1) == "p":
+        if type(f) is Var:
             if not (rhs.startswith("{") and rhs.endswith("}")):
                 raise ParseError(0, "a point set in braces on line %d" % lineno, raw)
-            inner = rhs[1:-1].strip()
-            pts = frozenset(p.strip() for p in inner.split(",") if p.strip()) if inner else frozenset()
-            var_map[index] = pts
+            held = [p.strip() for p in rhs[1:-1].split(",") if p.strip()]
         else:
-            nom_map[index] = rhs
-    return Valuation(var_map, nom_map)
+            held = rhs.split()
+            if len(held) != 1:
+                raise ParseError(0, "one point name on line %d" % lineno, raw)
+        for p in held:
+            if p not in index:
+                raise UnknownPoint("point %s of %s on line %d is not in the frame"
+                                   % (p, name, lineno))
+        valuation[f] = sum(1 << index[p] for p in set(held))
+    return valuation

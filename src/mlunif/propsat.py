@@ -29,6 +29,7 @@ validity check.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from heapq import heapify, heappop, heappush
 
 from .errors import ResourceLimit

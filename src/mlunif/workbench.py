@@ -25,8 +25,7 @@ from .formula import (
     ground_substitutions, size, variables,
 )
 from .kripke import (
-    DisjointUnion, Model, Valid, Valuation, draw_rows, frame_valid, random_frame,
-    truth_mask,
+    DisjointUnion, Frame, Model, Valid, draw_rows, frame_valid, truth_mask,
 )
 from .minsky import Config, MinskyProgram, No, Trace, Unknown, Yes, reaches
 from .encoding import (
@@ -68,45 +67,25 @@ class NotUnifiable(Record):
 PipelineVerdict = Unifiable | NotUnifiable | Unknown
 
 
-def _draw_symbols(rng: random.Random, n: int, language: str,
-                  var_indices) -> list[tuple[tuple[type, int], int]]:
-    """One model's valuation on n points, as (symbol, mask) pairs: each
-    variable holds at a point when `rng.random() < 0.5`, point by point, and
-    in H2 the nominal n1 sits at `rng.randrange(n)`."""
-    coin = rng.random
-    held = [((Var, v), sum([1 << i for i in range(n) if coin() < 0.5])) for v in var_indices]
-    if language == H2:
-        held.append(((Nominal, 1), 1 << rng.randrange(n)))
-    return held
-
-
 def _suite_blocks(seed: int, trials: int, max_points: int, language: str,
                   var_indices) -> Iterator[tuple]:
-    """The suite's seeded models as `DisjointUnion` blocks: per trial, a
-    frame drawn from a stream seeded by `rng.randrange(1 << 30)` (the stream
-    of `random_frame` with that seed), then its valuation from `rng` itself."""
+    """The suite's seeded models as `DisjointUnion` blocks.  Per trial, a
+    frame's rows come from a stream seeded by `rng.randrange(1 << 30)`, then
+    its valuation from `rng` itself: each variable holds at a point when
+    `rng.random() < 0.5`, point by point, and in H2 the nominal n1 sits at
+    `rng.randrange(n)`."""
+    symbols = [Var(v) for v in var_indices]
+    n1 = Nominal(1) if language == H2 else None
     rng, frame_rng = random.Random(seed), random.Random(0)
+    coin = rng.random
     for _ in range(trials):
         frame_rng.seed(rng.randrange(1 << 30))
         r, s = draw_rows(frame_rng, max_points, language)
-        yield r, s, _draw_symbols(rng, len(r), language, var_indices)
-
-
-def _suite_models(seed: int, trials: int, max_points: int, language: str,
-                  var_indices=()) -> Iterator[Model]:
-    """The models of `_suite_blocks`, from the same draws, as `Model`s on
-    `random_frame`'s frames: for replaying a failing model."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        frame = random_frame(rng.randrange(1 << 30), max_points, kind=language)
-        points = frame.points
-        var_map, nom_map = {}, {}
-        for (kind, index), mask in _draw_symbols(rng, len(points), language, var_indices):
-            if kind is Var:
-                var_map[index] = frozenset(p for i, p in enumerate(points) if mask >> i & 1)
-            else:
-                nom_map[index] = points[mask.bit_length() - 1]
-        yield Model(frame, Valuation(var_map, nom_map))
+        n = len(r)
+        held = [(v, sum([1 << i for i in range(n) if coin() < 0.5])) for v in symbols]
+        if n1 is not None:
+            held.append((n1, 1 << rng.randrange(n)))
+        yield r, s, held
 
 
 def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
@@ -118,22 +97,24 @@ def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
     The models are drawn straight into the blocks of one disjoint union, as
     successor rows and symbol masks with no `Model` per trial, and checked
     by a single `truth_mask` pass.  The lowest failing bit names the first
-    failing model and point; that model alone is drawn again as a `Model`
-    by replaying the seeded stream.  As in a model-by-model check, the
-    count stops at the first failing model.  Raises ValueError for fewer
-    than one trial, which would check nothing, or fewer than one point.
+    failing model and point; that model's block alone is drawn again, by
+    replaying the seeded stream, and made a `Model` on points w0, w1, ...
+    As in a model-by-model check, the count stops at the first failing
+    model.  Raises ValueError for fewer than one trial, which would check
+    nothing, or fewer than one point.
     """
     if trials < 1:
         raise ValueError("the random-model suite needs at least one trial, got %d" % trials)
     draw = (seed, trials, max_points, language, sorted(variables(phi)))
-    union = DisjointUnion.of_blocks(_suite_blocks(*draw))
+    union = DisjointUnion(_suite_blocks(*draw))
     failing = ((1 << union.width) - 1) ^ truth_mask(union, phi)
     if not failing:
         return len(union.offsets), None
     bit = (failing & -failing).bit_length() - 1
     k = bisect.bisect_right(union.offsets, bit) - 1
-    model = next(itertools.islice(_suite_models(*draw), k, None))
-    return k + 1, (model, model.frame.points[bit - union.offsets[k]])
+    r, s, held = next(itertools.islice(_suite_blocks(*draw), k, None))
+    frame = Frame(tuple("w%d" % i for i in range(len(r))), r, s)
+    return k + 1, (Model(frame, dict(held)), frame.points[bit - union.offsets[k]])
 
 
 def verify_unifier(sigma: Substitution, reduction: Formula, language: str,

@@ -10,8 +10,7 @@ from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not,
     Or, Substitution, Var, postorder, variables,
 )
-from mlunif.kripke import Frame, Model, Valuation, truth_mask
-from mlunif.workbench import _suite_models
+from mlunif.kripke import DisjointUnion, Frame, Model, draw_rows, truth_mask
 
 _L_MODS = [Modality.REL, Modality.UNIV]
 _MODS = {L: _L_MODS, H2: [Modality.REL, Modality.HYB], None: [Modality.REL]}
@@ -60,6 +59,22 @@ def random_term(rng: random.Random, depth: int):
     return Box(rng.choice(_L_MODS), random_term(rng, depth - 1))
 
 
+def random_frame(seed, max_points, kind=L):
+    """Deterministic in `seed`; edge density is drawn per frame."""
+    r, s = draw_rows(random.Random(seed), max_points, kind)
+    return Frame(tuple("w%d" % i for i in range(len(r))), r, s)
+
+
+def point_mask(frame, *names):
+    """The mask of the named points of `frame`."""
+    return sum(1 << frame.points.index(p) for p in set(names))
+
+
+def union_of(models):
+    """The `DisjointUnion` of `models`, each as its block."""
+    return DisjointUnion((m.frame.r, m.frame.s, m.valuation.items()) for m in models)
+
+
 def prefix_defect_model(seed, program, trace, i, language, check):
     """Random model on which `check` (a ground formula, typically defect_i)
     holds at every point.
@@ -79,12 +94,11 @@ def prefix_defect_model(seed, program, trace, i, language, check):
         r.append(sum(1 << j for j in range(len(points)) if rng.random() < 0.2))
         points.append("x%d" % k)
     s = None
-    nom_map = {}
+    valuation = {}
     if language == H2:
         s = ((1 << len(points)) - 1,) * len(points)
-        nom_map = {1: rng.choice(points)}
-    frame = Frame(tuple(points), tuple(r), s)
-    model = Model(frame, Valuation({}, nom_map))
+        valuation = {Nominal(1): 1 << points.index(rng.choice(points))}
+    model = Model(Frame(tuple(points), tuple(r), s), valuation)
     if not holds_everywhere(model, check):
         return None
     return model
@@ -101,12 +115,13 @@ def holds_everywhere(model, phi):
 
 def random_valuation(seed, frame, var_indices=(), nominal_indices=()):
     rng = random.Random(seed)
-    var_map = {
-        v: frozenset(p for p in frame.points if rng.random() < 0.5)
+    valuation = {
+        Var(v): sum(1 << i for i in range(len(frame.points)) if rng.random() < 0.5)
         for v in sorted(set(var_indices))
     }
-    nom_map = {m: rng.choice(frame.points) for m in sorted(set(nominal_indices))}
-    return Valuation(var_map, nom_map)
+    for m in sorted(set(nominal_indices)):
+        valuation[Nominal(m)] = point_mask(frame, rng.choice(frame.points))
+    return valuation
 
 
 def points_within(frame, start, max_dist):
@@ -215,13 +230,29 @@ def compose(outer, inner):
     return Substitution(out)
 
 
+def suite_models(seed, trials, max_points, language, var_indices=()):
+    """The seeded models of the random-model suite, drawn one `Model` at a
+    time: per trial, `random_frame` of a seed drawn from `rng`, then each
+    variable at each point with `rng.random() < 0.5` and, in H2, the
+    nominal n1 at `rng.randrange(n)`.  The reference for the blocks that
+    `workbench._suite_blocks` draws."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        frame = random_frame(rng.randrange(1 << 30), max_points, kind=language)
+        n = len(frame.points)
+        valuation = {Var(v): sum(1 << i for i in range(n) if rng.random() < 0.5)
+                     for v in var_indices}
+        if language == H2:
+            valuation[Nominal(1)] = 1 << rng.randrange(n)
+        yield Model(frame, valuation)
+
+
 def check_each_random_model(phi, language, seed, trials, max_points):
     """The random-model suite one model at a time: the reference for
     `workbench.check_on_random_models`, which checks the same seeded models
     in one pass over their disjoint union."""
     checked = 0
-    for model in _suite_models(seed, trials, max_points, language,
-                               sorted(variables(phi))):
+    for model in suite_models(seed, trials, max_points, language, sorted(variables(phi))):
         checked += 1
         mask = truth_mask(model, phi)
         full = (1 << len(model.frame.points)) - 1
@@ -243,10 +274,8 @@ def truth_set(model, phi):
     everywhere = set(frame.points)
     sets = {}
     for f in postorder(phi):
-        if isinstance(f, Var):
-            out = set(valuation.var_map[f.index])
-        elif isinstance(f, Nominal):
-            out = {valuation.nom_map[f.index]}
+        if isinstance(f, (Var, Nominal)):
+            out = {p for i, p in enumerate(frame.points) if valuation[f] >> i & 1}
         elif isinstance(f, Not):
             out = everywhere - sets[f.sub]
         elif isinstance(f, (Box, Diamond)):

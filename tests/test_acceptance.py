@@ -9,12 +9,11 @@ import time
 
 from mlunif import decision, propsat
 from mlunif.formula import (
-    H2, L, And, Diamond, Implies, Modality, Nominal, Not, apply_subst, conj,
+    H2, L, And, Diamond, Implies, Modality, Nominal, Not, Var, apply_subst, conj,
     ground_substitutions, parse, pretty,
 )
 from mlunif.kripke import (
-    Frame, Model, Valid, Valuation, frame_valid, model_check, random_frame,
-    transitive_closure, truth_mask,
+    Frame, Model, Valid, frame_valid, model_check, transitive_closure, truth_mask,
 )
 from mlunif.minsky import Config, Yes, parse_program, reaches, run_trace
 from mlunif.encoding import (
@@ -32,8 +31,8 @@ from mlunif.workbench import (
     check_unifiable_via_reduction,
 )
 from helpers import (
-    bit_rows, points_where, points_within, prefix_defect_model, random_formula,
-    random_term, with_total_s,
+    bit_rows, point_mask, points_where, points_within, prefix_defect_model, random_formula,
+    random_frame, random_term, with_total_s,
 )
 from test_propsat import random_cnf, sat_by_truth_table
 from test_kripke import brute_force_frame_valid
@@ -92,7 +91,7 @@ def test_c01_characteristic_exactness():
         program = parse_program(text)
         lf = canonical_frame(program, start, 50, L)
         t0 = time.time()
-        model = Model(lf.frame, Valuation())
+        model = Model(lf.frame, {})
         for point in lf.frame.points:
             where = points_where(model, marker(lf.labels[point]))
             assert where == {point}, (text, point, where)
@@ -195,7 +194,7 @@ def test_c06_unreachable_direction_certificates(tmp_path):
         # every substitution of constants for the two counter variables is
         # refuted on the frame
         reduction = psi(program, start, target, L)
-        model = Model(reloaded.frame, Valuation())
+        model = Model(reloaded.frame, {})
         ground_count = 0
         for sigma in ground_substitutions({1, 2}):
             instance = apply_subst(sigma, reduction)
@@ -282,7 +281,7 @@ def _nom_models(limit, seed_base):
             s = tuple(sum(1 << j for j in range(n) if rng.random() < 0.4) for _ in range(n))
             frame = Frame(base.points + ("island",), base.r + (0,), s + (0,))
         owner = "island" if style == 2 else rng.choice(frame.points)
-        model = Model(frame, Valuation({}, {1: owner}))
+        model = Model(frame, {Nominal(1): point_mask(frame, owner)})
         if not model_check(model, frame.points[0], nom):
             continue
         produced += 1
@@ -317,10 +316,10 @@ def test_c10_surrogate_matches_global_diamond():
     frames = 0
     for seed in range(200):
         frame = with_total_s(random_frame(seed, 6))
-        owner = frame.points[rng.randrange(len(frame.points))]
-        model = Model(frame, Valuation({1: frozenset(
-            p for p in frame.points if rng.random() < 0.5)}, {1: owner}))
         n = len(frame.points)
+        owner = rng.randrange(n)
+        model = Model(frame, {Var(1): sum(1 << i for i in range(n) if rng.random() < 0.5),
+                              Nominal(1): 1 << owner})
         full = (1 << n) - 1
         for _ in range(50):
             phi = random_formula(rng, depth=3, num_vars=1, language="H2")

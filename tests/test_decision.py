@@ -13,14 +13,14 @@ from mlunif.formula import (
     H2, L, And, Box, Diamond, Implies, Modality, Nominal, Not, Var, apply_subst,
     conj, parse, variables,
 )
-from mlunif.kripke import (
-    DisjointUnion, Frame, Model, Valuation, model_check, random_frame, truth_mask,
-)
+from mlunif.kripke import Frame, Model, model_check, truth_mask
 from mlunif.decision import CounterModel, Sat, Unsat, Valid, satisfiable, valid
 from mlunif.encoding import psi, tower
 from mlunif.minsky import Config, parse_program, reaches
 from mlunif.witness import witness_from_trace
-from helpers import bit_rows, holds_everywhere, random_formula, random_valuation
+from helpers import (
+    bit_rows, holds_everywhere, random_formula, random_frame, random_valuation, union_of,
+)
 
 REL = Modality.REL
 UNIV = Modality.UNIV
@@ -112,9 +112,9 @@ def test_kh2_nominal_merge_sat_when_consistent():
     phi = parse("<h>(n1 & p1) & <h>(n1 & p2)", H2)
     result = satisfiable(phi)
     assert isinstance(result, Sat)
-    owner = result.model.valuation.nom_map[1]
-    assert owner in result.model.valuation.var_map[1]
-    assert owner in result.model.valuation.var_map[2]
+    valuation = result.model.valuation
+    owner = valuation[Nominal(1)]
+    assert owner & valuation[Var(1)] and owner & valuation[Var(2)]
 
 
 def test_kh2_two_relations_are_independent():
@@ -128,7 +128,7 @@ def test_kh2_two_relations_are_independent():
 def test_kh2_negative_nominal_only():
     result = satisfiable(parse("~n1 & <>~n1", H2))
     assert isinstance(result, Sat)
-    assert 1 in result.model.valuation.nom_map
+    assert Nominal(1) in result.model.valuation
 
 
 def test_kh2_disjunction_with_a_conjunction_arm():
@@ -212,23 +212,23 @@ def test_sat_side_agrees_with_small_model_search():
     def small_models(size, language):
         for n in range(1, size + 1):
             pts = ("x", "y", "z")[:n]
-            subsets = [frozenset(p for i, p in enumerate(pts) if bits >> i & 1)
-                       for bits in range(1 << n)]
+            subsets = range(1 << n)
             relations = [bit_rows(bits, n) for bits in range(1 << n * n)]
             if language == L:
                 frames = [Frame(pts, r) for r in relations]
                 nominal_maps = [{}]
             else:
                 frames = [Frame(pts, r, s) for r in relations for s in relations]
-                nominal_maps = [{1: a, 2: b} for a in pts for b in pts]
+                nominal_maps = [{Nominal(1): 1 << a, Nominal(2): 1 << b}
+                                for a in range(n) for b in range(n)]
             for frame in frames:
                 for v1 in subsets:
                     for v2 in subsets:
                         for noms in nominal_maps:
-                            yield Model(frame, Valuation({1: v1, 2: v2}, noms))
+                            yield Model(frame, {Var(1): v1, Var(2): v2, **noms})
 
     for language, size, count, formulas in cases:
-        union = DisjointUnion(small_models(size, language))
+        union = union_of(small_models(size, language))
         assert len(union.offsets) == count
         for phi in formulas:
             got = satisfiable(phi)

@@ -9,16 +9,14 @@ from mlunif.formula import (
     H2, L, TOP, And, Diamond, Implies, Modality, Nominal, Not, Or, Var,
     language_of, nominals, parse, postorder, variables,
 )
-from mlunif.kripke import (
-    Frame, Model, Valuation, model_check, random_frame, transitive_closure,
-)
+from mlunif.kripke import Frame, Model, model_check, transitive_closure
 from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_program
 from mlunif.encoding import (
     LabeledFrame, ax_instruction, ax_program, canonical_frame, config_formula,
     epsilon, exists, marker, nom_formula, parse_labeled_frame, pi_tau, psi,
     serialize_labeled_frame, tower, PI1, PI2, TAU1, TAU2,
 )
-from helpers import modal_depth, points_where, successors
+from helpers import modal_depth, points_where, random_frame, successors
 
 REL = Modality.REL
 
@@ -220,7 +218,7 @@ def test_canonical_frame_hybrid_s_is_full_product():
 def test_characteristic_exactness_small():
     prog = parse_program("1 -> 2,+1,0")
     lf = canonical_frame(prog, Config(1, 0, 0), 10, L)
-    model = Model(lf.frame, Valuation())
+    model = Model(lf.frame, {})
     for point in lf.frame.points:
         formula = marker(lf.labels[point])
         assert points_where(model, formula) == {point}, point
@@ -332,7 +330,7 @@ def test_parse_labeled_frame_checks_label_syntax_only():
 
 def test_frame_satisfies_marker_expectations():
     lf = canonical_frame(MinskyProgram(()), Config(1, 0, 0), 5, L)
-    model = Model(lf.frame, Valuation())
+    model = Model(lf.frame, {})
     assert model_check(model, "b", marker("beta"))
     assert not model_check(model, "a", marker("beta"))
     assert model_check(model, "a", marker("alpha"))

@@ -6,20 +6,23 @@ import pytest
 
 from mlunif import propsat
 from mlunif.encoding import ax_program, canonical_frame
-from mlunif.errors import LanguageMismatch, ParseError, UnboundSymbol, UnknownPoint
+from mlunif.errors import (
+    InternalCheckFailed, LanguageMismatch, ParseError, UnboundSymbol, UnknownPoint,
+)
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not, Or,
     Substitution, Var, apply_subst, conj, nominals, parse, variables,
 )
 from mlunif.minsky import Config, parse_program
 from mlunif.kripke import (
-    CounterModel, DisjointUnion, Frame, Model, Valid, Valuation, frame_valid, model_check,
-    parse_frame, parse_valuation, placements, random_frame, serialize_frame,
-    serialize_valuation, transitive_closure, transitive_reduction, truth_mask,
+    CounterModel, DisjointUnion, Frame, Model, Valid, frame_valid, model_check, parse_frame,
+    parse_valuation, placements, serialize_frame, serialize_valuation, transitive_closure,
+    transitive_reduction, truth_mask,
 )
 from helpers import (
     bit_rows, closure_by_search, holds_everywhere, is_transitive, offset_masks_by_pairs,
-    points_where, points_within, random_formula, random_valuation, truth_set,
+    point_mask, points_where, points_within, random_formula, random_frame, random_valuation,
+    truth_set, union_of,
 )
 
 REL = Modality.REL
@@ -33,55 +36,48 @@ def single_point_frame(reflexive):
 def brute_force_frame_valid(frame, phi):
     """Oracle: enumerate every valuation of phi's variables, every owner
     point of each of its nominals, and every point."""
-    var_indices = sorted(variables(phi))
-    nom_indices = sorted(nominals(phi))
-    pts = list(frame.points)
-    for subset_choice in itertools.product([False, True], repeat=len(var_indices) * len(pts)):
-        var_map = {}
-        bit = 0
-        for v in var_indices:
-            chosen = set()
-            for p in pts:
-                if subset_choice[bit]:
-                    chosen.add(p)
-                bit += 1
-            var_map[v] = frozenset(chosen)
-        for owners in itertools.product(pts, repeat=len(nom_indices)):
-            model = Model(frame, Valuation(var_map, dict(zip(nom_indices, owners))))
-            for p in pts:
+    var_nodes = [Var(v) for v in sorted(variables(phi))]
+    nom_nodes = [Nominal(m) for m in sorted(nominals(phi))]
+    n = len(frame.points)
+    for masks in itertools.product(range(1 << n), repeat=len(var_nodes)):
+        for owners in itertools.product(range(n), repeat=len(nom_nodes)):
+            valuation = dict(zip(var_nodes, masks))
+            valuation.update((m, 1 << i) for m, i in zip(nom_nodes, owners))
+            model = Model(frame, valuation)
+            for p in frame.points:
                 if not model_check(model, p, phi):
                     return False
     return True
 
 
 def test_vacuous_box_on_isolated_point():
-    model = Model(single_point_frame(False), Valuation())
+    model = Model(single_point_frame(False), {})
     assert model_check(model, "x", Box(REL, BOT))
     assert not model_check(model, "x", Diamond(REL, TOP))
 
 
 def test_alpha_on_reflexive_point():
-    model = Model(single_point_frame(True), Valuation())
+    model = Model(single_point_frame(True), {})
     assert model_check(model, "x", ALPHA)
     assert not model_check(model, "x", parse("[]false"))
 
 
 def test_model_check_errors():
-    model = Model(single_point_frame(True), Valuation())
+    model = Model(single_point_frame(True), {})
     with pytest.raises(UnknownPoint):
         model_check(model, "y", TOP)
     with pytest.raises(UnboundSymbol):
         model_check(model, "x", Var(1))
     with pytest.raises(LanguageMismatch):
         model_check(model, "x", Box(Modality.HYB, TOP))
-    hybrid = Model(Frame(("x",), (0,), (0,)), Valuation())
+    hybrid = Model(Frame(("x",), (0,), (0,)), {})
     with pytest.raises(LanguageMismatch):
         model_check(hybrid, "x", Box(Modality.UNIV, TOP))
 
 
 def test_universal_clauses():
     frame = parse_frame("points: x y\nR: x y\n")
-    model = Model(frame, Valuation({1: frozenset({"y"})}, {}))
+    model = Model(frame, {Var(1): point_mask(frame, "y")})
     assert model_check(model, "x", Diamond(Modality.UNIV, Var(1)))
     assert not model_check(model, "x", Box(Modality.UNIV, Var(1)))
     assert points_where(model, Var(1)) == {"y"}
@@ -89,7 +85,7 @@ def test_universal_clauses():
 
 def test_hybrid_clauses():
     frame = parse_frame("points: x y\nR: x y\nS: y x\n")
-    model = Model(frame, Valuation({1: frozenset({"y"})}, {1: "x"}))
+    model = Model(frame, {Var(1): point_mask(frame, "y"), Nominal(1): point_mask(frame, "x")})
     assert model_check(model, "y", Diamond(Modality.HYB, Nominal(1)))
     assert not model_check(model, "x", Diamond(Modality.HYB, Nominal(1)))
     assert model_check(model, "x", Nominal(1))
@@ -152,7 +148,17 @@ def test_frame_valid_with_nominals():
     sat_phi = parse("n1 & <h>~n1", H2)
     result = frame_valid(frame, Not(sat_phi))
     assert isinstance(result, CounterModel)
-    assert result.model.valuation.nom_map[1] in ("x", "y")
+    assert result.model.valuation[Nominal(1)] in (0b01, 0b10)
+
+
+def test_frame_valid_rejects_a_nominal_at_two_points(monkeypatch):
+    # the exactly-one clauses keep each nominal at one point; a model that
+    # broke them is an internal fault, not a counter-model
+    frame = parse_frame("points: a b\nS: a b\n")
+    monkeypatch.setattr(propsat, "solve",
+                        lambda cnf: propsat.Sat([False] + [True] * cnf.num_atoms))
+    with pytest.raises(InternalCheckFailed, match="nominal n1 placed at 2 points"):
+        frame_valid(frame, parse("n1 -> p1", H2))
 
 
 def test_frame_valid_agrees_with_brute_force_on_hybrid_frames():
@@ -207,9 +213,8 @@ def check_against_oracle(frame, phi):
     assert isinstance(got, Valid) == brute_force_frame_valid(frame, phi), (
         serialize_frame(frame), phi)
     if isinstance(got, CounterModel):
-        valuation = got.model.valuation
-        assert set(valuation.var_map) == variables(phi)
-        assert set(valuation.nom_map) == nominals(phi)
+        assert set(got.model.valuation) == ({Var(v) for v in variables(phi)}
+                                            | {Nominal(m) for m in nominals(phi)})
         assert not model_check(got.model, got.point, phi)
     return isinstance(got, Valid)
 
@@ -243,8 +248,9 @@ def test_placements_is_the_union_of_every_placement():
     rng = random.Random(8)
     for seed in range(40):
         frame = random_frame(seed, 5, kind=H2)
-        union = placements(DisjointUnion([Model(frame, Valuation())]), {1, 2})
-        models = DisjointUnion(Model(frame, Valuation({}, {1: p, 2: p})) for p in frame.points)
+        union = placements(DisjointUnion([(frame.r, frame.s, ())]), {1, 2})
+        models = union_of(Model(frame, {Nominal(1): 1 << i, Nominal(2): 1 << i})
+                          for i in range(len(frame.points)))
         assert (union.offsets, union.width) == (models.offsets, models.width)
         for _ in range(10):
             phi = random_formula(rng, depth=3, num_vars=0, language=H2, num_noms=2)
@@ -444,9 +450,7 @@ def test_semantic_substitution_lemma():
             2: random_formula(rng, depth=2, num_vars=2, language=L),
         })
         base = Model(frame, random_valuation(trial + 1, frame, var_indices=(1, 2)))
-        reinterpreted = Model(frame, Valuation({
-            v: frozenset(points_where(base, sigma.get(v))) for v in (1, 2)
-        }, {}))
+        reinterpreted = Model(frame, {Var(v): truth_mask(base, sigma.get(v)) for v in (1, 2)})
         assert truth_mask(base, apply_subst(sigma, phi)) == truth_mask(reinterpreted, phi)
 
 
@@ -509,14 +513,18 @@ def test_frame_row_and_text_errors():
         with pytest.raises(ParseError) as info:
             parse_frame(text)
         assert "on line 2" in str(info.value), text
+    # a second `points:` line is an error, not a silent overwrite
+    with pytest.raises(ParseError) as info:
+        parse_frame("points: a b\npoints: a b c\nR: a c\n")
+    assert str(info.value).endswith("expected one 'points:' line, not a second on line 2")
 
 
 def test_valuation_text_roundtrip():
-    val = Valuation({1: frozenset({"a", "c"}), 2: frozenset()}, {1: "b"})
-    text = serialize_valuation(val)
-    assert "p1 = {a, c}" in text
-    assert "n1 = b" in text
-    assert parse_valuation(text) == val
+    frame = Frame(("a", "b", "c"), (0, 0, 0), (0, 0, 0))
+    model = Model(frame, {Var(1): 0b101, Var(2): 0, Nominal(1): 0b010})
+    text = serialize_valuation(model)
+    assert text == "p1 = {a, c}\np2 = {}\nn1 = b\n"
+    assert parse_valuation(text, frame.points) == model.valuation
 
 
 @pytest.mark.parametrize("text, line, lineno", [
@@ -526,25 +534,36 @@ def test_valuation_text_roundtrip():
 def test_valuation_text_gives_each_symbol_once(text, line, lineno):
     # a repeated symbol is an error, not a silent overwrite
     with pytest.raises(ParseError) as info:
-        parse_valuation(text)
+        parse_valuation(text, ("a", "b"))
     assert str(info.value) == ("parse error at 0 near %r: expected a symbol that no "
                                "earlier line gives, on line %d" % (line, lineno))
-    assert parse_valuation("p1 = {a}\nn1 = a\n") == Valuation({1: frozenset("a")}, {1: "a"})
+    assert parse_valuation("p1 = {a}\nn1 = a\n", ("a", "b")) == {Var(1): 1, Nominal(1): 1}
+
+
+def test_valuation_text_errors_name_their_line():
+    # a point outside the frame, in a set or as a nominal's owner
+    for text, message in (("p1 = {a}\np2 = {b, z}\n", "point z of p2 on line 2"),
+                          ("# n1 at z\n\nn1 = z\n", "point z of n1 on line 3")):
+        with pytest.raises(UnknownPoint) as info:
+            parse_valuation(text, ("a", "b"))
+        assert str(info.value) == message + " is not in the frame"
+    # a nominal names one point, not a set of them
+    with pytest.raises(ParseError) as info:
+        parse_valuation("p1 = {a}\nn1 = a b\n", ("a", "b"))
+    assert str(info.value).endswith("expected one point name on line 2")
 
 
 def test_holds_everywhere():
     frame = single_point_frame(True)
-    model = Model(frame, Valuation())
+    model = Model(frame, {})
     assert holds_everywhere(model, ALPHA)
     assert not holds_everywhere(model, parse("[]false"))
 
 
 def test_universal_box_stays_inside_its_block():
-    everywhere = Model(parse_frame("points: a b c\nR: a b\n"),
-                       Valuation({1: frozenset({"a", "b", "c"})}))
-    nowhere = Model(parse_frame("points: d e\nR: e e\n"),
-                    Valuation({1: frozenset()}))
-    union = DisjointUnion([everywhere, nowhere])
+    everywhere = Model(parse_frame("points: a b c\nR: a b\n"), {Var(1): 0b111})
+    nowhere = Model(parse_frame("points: d e\nR: e e\n"), {Var(1): 0})
+    union = union_of([everywhere, nowhere])
     assert union.offsets == [0, 3] and union.width == 5
     assert truth_mask(union, parse("[u]p1")) == 0b00111
     assert truth_mask(union, parse("<u>~p1")) == 0b11000
@@ -561,7 +580,7 @@ def test_disjoint_union_masks_are_per_model_masks_side_by_side():
         for seed in range(6):
             frame = random_frame(seed, 5, kind=language)
             models.append(Model(frame, random_valuation(seed, frame, (1, 2), noms)))
-        union = DisjointUnion(models)
+        union = union_of(models)
         for _ in range(60):
             phi = random_formula(rng, 4, 2, language, num_noms=len(noms))
             expected = 0
@@ -575,19 +594,19 @@ def test_disjoint_union_masks_are_per_model_masks_side_by_side():
 
 def test_disjoint_union_offset_masks_match_pairs_reference():
     for language in (L, H2):
-        models = [Model(random_frame(seed, 6, kind=language), Valuation())
+        models = [Model(random_frame(seed, 6, kind=language), {})
                   for seed in range(40)]
         for k in (1, 7, 40):
-            assert DisjointUnion(models[:k]).edges == offset_masks_by_pairs(models[:k])
+            assert union_of(models[:k]).edges == offset_masks_by_pairs(models[:k])
 
 
 def test_disjoint_union_errors():
-    bound = Model(Frame(("a",), (0,)), Valuation({1: frozenset({"a"})}))
-    unbound = Model(Frame(("b",), (0,)), Valuation())
+    bound = Model(Frame(("a",), (0,)), {Var(1): 1})
+    unbound = Model(Frame(("b",), (0,)), {})
     with pytest.raises(UnboundSymbol):
-        truth_mask(DisjointUnion([bound, unbound]), parse("p1"))
-    hybrid = Model(Frame(("c",), (0,), (0,)), Valuation())
+        truth_mask(union_of([bound, unbound]), parse("p1"))
+    hybrid = Model(Frame(("c",), (0,), (0,)), {})
     with pytest.raises(ValueError):
-        DisjointUnion([bound, hybrid])
+        union_of([bound, hybrid])
     with pytest.raises(LanguageMismatch):
-        truth_mask(DisjointUnion([hybrid, hybrid]), parse("[u]true"))
+        truth_mask(union_of([hybrid, hybrid]), parse("[u]true"))

@@ -5,14 +5,14 @@ import pytest
 
 from mlunif import decision, encoding, eqtheory, kripke, minsky, propsat, workbench
 from mlunif.errors import DeterminismError, UnknownPoint
-from mlunif.formula import Substitution, Var
+from mlunif.formula import Nominal, Substitution, Var
 from mlunif.record import FrozenRecord, Record
 
 CONFIG = minsky.Config(1, 0, 0)
 INC = minsky.Inc(1, 1, 2)
 TRACE = minsky.Trace((CONFIG, minsky.Config(2, 1, 0)), (INC,), minsky.REACHED)
 FRAME = kripke.Frame(("a", "b"), (2, 0), (3, 3))
-VALUATION = kripke.Valuation({1: frozenset({"a"})}, {1: "b"})
+VALUATION = {Var(1): 0b01, Nominal(1): 0b10}
 MODEL = kripke.Model(FRAME, VALUATION)
 LABELED = encoding.LabeledFrame(FRAME, {"a": "m"}, 2)
 EVIDENCE = workbench.ValidityEvidence("random_models", 10, 1, 8)
@@ -28,7 +28,6 @@ EXAMPLES = {
     minsky.No: (),
     minsky.Unknown: ("no verdict",),
     kripke.Frame: (("a", "b"), (2, 0), (3, 3)),
-    kripke.Valuation: ({1: frozenset({"a"})}, {1: "b"}),
     kripke.Model: (FRAME, VALUATION),
     kripke.Valid: (),
     kripke.CounterModel: (MODEL, "a"),
@@ -75,10 +74,10 @@ def test_positional_and_keyword_construction(cls):
 
 
 @pytest.mark.parametrize("cls", [cls for cls in CLASSES if EXAMPLES[cls]
-                                 and cls not in (kripke.Valuation, minsky.Unknown)],
+                                 and cls is not minsky.Unknown],
                          ids=lambda cls: cls.__qualname__)
 def test_missing_argument(cls):
-    """(A Valuation or an Unknown has a default for every field.)"""
+    """(An Unknown has a default for every field.)"""
     with pytest.raises(TypeError):
         cls()
     with pytest.raises(TypeError):
@@ -94,9 +93,6 @@ def test_defaults():
     assert first.clauses == [] and first.clauses is not second.clauses
     first.clauses.append([1])
     assert propsat.CNF(3).clauses == []
-    first, second = kripke.Valuation(), kripke.Valuation()
-    assert first == kripke.Valuation({}, {})
-    assert first.var_map is not second.var_map and first.nom_map is not second.nom_map
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__qualname__)
@@ -133,7 +129,7 @@ def test_config_compares_and_hashes_its_own_fields():
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__qualname__)
 def test_hashing(cls):
     record, twin = cls(*EXAMPLES[cls]), cls(*EXAMPLES[cls])
-    if cls not in FROZEN or cls is kripke.Valuation:  # a Valuation holds dicts
+    if cls not in FROZEN:
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -177,10 +173,14 @@ def test_validation_on_construction():
         kripke.Frame(("a", "b"), (4, 0))
     with pytest.raises(UnknownPoint, match="an S edge leaves"):
         kripke.Frame(("a", "b"), (0, 0), (0, -1))
-    with pytest.raises(UnknownPoint, match="valuation of p1"):
-        kripke.Model(FRAME, kripke.Valuation({1: frozenset({"c"})}, {}))
+    for mask in (0b100, -1):
+        with pytest.raises(UnknownPoint, match="valuation of p1"):
+            kripke.Model(FRAME, {Var(1): mask})
     with pytest.raises(UnknownPoint, match="valuation of n1"):
-        kripke.Model(FRAME, kripke.Valuation({}, {1: "c"}))
+        kripke.Model(FRAME, {Nominal(1): 0b100})
+    for mask in (0, 0b11):
+        with pytest.raises(ValueError, match="nominal n1 holds at other than one point"):
+            kripke.Model(FRAME, {Nominal(1): mask})
 
 
 def test_repr():

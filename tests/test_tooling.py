@@ -143,6 +143,31 @@ def test_every_defaulted_parameter_is_set_by_a_caller_in_the_package():
     assert unset_parameters() == set(UNSET_ALLOWED)
 
 
+def test_every_annotation_resolves():
+    """`typing.get_type_hints` evaluates the annotations of every package
+    function and method, so each name they use must be imported (the
+    annotations are strings under `from __future__ import annotations`)."""
+    import importlib
+    import inspect
+    import typing
+
+    checked = 0
+    for entry in sorted(os.listdir(SRC)):
+        if not entry.endswith(".py"):
+            continue
+        module = importlib.import_module("mlunif." + entry[:-3])
+        owned = [v for v in vars(module).values()
+                 if getattr(v, "__module__", None) == module.__name__]
+        functions = [v for v in owned if inspect.isfunction(v)]
+        for cls in filter(inspect.isclass, owned):
+            functions += [getattr(v, "__func__", v) for v in vars(cls).values()
+                          if inspect.isfunction(getattr(v, "__func__", v))]
+        for fn in functions:
+            typing.get_type_hints(fn)
+            checked += 1
+    assert checked > 100
+
+
 def test_start_up_loads_no_heavy_modules():
     """Every `mlunif` call is a fresh process, so the package's imports are
     paid on each one: none of these may be loaded (`dataclasses` alone

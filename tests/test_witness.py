@@ -9,12 +9,10 @@ import mlunif
 
 from mlunif import decision, witness
 from mlunif.formula import (
-    BOT, H2, L, And, Not, Substitution, apply_subst, language_of, nominals,
+    BOT, H2, L, And, Nominal, Not, Substitution, apply_subst, language_of, nominals,
     parse, pretty, size, variables,
 )
-from mlunif.kripke import (
-    DisjointUnion, Frame, Model, Valuation, random_frame, transitive_closure, truth_mask,
-)
+from mlunif.kripke import Frame, Model, transitive_closure, truth_mask
 from mlunif.minsky import Config, parse_config, parse_program, reaches, run_trace
 from mlunif.encoding import (
     PI1, PI2, TAU1, TAU2, config_exists, config_formula, pi_tau, psi, tower,
@@ -23,7 +21,9 @@ from mlunif.witness import (
     defect_formulas, no_defect_lemma, shifted_counter_index, shifted_counter_marker,
     step_lemmas, witness_from_trace,
 )
-from helpers import holds_everywhere, prefix_defect_model
+from helpers import (
+    holds_everywhere, point_mask, prefix_defect_model, random_frame, union_of,
+)
 
 
 def trace_of(program_text, start, bound=50):
@@ -83,7 +83,7 @@ def test_substituted_psi_holds_on_random_models_universal():
     assert variables(bound_formula) == set()
     for seed in range(60):
         frame = random_frame(seed, 6)
-        assert holds_everywhere(Model(frame, Valuation()), bound_formula), seed
+        assert holds_everywhere(Model(frame, {}), bound_formula), seed
 
 
 def test_substituted_psi_holds_on_random_models_hybrid():
@@ -94,7 +94,7 @@ def test_substituted_psi_holds_on_random_models_hybrid():
     rng = random.Random(5)
     for seed in range(40):
         frame = random_frame(seed, 5, kind="H2")
-        valuation = Valuation({}, {1: rng.choice(frame.points)})
+        valuation = {Nominal(1): point_mask(frame, rng.choice(frame.points))}
         assert holds_everywhere(Model(frame, valuation), bound_formula), seed
 
 
@@ -258,7 +258,7 @@ def test_valid_lemmas_give_valid_substituted_psi():
             frame = random_frame(seed, 6)
             if seed % 2:
                 frame = Frame(frame.points, transitive_closure(frame.r))
-            assert holds_everywhere(Model(frame, Valuation()), bound_formula), (name, seed)
+            assert holds_everywhere(Model(frame, {}), bound_formula), (name, seed)
 
 
 def test_valid_lemmas_give_valid_substituted_hybrid_psi(monkeypatch):
@@ -282,7 +282,7 @@ def test_valid_lemmas_give_valid_substituted_hybrid_psi(monkeypatch):
             assert all(holds_everywhere(m, bound_formula) for m in models), (name, i)
         mutants = 0
         for i, models in prefix_models.items():
-            union = DisjointUnion(models)
+            union = union_of(models)
             for counter in (1, 2):
                 for delta in (1, -1):
                     if (shifted_counter_index(trace, i, counter) + delta < 0
@@ -315,8 +315,8 @@ import mlunif.cli
 assert sys.getrecursionlimit() == limit, "importing mlunif changed the recursion limit"
 from mlunif.encoding import psi, tower
 from mlunif.formula import (
-    L, apply_subst, parse, parse_substitution, pretty, size)
-from mlunif.kripke import Frame, Model, Valid, Valuation, frame_valid, truth_mask
+    L, Var, apply_subst, parse, parse_substitution, pretty, size)
+from mlunif.kripke import Frame, Model, Valid, frame_valid, truth_mask
 from mlunif.minsky import Config, parse_program, run_trace
 from mlunif.witness import witness_from_trace
 
@@ -329,7 +329,7 @@ bound = apply_subst(sigma, reduction)
 assert size(bound) == 40 * steps + 122
 frame = Frame(("a", "b"), (0b10, 0b10))
 assert isinstance(frame_valid(frame, bound), Valid)
-model = Model(frame, Valuation({1: frozenset("a"), 2: frozenset("b")}, {}))
+model = Model(frame, {Var(1): 0b01, Var(2): 0b10})
 truth_mask(model, bound)
 assert parse(pretty(bound)) is bound
 assert parse_substitution(sigma.serialize()) == sigma

@@ -9,7 +9,7 @@ import pytest
 
 from mlunif.errors import LanguageMismatch, UnboundSymbol
 from mlunif.formula import (
-    BOT, H2, L, And, Nominal, Substitution, TOP, Var, conj, disj, language_of, parse,
+    BOT, H2, L, And, Substitution, TOP, conj, disj, language_of, parse,
 )
 from mlunif.kripke import (
     CounterModel, DisjointUnion, frame_valid, model_check, serialize_frame,
@@ -28,13 +28,15 @@ from mlunif.witness import (
 )
 from mlunif.formula import apply_subst, variables
 from mlunif.workbench import (
-    NotUnifiable, Unifiable, Unknown, _suite_blocks, _suite_models, certificate_checks,
+    NotUnifiable, Unifiable, Unknown, _suite_blocks, certificate_checks,
     check_on_random_models, check_unifiable_via_reduction, ground_unifiable,
     verdict_report,
 )
 import mlunif
 from mlunif import cli, decision, encoding, propsat
-from helpers import check_each_random_model, offset_masks_by_pairs, random_formula
+from helpers import (
+    check_each_random_model, offset_masks_by_pairs, random_formula, suite_models, union_of,
+)
 
 
 def test_zero_step_reachability_gives_trivial_unifier():
@@ -279,7 +281,7 @@ def test_one_pass_suite_matches_model_by_model_reference():
 
 
 # sha256 of the serialize_frame + serialize_valuation text of
-# `_suite_models(1, 200, 8, language, [1, 2])`, recorded before the suite drew
+# `suite_models(1, 200, 8, language, [1, 2])`, recorded before the suite drew
 # its models straight into a disjoint union: a change in how the suite draws
 # changes the models it checks
 _SUITE_DIGEST = {
@@ -290,8 +292,8 @@ _SUITE_DIGEST = {
 
 def test_suite_draws_the_recorded_models():
     for language, digest in _SUITE_DIGEST.items():
-        text = "".join(serialize_frame(model.frame) + serialize_valuation(model.valuation)
-                       for model in _suite_models(1, 200, 8, language, [1, 2]))
+        text = "".join(serialize_frame(model.frame) + serialize_valuation(model)
+                       for model in suite_models(1, 200, 8, language, [1, 2]))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -304,9 +306,9 @@ def test_suite_union_matches_the_fold_of_its_models():
             for trials in (1, 97):
                 for max_points in (1, 8):
                     draw = (trials + max_points, trials, max_points, language, var_indices)
-                    union = DisjointUnion.of_blocks(_suite_blocks(*draw))
-                    models = list(_suite_models(*draw))
-                    folded = DisjointUnion(models)
+                    union = DisjointUnion(_suite_blocks(*draw))
+                    models = list(suite_models(*draw))
+                    folded = union_of(models)
                     assert union.kind == folded.kind == language
                     assert union.offsets == folded.offsets
                     assert union.width == folded.width == sum(len(m.frame.points)
@@ -318,12 +320,8 @@ def test_suite_union_matches_the_fold_of_its_models():
                     # the symbols point by point, block after block
                     symbols = {}
                     for model, offset in zip(models, union.offsets):
-                        points = model.frame.points
-                        held = [((Var, v), ps) for v, ps in model.valuation.var_map.items()]
-                        held += [((Nominal, m), {p}) for m, p in model.valuation.nom_map.items()]
-                        for symbol, ps in held:
-                            symbols[symbol] = symbols.get(symbol, 0) | sum(
-                                1 << offset + points.index(p) for p in ps)
+                        for symbol, mask in model.valuation.items():
+                            symbols[symbol] = symbols.get(symbol, 0) | mask << offset
                     assert union.symbols == symbols
                     assert union.bound == dict.fromkeys(symbols, trials)
     for trials, max_points in ((0, 8), (5, 0)):
@@ -495,10 +493,13 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
         (None, modelcheck("--frame", str(frame), formula="n0")),
         ("points:\n", bad_frame),
         ("points: a a\n", bad_frame),
+        ("points: a b\npoints: a b c\n", bad_frame),
         ("points: a\nlabel: a a(3,0)\n", bad_frame),
         ("px = {a}\n", bad_valuation),
         ("p0 = {a}\n", bad_valuation),
         ("n0 = a\n", bad_valuation),
+        ("p1 = {a, z}\n", bad_valuation),
+        ("n1 = a b\n", bad_valuation),
         # malformed generator lines, each named by its line
         ("points: a b\nlabel: a alpha\nR*: a\n", bad_frame),
         ("points: a b\nlabel: a alpha\nR*: a z\n", bad_frame),
