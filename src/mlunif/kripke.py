@@ -21,7 +21,7 @@ union-wide mask is built once, after the last block.
 
 `frame_valid` first splits phi into its top-level conjuncts, which is
 sound because validity distributes over `&`.  A conjunct with no variable
-and at most one nominal has as valuations exactly the n placements of that
+and one nominal has as valuations exactly the n placements of that
 nominal, so one truth-mask pass over `placements`, a union of n copies of
 the frame with the nominal at point k of copy k, decides it without SAT.
 
@@ -30,19 +30,32 @@ falsifying valuation and point, and encodes only the (node, point) pairs
 that can matter.  A bounds pass, bottom-up, gives each node two masks: lo,
 where it is true under every valuation, and hi, where it is true under
 some (Kleene's three-valued truth, every variable and nominal unknown).
-Where they agree the node is a constant: a variable-free subformula, but
-also `pi1` off the tower-1 points or `epsilon(t, ...)` off the
-configuration points of state t.  A relevance pass, top-down, marks a
-root relevant everywhere, an argument of a connective where the
-connective is relevant and undetermined, and the body of a box or diamond
-at the successors of such points.  Only these live pairs get literals;
-elsewhere a parent reads its argument's constant.  A variable has atoms at
-its live points, a nominal one per point under an exactly-one constraint.
-A box or diamond literal is defined once per distinct set of live body
-points among the successors, a connective's once per distinct pair of
-argument literals, so a node that is constant over a block of points
-(under `[u]` or a total S) is defined once.  Every pass reads the derived
-connectives (or, implication, iff, diamonds) as written.
+Where they agree the node is a constant: a variable-free subformula, so a
+conjunct with no symbol is decided here, but also `pi1` off the tower-1
+points or `epsilon(t, ...)` off the configuration points of state t.  A
+relevance pass, top-down, marks a root relevant everywhere, an argument
+of a connective where the connective is relevant and undetermined, and
+the body of a box or diamond at the successors of such points.  Only
+these live pairs get literals; elsewhere a parent reads its argument's
+constant.  A variable has atoms at its live points, a nominal one per
+point under an exactly-one constraint.  A connective's literal is defined
+once per distinct pair of argument literals, so a node that is constant
+over a block of points (under `[u]` or a total S) is defined once.  Every
+pass reads the derived connectives (or, implication, iff, diamonds) as
+written.
+
+A box literal at a point is the conjunction of its body's literals at the
+undetermined successors, defined once per distinct successor row r, and
+the rows share their sub-rows.  The cover of r is the set of points y of
+r whose own row is a proper subset of r and lies in the row of no other
+such point; the conjunction over r is that of the body at each covered
+y, of the conjunction already made for y's row, and of the body at the
+rest of r, the bits that the cover and its rows miss.  Every part is a
+conjunction over a subset of r, defined in the same direction, and the
+rest completes the union, so this is sound on any frame.  On a transitive
+frame without cycles a cover is the successors one generator edge away
+and the rest is empty, so the CNF grows with the generator edges of R,
+not with its transitive closure.  A diamond is the dual.
 
 The definitions are polarity-aware (Plaisted and Greenbaum 1986): an atom
 gets only the implication its occurrences need, not a full equivalence.
@@ -247,13 +260,11 @@ def _same_block(offsets: list[int], width: int) -> dict[int, int]:
 def placements(one: DisjointUnion, nominal_indices: set[int]) -> DisjointUnion:
     """The frame of the one-block union `one` n times side by side, with
     each given nominal at point k of block k: every placement of one
-    nominal in one union of n blocks.  With no nominals, `one` itself.
+    nominal in one union of n blocks.
 
     Built in one step from the frame's own offset masks: a mask of the
     n-point block, times the repunit sum(1 << k*n), repeats it in every
     block, and the diagonal sum(1 << k*(n+1)) holds point k of block k."""
-    if not nominal_indices:
-        return one
     n = one.width
     union = DisjointUnion([])
     union.kind, union.width = one.kind, n * n
@@ -390,18 +401,32 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _row_groups(frame: Frame) -> dict[Modality, list[tuple[int, int]]]:
+def _row_groups(rows_of: dict[Modality, tuple[int, ...]]
+                ) -> dict[Modality, list[tuple[int, int]]]:
     """Each modality's distinct successor rows, in order of first point,
-    each with the mask of the points that have it; `[u]` has one row."""
-    all_mask = (1 << len(frame.points)) - 1
-    groups = {Modality.UNIV: [(all_mask, all_mask)]}
-    for modality, rows in ((Modality.REL, frame.r), (Modality.HYB, frame.s)):
-        if rows is not None:
-            held: dict[int, int] = {}
-            for i, row in enumerate(rows):
-                held[row] = held.get(row, 0) | 1 << i
-            groups[modality] = list(held.items())
+    each with the mask of the points that have it."""
+    groups = {}
+    for modality, rows in rows_of.items():
+        held: dict[int, int] = {}
+        for i, row in enumerate(rows):
+            held[row] = held.get(row, 0) | 1 << i
+        groups[modality] = list(held.items())
     return groups
+
+
+def _cover(rows: tuple[int, ...], row: int) -> int:
+    """The points y of `row` whose own row is a proper subset of it and
+    that lie in the row of no other such point: on a transitive frame
+    without cycles, the successors one generator edge away."""
+    candidates = 0
+    for y in _bits(row):
+        below = rows[y]
+        if below | row == row and below != row:
+            candidates |= 1 << y
+    others = 0
+    for y in _bits(candidates):
+        others |= rows[y] & ~(1 << y)
+    return candidates & ~others
 
 
 def _modal_mask(group: list[tuple[int, int]], m: int, box: bool) -> int:
@@ -455,14 +480,15 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
     """Valid iff no valuation and point falsify phi on the frame.
 
     Validity distributes over `&`, and the n placements of its nominal are
-    all the valuations of a conjunct with no variable and at most one
-    nominal, so one truth-mask pass over `placements` decides every such
-    top-level conjunct.  The others are the roots of the CNF (see the
-    module docstring), which encodes only their relevant, undetermined
+    all the valuations of a conjunct with no variable and one nominal, so
+    one truth-mask pass over `placements` decides every such top-level
+    conjunct.  The others are the roots of the CNF (see the module
+    docstring), which encodes only their relevant, undetermined
     (node, point) pairs; a root that the bounds make false at some point
-    needs no CNF.  Counter-models bind every symbol of phi and are
-    re-checked with model_check before being returned, so a non-validity
-    verdict is self-certifying.
+    needs no CNF, nor does one they make true everywhere, such as a
+    conjunct with no symbol.  Counter-models bind every symbol of phi and
+    are re-checked with model_check before being returned, so a
+    non-validity verdict is self-certifying.
     """
     _check_frame_language(phi, frame.kind)
     every = nodes = list(postorder(phi))
@@ -493,9 +519,9 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
             stack += (f.right, f.left)
         else:
             parts.append(f)
-    decided = [f for f in parts if only[f] >= 0]
+    decided = [f for f in parts if only[f] > 0]
     if decided:
-        noms = {only[f] for f in decided} - {0}
+        noms = {only[f] for f in decided}
         union = placements(DisjointUnion([(frame.r, frame.s, ())]), noms)
         masks = _truth_masks(union, _below(nodes, decided), set(decided))
         all_mask = (1 << union.width) - 1
@@ -505,13 +531,17 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
                 block, i = divmod((failing & -failing).bit_length() - 1, n)
                 return _counter_model(frame, phi, every,
                                       {Nominal(k): 1 << block for k in noms}, i)
-    roots = [f for f in parts if only[f] < 0]
+    roots = [f for f in parts if only[f] <= 0]
     if not roots:
         return Valid()
     nodes = _below(nodes, roots)
 
     all_mask = (1 << n) - 1
-    groups = _row_groups(frame)
+    # each point's successor row by modality; `[u]` sees every point
+    rows_of = {Modality.UNIV: (all_mask,) * n, Modality.REL: frame.r}
+    if frame.s is not None:
+        rows_of[Modality.HYB] = frame.s
+    groups = _row_groups(rows_of)
     bounds = _bounds(nodes, groups, all_mask)
     for f in roots:
         never = all_mask ^ bounds[f][1]
@@ -586,6 +616,9 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
     # literals), so a node that is constant over a block of points is
     # defined once.
     lits: dict[Formula, dict[int, propsat.Literal]] = {}
+    # each distinct row's `_cover`, made once per modality when a box or
+    # diamond first needs it
+    covers: dict[Modality, dict[int, int]] = {}
     symbols = sorted((f for f in live if type(f) is Var or type(f) is Nominal),
                      key=lambda f: (type(f) is Nominal, f.index))
     for f in symbols:
@@ -607,32 +640,69 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
         elif kind is Box or kind is Diamond:
             # at a live point, a box literal is the conjunction of the body
             # at the undetermined successors (the others are true), and a
-            # diamond the disjunction (the others are false)
-            sub = lits[f.sub]
+            # diamond the negated conjunction of its negations (the others
+            # are false).  The conjunction over a row reuses the one over
+            # the row of each point of its cover, a strict subset made
+            # first, so the rows are taken by ascending popcount
+            sub, q = lits[f.sub], p
+            if kind is Diamond:
+                sub, q = {j: negate(a) for j, a in sub.items()}, flip[p]
             lo, hi = bounds[f.sub]
             unknown = hi & ~lo
-            made: dict[int, propsat.Literal] = {}  # by undetermined successors
-            for succ, held in groups[f.modality]:
-                held &= here
-                if not held:
+            group, point_rows = groups[f.modality], rows_of[f.modality]
+            cover = covers.setdefault(f.modality, {})
+            wanted = {succ for succ, held in group if held & here and succ & unknown}
+            stack = list(wanted)
+            while stack:
+                succ = stack.pop()
+                if succ not in cover:
+                    cover[succ] = _cover(point_rows, succ)
+                for y in _bits(cover[succ]):
+                    below = point_rows[y]
+                    if below & unknown and below not in wanted:
+                        wanted.add(below)
+                        stack.append(below)
+            # the conjunction, by undetermined successors
+            made: dict[int, propsat.Literal] = {}
+            for succ in sorted(wanted, key=lambda r: (r.bit_count(), r)):
+                rest = key = succ & unknown
+                if key in made:
                     continue
-                key = succ & unknown
-                a = made.get(key)
-                if a is None:
-                    if kind is Box:
-                        a = define_and([sub[j] for j in _bits(key)], p)
-                    else:
-                        a = negate(define_and([negate(sub[j]) for j in _bits(key)], flip[p]))
-                    made[key] = a
-                for i in _bits(held):
-                    row[i] = a
+                terms = []
+                for y in _bits(cover[succ]):
+                    below = point_rows[y] & unknown
+                    if unknown >> y & 1:
+                        terms.append(sub[y])
+                    if below:
+                        terms.append(made[below])
+                    rest &= ~(below | 1 << y)
+                terms += [sub[j] for j in _bits(rest)]
+                # parts may overlap; every live literal is an atom or its
+                # negation, never a constant, so dropping repeats is safe
+                made[key] = define_and(dict.fromkeys(terms), q)
+            for succ, held in group:
+                held &= here
+                if held:
+                    a = made.get(succ & unknown, True)
+                    if kind is Diamond:
+                        a = negate(a)
+                    for i in _bits(held):
+                        row[i] = a
         else:
+            # one definition per distinct pair of argument literals; the
+            # key keeps the constant True apart from atom 1, as True == 1
             left, right = lits.get(f.left, {}), lits.get(f.right, {})
             lo_a, lo_b = bounds[f.left][0], bounds[f.right][0]
             define = binary[kind]
+            by_pair = {}
             for i in _bits(here):
-                row[i] = define(left[i] if i in left else bool(lo_a >> i & 1),
-                                right[i] if i in right else bool(lo_b >> i & 1), p)
+                a = left[i] if i in left else bool(lo_a >> i & 1)
+                b = right[i] if i in right else bool(lo_b >> i & 1)
+                key = a, type(a), b, type(b)
+                c = by_pair.get(key)
+                if c is None:
+                    c = by_pair[key] = define(a, b, p)
+                row[i] = c
         lits[f] = row
 
     # one clause: some root is false at some live point; each literal is
@@ -756,8 +826,8 @@ def parse_frame(text: str) -> Frame:
     for name, pairs in edges.items():
         for x, y, lineno in pairs:
             if x not in index or y not in index:
-                where = " on line %d" % lineno if name == "R*" else ""
-                raise UnknownPoint("%s edge (%s, %s)%s leaves the frame" % (name, x, y, where))
+                raise UnknownPoint("%s edge (%s, %s) on line %d leaves the frame"
+                                   % (name, x, y, lineno))
             rows[name][index[x]] |= 1 << index[y]
     r = rows["R"]
     if "R*" in rows:

@@ -8,7 +8,9 @@ the truncated canonical frame and certifies non-unifiability: the program
 axioms are frame-valid, the start configuration's marker is globally true,
 and the target's marker is globally false, which refutes every
 substitution instance at once because frame validity is closed under
-substitution and the target marker carries no variables.
+substitution and the target marker carries no variables.  A hybrid
+certificate's S is total, and there the three facts are checked as their
+L forms on R alone (`certificate_checks`).
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import random
 from collections.abc import Iterator
 
 from . import decision
-from .errors import InternalCheckFailed, ResourceLimit
+from .errors import InternalCheckFailed, LanguageMismatch, ResourceLimit
 from .formula import (
-    H2, Formula, Nominal, Not, Substitution, Var, apply_subst, conj,
+    H2, L, Formula, Nominal, Not, Substitution, Var, apply_subst, conj,
     ground_substitutions, size, variables,
 )
 from .kripke import (
@@ -158,16 +160,38 @@ def certificate_checks(lf: LabeledFrame, program: MinskyProgram, start: Config,
     certificate: the program axioms are frame-valid, the start marker is
     globally true, and the target marker is globally false (under every
     valuation, so every substitution instance of the reduction formula is
-    refuted)."""
-    axp_valid = isinstance(frame_valid(lf.frame, ax_program(program, language)), Valid)
-    antecedent = isinstance(frame_valid(lf.frame, config_exists(start, language)), Valid)
-    consequent = isinstance(frame_valid(lf.frame, Not(config_exists(target, language))),
-                            Valid)
-    return {
-        "program_axioms_valid": axp_valid,
-        "start_marker_globally_true": antecedent,
-        "target_marker_globally_false": consequent,
-    }
+    refuted).
+
+    In H2 a fourth fact comes first: the frame's S is total.  If it is not,
+    that fact fails and nothing else is checked.  If it is, the three facts
+    are checked as their L forms on (W, R), which is equivalent.  Proof:
+    each H2 formula here is its L form with every `<u>chi` written as the
+    surrogate `<h>(n1 & <h>chi)`, and Ax_P has `nom_formula` as one more
+    conjunct.  Take any valuation of (W, R, W x W).  n1 holds at exactly
+    one point, so the surrogate holds at a point iff chi holds somewhere,
+    which is `<u>chi`; by induction, every H2 formula but `nom_formula` has
+    the truth of its L form at every point.  `nom_formula` holds
+    everywhere: `<h>n1` does, so each of its conjuncts, an implication
+    from `<h>n1` to a box word over it or from a diamond word over it to
+    `<h>n1`, is true.  The L forms do not read n1, and every frame has a
+    point to put it at, so each H2 formula is frame-valid on (W, R, W x W)
+    exactly when its L form is frame-valid on (W, R).  A frame without S
+    raises LanguageMismatch, as `frame_valid` does for a hybrid formula.
+    """
+    frame, checks = lf.frame, {}
+    if language == H2:
+        if frame.s is None:
+            raise LanguageMismatch("hybrid formula on a frame without S")
+        full = (1 << len(frame.points)) - 1
+        checks["s_total"] = all(row == full for row in frame.s)
+        if not checks["s_total"]:
+            return checks
+        frame, language = Frame(frame.points, frame.r), L
+    for fact, phi in (("program_axioms_valid", ax_program(program, language)),
+                      ("start_marker_globally_true", config_exists(start, language)),
+                      ("target_marker_globally_false", Not(config_exists(target, language)))):
+        checks[fact] = isinstance(frame_valid(frame, phi), Valid)
+    return checks
 
 
 def check_unifiable_via_reduction(program: MinskyProgram, start: Config,

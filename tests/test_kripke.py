@@ -15,9 +15,9 @@ from mlunif.formula import (
 )
 from mlunif.minsky import Config, parse_program
 from mlunif.kripke import (
-    CounterModel, DisjointUnion, Frame, Model, Valid, frame_valid, model_check, parse_frame,
-    parse_valuation, placements, serialize_frame, serialize_valuation, transitive_closure,
-    transitive_reduction, truth_mask,
+    CounterModel, DisjointUnion, Frame, Model, Valid, _cover, frame_valid, model_check,
+    parse_frame, parse_valuation, placements, serialize_frame, serialize_valuation,
+    transitive_closure, transitive_reduction, truth_mask,
 )
 from helpers import (
     bit_rows, closure_by_search, holds_everywhere, is_transitive, offset_masks_by_pairs,
@@ -280,8 +280,8 @@ def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     assert n == 22 and nominals(phi) == {1} and variables(phi) == {1, 2}
     assert cnf.clauses[0] == list(range(17, 17 + n))
     # each defined atom gets only the directions its polarity needs: full
-    # equivalences take 473 clauses over the same atoms
-    assert (cnf.num_atoms, len(cnf.clauses)) == (98, 471)
+    # equivalences take 480 clauses over the same atoms
+    assert (cnf.num_atoms, len(cnf.clauses)) == (105, 478)
 
 
 def test_frame_valid_agrees_with_brute_force_where_polarities_collide():
@@ -345,6 +345,78 @@ def test_pruned_encoding_agrees_with_brute_force():
             phi = conj(parts)
             frame = random_frame(1000 * trial + len(parts), 4, kind=language)
             verdicts.add((language, check_against_oracle(frame, phi)))
+    assert verdicts == {(language, v) for language in (L, H2) for v in (True, False)}
+
+
+def every_valuation(frame, num_vars, num_noms=0):
+    """The `DisjointUnion` of `frame` under every valuation of p1 ... p<num_vars>
+    and every placement of n1 ... n<num_noms>, one block each: a formula over
+    these symbols is frame-valid exactly when it holds at every bit."""
+    n = len(frame.points)
+    var_nodes = [Var(v) for v in range(1, num_vars + 1)]
+    nom_nodes = [Nominal(m) for m in range(1, num_noms + 1)]
+    return DisjointUnion(
+        (frame.r, frame.s, list(zip(var_nodes, masks)) + list(zip(nom_nodes, owners)))
+        for masks in itertools.product(range(1 << n), repeat=num_vars)
+        for owners in itertools.product([1 << i for i in range(n)], repeat=num_noms))
+
+
+def upward_closure_rows(rng, n):
+    """A transitive relation: the closure of random rows that only point
+    up, with a loop at some points."""
+    rows = transitive_closure(sum(1 << j for j in range(i + 1, n) if rng.random() < 0.4)
+                              for i in range(n))
+    return tuple(row | (rng.random() < 0.3) << i for i, row in enumerate(rows))
+
+
+def partly_nested_rows(rng, n):
+    """A relation that is not transitive, in which some row holds a point,
+    that point's row and more: a row with a `_cover` and bits outside it
+    and its rows."""
+    while True:
+        rows = [sum(1 << j for j in range(n) if rng.random() < 0.3) for _ in range(n)]
+        for i in range(n):
+            y = rng.randrange(n)
+            if y != i and rng.random() < 0.6:
+                rows[i] |= rows[y] | 1 << y | 1 << rng.randrange(n)
+        rest = []
+        for row in rows:
+            cover, covered = _cover(rows, row), 0
+            for y in range(n):
+                if cover >> y & 1:
+                    covered |= rows[y] | 1 << y
+            rest.append(cover and row & ~covered)
+        if any(rest) and not is_transitive(rows):
+            return tuple(rows)
+
+
+@pytest.mark.parametrize("relation", [upward_closure_rows, partly_nested_rows])
+def test_shared_sub_row_literals_agree_with_brute_force(relation):
+    # a box's conjunction over a row is built from those over the rows of
+    # its cover; every valuation of p1, p2 (and n1 in H2) is enumerated as
+    # one block of a disjoint union, so the verdict is one truth-mask pass
+    rng = random.Random(26)
+    verdicts = set()
+    for language, num_noms, frames in ((L, 0, 8), (H2, 1, 4)):
+        for trial in range(frames):
+            n = rng.randint(5, 6)
+            s = relation(rng, n) if language == H2 else None
+            frame = Frame(tuple("w%d" % i for i in range(n)), relation(rng, n), s)
+            union = every_valuation(frame, 2, num_noms)
+            everywhere = (1 << union.width) - 1
+            for _ in range(6):
+                f, g = (random_formula(rng, depth=d, num_vars=2, language=language,
+                                       num_noms=num_noms) for d in (3, 2))
+                m = rng.choice((REL, Modality.HYB) if language == H2 else (REL,))
+                for phi in (f, Or(Not(f), g), Implies(Box(m, f), Box(m, Or(f, g))),
+                            Implies(Box(m, f), Box(m, Box(m, f))),
+                            Implies(Diamond(m, Diamond(m, f)), Diamond(m, f))):
+                    expected = truth_mask(union, phi) == everywhere
+                    got = frame_valid(frame, phi)
+                    assert isinstance(got, Valid) == expected, (serialize_frame(frame), phi)
+                    if isinstance(got, CounterModel):
+                        assert not model_check(got.model, got.point, phi)
+                    verdicts.add((language, expected))
     assert verdicts == {(language, v) for language in (L, H2) for v in (True, False)}
 
 
@@ -494,9 +566,10 @@ def test_frame_row_and_text_errors():
         Frame(("x", "y"), (0b100, 0))
     with pytest.raises(UnknownPoint):
         Frame(("x",), (0,), (-1,))
-    for text, message in (("points: x y\nR: x z\n", "R edge (x, z) leaves the frame"),
-                          ("R: z x\npoints: x\n", "R edge (z, x) leaves the frame"),
-                          ("points: x\nS:\nS: x z\n", "S edge (x, z) leaves the frame")):
+    for text, message in (("points: x y\nR: x z\n", "R edge (x, z) on line 2 leaves the frame"),
+                          ("R: z x\npoints: x\n", "R edge (z, x) on line 1 leaves the frame"),
+                          ("points: x\nS:\nS: x z\n",
+                           "S edge (x, z) on line 3 leaves the frame")):
         with pytest.raises(UnknownPoint) as info:
             parse_frame(text)
         assert str(info.value) == message
@@ -504,7 +577,7 @@ def test_frame_row_and_text_errors():
                  "points: x\nS: x x x\n", "points: x\nT: x x\n"):
         with pytest.raises(ParseError):
             parse_frame(text)
-    # the generator forms: the error names the line
+    # the generator forms, too: the error names the line
     with pytest.raises(UnknownPoint) as info:
         parse_frame("points: x y\nR*: x y\nR*: y z\n")
     assert str(info.value) == "R* edge (y, z) on line 3 leaves the frame"

@@ -9,18 +9,18 @@ import pytest
 
 from mlunif.errors import LanguageMismatch, UnboundSymbol
 from mlunif.formula import (
-    BOT, H2, L, And, Substitution, TOP, conj, disj, language_of, parse,
+    BOT, H2, L, And, Not, Substitution, TOP, conj, disj, language_of, parse,
 )
 from mlunif.kripke import (
-    CounterModel, DisjointUnion, frame_valid, model_check, serialize_frame,
+    CounterModel, DisjointUnion, Frame, Valid, frame_valid, model_check, serialize_frame,
     serialize_valuation, transitive_reduction,
 )
 from mlunif.minsky import (
     Config, MinskyProgram, parse_config, parse_program, reaches, run_trace,
 )
 from mlunif.encoding import (
-    ax_program, canonical_frame, frame_for_configs, parse_labeled_frame, psi,
-    serialize_labeled_frame, tower, truncation_level,
+    LabeledFrame, ax_program, canonical_frame, config_exists, frame_for_configs,
+    parse_labeled_frame, psi, serialize_labeled_frame, tower, truncation_level,
 )
 from mlunif.witness import (
     defect_formulas, no_defect_lemma, shifted_counter_index, step_lemmas,
@@ -85,15 +85,15 @@ def counter_chain(steps):
 
 # the certificate instances C1-C4 of the benchmark (bench/workloads.json):
 # program, start, target, mode, and (atoms, clauses) of each CNF that
-# frame_valid hands to the solver: the instruction axioms; the other
-# checks, and the nominal-agreement conjuncts of hybrid mode, have no
-# variable and are decided by truth masks
+# frame_valid hands to the solver: the instruction axioms, in hybrid mode
+# as their L forms on R; the other checks have no variable and are decided
+# by truth masks
 CERTIFICATE_CNFS = [
-    (counter_chain(20), "1,0,0", "99,0,0", L, [(293, 1650)]),
-    (counter_chain(40), "1,0,0", "99,0,0", L, [(573, 5280)]),
-    ("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0", "1,0,0", "3,0,0", H2, [(98, 471)]),
+    (counter_chain(20), "1,0,0", "99,0,0", L, [(300, 611)]),
+    (counter_chain(40), "1,0,0", "99,0,0", L, [(580, 1191)]),
+    ("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0", "1,0,0", "3,0,0", H2, [(37, 68)]),
     ("1 -> 2,+1,0\n2 -> 3,+1,0\n3 -> 4,0,+1\n4 -> 5,-1,0 | 9,0,0\n5 -> 6,0,-1 | 9,0,0",
-     "1,0,0", "7,0,0", H2, [(546, 2201)]),
+     "1,0,0", "7,0,0", H2, [(73, 151)]),
 ]
 
 
@@ -152,6 +152,60 @@ def test_a_certificate_without_its_total_s_fails():
     checks = certificate_checks(parse_labeled_frame(text.replace("S: all\n", "S:\n")),
                                 prog, a, b, language)
     assert not all(checks.values())
+
+
+@pytest.mark.parametrize("mutant", [False, True], ids=["certificate", "mutant"])
+@pytest.mark.parametrize("instance", [2, 3], ids=["C3", "C4"])
+def test_hybrid_certificate_checks_are_the_h2_checks(instance, mutant):
+    # on a total S the three facts are checked as L formulas on R alone;
+    # they must be the verdicts of frame_valid on the H2 formulas over
+    # (W, R, S), on the certificate and on it without its last configuration
+    program, start, target, language, _ = CERTIFICATE_CNFS[instance]
+    prog, a, b = parse_program(program), parse_config(start), parse_config(target)
+    trace = run_trace(prog, a, 100)
+    configs = trace.configs[:-1] if mutant else trace.configs
+    lf = frame_for_configs(configs, truncation_level(prog, trace.configs), language)
+    if not mutant:
+        assert lf.frame == canonical_frame(prog, a, 100, language).frame
+    checks = certificate_checks(lf, prog, a, b, language)
+    assert checks.pop("s_total") is True
+    assert checks == {
+        fact: isinstance(frame_valid(lf.frame, phi), Valid) for fact, phi in (
+            ("program_axioms_valid", ax_program(prog, language)),
+            ("start_marker_globally_true", config_exists(a, language)),
+            ("target_marker_globally_false", Not(config_exists(b, language))))}
+    assert all(checks.values()) is not mutant
+
+
+def test_hybrid_certificate_needs_a_total_s():
+    # S total but for one edge, or empty as a lone `S:` reads, fails as
+    # the named fact; no other fact is checked
+    program, start, target, language, _ = CERTIFICATE_CNFS[2]
+    prog, a, b = parse_program(program), parse_config(start), parse_config(target)
+    lf = canonical_frame(prog, a, 100, language)
+    s = list(lf.frame.s)
+    s[-1] ^= 1
+    one_short = LabeledFrame(Frame(lf.frame.points, lf.frame.r, tuple(s)), lf.labels)
+    lone = parse_labeled_frame(serialize_labeled_frame(lf).replace("S: all\n", "S:\n"))
+    for frame in (one_short, lone):
+        assert certificate_checks(frame, prog, a, b, language) == {"s_total": False}
+
+
+def test_certificate_cnf_grows_with_the_generator_edges(monkeypatch):
+    # the program axioms' CNF on an L certificate has at most 20 literals
+    # per generator edge of R (its transitive reduction), however long
+    # the towers: the closure's edges grow with the square of their height
+    prog = parse_program("1 -> 2,-1,0 | 3,0,0")
+    cnfs = []
+    solve = propsat.solve
+    monkeypatch.setattr(propsat, "solve", lambda cnf: cnfs.append(cnf) or solve(cnf))
+    for start, points in (("1,50,0", 166), ("1,100,0", 316), ("1,200,0", 616)):
+        frame = canonical_frame(prog, parse_config(start), 1000, L).frame
+        assert len(frame.points) == points
+        assert isinstance(frame_valid(frame, ax_program(prog, L)), Valid)
+        generators = sum(bin(row).count("1") for row in transitive_reduction(frame.r))
+        cnf = cnfs.pop()
+        assert sum(len(clause) for clause in cnf.clauses) <= 20 * generators
 
 
 @pytest.mark.parametrize("language", [L, H2])
