@@ -197,12 +197,15 @@ def ax_instruction(ins: Instruction, language: str) -> Formula:
     raise TypeError("not an instruction: %r" % (ins,))
 
 
-def nom_formula(max_len: int = 6) -> Formula:
+NOM_WORD_LENGTH = 6  # the longest word of `nom_formula`
+
+
+def nom_formula() -> Formula:
     """Conjunction forcing agreement on S-access to the nominal n1.
 
-    One conjunct per nonempty word over the two boxes (length <= max_len):
-    <h>n -> M<h>n; and one per nonempty word over the two diamonds:
-    M'<h>n -> <h>n.
+    One conjunct per nonempty word over the two boxes (of length at most
+    NOM_WORD_LENGTH): <h>n -> M<h>n; and one per nonempty word over the two
+    diamonds: M'<h>n -> <h>n.
 
     The words stop at length 6 because the deepest variable of an
     instruction axiom in H2 lies under 6 modalities, the 2 S-steps of the
@@ -210,17 +213,15 @@ def nom_formula(max_len: int = 6) -> Formula:
     step-lemma proof (`witness.step_lemmas`) needs S-access to n1 at every
     point where the axiom reads a variable.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     dh_n = Diamond(HYB, Nominal(1))
     conjuncts: list[Formula] = []
-    for length in range(1, max_len + 1):
+    for length in range(1, NOM_WORD_LENGTH + 1):
         for word in itertools.product((REL, HYB), repeat=length):
             body = dh_n
             for m in reversed(word):
                 body = Box(m, body)
             conjuncts.append(Implies(dh_n, body))
-    for length in range(1, max_len + 1):
+    for length in range(1, NOM_WORD_LENGTH + 1):
         for word in itertools.product((REL, HYB), repeat=length):
             body = dh_n
             for m in reversed(word):

@@ -20,22 +20,18 @@ suite does with `draw_rows`, builds no `Frame` or `Model` per block; each
 union-wide mask is built once, after the last block.
 
 `frame_valid` first splits phi into its top-level conjuncts, which is
-sound because validity distributes over `&`.  A conjunct with no variable
-and one nominal has as valuations exactly the n placements of that
-nominal, so one truth-mask pass over `placements`, a union of n copies of
-the frame with the nominal at point k of copy k, decides it without SAT.
-
-The other conjuncts are the roots of one CNF that searches for a
-falsifying valuation and point, and encodes only the (node, point) pairs
-that can matter.  A bounds pass, bottom-up, gives each node two masks: lo,
-where it is true under every valuation, and hi, where it is true under
-some (Kleene's three-valued truth, every variable and nominal unknown).
-Where they agree the node is a constant: a variable-free subformula, so a
-conjunct with no symbol is decided here, but also `pi1` off the tower-1
-points or `epsilon(t, ...)` off the configuration points of state t.  A
-relevance pass, top-down, marks a root relevant everywhere, an argument
-of a connective where the connective is relevant and undetermined, and
-the body of a box or diamond at the successors of such points.  Only
+sound because validity distributes over `&`.  The conjuncts are the roots
+of one CNF that searches for a falsifying valuation and point, and
+encodes only the (node, point) pairs that can matter.  A bounds pass,
+bottom-up, gives each node two masks: lo, where it is true under every
+valuation, and hi, where it is true under some (Kleene's three-valued
+truth, every variable and nominal unknown).  Where they agree the node
+is a constant: a variable-free subformula, so a conjunct with no symbol
+is decided here, but also `pi1` off the tower-1 points or
+`epsilon(t, ...)` off the configuration points of state t.  A relevance
+pass, top-down, marks a root relevant everywhere, an argument of a
+connective where the connective is relevant and undetermined, and the
+body of a box or diamond at the successors of such points.  Only
 these live pairs get literals; elsewhere a parent reads its argument's
 constant.  A variable has atoms at its live points, a nominal one per
 point under an exactly-one constraint.  A connective's literal is defined
@@ -257,28 +253,6 @@ def _same_block(offsets: list[int], width: int) -> dict[int, int]:
         d += 1
 
 
-def placements(one: DisjointUnion, nominal_indices: set[int]) -> DisjointUnion:
-    """The frame of the one-block union `one` n times side by side, with
-    each given nominal at point k of block k: every placement of one
-    nominal in one union of n blocks.
-
-    Built in one step from the frame's own offset masks: a mask of the
-    n-point block, times the repunit sum(1 << k*n), repeats it in every
-    block, and the diagonal sum(1 << k*(n+1)) holds point k of block k."""
-    n = one.width
-    union = DisjointUnion([])
-    union.kind, union.width = one.kind, n * n
-    union.offsets = list(range(0, n * n, n))
-    repunit = ((1 << n * n) - 1) // ((1 << n) - 1)
-    union.edges = {m: {d: e * repunit for d, e in edges.items()}
-                   for m, edges in one.edges.items()}
-    diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
-    for i in nominal_indices:
-        union.symbols[Nominal(i)] = diagonal
-        union.bound[Nominal(i)] = n
-    return union
-
-
 def _check_frame_language(phi: Formula, kind: str | None) -> None:
     lang = language_of(phi)
     if lang == H2 and kind == L:
@@ -287,15 +261,19 @@ def _check_frame_language(phi: Formula, kind: str | None) -> None:
         raise LanguageMismatch("universal-box formula on a hybrid frame")
 
 
-def _truth_masks(union: DisjointUnion, nodes: list[Formula],
-                 keep: set[Formula]) -> dict[Formula, int]:
-    """Bitmask over the union's points where each formula of `keep` holds,
-    for `nodes` listed children before parents (as `postorder` yields them).
-    Any other mask is dropped once its last parent in `nodes` has been
-    evaluated, so the live masks stay few however wide the union is."""
-    all_mask = (1 << union.width) - 1
-    blocks = len(union.offsets)
-    symbols, bound, edges = union.symbols, union.bound, union.edges
+def truth_mask(model: Model | DisjointUnion, phi: Formula) -> int:
+    """Bitmask over point indices where phi is true; for a disjoint union,
+    over the points of all its models, block after block.  One pass over
+    phi's DAG, children before parents; a mask is dropped once its last
+    parent has been evaluated, so the live masks stay few however wide the
+    union is."""
+    if isinstance(model, Model):
+        model = DisjointUnion([(model.frame.r, model.frame.s, model.valuation.items())])
+    _check_frame_language(phi, model.kind)
+    nodes = list(postorder(phi))
+    all_mask = (1 << model.width) - 1
+    blocks = len(model.offsets)
+    symbols, bound, edges = model.symbols, model.bound, model.edges
     masks: dict[Formula, int] = {}
     uses: dict[Formula, int] = {}
     for f in nodes:
@@ -331,18 +309,9 @@ def _truth_masks(union: DisjointUnion, nodes: list[Formula],
         masks[f] = m
         for a in f.args:
             uses[a] -= 1
-            if not uses[a] and a not in keep:
+            if not uses[a]:
                 del masks[a]
-    return masks
-
-
-def truth_mask(model: Model | DisjointUnion, phi: Formula) -> int:
-    """Bitmask over point indices where phi is true; for a disjoint union,
-    over the points of all its models, block after block."""
-    if isinstance(model, Model):
-        model = DisjointUnion([(model.frame.r, model.frame.s, model.valuation.items())])
-    _check_frame_language(phi, model.kind)
-    return _truth_masks(model, list(postorder(phi)), {phi})[phi]
+    return masks[phi]
 
 
 def model_check(model: Model, point: str, phi: Formula) -> bool:
@@ -364,16 +333,6 @@ class CounterModel(Record):
 
 
 CLAUSE_BUDGET = 2_000_000  # frame_valid raises ResourceLimit past this many clauses
-
-
-def _below(nodes: list[Formula], roots: list[Formula]) -> list[Formula]:
-    """The nodes of `nodes` (children before parents) that lie under one of
-    `roots`, in the same order."""
-    under = set(roots)
-    for f in reversed(nodes):
-        if f in under:
-            under.update(f.args)
-    return [f for f in nodes if f in under]
 
 
 def _counter_model(frame: Frame, phi: Formula, nodes: list[Formula],
@@ -479,62 +438,26 @@ def _bounds(nodes: list[Formula], groups: dict[Modality, list[tuple[int, int]]],
 def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
     """Valid iff no valuation and point falsify phi on the frame.
 
-    Validity distributes over `&`, and the n placements of its nominal are
-    all the valuations of a conjunct with no variable and one nominal, so
-    one truth-mask pass over `placements` decides every such top-level
-    conjunct.  The others are the roots of the CNF (see the module
-    docstring), which encodes only their relevant, undetermined
-    (node, point) pairs; a root that the bounds make false at some point
-    needs no CNF, nor does one they make true everywhere, such as a
-    conjunct with no symbol.  Counter-models bind every symbol of phi and
-    are re-checked with model_check before being returned, so a
-    non-validity verdict is self-certifying.
+    Validity distributes over `&`, so phi's top-level conjuncts are the
+    roots of the CNF (see the module docstring), which encodes only their
+    relevant, undetermined (node, point) pairs; a root that the bounds make
+    false at some point needs no CNF, nor does one they make true
+    everywhere, such as a conjunct with no symbol.  The `&` spine above the
+    roots is never relevant, so it gets no literal.  Counter-models bind
+    every symbol of phi and are re-checked with model_check before being
+    returned, so a non-validity verdict is self-certifying.
     """
     _check_frame_language(phi, frame.kind)
-    every = nodes = list(postorder(phi))
+    nodes = list(postorder(phi))
     n = len(frame.points)
-
-    # the one symbol of each node: 0 for none, k for nominal k alone, -1
-    # for a variable or two nominals
-    only: dict[Formula, int] = {}
-    for f in nodes:
-        kind = type(f)
-        if kind is Var:
-            k = -1
-        elif kind is Nominal:
-            k = f.index
-        else:
-            k = 0
-            if f.flags & SYMBOL:
-                for a in f.args:
-                    j = only[a]
-                    if j and j != k:
-                        k = j if not k else -1
-        only[f] = k
-    parts: list[Formula] = []
+    roots: list[Formula] = []
     stack = [phi]
     while stack:
         f = stack.pop()
         if type(f) is And:
             stack += (f.right, f.left)
         else:
-            parts.append(f)
-    decided = [f for f in parts if only[f] > 0]
-    if decided:
-        noms = {only[f] for f in decided}
-        union = placements(DisjointUnion([(frame.r, frame.s, ())]), noms)
-        masks = _truth_masks(union, _below(nodes, decided), set(decided))
-        all_mask = (1 << union.width) - 1
-        for f in decided:
-            failing = all_mask ^ masks[f]
-            if failing:
-                block, i = divmod((failing & -failing).bit_length() - 1, n)
-                return _counter_model(frame, phi, every,
-                                      {Nominal(k): 1 << block for k in noms}, i)
-    roots = [f for f in parts if only[f] <= 0]
-    if not roots:
-        return Valid()
-    nodes = _below(nodes, roots)
+            roots.append(f)
 
     all_mask = (1 << n) - 1
     # each point's successor row by modality; `[u]` sees every point
@@ -546,7 +469,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
     for f in roots:
         never = all_mask ^ bounds[f][1]
         if never:  # the root is false there under every valuation
-            return _counter_model(frame, phi, every, {},
+            return _counter_model(frame, phi, nodes, {},
                                   (never & -never).bit_length() - 1)
 
     # one pass, parents before children, gives each node its live points,
@@ -726,7 +649,7 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
             raise InternalCheckFailed("nominal n%d placed at %d points" % (f.index, len(held)))
         valuation[f] = sum(1 << i for i in held)
     witness = next((i for a, i in falsifying.items() if assignment[abs(a)] == (a > 0)), None)
-    return _counter_model(frame, phi, every, valuation, witness)
+    return _counter_model(frame, phi, nodes, valuation, witness)
 
 
 # --- random generation ---------------------------------------------------------
@@ -790,7 +713,8 @@ def serialize_generators(frame: Frame) -> str:
 
 def parse_frame(text: str) -> Frame:
     """Read either text: R is the transitive closure of the `R*:` edges
-    joined with the `R:` edges, and `S: all` makes S total."""
+    joined with the `R:` edges, and `S: all` with nothing after it makes S
+    total."""
     points: tuple[str, ...] | None = None
     edges: dict[str, list[tuple[str, str, int]]] = {"R": []}
     total_s = False
@@ -809,9 +733,7 @@ def parse_frame(text: str) -> Frame:
         if colon and name in ("R", "R*", "S"):
             parts = rest.split()
             pairs = edges.setdefault(name, [])
-            if name == "S" and parts[:1] == ["all"]:
-                if len(parts) != 1:
-                    raise ParseError(0, "'S: all' alone on line %d" % lineno, raw)
+            if name == "S" and parts == ["all"]:  # `S: all x` is an edge from `all`
                 total_s = True
             elif parts or name != "S":  # a lone `S:` makes the frame hybrid
                 if len(parts) != 2:

@@ -263,7 +263,7 @@ def test_c08_defect_exclusivity():
 def _nom_models(limit, seed_base):
     """Random hybrid models whose first point satisfies the agreement
     formula; drawn from mixed shapes and verified before use."""
-    nom = nom_formula(6)
+    nom = nom_formula()
     produced = 0
     seed = seed_base
     while produced < limit:
@@ -290,7 +290,7 @@ def _nom_models(limit, seed_base):
 
 def test_c09_nom_count_and_locality():
     conjuncts = []
-    stack = [nom_formula(6)]
+    stack = [nom_formula()]
     while stack:
         f = stack.pop()
         if isinstance(f, And):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -6,7 +7,7 @@ import pytest
 
 from mlunif.errors import ParseError, TruncationUnsound
 from mlunif.formula import (
-    H2, L, TOP, And, Diamond, Implies, Modality, Nominal, Not, Or, Var,
+    H2, L, TOP, And, Box, Diamond, Implies, Modality, Nominal, Not, Or, Var,
     language_of, nominals, parse, postorder, variables,
 )
 from mlunif.kripke import Frame, Model, model_check, transitive_closure
@@ -145,13 +146,24 @@ def test_hybrid_mode_uses_surrogate_everywhere():
 
 
 def test_nom_formula_counts():
-    assert len(conjuncts(nom_formula(1))) == 4
-    assert len(conjuncts(nom_formula(2))) == 12
-    nom6 = nom_formula(6)
-    assert len(conjuncts(nom6)) == 252
+    # one conjunct per nonempty word of length at most 6 over the two boxes
+    # and one per such word over the two diamonds: 2 x 126 distinct words
+    nom = nom_formula()
+    assert len(conjuncts(nom)) == 252
     dh_n = Diamond(Modality.HYB, Nominal(1))
-    for part in conjuncts(nom6):
+    words = set()
+    for part in conjuncts(nom):
         assert part.left == dh_n or part.right == dh_n
+        f, kinds, word = part.right if part.left == dh_n else part.left, set(), ()
+        while f != dh_n:
+            kinds.add(type(f))
+            f, word = f.sub, word + (f.modality,)
+        [kind] = kinds
+        words.add((kind, word))
+    every = [word for length in range(1, 7)
+             for word in itertools.product((Modality.REL, Modality.HYB), repeat=length)]
+    assert len(every) == 126
+    assert words == {(kind, word) for kind in (Box, Diamond) for word in every}
 
 
 def test_nominal_agreement_reaches_every_variable_of_a_hybrid_axiom():
@@ -169,7 +181,7 @@ def test_ax_program_universal_counts():
     axp = ax_program(prog, L)
     assert len(conjuncts(axp)) == 2
     assert ax_program(MinskyProgram(()), L) == TOP
-    assert ax_program(MinskyProgram(()), H2) == nom_formula(6)
+    assert ax_program(MinskyProgram(()), H2) == nom_formula()
 
 
 def test_psi_shape():

@@ -16,7 +16,7 @@ from mlunif.formula import (
 from mlunif.minsky import Config, parse_program
 from mlunif.kripke import (
     CounterModel, DisjointUnion, Frame, Model, Valid, _cover, frame_valid, model_check,
-    parse_frame, parse_valuation, placements, serialize_frame, serialize_valuation,
+    parse_frame, parse_valuation, serialize_frame, serialize_generators, serialize_valuation,
     transitive_closure, transitive_reduction, truth_mask,
 )
 from helpers import (
@@ -219,10 +219,9 @@ def check_against_oracle(frame, phi):
     return isinstance(got, Valid)
 
 
-def test_frame_valid_by_placements_agrees_with_brute_force():
-    # conjuncts without variables and with at most one nominal are decided
-    # by one truth-mask pass over all placements of the nominal; mixed
-    # with a conjunct that has variables, the rest goes to the CNF
+def test_frame_valid_on_nominal_conjuncts_agrees_with_brute_force():
+    # conjuncts without variables and with at most one nominal, alone and
+    # mixed with a conjunct that has variables
     rng = random.Random(97)
     # conjuncts with variables that are valid on every frame, or on some
     valid_b = [parse("n1 & p1 -> [h](n1 -> p1)", H2), parse("[h]p1 <-> ~<h>~p1", H2),
@@ -244,24 +243,11 @@ def test_frame_valid_by_placements_agrees_with_brute_force():
     assert verdicts == {True, False}
 
 
-def test_placements_is_the_union_of_every_placement():
-    rng = random.Random(8)
-    for seed in range(40):
-        frame = random_frame(seed, 5, kind=H2)
-        union = placements(DisjointUnion([(frame.r, frame.s, ())]), {1, 2})
-        models = union_of(Model(frame, {Nominal(1): 1 << i, Nominal(2): 1 << i})
-                          for i in range(len(frame.points)))
-        assert (union.offsets, union.width) == (models.offsets, models.width)
-        for _ in range(10):
-            phi = random_formula(rng, depth=3, num_vars=0, language=H2, num_noms=2)
-            assert truth_mask(union, phi) == truth_mask(models, phi)
-
-
 def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     # the program axioms of a hybrid certificate: the solver's search is
     # pinned, and it depends on the variable and nominal atoms coming first;
-    # the nominal-agreement conjuncts are decided by placements, so the CNF
-    # holds the instruction axioms only
+    # the CNF holds the instruction axioms and the nominal-agreement
+    # conjuncts alike
     program = parse_program("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0")
     frame = canonical_frame(program, Config(1, 0, 0), 100, H2).frame
     phi = ax_program(program, H2)
@@ -272,7 +258,7 @@ def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     [cnf] = cnfs
     solver = propsat.Solver(cnf)
     assert isinstance(solver.solve(), propsat.Unsat)
-    assert (solver.decisions, solver.conflicts) == (30, 7)
+    assert (solver.decisions, solver.conflicts) == (38, 8)
     # the variables come first, with atoms only at the points where the
     # axioms read them (16 of the 2 * 22 pairs), then the nominal's atoms
     # at every point: its at-least-one clause comes first
@@ -280,8 +266,8 @@ def test_frame_valid_search_on_hybrid_canonical_frame(monkeypatch):
     assert n == 22 and nominals(phi) == {1} and variables(phi) == {1, 2}
     assert cnf.clauses[0] == list(range(17, 17 + n))
     # each defined atom gets only the directions its polarity needs: full
-    # equivalences take 480 clauses over the same atoms
-    assert (cnf.num_atoms, len(cnf.clauses)) == (105, 478)
+    # equivalences take 506 clauses over the same atoms
+    assert (cnf.num_atoms, len(cnf.clauses)) == (107, 503)
 
 
 def test_frame_valid_agrees_with_brute_force_where_polarities_collide():
@@ -555,6 +541,13 @@ def test_frame_text_roundtrip():
     # closure of both; `S: all` makes S total
     assert parse_frame("points: x y z\nR*: x y\nR*: y z\nR: z x\nS: all\n") == Frame(
         ("x", "y", "z"), (0b110, 0b100, 0b001), (0b111,) * 3)
+    # a point named `all`: `S: all` alone is a total S, `S: all x` an edge
+    for s in ((0b10, 0), (0b11, 0b11), (0, 0b01)):
+        named_all = Frame(("all", "x"), (0b10, 0), s)
+        for write in (serialize_frame, serialize_generators):
+            assert parse_frame(write(named_all)) == named_all, write(named_all)
+    assert serialize_generators(Frame(("all", "x"), (0b10, 0), (0b10, 0))).endswith(
+        "S: all x\n")
 
 
 def test_frame_row_and_text_errors():
@@ -569,7 +562,12 @@ def test_frame_row_and_text_errors():
     for text, message in (("points: x y\nR: x z\n", "R edge (x, z) on line 2 leaves the frame"),
                           ("R: z x\npoints: x\n", "R edge (z, x) on line 1 leaves the frame"),
                           ("points: x\nS:\nS: x z\n",
-                           "S edge (x, z) on line 3 leaves the frame")):
+                           "S edge (x, z) on line 3 leaves the frame"),
+                          # `all` after `S:` is a point when an edge follows
+                          ("points: x y\nS: all x\n",
+                           "S edge (all, x) on line 2 leaves the frame"),
+                          ("points: x y\nS: all all\n",
+                           "S edge (all, all) on line 2 leaves the frame")):
         with pytest.raises(UnknownPoint) as info:
             parse_frame(text)
         assert str(info.value) == message
@@ -582,7 +580,7 @@ def test_frame_row_and_text_errors():
         parse_frame("points: x y\nR*: x y\nR*: y z\n")
     assert str(info.value) == "R* edge (y, z) on line 3 leaves the frame"
     for text in ("points: x y\nR*: x\n", "points: x y\nR*: x y x\n", "points: x y\nR*:\n",
-                 "points: x y\nS: all x\n", "points: x y\nS: all all\n"):
+                 "points: x y\nS: all x y\n"):
         with pytest.raises(ParseError) as info:
             parse_frame(text)
         assert "on line 2" in str(info.value), text

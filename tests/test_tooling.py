@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -81,7 +82,6 @@ def test_every_top_level_name_has_a_caller_in_the_package():
 UNSET_ALLOWED = {
     "cli.main(argv)": "the console script passes none, so argv comes from sys.argv",
     "formula.parse_substitution(language)": "waits for `mlunif check` (ROADMAP item 4)",
-    "encoding.nom_formula(max_len)": "the word-count tests build shorter formulas",
 }
 
 
@@ -141,6 +141,44 @@ def unset_parameters():
 
 def test_every_defaulted_parameter_is_set_by_a_caller_in_the_package():
     assert unset_parameters() == set(UNSET_ALLOWED)
+
+
+def readme_names_not_in_the_package():
+    """Every backticked bare identifier in README's `mlunif.<module>` rows
+    that the package does not define: as a def or class, an assigned name
+    or attribute, or a string literal other than a docstring."""
+    defined = set()
+    for entry in sorted(os.listdir(SRC)):
+        if not entry.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, entry), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                defined.add(node.value)
+    readme = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
+    named = set()
+    with open(readme, encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("| `mlunif."):
+                contents = line.split("|", 2)[2]
+                named.update(name for name in re.findall(r"`([^`]*)`", contents)
+                             if re.fullmatch(r"[A-Za-z_]\w*", name))
+    return named - defined
+
+
+def test_readme_module_table_names_only_what_the_package_defines():
+    assert readme_names_not_in_the_package() == set()
 
 
 def test_every_annotation_resolves():

@@ -191,6 +191,24 @@ def test_hybrid_certificate_needs_a_total_s():
         assert certificate_checks(frame, prog, a, b, language) == {"s_total": False}
 
 
+def test_frame_valid_decides_the_nominal_agreement_alone(monkeypatch):
+    # `nom_formula()` has one nominal and no variable; on C3's frame one CNF
+    # finds it valid with S total, and falsified with S one edge short
+    program, start, _, language, _ = CERTIFICATE_CNFS[2]
+    frame = canonical_frame(parse_program(program), parse_config(start), 100, language).frame
+    nom = encoding.nom_formula()
+    cnfs = []
+    solve = propsat.solve
+    monkeypatch.setattr(propsat, "solve", lambda cnf: cnfs.append(cnf) or solve(cnf))
+    assert isinstance(frame_valid(frame, nom), Valid)
+    s = list(frame.s)
+    s[-1] ^= 1
+    got = frame_valid(Frame(frame.points, frame.r, tuple(s)), nom)
+    assert isinstance(got, CounterModel)
+    assert not model_check(got.model, got.point, nom)
+    assert len(cnfs) == 2
+
+
 def test_certificate_cnf_grows_with_the_generator_edges(monkeypatch):
     # the program axioms' CNF on an L certificate has at most 20 literals
     # per generator edge of R (its transitive reduction), however long
