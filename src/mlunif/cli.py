@@ -128,8 +128,7 @@ def cmd_verify(args) -> int:
     language = MODES[args.mode]
     verdict = workbench.check_unifiable_via_reduction(
         program, start, target, args.bound, language,
-        seed=args.seed, trials=args.trials, max_points=args.max_points,
-        tableau_budget=args.budget)
+        seed=args.seed, tableau_budget=args.budget)
     report = workbench.verdict_report(verdict, program, start, target, args.bound, language)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -198,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--bound", type=_at_least(0), default=1000)
     verify_p.add_argument("--mode", choices=list(MODES), default="universal")
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--trials", type=_at_least(1), default=workbench.DEFAULT_TRIALS)
-    verify_p.add_argument("--max-points", type=_at_least(1),
-                          default=workbench.DEFAULT_MAX_POINTS)
     verify_p.add_argument("--budget", type=_at_least(1), default=workbench.DEFAULT_TABLEAU_BUDGET)
     verify_p.add_argument("--out")
     verify_p.set_defaults(func=cmd_verify)

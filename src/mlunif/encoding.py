@@ -275,7 +275,7 @@ class LabeledFrame(Record):
     """A frame whose labeled points each carry the name of their marker."""
     frame: Frame
     labels: dict[str, str]
-    truncation: int | None = None
+    truncation: int | None
 
 
 def _tower_point(i: int, j: int) -> str:
@@ -342,7 +342,7 @@ def frame_for_configs(configs: Iterable[Config], level: int,
     if language == H2:
         s = ((1 << count) - 1,) * count
     frame = Frame(tuple(points), r, s)
-    return LabeledFrame(frame, labels, truncation=level)
+    return LabeledFrame(frame, labels, level)
 
 
 def canonical_frame(program: MinskyProgram, start: Config, bound: int,
@@ -407,4 +407,4 @@ def parse_labeled_frame(text: str) -> LabeledFrame:
     unknown = set(labels) - set(frame.points)
     if unknown:
         raise ParseError(0, "labels only for frame points (%s)" % ", ".join(sorted(unknown)))
-    return LabeledFrame(frame, labels)
+    return LabeledFrame(frame, labels, None)

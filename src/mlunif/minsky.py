@@ -78,17 +78,6 @@ class MinskyProgram(FrozenRecord):
     def instruction_for(self, state: int) -> Instruction | None:
         return self._table.get(state)
 
-    def serialize(self) -> str:
-        lines = []
-        for ins in self.instructions:
-            d1, d2 = ("+1", "0") if ins.counter == 1 else ("0", "+1")
-            if isinstance(ins, Dec):
-                d1, d2 = ("-1", "0") if ins.counter == 1 else ("0", "-1")
-                lines.append("%d -> %d,%s,%s | %d,0,0" % (ins.src, ins.dst, d1, d2, ins.zero_dst))
-            else:
-                lines.append("%d -> %d,%s,%s" % (ins.src, ins.dst, d1, d2))
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 _LINE_RE = re.compile(
     r"^(\d+)\s*->\s*(\d+)\s*,\s*([+-]?1|0)\s*,\s*([+-]?1|0)"
@@ -225,7 +214,7 @@ class No(FrozenRecord):
 
 
 class Unknown(FrozenRecord):
-    reason: str = ""
+    reason: str
 
 
 Reachability = Yes | No | Unknown

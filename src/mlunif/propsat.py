@@ -38,7 +38,7 @@ from .record import Record
 
 class CNF(Record):
     num_atoms: int
-    clauses: list[list[int]] = []
+    clauses: list[list[int]]
 
 
 class SatResult(Record):

@@ -1,15 +1,14 @@
 """Record classes: the annotated fields of a class body, in order, make its
 constructor, equality and repr.
 
-A subclass of `Record` declares `name: type` lines, each optionally with a
-default.  Its constructor takes the fields positionally or by keyword, a
-`[]` or `{}` default gives each instance a fresh copy, and `__post_init__`
-runs once the fields are set.  Two records are equal when they are of the
-same class with equal fields; a `Record` is unhashable and a `FrozenRecord`
-is immutable and hashed by its fields.  Nothing is compiled at run time, so
+A subclass of `Record` declares `name: type` lines, with no defaults.  Its
+constructor takes exactly the fields, positionally, and `__post_init__`
+runs once they are set.  Two records are equal when they are of the same
+class with equal fields; a `Record` is unhashable and a `FrozenRecord` is
+immutable and hashed by its fields.  Nothing is compiled at run time, so
 defining a record costs little more than defining a plain class.  A record
-built in a hot loop may define its own `__init__` with the fields as
-parameters, in order.
+built in a hot loop, or one with a default, may define its own `__init__`
+with the fields as parameters, in order.
 """
 
 from operator import attrgetter
@@ -19,39 +18,18 @@ class Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         fields = cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
         # the field values as a tuple; attrgetter builds one only for two or
         # more names, and does it in C
         cls._values = staticmethod(attrgetter(*fields) if len(fields) > 1 else
                                    lambda record: tuple([getattr(record, f) for f in fields]))
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError("%s() takes %d arguments but %d were given"
+                            % (type(self).__name__, len(self._fields), len(args)))
         for field, value in zip(self._fields, args):
             object.__setattr__(self, field, value)
         self.__post_init__()
-
-    def _bind(self, args, kwargs):
-        """All field values, in order, from a call that leaves some to
-        their keyword or default."""
-        name = type(self).__name__
-        if len(args) > len(self._fields):
-            raise TypeError("%s() takes %d arguments but %d were given"
-                            % (name, len(self._fields), len(args)))
-        values = list(args)
-        for field in self._fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in self._defaults:
-                default = self._defaults[field]
-                values.append(default.copy() if isinstance(default, (list, dict)) else default)
-            else:
-                raise TypeError("%s() missing argument %r" % (name, field))
-        if kwargs:
-            raise TypeError("%s() got an unexpected or repeated argument %r"
-                            % (name, next(iter(kwargs))))
-        return values
 
     def __post_init__(self):
         pass

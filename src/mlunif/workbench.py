@@ -36,28 +36,15 @@ from .encoding import (
 from .record import Record
 from .witness import no_defect_lemma, step_lemmas, witness_from_trace
 
-DEFAULT_TRIALS = 1000
-DEFAULT_MAX_POINTS = 8
+SUITE_TRIALS = 1000
+SUITE_MAX_POINTS = 8
 DEFAULT_TABLEAU_BUDGET = 2_000_000
 DEFAULT_TABLEAU_MAX_STEPS = 2
 
 
-class ValidityEvidence(Record):
-    method: str            # "tableau" or "random_models"
-    trials: int = 0
-    seed: int = 0
-    max_points: int = 0
-
-    def as_dict(self) -> dict:
-        out = {"method": self.method}
-        if self.method == "random_models":
-            out.update(trials=self.trials, seed=self.seed, max_points=self.max_points)
-        return out
-
-
 class Unifiable(Record):
     substitution: Substitution
-    evidence: ValidityEvidence
+    evidence: dict         # the report's "evidence" object, written as it is
     trace_length: int
     psi_size: int          # DAG size of the reduction formula the unifier unifies
 
@@ -120,9 +107,8 @@ def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
 
 
 def verify_unifier(sigma: Substitution, reduction: Formula, language: str,
-                   trace: Trace, seed: int = 0, trials: int = DEFAULT_TRIALS,
-                   max_points: int = DEFAULT_MAX_POINTS,
-                   tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> ValidityEvidence:
+                   trace: Trace, seed: int = 0,
+                   tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> dict:
     """Certify that sigma(reduction), the unifier `sigma` of `trace` applied
     to psi, holds everywhere.
 
@@ -130,9 +116,10 @@ def verify_unifier(sigma: Substitution, reduction: Formula, language: str,
     one tableau call within `tableau_budget` proves the conjunction of the
     run's step lemmas and its no-defect lemma, which implies the formula
     (`witness.step_lemmas`).  A proof that runs out of budget falls back to
-    the random-model suite, as do longer runs; only the suite builds
-    sigma(reduction).  A counter-model is an internal-invariant violation,
-    not a verdict.
+    the random-model suite of SUITE_TRIALS models of at most
+    SUITE_MAX_POINTS points, as do longer runs; only the suite builds
+    sigma(reduction).  Returns the report's evidence dict.  A counter-model
+    is an internal-invariant violation, not a verdict.
     """
     if len(trace) <= DEFAULT_TABLEAU_MAX_STEPS:
         lemmas = conj(step_lemmas(trace) + [no_defect_lemma(trace)])
@@ -144,14 +131,14 @@ def verify_unifier(sigma: Substitution, reduction: Formula, language: str,
             if not isinstance(verdict, Valid):
                 raise InternalCheckFailed(
                     "unifier verification found a counter-model at point %r" % verdict.point)
-            return ValidityEvidence("tableau")
+            return {"method": "tableau"}
     checked, failure = check_on_random_models(apply_subst(sigma, reduction), language,
-                                              seed, trials, max_points)
+                                              seed, SUITE_TRIALS, SUITE_MAX_POINTS)
     if failure is not None:
         raise InternalCheckFailed(
             "unifier verification failed on a random model at point %r" % failure[1])
-    return ValidityEvidence("random_models", trials=checked, seed=seed,
-                            max_points=max_points)
+    return {"method": "random_models", "trials": checked, "seed": seed,
+            "max_points": SUITE_MAX_POINTS}
 
 
 def certificate_checks(lf: LabeledFrame, program: MinskyProgram, start: Config,
@@ -196,16 +183,14 @@ def certificate_checks(lf: LabeledFrame, program: MinskyProgram, start: Config,
 
 def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
                                   target: Config, bound: int, language: str,
-                                  seed: int = 0, trials: int = DEFAULT_TRIALS,
-                                  max_points: int = DEFAULT_MAX_POINTS,
+                                  seed: int = 0,
                                   tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> PipelineVerdict:
     reach = reaches(program, start, target, bound)
     if isinstance(reach, Yes):
         sigma = witness_from_trace(reach.trace, language)
         reduction = psi(program, start, target, language)
         evidence = verify_unifier(sigma, reduction, language, reach.trace,
-                                  seed=seed, trials=trials, max_points=max_points,
-                                  tableau_budget=tableau_budget)
+                                  seed=seed, tableau_budget=tableau_budget)
         return Unifiable(sigma, evidence, len(reach.trace), size(reduction))
     if isinstance(reach, No):
         lf = canonical_frame(program, start, bound, language)
@@ -246,7 +231,7 @@ def verdict_report(verdict: PipelineVerdict, program: MinskyProgram, start: Conf
         report.update(
             verdict="unifiable",
             trace_length=verdict.trace_length,
-            evidence=verdict.evidence.as_dict(),
+            evidence=verdict.evidence,
             formula_sizes={
                 "psi": verdict.psi_size,
                 "sigma_p1": size(verdict.substitution.get(1)),

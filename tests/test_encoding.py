@@ -273,7 +273,7 @@ def test_labeled_frame_text_falls_back_to_explicit_edges():
     points = ("x", "y", "z")
 
     def text(r, s=None):
-        lf = LabeledFrame(Frame(points, r, s), {"x": "alpha"})
+        lf = LabeledFrame(Frame(points, r, s), {"x": "alpha"}, None)
         written = serialize_labeled_frame(lf)
         back = parse_labeled_frame(written)
         assert (back.frame, back.labels) == (lf.frame, lf.labels)
@@ -312,7 +312,7 @@ def test_labeled_frame_text_reads_back_on_random_frames():
         if s is not None and seed // 2 % 3:  # S as drawn, or empty, or total
             s = (((1 << n) - 1) * (seed // 2 % 3 - 1),) * n
         labels = {p: rng.choice(names) for p in frame.points if rng.random() < 0.5}
-        lf = LabeledFrame(Frame(frame.points, r, s), labels)
+        lf = LabeledFrame(Frame(frame.points, r, s), labels, None)
         text = serialize_labeled_frame(lf)
         back = parse_labeled_frame(text)
         assert (back.frame, back.labels) == (lf.frame, lf.labels), text

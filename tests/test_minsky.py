@@ -45,12 +45,6 @@ def test_parse_rejections():
         parse_program("nonsense")
 
 
-def test_serialize_roundtrip():
-    text = "1 -> 2,+1,0\n2 -> 3,0,-1 | 4,0,0\n"
-    prog = parse_program(text)
-    assert parse_program(prog.serialize()) == prog
-
-
 def test_step_semantics():
     inc1 = MinskyProgram((Inc(1, 1, 2),))
     assert step(inc1, Config(1, 0, 0)) == Config(2, 1, 0)

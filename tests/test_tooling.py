@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -179,6 +181,33 @@ def readme_names_not_in_the_package():
 
 def test_readme_module_table_names_only_what_the_package_defines():
     assert readme_names_not_in_the_package() == set()
+
+
+def readme_command_lines():
+    """Every `mlunif <command> ...` line of README's `sh` blocks, with `\\`
+    continuations joined."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```sh\n(.*?)^```", handle.read(), re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line.startswith("mlunif ")]
+
+
+def test_readme_commands_use_only_real_options():
+    from mlunif import cli
+
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    lines = readme_command_lines()
+    assert len(lines) >= 6
+    unknown = []
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        options = commands[words[1]]._option_string_actions
+        unknown += [(words[1], word) for word in words[2:]
+                    if word.startswith("--") and word.split("=")[0] not in options]
+    assert unknown == []
 
 
 def test_every_annotation_resolves():

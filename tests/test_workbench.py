@@ -28,7 +28,7 @@ from mlunif.witness import (
 )
 from mlunif.formula import apply_subst, variables
 from mlunif.workbench import (
-    NotUnifiable, Unifiable, Unknown, _suite_blocks, certificate_checks,
+    SUITE_TRIALS, NotUnifiable, Unifiable, Unknown, _suite_blocks, certificate_checks,
     check_on_random_models, check_unifiable_via_reduction, ground_unifiable,
     verdict_report,
 )
@@ -45,7 +45,7 @@ def test_zero_step_reachability_gives_trivial_unifier():
                                             10, L)
     assert isinstance(verdict, Unifiable)
     assert verdict.substitution == Substitution({1: BOT, 2: BOT})
-    assert verdict.evidence.method == "tableau"
+    assert verdict.evidence["method"] == "tableau"
     assert verdict.trace_length == 0
 
 
@@ -54,7 +54,7 @@ def test_one_step_unifiable_with_tableau_evidence():
     verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(2, 1, 0),
                                             10, L)
     assert isinstance(verdict, Unifiable)
-    assert verdict.evidence.method == "tableau"
+    assert verdict.evidence["method"] == "tableau"
 
 
 def test_unreachable_gives_certificate():
@@ -185,7 +185,8 @@ def test_hybrid_certificate_needs_a_total_s():
     lf = canonical_frame(prog, a, 100, language)
     s = list(lf.frame.s)
     s[-1] ^= 1
-    one_short = LabeledFrame(Frame(lf.frame.points, lf.frame.r, tuple(s)), lf.labels)
+    one_short = LabeledFrame(Frame(lf.frame.points, lf.frame.r, tuple(s)), lf.labels,
+                             lf.truncation)
     lone = parse_labeled_frame(serialize_labeled_frame(lf).replace("S: all\n", "S:\n"))
     for frame in (one_short, lone):
         assert certificate_checks(frame, prog, a, b, language) == {"s_total": False}
@@ -262,10 +263,8 @@ def test_mode_agreement_on_verdict_kind():
         prog = parse_program(text)
         start = Config(*map(int, a.split(",")))
         target = Config(*map(int, b.split(",")))
-        uni = check_unifiable_via_reduction(prog, start, target, 10, L,
-                                            trials=60, max_points=6)
-        hyb = check_unifiable_via_reduction(prog, start, target, 10, H2,
-                                            trials=60, max_points=6)
+        uni = check_unifiable_via_reduction(prog, start, target, 10, L)
+        hyb = check_unifiable_via_reduction(prog, start, target, 10, H2)
         assert type(uni) is type(hyb), (text, a, b)
 
 
@@ -277,27 +276,15 @@ def test_hybrid_unifiable_uses_random_suite_beyond_trivial_traces():
     # a hybrid run goes to the suite by its length alone, as a universal one
     prog = parse_program("1 -> 2,+1,0")
     verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(2, 1, 0),
-                                            10, H2, trials=80, max_points=6)
+                                            10, H2)
     assert isinstance(verdict, Unifiable)
-    assert verdict.evidence.method == "tableau"
+    assert verdict.evidence["method"] == "tableau"
     verdict = check_unifiable_via_reduction(parse_program(S3_PROGRAM), Config(1, 0, 0),
-                                            Config(4, 2, 1), 10, H2, trials=80,
-                                            max_points=6)
+                                            Config(4, 2, 1), 10, H2)
     assert isinstance(verdict, Unifiable)
     assert verdict.trace_length == 3
-    assert verdict.evidence.method == "random_models"
-    assert verdict.evidence.trials == 80
-
-
-@pytest.mark.parametrize("program, target, language, trials", [
-    (S3_PROGRAM, Config(4, 2, 1), H2, 0),
-    (S3_PROGRAM, Config(4, 2, 1), L, -5),
-], ids=["hybrid-length-3", "universal-length-3"])
-def test_random_suite_refuses_fewer_than_one_trial(program, target, language, trials):
-    # no model checked is no evidence for a Unifiable verdict
-    with pytest.raises(ValueError, match="at least one trial"):
-        check_unifiable_via_reduction(parse_program(program), Config(1, 0, 0), target,
-                                      10, language, trials=trials)
+    assert verdict.evidence["method"] == "random_models"
+    assert verdict.evidence["trials"] == SUITE_TRIALS
 
 
 def test_random_suite_reports_failures():
@@ -460,8 +447,7 @@ def test_cli_reduce_and_verify(tmp_path, capsys):
     assert (out / "sigma.txt").exists()
 
     code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
-                   "--target", "2,1,0", "--bound", "10", "--trials", "40",
-                   "--out", str(out / "verify"))
+                   "--target", "2,1,0", "--bound", "10", "--out", str(out / "verify"))
     assert code == 0
     report = json.loads((out / "verify" / "report.json").read_text())
     assert report["verdict"] == "unifiable"
@@ -474,8 +460,7 @@ def test_cli_verify_sigma_text_is_linear(tmp_path, capsys):
     program.write_text("".join("%d -> %d,+1,0\n" % (k, k + 1) for k in range(1, steps + 1)))
     out = tmp_path / "out"
     code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
-                   "--target", "%d,%d,0" % (steps + 1, steps), "--trials", "10",
-                   "--out", str(out))
+                   "--target", "%d,%d,0" % (steps + 1, steps), "--out", str(out))
     assert code == 0
     assert (out / "sigma.txt").stat().st_size < 50_000
 
@@ -592,9 +577,7 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
             assert "on line %d" % text.count("\n") in lines[0], lines
 
 
-@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
-                                         ("--max-points", "0"), ("--bound", "-1"),
-                                         ("--budget", "0")])
+@pytest.mark.parametrize("flag, value", [("--bound", "-1"), ("--budget", "0")])
 def test_cli_verify_rejects_out_of_range_counts(tmp_path, capsys, flag, value):
     program = tmp_path / "prog.txt"
     program.write_text("1 -> 2,+1,0\n")
@@ -641,7 +624,7 @@ def test_cli_verify_stops_the_run_at_the_target(tmp_path, capsys):
     program = tmp_path / "prog.txt"
     program.write_text("1 -> 1,+1,0\n")
     code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
-                   "--target", "1,5,0", "--bound", "200000", "--trials", "10")
+                   "--target", "1,5,0", "--bound", "200000")
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "unifiable"
@@ -658,6 +641,20 @@ def test_cli_verify_falls_back_to_the_suite_when_a_lemma_runs_out(tmp_path, caps
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "unifiable"
     assert report["evidence"]["method"] == "random_models"
+
+
+def test_cli_verify_writes_the_whole_suite_evidence(tmp_path, capsys):
+    # the suite's one configuration, and the seed it was drawn from
+    program = tmp_path / "prog.txt"
+    program.write_text(S3_PROGRAM + "\n")
+    out = tmp_path / "out"
+    code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
+                   "--target", "4,2,1", "--mode", "hybrid", "--seed", "7", "--out", str(out))
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["trace_length"] == 3
+    assert report["evidence"] == {"max_points": 8, "method": "random_models", "seed": 7,
+                                  "trials": 1000}
 
 
 # The tableau instances of the benchmark, with the Solver.solve calls of
@@ -689,7 +686,7 @@ def counted_verify(monkeypatch, program, start, target):
     verdict = check_unifiable_via_reduction(
         parse_program(program), parse_config(start), parse_config(target), 100, L)
     monkeypatch.undo()
-    return verdict.evidence.method, solves[0], goals
+    return verdict.evidence["method"], solves[0], goals
 
 
 @pytest.mark.parametrize("program, start, target",
@@ -776,8 +773,7 @@ assert main(["verify", "--program", sys.argv[2], "--start", "1,0,0",
              "--target", "3,0,0", "--mode", "hybrid", "--bound", "100",
              "--out", sys.argv[4] + "/a"]) == 0
 assert main(["verify", "--program", sys.argv[3], "--start", "1,0,0",
-             "--target", "4,2,1", "--mode", "hybrid", "--trials", "5",
-             "--out", sys.argv[4] + "/b"]) == 0
+             "--target", "4,2,1", "--mode", "hybrid", "--out", sys.argv[4] + "/b"]) == 0
 print(json.dumps(tracer.layer_metrics()))
 """
 
