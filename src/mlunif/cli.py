@@ -25,7 +25,38 @@ from .encoding import (
 from .witness import witness_from_trace
 
 
+def _columns() -> int:
+    """The terminal width by the rule of `shutil.get_terminal_size`: COLUMNS
+    if it is a positive integer, else the columns of the terminal on
+    stdout, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter, sized without importing `shutil`: argparse
+    makes a formatter for every `add_argument`, and its own asks
+    `shutil.get_terminal_size`, whose import pulls in bz2, lzma, zlib and
+    fnmatch on every run."""
+
+    def __init__(self, prog):
+        # argparse's rule: two columns short of the terminal
+        super().__init__(prog, width=_columns() - 2)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # add_subparsers makes the subcommands' parsers with this class too
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     def error(self, message):
         sys.stderr.write("%s: error: %s (see --help)\n" % (self.prog, message))
         raise SystemExit(1)

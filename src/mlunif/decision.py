@@ -38,7 +38,7 @@ from .formula import (
     Or as FOr, Top as FTop, Var as FVar, language_of, nominals, postorder,
     variables,
 )
-from .kripke import CounterModel, Frame, Model, Valid, model_check
+from .kripke import CounterModel, Frame, Model, Valid, _bits, model_check
 from .propsat import Unsat
 from .record import Record
 
@@ -278,7 +278,26 @@ class _KEngine:
     holds only while its blocker stays on the path, so it never answers a
     subset; Unsat verdicts answer exact matches only.  The match only adds
     Sat answers, so every Unsat, and with it every Valid verdict, rests on
-    the same reasoning as an exact-match search."""
+    the same reasoning as an exact-match search.
+
+    A node's solve decides only the node's cone (`_cone`): the atoms
+    reachable from its content through and/or arms, as in the per-node DPLL
+    of KSAT (Giunchiglia & Sebastiani, Information and Computation 162,
+    2000).  The solver answers Sat once the cone is assigned and
+    propagation is complete without conflict, so every clause without a
+    true literal has two unassigned ones.  Sound, because that partial
+    model extends to a model E of every clause the solver holds.  E agrees
+    with the solver on the cone and on each box, diamond or literal atom
+    that propagation assigned; it keeps atom 1 true, makes each other box
+    false (its diamond true) and each other literal atom false, and
+    evaluates the and/or atoms outside the cone from their arms.  E
+    satisfies every definition: a cone node's arms lie in the cone, where
+    no clause is false, and the others hold by construction.  It satisfies
+    every modal conflict clause: such a clause negates one diamond and some
+    boxes, so if no literal is true, one of its two unassigned literals
+    negates a box that E makes false.  Learned clauses follow from these.
+    The node reads its model only through `leans_on`, which stays inside
+    the cone, and `satisfiable` still checks its final model."""
 
     INF = float("inf")
 
@@ -302,6 +321,8 @@ class _KEngine:
         self.cnf.add_clause([self.cnf.new_atom()])
         self.lit_of: dict[int, int] = {b.TOP.uid: 1, b.BOT.uid: -1}
         self.encoded: set[int] = set()
+        # uid -> bit mask of the node's cone, shared with its complement
+        self.cones: dict[int, int] = {}
         # one warm incremental solver per axiom set, fed the shared
         # structural clauses on demand
         self.solvers: dict[frozenset[int], tuple[propsat.Solver, list[int]]] = {}
@@ -350,6 +371,29 @@ class _KEngine:
                 else:
                     self.cnf.define(-lf, [-a for a in arms])
                 stack.extend(nf.args)
+
+    def _cone(self, content: frozenset[NF]) -> list[int]:
+        """The atoms reachable from the content through and/or arms: the
+        OR of one memoized bit mask per member."""
+        cones, lit_of = self.cones, self.lit_of
+
+        def arms(nf: NF) -> tuple:
+            return nf.args if nf.tag in ("and", "or") and nf.uid not in cones else ()
+
+        mask = 0
+        for root in content:
+            hit = cones.get(root.uid)
+            if hit is None:
+                for nf in postorder(root, arms):
+                    if nf.uid not in cones:
+                        bits = 1 << abs(lit_of[nf.uid])
+                        if nf.tag in ("and", "or"):
+                            for arm in nf.args:
+                                bits |= cones[arm.uid]
+                        cones[nf.uid] = cones[self.b.negate(nf).uid] = bits
+                hit = cones[root.uid]
+            mask |= hit
+        return list(_bits(mask))
 
     def sat(self, content: frozenset[NF]) -> tuple[bool, int | None]:
         ok, _, world = _run(self._sat, frozenset(content), {}, 0)
@@ -418,6 +462,7 @@ class _KEngine:
         for nf in sorted(content, key=lambda f: f.uid):
             self._encode(nf)
         assumptions = tuple(sorted((self._lit(nf) for nf in content), key=abs))
+        cone = self._cone(content)
 
         def truth(nf: NF) -> bool:
             lit = self.lit_of[nf.uid]
@@ -440,7 +485,7 @@ class _KEngine:
 
         while True:
             solver = self._solver()
-            result = solver.solve(assumptions)
+            result = solver.solve(assumptions, cone)
             if isinstance(result, propsat.Unsat):
                 return False, self.INF
             model = result.assignment

@@ -303,7 +303,7 @@ def truncation_level(program: MinskyProgram, configs: Iterable[Config]) -> int:
 
 # frame_for_configs raises ResourceLimit past this many points: R is a
 # transitive closure, and a frame-validity check evaluates masks of n * n bits
-POINT_BUDGET = 1_000
+POINT_BUDGET = 2_000
 
 
 def frame_for_configs(configs: Iterable[Config], level: int,

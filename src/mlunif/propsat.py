@@ -13,9 +13,12 @@ from the end), so the innermost test is `value[lit]`; `_propagate` and the
 to locals once per call.  Decisions come from an order heap of
 (-activity, atom) entries: the unassigned atom of highest activity, ties
 to the lowest index, exactly the atom a linear scan in index order would
-pick.  A bump leaves the atom's old entry behind, stale; undoing the
-trail pushes each freed atom back; rescaling the activities rebuilds the
-heap, since scaling can turn distinct activities into ties.
+pick.  Each `solve` call builds its heap from the unassigned atoms of its
+cone (every atom by default); a bump leaves the atom's old entry behind,
+stale; undoing the trail pushes each freed cone atom back; rescaling the
+activities rebuilds the heap, since scaling can turn distinct activities
+into ties.  The heap's least live entry does not depend on how the heap
+was built, so a heap per call decides as one kept across calls would.
 
 A speed change to `Solver` must not change its search: the same
 decisions, propagations, learned clauses and models.  The KU tableau's
@@ -24,7 +27,12 @@ exists; `decision._KEngine._lit` records an atom numbering that kept every
 verdict but made two benchmark instances over 40 times slower.  The tests
 pin the search: `tests/test_propsat.py` on recorded random CNFs, and
 `tests/test_decision.py` by the calls, decisions and conflicts of one KU
-validity check.
+validity check.  The one-shot search, with every atom in the cone, is
+unchanged.  The KU search changed once, on purpose, when each node's
+solve came to decide only the node's cone (`decision._KEngine`): the KU
+validity check of `tests/test_decision.py` went from 274 calls, 6,022
+decisions and 8 conflicts to 274, 2,052 and 8, and the benchmark's
+tableau instances T1/T2/T3 from 227/224/278 solves to 234/241/271.
 """
 
 from __future__ import annotations
@@ -104,10 +112,13 @@ class Solver:
         self.var_inc = 1.0
         self.phase: list[bool] = [False]
         self.seen: list[bool] = [False]
-        # order heap: (-activity, atom) entries; an entry is live while its
-        # atom is marked in_heap and its activity is current
+        # order heap of the current call: (-activity, atom) entries; an entry
+        # is live while its atom is marked in_heap and its activity is current
         self.heap: list[tuple[float, int]] = []
         self.in_heap: list[bool] = [False]
+        # the atoms of the current call's cone are those marked with its stamp
+        self.cone_mark: list[int] = [0]
+        self.stamp = 0
         self.conflicts = 0
         self.decisions = 0
         self.unsat = False  # the clauses alone are unsatisfiable
@@ -129,9 +140,8 @@ class Solver:
         self.activity += [0.0] * grown
         self.phase += [False] * grown
         self.seen += [False] * grown
-        self.in_heap += [True] * grown
-        for v in range(old + 1, n + 1):
-            heappush(self.heap, (-0.0, v))
+        self.in_heap += [False] * grown
+        self.cone_mark += [0] * grown
         self.n = n
 
     def add_clause(self, clause: list[int]) -> None:
@@ -285,10 +295,12 @@ class Solver:
 
     def _cancel_until(self, lvl: int) -> None:
         """Unassign every literal above decision level `lvl` in one pass,
-        saving its phase and returning its atom to the order heap."""
+        saving its phase and returning its atom to the order heap if it is
+        in the cone."""
         if len(self.trail_lim) > lvl:
             trail, value, phase = self.trail, self.value, self.phase
             heap, act, in_heap = self.heap, self.activity, self.in_heap
+            mark, stamp = self.cone_mark, self.stamp
             bound = self.trail_lim[lvl]
             for k in range(bound, len(trail)):
                 lit = trail[k]
@@ -296,15 +308,24 @@ class Solver:
                 value[-lit] = 0
                 var = abs(lit)
                 phase[var] = lit > 0
-                if not in_heap[var]:
+                if not in_heap[var] and mark[var] == stamp:
                     in_heap[var] = True
                     heappush(heap, (-act[var], var))
             del trail[bound:]
             del self.trail_lim[lvl:]
         self._qhead = len(self.trail)
 
-    def solve(self, assumptions: tuple[int, ...] = ()) -> SatResult:
-        """Sat with a model, or Unsat, of the clauses under `assumptions`."""
+    def solve(self, assumptions: tuple[int, ...] = (),
+              cone: Iterable[int] | None = None) -> SatResult:
+        """Sat with a model, or Unsat, of the clauses under `assumptions`.
+
+        The search decides only the atoms of `cone` (None: every atom) and
+        returns Sat once they are all assigned without conflict; an atom
+        outside the cone that propagation left unassigned reads False in the
+        model.  Such a partial model extends to a full one only for clause
+        sets that allow it, which the caller must know
+        (`decision._KEngine` gives the argument for its encoding).  Unsat
+        is unconditional."""
         for lit in assumptions:
             if lit == 0 or abs(lit) > self.n:
                 raise ValueError("literal %d out of range" % lit)
@@ -320,6 +341,22 @@ class Solver:
         trail, trail_lim, value = self.trail, self.trail_lim, self.value
         level, reason, phase = self.level, self.reason, self.phase
         heap, act, in_heap = self.heap, self.activity, self.in_heap
+        # this call's order heap: the cone's unassigned atoms
+        for entry in heap:
+            in_heap[entry[1]] = False
+        del heap[:]
+        mark = self.cone_mark
+        self.stamp += 1
+        stamp = self.stamp
+        n = self.n
+        for var in range(1, n + 1) if cone is None else cone:
+            if not 0 < var <= n:
+                raise ValueError("cone atom %d out of range" % var)
+            mark[var] = stamp
+            if value[var] == 0 and not in_heap[var]:
+                in_heap[var] = True
+                heap.append((-act[var], var))
+        heapify(heap)
         restart_count = 0
         limit = _luby(restart_count) * 64
         conflicts_here = 0  # since the last restart
@@ -355,8 +392,8 @@ class Solver:
                 if value[lit] == 1:
                     continue
             else:
-                # the unassigned atom of highest activity, ties to the
-                # lowest index: the heap's least live entry
+                # the unassigned cone atom of highest activity, ties to
+                # the lowest index: the heap's least live entry
                 while heap:
                     neg_act, var = heappop(heap)
                     if in_heap[var] and -neg_act == act[var]:
@@ -364,7 +401,7 @@ class Solver:
                         if value[var] == 0:
                             break
                 else:
-                    return Sat([v == 1 for v in value[:self.n + 1]])
+                    return Sat([v == 1 for v in value[:n + 1]])
                 self.decisions += 1
                 lit = var if phase[var] else -var
                 trail_lim.append(len(trail))

@@ -305,5 +305,6 @@ def test_ku_search_does_not_depend_on_heap_layout():
     # numbering or of caching that keeps every verdict can still cost orders
     # of magnitude more solver work, so the count itself is pinned.  The
     # decisions and conflicts pin the solver's search: a change that only
-    # makes propsat faster must leave all three as they are.
-    assert traces == {(274, 6022, 8)}, traces
+    # makes propsat faster must leave all three as they are.  Deciding each
+    # node's cone alone took the decisions from 6,022 to 2,052.
+    assert traces == {(274, 2052, 8)}, traces

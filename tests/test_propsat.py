@@ -244,6 +244,83 @@ def test_add_clause_sorts_by_atom_and_drops_repeats():
     assert solver.trail == [-3]
 
 
+def definition_dag(rng, free, defined):
+    """Clauses defining atoms free + 1 .. free + defined each as the
+    conjunction or disjunction of two or three literals of lower atoms,
+    and each defined atom's arm atoms."""
+    clauses, arms = [], {}
+    for a in range(free + 1, free + defined + 1):
+        parts = [v if rng.random() < 0.5 else -v
+                 for v in rng.sample(range(1, a), min(a - 1, rng.randint(2, 3)))]
+        arms[a] = [abs(p) for p in parts]
+        sign = 1 if rng.random() < 0.5 else -1  # -1: a is the disjunction
+        clauses += [[-sign * a, sign * p] for p in parts]
+        clauses.append([sign * a] + [-sign * p for p in parts])
+    return clauses, arms
+
+
+def modal_clause(rng, default, free):
+    """A clause over free atoms of which at most one literal is false
+    under `default`, like the tableau's: one negated diamond, negated boxes."""
+    atoms = rng.sample(range(1, free + 1), rng.randint(1, min(free, 4)))
+    lits = [v if default[v] else -v for v in atoms]
+    if rng.random() < 0.7:
+        lits[0] = -lits[0]
+    return lits
+
+
+def test_cone_solve_extends_to_a_full_model():
+    # a definition DAG over free atoms plus modal clauses, solved under
+    # random assumptions with only the cone decided: atoms the assumptions
+    # reach through definition arms
+    rng = random.Random(3030)
+    outcomes = set()
+    for _ in range(120):
+        free, defined = rng.randint(3, 8), rng.randint(3, 12)
+        n = free + defined
+        clauses, arms = definition_dag(rng, free, defined)
+        default = {v: rng.random() < 0.5 for v in range(1, free + 1)}
+        solver = Solver()
+        solver.ensure_atoms(n)
+        for clause in clauses:
+            solver.add_clause(clause)
+        for _ in range(6):
+            for _ in range(rng.randint(0, 3)):
+                clause = modal_clause(rng, default, free)
+                solver.add_clause(clause)
+                clauses.append(clause)
+            atoms = rng.sample(range(1, n + 1), rng.randint(1, 3))
+            assumptions = tuple(v if rng.random() < 0.5 else -v for v in atoms)
+            cone, stack = set(), list(atoms)
+            while stack:
+                v = stack.pop()
+                if v not in cone:
+                    cone.add(v)
+                    stack.extend(arms.get(v, ()))
+            got = solver.solve(assumptions, sorted(cone))
+            if isinstance(got, Sat):
+                cone_lits = [v if got.assignment[v] else -v for v in sorted(cone)]
+                assert all(got.assignment[abs(a)] == (a > 0) for a in assumptions)
+                full = CNF(n, clauses + [[lit] for lit in cone_lits])
+                extended = solve(full)
+                assert isinstance(extended, Sat), (clauses, cone_lits)
+                assert check_assignment(full, extended.assignment)
+                outcomes.add("sat" if len(cone) == n else "sat on a proper cone")
+            else:
+                assert isinstance(got, Unsat)
+                units = CNF(n, clauses + [[a] for a in assumptions])
+                assert isinstance(Solver(units).solve(), Unsat)
+                outcomes.add("unsat")
+    assert outcomes == {"sat", "sat on a proper cone", "unsat"}
+
+
+def test_solver_rejects_cone_atoms_out_of_range():
+    solver = Solver()
+    solver.ensure_atoms(2)
+    for cone in ([3], [0], [-1]):
+        with pytest.raises(ValueError):
+            solver.solve((), cone)
+
 def test_builder_define_and_or():
     b = CnfBuilder()
     x, y = b.new_atom(), b.new_atom()

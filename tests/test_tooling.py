@@ -10,6 +10,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import mlunif
 
 SRC = os.path.dirname(os.path.abspath(mlunif.__file__))
@@ -235,16 +237,43 @@ def test_every_annotation_resolves():
     assert checked > 100
 
 
-def test_start_up_loads_no_heavy_modules():
+def test_start_up_loads_no_heavy_modules(tmp_path):
     """Every `mlunif` call is a fresh process, so the package's imports are
-    paid on each one: none of these may be loaded (`dataclasses` alone
-    brings in `inspect`, `ast`, `dis` and `tokenize`)."""
-    heavy = ("dataclasses", "typing", "inspect", "ast", "dis", "tokenize")
+    paid on each one: none of these may be loaded, by the imports or by a
+    whole `verify` run (`dataclasses` alone brings in `inspect`, `ast`,
+    `dis` and `tokenize`; argparse's own help formatter imports `shutil`,
+    and with it bz2, lzma, zlib and fnmatch, for every `add_argument`)."""
+    heavy = ("dataclasses", "typing", "inspect", "ast", "dis", "tokenize",
+             "shutil", "bz2", "lzma")
+    program = tmp_path / "program.txt"
+    program.write_text("1 -> 2,0,+1\n")
     code = ("import sys, mlunif.cli, mlunif.eqtheory; "
-            "print(' '.join(name for name in %r if name in sys.modules))" % (heavy,))
+            "code = mlunif.cli.main(['verify', '--program', %r, '--start', '1,0,0', "
+            "'--target', '2,0,1']); "
+            "print(code, *(name for name in %r if name in sys.modules), file=sys.stderr)"
+            % (str(program), heavy))
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)), check=True)
-    assert run.stdout.split() == []
+    assert json.loads(run.stdout)["verdict"] == "unifiable"
+    assert run.stderr.split() == ["0"]
+
+
+@pytest.mark.parametrize("columns", [None, "120", "40"])
+def test_help_is_the_stock_formatter_help(monkeypatch, columns):
+    from mlunif import cli
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    parsers = [parser] + list(commands.values())
+    ours = [p.format_help() for p in parsers]
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert [p.format_help() for p in parsers] == ours
 
 
 def test_traced_run_keeps_the_random_model_suite_spans(tmp_path):

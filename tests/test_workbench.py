@@ -658,11 +658,12 @@ def test_cli_verify_writes_the_whole_suite_evidence(tmp_path, capsys):
 
 
 # The tableau instances of the benchmark, with the Solver.solve calls of
-# their one validity call
+# their one validity call (227/224/278 before each node's solve decided
+# only the node's cone)
 TABLEAU_INSTANCES = {
-    "T1": ("1 -> 2,0,-1 | 3,0,0", "1,0,1", "2,0,0", 227),
-    "T2": ("1 -> 2,0,+1", "1,0,0", "2,0,1", 224),
-    "T3": ("1 -> 2,-1,0 | 3,0,0", "1,1,0", "2,0,0", 278),
+    "T1": ("1 -> 2,0,-1 | 3,0,0", "1,0,1", "2,0,0", 234),
+    "T2": ("1 -> 2,0,+1", "1,0,0", "2,0,1", 241),
+    "T3": ("1 -> 2,-1,0 | 3,0,0", "1,1,0", "2,0,0", 271),
 }
 
 
@@ -715,6 +716,28 @@ def test_tableau_solve_counts_do_not_depend_on_run_order(monkeypatch):
         assert counts == pinned, order
 
 
+def test_ku_solves_decide_only_the_node_cone(monkeypatch):
+    # the 12-step counting run's lemma conjunction, past the tableau's step
+    # limit: each node's solve decides only the atoms its content reaches,
+    # 10.9 decisions per solve (69.4 when every solve decided all 196 atoms)
+    trace = reaches(parse_program("1 -> 1,+1,0"), Config(1, 0, 0), Config(1, 12, 0), 100).trace
+    goal = conj(step_lemmas(trace) + [no_defect_lemma(trace)])
+    solves, decisions = [0], [0]
+    solve = propsat.Solver.solve
+
+    def counted_solve(self, *args):
+        before = self.decisions
+        result = solve(self, *args)
+        solves[0] += 1
+        decisions[0] += self.decisions - before
+        return result
+
+    monkeypatch.setattr(propsat.Solver, "solve", counted_solve)
+    assert isinstance(decision.valid(goal), Valid)
+    assert solves[0] > 0
+    assert decisions[0] <= 20 * solves[0], (decisions[0], solves[0])
+
+
 @pytest.mark.parametrize("program, start, target, steps", [
     ("1 -> 2,+1,0", "1,0,0", "1,0,0", 0),
     TABLEAU_INSTANCES["T1"][:3] + (1,),
@@ -746,15 +769,16 @@ def test_cli_verify_proves_a_short_hybrid_run_by_its_k_lemmas(
 
 
 def test_cli_frame_stops_at_the_point_budget(tmp_path, capsys, monkeypatch):
-    # the run counts counter 1 down from 600, so the frame would have
-    # 8 + 3 * 603 + 1 points; the check comes before R's transitive closure
+    # from 1,700,0 the run has two configurations and the towers reach level
+    # 701, so the frame would have 8 + 3 * 702 + 2 points; the check comes
+    # before R's transitive closure
     program = tmp_path / "prog.txt"
     program.write_text("1 -> 2,-1,0 | 3,0,0\n")
     monkeypatch.setattr(encoding, "transitive_closure", None)
-    code = run_cli("frame", "--program", str(program), "--start", "1,600,0")
+    code = run_cli("frame", "--program", str(program), "--start", "1,700,0")
     assert code == 2
     assert capsys.readouterr() == (
-        "", "resource limit: canonical frame budget exceeded: 1816 points, limit 1000\n")
+        "", "resource limit: canonical frame budget exceeded: 2116 points, limit 2000\n")
 
 
 # Installs the benchmark's tracer, which wraps functions of every layer by
