@@ -1,16 +1,21 @@
 """End-to-end pipeline: compile, decide reachability, and certify.
 
-For a reachable target the pipeline builds the explicit unifier and
-verifies the substituted reduction formula: on short runs by one tableau
-proof of the conjunction of the paper's step lemmas, otherwise against a
-seeded random-model suite.  For a provably unreachable target it builds
-the truncated canonical frame and certifies non-unifiability: the program
-axioms are frame-valid, the start configuration's marker is globally true,
-and the target's marker is globally false, which refutes every
-substitution instance at once because frame validity is closed under
-substitution and the target marker carries no variables.  A hybrid
-certificate's S is total, and there the three facts are checked as their
-L forms on R alone (`certificate_checks`).
+For a reachable target the pipeline builds the explicit unifier sigma and
+certifies sigma(psi) by the first of three routes that applies
+(`verify_unifier`): a tableau proof of the paper's step lemmas on runs of
+at most two steps; else sigma(psi) on the run's l + 1 canonical prefix
+frames while they fit `encoding.POINT_BUDGET` (frame i has points for
+exactly c_0 .. c_i, so defect_i holds everywhere on it, and frame l holds
+no defect: one frame per case of the paper's argument); else a seeded
+suite of small random models.
+
+For a provably unreachable target it builds the truncated canonical frame
+and certifies non-unifiability: the program axioms are frame-valid, the
+start configuration's marker is globally true, and the target's marker is
+globally false, which refutes every substitution instance at once because
+frame validity is closed under substitution and the target marker carries
+no variables.  A hybrid certificate's S is total, and there the three
+facts are checked as their L forms on R alone (`certificate_checks`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .kripke import (
 )
 from .minsky import Config, MinskyProgram, No, Trace, Unknown, Yes, reaches
 from .encoding import (
-    MODES, LabeledFrame, ax_program, canonical_frame, config_exists, psi,
+    MODES, POINT_BUDGET, LabeledFrame, ax_program, canonical_frame, config_exists,
+    frame_for_configs, psi, truncation_level,
 )
 from .record import Record
 from .witness import no_defect_lemma, step_lemmas, witness_from_trace
@@ -77,6 +83,17 @@ def _suite_blocks(seed: int, trials: int, max_points: int, language: str,
         yield r, s, held
 
 
+def _first_failure(union: DisjointUnion, phi: Formula) -> tuple[int, int] | None:
+    """The block of `union` holding the lowest point where phi fails, and
+    that point's index in its block; None when phi holds everywhere."""
+    failing = ((1 << union.width) - 1) ^ truth_mask(union, phi)
+    if not failing:
+        return None
+    bit = (failing & -failing).bit_length() - 1
+    k = bisect.bisect_right(union.offsets, bit) - 1
+    return k, bit - union.offsets[k]
+
+
 def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
                            max_points: int) -> tuple[int, tuple[Model, str] | None]:
     """Evaluate phi at every point of `trials` seeded models (variables get
@@ -96,30 +113,71 @@ def check_on_random_models(phi: Formula, language: str, seed: int, trials: int,
         raise ValueError("the random-model suite needs at least one trial, got %d" % trials)
     draw = (seed, trials, max_points, language, sorted(variables(phi)))
     union = DisjointUnion(_suite_blocks(*draw))
-    failing = ((1 << union.width) - 1) ^ truth_mask(union, phi)
-    if not failing:
+    failure = _first_failure(union, phi)
+    if failure is None:
         return len(union.offsets), None
-    bit = (failing & -failing).bit_length() - 1
-    k = bisect.bisect_right(union.offsets, bit) - 1
+    k, j = failure
     r, s, held = next(itertools.islice(_suite_blocks(*draw), k, None))
     frame = Frame(tuple("w%d" % i for i in range(len(r))), r, s)
-    return k + 1, (Model(frame, dict(held)), frame.points[bit - union.offsets[k]])
+    return k + 1, (Model(frame, dict(held)), frame.points[j])
+
+
+def prefix_frames(program: MinskyProgram, trace: Trace,
+                  language: str) -> list[Frame] | None:
+    """The run's l + 1 canonical prefix frames, or None when together they
+    would have more than POINT_BUDGET points.
+
+    Frame i is `frame_for_configs(trace.configs[:i + 1], level, language)`
+    at the run's truncation level: it has configuration points for exactly
+    c_0 .. c_i.  No point has an edge into a configuration point, so frame
+    i is the first `base + i + 1` points and rows of the frame for the
+    whole run, which is built once; `base` counts its skeleton and tower
+    points.  In H2 each frame has the total S.
+    """
+    configs = trace.configs
+    count = len(configs)
+    level = truncation_level(program, configs)
+    # the three towers alone give a lower bound on the points, so a run
+    # whose frames cannot fit builds nothing
+    if count * 3 * (level + 1) + count * (count + 1) // 2 > POINT_BUDGET:
+        return None
+    try:
+        whole = frame_for_configs(configs, level, language).frame
+    except ResourceLimit:  # the whole frame is the last prefix frame
+        return None
+    base = len(whole.points) - count
+    if count * base + count * (count + 1) // 2 > POINT_BUDGET:
+        return None
+    frames = []
+    for n in range(base + 1, base + count + 1):
+        s = ((1 << n) - 1,) * n if language == H2 else None
+        frames.append(Frame(whole.points[:n], whole.r[:n], s))
+    return frames
 
 
 def verify_unifier(sigma: Substitution, reduction: Formula, language: str,
-                   trace: Trace, seed: int = 0,
+                   program: MinskyProgram, trace: Trace, seed: int = 0,
                    tableau_budget: int = DEFAULT_TABLEAU_BUDGET) -> dict:
     """Certify that sigma(reduction), the unifier `sigma` of `trace` applied
-    to psi, holds everywhere.
+    to psi, holds everywhere; returns the report's evidence dict.
 
-    On runs of at most DEFAULT_TABLEAU_MAX_STEPS steps, in either language,
-    one tableau call within `tableau_budget` proves the conjunction of the
-    run's step lemmas and its no-defect lemma, which implies the formula
-    (`witness.step_lemmas`).  A proof that runs out of budget falls back to
-    the random-model suite of SUITE_TRIALS models of at most
-    SUITE_MAX_POINTS points, as do longer runs; only the suite builds
-    sigma(reduction).  Returns the report's evidence dict.  A counter-model
-    is an internal-invariant violation, not a verdict.
+    The first route that applies gives the evidence:
+    - `tableau`: on runs of at most DEFAULT_TABLEAU_MAX_STEPS steps, in
+      either language, one tableau call within `tableau_budget` proves the
+      conjunction of the run's step lemmas and its no-defect lemma, which
+      implies the formula (`witness.step_lemmas`);
+    - `canonical_prefix`: sigma(reduction) holds at every point of the
+      run's l + 1 `prefix_frames`, checked as the blocks of one disjoint
+      union by one `truth_mask` call, with n1 on the first point of each
+      block in H2 (on a total S its place changes no truth; see
+      `certificate_checks`).  Frame i has points for exactly c_0 .. c_i, so
+      defect_i holds everywhere on it, and frame l, with the whole run,
+      holds no defect: one frame per case of the step-lemma argument, with
+      sigma(p_c) equal to step i's tower marker on frame i;
+    - `random_models`: when the prefix frames pass POINT_BUDGET points,
+      the suite of SUITE_TRIALS models of at most SUITE_MAX_POINTS points
+      drawn from `seed`.
+    A counter-model is an internal-invariant violation, not a verdict.
     """
     if len(trace) <= DEFAULT_TABLEAU_MAX_STEPS:
         lemmas = conj(step_lemmas(trace) + [no_defect_lemma(trace)])
@@ -132,8 +190,19 @@ def verify_unifier(sigma: Substitution, reduction: Formula, language: str,
                 raise InternalCheckFailed(
                     "unifier verification found a counter-model at point %r" % verdict.point)
             return {"method": "tableau"}
-    checked, failure = check_on_random_models(apply_subst(sigma, reduction), language,
-                                              seed, SUITE_TRIALS, SUITE_MAX_POINTS)
+    phi = apply_subst(sigma, reduction)
+    frames = prefix_frames(program, trace, language)
+    if frames is not None:
+        held = [(Nominal(1), 1)] if language == H2 else []
+        failure = _first_failure(DisjointUnion((f.r, f.s, held) for f in frames), phi)
+        if failure is not None:
+            k, j = failure
+            raise InternalCheckFailed(
+                "unifier verification failed on canonical prefix frame %d at point %r"
+                % (k, frames[k].points[j]))
+        return {"method": "canonical_prefix", "frames": len(frames)}
+    checked, failure = check_on_random_models(phi, language, seed, SUITE_TRIALS,
+                                              SUITE_MAX_POINTS)
     if failure is not None:
         raise InternalCheckFailed(
             "unifier verification failed on a random model at point %r" % failure[1])
@@ -189,7 +258,7 @@ def check_unifiable_via_reduction(program: MinskyProgram, start: Config,
     if isinstance(reach, Yes):
         sigma = witness_from_trace(reach.trace, language)
         reduction = psi(program, start, target, language)
-        evidence = verify_unifier(sigma, reduction, language, reach.trace,
+        evidence = verify_unifier(sigma, reduction, language, program, reach.trace,
                                   seed=seed, tableau_budget=tableau_budget)
         return Unifiable(sigma, evidence, len(reach.trace), size(reduction))
     if isinstance(reach, No):

@@ -4,13 +4,13 @@ test modules."""
 import collections
 import random
 
-from mlunif.encoding import frame_for_configs, truncation_level
 from mlunif.errors import UnknownPoint
 from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not,
     Or, Substitution, Var, postorder, variables,
 )
 from mlunif.kripke import DisjointUnion, Frame, Model, draw_rows, truth_mask
+from mlunif.workbench import prefix_frames
 
 _L_MODS = [Modality.REL, Modality.UNIV]
 _MODS = {L: _L_MODS, H2: [Modality.REL, Modality.HYB], None: [Modality.REL]}
@@ -79,17 +79,17 @@ def prefix_defect_model(seed, program, trace, i, language, check):
     """Random model on which `check` (a ground formula, typically defect_i)
     holds at every point.
 
-    Starts from the skeleton frame holding configuration points only for
-    steps 0..i, then adds a few fresh points with edges into it; new points
-    get no incoming edges, so the truth of forward-looking formulas at the
-    original points is untouched.  The perturbed model is verified against
-    `check` and rejected (None) if the fresh points broke it.
+    Starts from the canonical prefix frame of steps 0..i
+    (`workbench.prefix_frames`), then adds a few fresh points with edges
+    into it; new points get no incoming edges, so the truth of
+    forward-looking formulas at the original points is untouched.  The
+    perturbed model is verified against `check` and rejected (None) if the
+    fresh points broke it.
     """
     rng = random.Random(seed)
-    level = truncation_level(program, trace.configs)
-    lf = frame_for_configs(trace.configs[:i + 1], level, language)
-    points = list(lf.frame.points)
-    r = list(lf.frame.r)
+    frame = prefix_frames(program, trace, language)[i]
+    points = list(frame.points)
+    r = list(frame.r)
     for k in range(rng.randint(0, 3)):
         r.append(sum(1 << j for j in range(len(points)) if rng.random() < 0.2))
         points.append("x%d" % k)

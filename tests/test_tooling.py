@@ -276,10 +276,10 @@ def test_help_is_the_stock_formatter_help(monkeypatch, columns):
     assert [p.format_help() for p in parsers] == ours
 
 
-def test_traced_run_keeps_the_random_model_suite_spans(tmp_path):
+def test_traced_run_counts_the_prefix_frame_pass(tmp_path):
     """`bench/tracing.py` wraps `truth_mask` at the name `workbench` calls it
     by, so a traced run of a suite instance counts its one truth-mask pass
-    and times the suite."""
+    over the canonical prefix frames, and no random suite."""
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
     with open(os.path.join(bench, "workloads.json"), encoding="utf-8") as handle:
         instance = json.load(handle)["workloads"]["suite"]["instances"][0]
@@ -297,4 +297,6 @@ def test_traced_run_keeps_the_random_model_suite_spans(tmp_path):
                    check=True, capture_output=True)
     layers = json.loads((tmp_path / "result.json").read_text())["layers"]
     assert layers["kripke.truth_mask_calls"] == 1
-    assert layers["workbench.check_on_random_models_s"] > 0
+    assert layers["workbench.check_on_random_models_s"] == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["evidence"] == {"method": "canonical_prefix", "frames": 4}

@@ -7,16 +7,16 @@ import sys
 
 import pytest
 
-from mlunif.errors import LanguageMismatch, UnboundSymbol
+from mlunif.errors import InternalCheckFailed, LanguageMismatch, UnboundSymbol
 from mlunif.formula import (
-    BOT, H2, L, And, Not, Substitution, TOP, conj, disj, language_of, parse,
+    BOT, H2, L, And, Nominal, Not, Substitution, TOP, conj, disj, language_of, parse,
 )
 from mlunif.kripke import (
-    CounterModel, DisjointUnion, Frame, Valid, frame_valid, model_check, serialize_frame,
-    serialize_valuation, transitive_reduction,
+    CounterModel, DisjointUnion, Frame, Model, Valid, frame_valid, model_check,
+    serialize_frame, serialize_valuation, transitive_reduction, truth_mask,
 )
 from mlunif.minsky import (
-    Config, MinskyProgram, parse_config, parse_program, reaches, run_trace,
+    Config, Dec, MinskyProgram, parse_config, parse_program, reaches, run_trace,
 )
 from mlunif.encoding import (
     LabeledFrame, ax_program, canonical_frame, config_exists, frame_for_configs,
@@ -28,9 +28,9 @@ from mlunif.witness import (
 )
 from mlunif.formula import apply_subst, variables
 from mlunif.workbench import (
-    SUITE_TRIALS, NotUnifiable, Unifiable, Unknown, _suite_blocks, certificate_checks,
+    NotUnifiable, Unifiable, Unknown, _suite_blocks, certificate_checks,
     check_on_random_models, check_unifiable_via_reduction, ground_unifiable,
-    verdict_report,
+    prefix_frames, verdict_report, verify_unifier,
 )
 import mlunif
 from mlunif import cli, decision, encoding, propsat
@@ -272,8 +272,8 @@ def test_mode_agreement_on_verdict_kind():
 S3_PROGRAM = "1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0"
 
 
-def test_hybrid_unifiable_uses_random_suite_beyond_trivial_traces():
-    # a hybrid run goes to the suite by its length alone, as a universal one
+def test_hybrid_unifiable_uses_prefix_frames_beyond_trivial_traces():
+    # a hybrid run leaves the tableau by its length alone, as a universal one
     prog = parse_program("1 -> 2,+1,0")
     verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(2, 1, 0),
                                             10, H2)
@@ -283,8 +283,49 @@ def test_hybrid_unifiable_uses_random_suite_beyond_trivial_traces():
                                             Config(4, 2, 1), 10, H2)
     assert isinstance(verdict, Unifiable)
     assert verdict.trace_length == 3
-    assert verdict.evidence["method"] == "random_models"
-    assert verdict.evidence["trials"] == SUITE_TRIALS
+    assert verdict.evidence == {"method": "canonical_prefix", "frames": 4}
+
+
+# `1 -> 1,+1,0` from 1,0,0: the prefix frames of the run to 1,21,0 total
+# 1,947 points, those of the run to 1,22,0 would total 2,116
+COUNTER_LOOP = "1 -> 1,+1,0"
+
+
+def test_prefix_frames_end_at_the_point_budget():
+    prog = parse_program(COUNTER_LOOP)
+    for language in (L, H2):
+        frames = prefix_frames(prog, run_trace(prog, Config(1, 0, 0), 21), language)
+        assert sum(len(frame.points) for frame in frames) == 1947 <= encoding.POINT_BUDGET
+        assert prefix_frames(prog, run_trace(prog, Config(1, 0, 0), 22), language) is None
+        verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(1, 21, 0),
+                                                30, language)
+        assert verdict.evidence == {"method": "canonical_prefix", "frames": 22}
+        verdict = check_unifiable_via_reduction(prog, Config(1, 0, 0), Config(1, 22, 0),
+                                                30, language)
+        assert verdict.evidence["method"] == "random_models"
+
+
+@pytest.mark.parametrize("program, start, steps", [
+    (COUNTER_LOOP, "1,0,0", 21),
+    (S3_PROGRAM, "1,0,0", 3),
+    ("1 -> 1,-1,0 | 2,0,0\n2 -> 3,0,-1 | 9,0,0", "1,2,1", 10),
+], ids=["counter-loop", "S1", "decrements"])
+def test_prefix_frames_are_the_row_prefixes_of_one_frame(program, start, steps):
+    # each frame is the canonical frame of its configurations alone, and
+    # defect_i holds at every point of frame i, no defect on the last one
+    prog = parse_program(program)
+    trace = run_trace(prog, parse_config(start), steps)
+    level = truncation_level(prog, trace.configs)
+    for language in (L, H2):
+        frames = prefix_frames(prog, trace, language)
+        assert len(frames) == len(trace) + 1
+        for i, frame in enumerate(frames):
+            assert frame == frame_for_configs(trace.configs[:i + 1], level, language).frame
+        n1 = {Nominal(1): 1} if language == H2 else {}
+        union = union_of(Model(frame, n1) for frame in frames)
+        for i, defect in enumerate(defect_formulas(trace, language)):
+            block = (1 << len(frames[i].points)) - 1 << union.offsets[i]
+            assert truth_mask(union, defect) == block, i
 
 
 def test_random_suite_reports_failures():
@@ -300,16 +341,64 @@ def test_random_suite_reports_failures():
     assert failure is None and checked == 50
 
 
-def marker_mutant(trace, language, step, counter):
+def marker_mutant(trace, language, step, counter, delta=1):
     """The unifier of `trace` with the marker index of one counter at one
-    step shifted up by one."""
+    step shifted by delta."""
     defects = defect_formulas(trace, language)
     return Substitution({
         c: disj([And(d, tower(c, shifted_counter_index(trace, i, c)
-                              + (i == step and c == counter)))
+                              + delta * (i == step and c == counter)))
                  for i, d in enumerate(defects)])
         for c in (1, 2)
     })
+
+
+# the runs of the suite benchmark, S1 and S2 (S3 is S1 in hybrid mode), and
+# a decrement run that takes the non-zero branch twice, then the zero branch
+MUTATION_RUNS = [
+    (S3_PROGRAM, "1,0,0", "4,2,1"),
+    ("1 -> 2,+1,0\n2 -> 3,+1,0\n3 -> 4,0,+1\n4 -> 5,-1,0 | 9,0,0\n5 -> 6,0,-1 | 9,0,0",
+     "1,0,0", "6,1,0"),
+    ("1 -> 1,-1,0 | 2,0,0", "1,2,0", "2,0,0"),
+]
+
+
+def test_prefix_frames_reject_every_marker_shift():
+    # shifting one counter's marker index at one step by +1, or by -1 where
+    # it stays >= 0, must fail the check on that step's prefix frame, in
+    # both modes.  Exempt is the decremented counter on a decrement's zero
+    # branch, which that step's lemmas do not read: there the shifted
+    # unifier is still a unifier, and passes
+    caught = exempt = 0
+    for text, start, target in MUTATION_RUNS:
+        program, start, target = parse_program(text), parse_config(start), parse_config(target)
+        trace = reaches(program, start, target, 10).trace
+        for language in (L, H2):
+            reduction = psi(program, start, target, language)
+
+            def verify(sigma):
+                return verify_unifier(sigma, reduction, language, program, trace)
+
+            assert verify(witness_from_trace(trace, language)) == {
+                "method": "canonical_prefix", "frames": len(trace) + 1}
+            for i, ins in enumerate(trace.instrs):
+                for counter in (1, 2):
+                    index = shifted_counter_index(trace, i, counter)
+                    value = trace.configs[i].c1 if counter == 1 else trace.configs[i].c2
+                    free = isinstance(ins, Dec) and ins.counter == counter and value == 0
+                    for delta in (1, -1):
+                        if index + delta < 0:
+                            continue
+                        sigma = marker_mutant(trace, language, i, counter, delta)
+                        if free:
+                            assert verify(sigma)["method"] == "canonical_prefix"
+                            exempt += 1
+                            continue
+                        with pytest.raises(InternalCheckFailed,
+                                           match="canonical prefix frame %d " % i):
+                            verify(sigma)
+                        caught += 1
+    assert (caught, exempt) == (60, 2)
 
 
 def test_one_pass_suite_matches_model_by_model_reference():
@@ -631,7 +720,7 @@ def test_cli_verify_stops_the_run_at_the_target(tmp_path, capsys):
     assert report["trace_length"] == 5
 
 
-def test_cli_verify_falls_back_to_the_suite_when_a_lemma_runs_out(tmp_path, capsys):
+def test_cli_verify_falls_back_to_prefix_frames_when_a_lemma_runs_out(tmp_path, capsys):
     program = tmp_path / "prog.txt"
     program.write_text("1 -> 2,0,+1\n")
     out = tmp_path / "out"
@@ -640,19 +729,20 @@ def test_cli_verify_falls_back_to_the_suite_when_a_lemma_runs_out(tmp_path, caps
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "unifiable"
-    assert report["evidence"]["method"] == "random_models"
+    assert report["evidence"] == {"method": "canonical_prefix", "frames": 2}
 
 
 def test_cli_verify_writes_the_whole_suite_evidence(tmp_path, capsys):
-    # the suite's one configuration, and the seed it was drawn from
+    # the suite's one configuration, and the seed it was drawn from, on the
+    # shortest run whose prefix frames pass the point budget
     program = tmp_path / "prog.txt"
-    program.write_text(S3_PROGRAM + "\n")
+    program.write_text(COUNTER_LOOP + "\n")
     out = tmp_path / "out"
     code = run_cli("verify", "--program", str(program), "--start", "1,0,0",
-                   "--target", "4,2,1", "--mode", "hybrid", "--seed", "7", "--out", str(out))
+                   "--target", "1,22,0", "--mode", "hybrid", "--seed", "7", "--out", str(out))
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["trace_length"] == 3
+    assert report["trace_length"] == 22
     assert report["evidence"] == {"max_points": 8, "method": "random_models", "seed": 7,
                                   "trials": 1000}
 
