@@ -184,65 +184,82 @@ def cmd_ground_unify(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _reduce_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--program", required=True)
+    p.add_argument("--start", required=True)
+    p.add_argument("--target", required=True)
+    p.add_argument("--mode", choices=list(MODES), default="universal")
+    p.add_argument("--bound", type=_at_least(0), default=1000)
+    p.add_argument("--out", required=True)
+
+
+def _frame_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--program", required=True)
+    p.add_argument("--start", required=True)
+    p.add_argument("--bound", type=_at_least(0), default=1000)
+    p.add_argument("--mode", choices=list(MODES), default="universal")
+    p.add_argument("--out")
+
+
+def _modelcheck_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--frame", required=True)
+    p.add_argument("--valuation")
+    p.add_argument("--point", required=True)
+    p.add_argument("--formula", required=True)
+
+
+def _formula_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--formula", required=True)
+    p.add_argument("--budget", type=_at_least(1), default=decision.DEFAULT_LABEL_BUDGET)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--program", required=True)
+    p.add_argument("--start", required=True)
+    p.add_argument("--target", required=True)
+    p.add_argument("--bound", type=_at_least(0), default=1000)
+    p.add_argument("--mode", choices=list(MODES), default="universal")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_at_least(1), default=workbench.DEFAULT_TABLEAU_BUDGET)
+    p.add_argument("--out")
+
+
+# each command's help line, the function it runs, and what adds its options
+_COMMANDS = {
+    "reduce": ("compile a machine into formulas", cmd_reduce, _reduce_args),
+    "frame": ("build the canonical frame", cmd_frame, _frame_args),
+    "modelcheck": ("evaluate a formula at a point", cmd_modelcheck, _modelcheck_args),
+    "valid": ("decide valid; the formula's language picks the logic", cmd_valid,
+              _formula_args),
+    "sat": ("decide sat; the formula's language picks the logic", cmd_sat, _formula_args),
+    "verify": ("run the full pipeline", cmd_verify, _verify_args),
+    "ground-unify": ("search substitutions into constants", cmd_ground_unify,
+                     _formula_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of `command` when it names one:
+    a call parses one command, and argparse builds a parser and a formatter
+    per option, so the others would be built for nothing.  The top-level
+    help and its error for an unknown command need every command."""
     parser = _Parser(prog="mlunif",
                      description="workbench for unification in modal logics "
                                  "with a universal box or nominals")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    reduce_p = sub.add_parser("reduce", help="compile a machine into formulas")
-    reduce_p.add_argument("--program", required=True)
-    reduce_p.add_argument("--start", required=True)
-    reduce_p.add_argument("--target", required=True)
-    reduce_p.add_argument("--mode", choices=list(MODES), default="universal")
-    reduce_p.add_argument("--bound", type=_at_least(0), default=1000)
-    reduce_p.add_argument("--out", required=True)
-    reduce_p.set_defaults(func=cmd_reduce)
-
-    frame_p = sub.add_parser("frame", help="build the canonical frame")
-    frame_p.add_argument("--program", required=True)
-    frame_p.add_argument("--start", required=True)
-    frame_p.add_argument("--bound", type=_at_least(0), default=1000)
-    frame_p.add_argument("--mode", choices=list(MODES), default="universal")
-    frame_p.add_argument("--out")
-    frame_p.set_defaults(func=cmd_frame)
-
-    mc_p = sub.add_parser("modelcheck", help="evaluate a formula at a point")
-    mc_p.add_argument("--frame", required=True)
-    mc_p.add_argument("--valuation")
-    mc_p.add_argument("--point", required=True)
-    mc_p.add_argument("--formula", required=True)
-    mc_p.set_defaults(func=cmd_modelcheck)
-
-    for name, func in (("valid", cmd_valid), ("sat", cmd_sat)):
-        p = sub.add_parser(name, help="decide %s; the formula's language picks the logic"
-                           % name)
-        p.add_argument("--formula", required=True)
-        p.add_argument("--budget", type=_at_least(1), default=decision.DEFAULT_LABEL_BUDGET)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, func, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
         p.set_defaults(func=func)
-
-    verify_p = sub.add_parser("verify", help="run the full pipeline")
-    verify_p.add_argument("--program", required=True)
-    verify_p.add_argument("--start", required=True)
-    verify_p.add_argument("--target", required=True)
-    verify_p.add_argument("--bound", type=_at_least(0), default=1000)
-    verify_p.add_argument("--mode", choices=list(MODES), default="universal")
-    verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--budget", type=_at_least(1), default=workbench.DEFAULT_TABLEAU_BUDGET)
-    verify_p.add_argument("--out")
-    verify_p.set_defaults(func=cmd_verify)
-
-    gu_p = sub.add_parser("ground-unify", help="search substitutions into constants")
-    gu_p.add_argument("--formula", required=True)
-    gu_p.add_argument("--budget", type=_at_least(1), default=decision.DEFAULT_LABEL_BUDGET)
-    gu_p.set_defaults(func=cmd_ground_unify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    words = sys.argv[1:] if argv is None else argv
+    parser = build_parser(words[0] if words else None)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(words)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

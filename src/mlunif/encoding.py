@@ -12,7 +12,6 @@ through the nominal n1.  `MODES` gives the two the names users pick them by.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Iterable
 
@@ -214,20 +213,17 @@ def nom_formula() -> Formula:
     point where the axiom reads a variable.
     """
     dh_n = Diamond(HYB, Nominal(1))
-    conjuncts: list[Formula] = []
-    for length in range(1, NOM_WORD_LENGTH + 1):
-        for word in itertools.product((REL, HYB), repeat=length):
-            body = dh_n
-            for m in reversed(word):
-                body = Box(m, body)
-            conjuncts.append(Implies(dh_n, body))
-    for length in range(1, NOM_WORD_LENGTH + 1):
-        for word in itertools.product((REL, HYB), repeat=length):
-            body = dh_n
-            for m in reversed(word):
-                body = Diamond(m, body)
-            conjuncts.append(Implies(body, dh_n))
-    return conj(conjuncts)
+    boxes: list[Formula] = []
+    diamonds: list[Formula] = []
+    # the words of each length in lexicographic order, REL before HYB,
+    # each made once from the words one shorter: `M w` is M over the word w
+    box_words = dia_words = [dh_n]
+    for _ in range(NOM_WORD_LENGTH):
+        box_words = [Box(m, w) for m in (REL, HYB) for w in box_words]
+        dia_words = [Diamond(m, w) for m in (REL, HYB) for w in dia_words]
+        boxes += box_words
+        diamonds += dia_words
+    return conj([Implies(dh_n, w) for w in boxes] + [Implies(w, dh_n) for w in diamonds])
 
 
 def ax_program(program: MinskyProgram, language: str) -> Formula:

@@ -14,7 +14,6 @@ import enum
 import itertools
 import operator
 import re
-import weakref
 from collections.abc import Iterable, Iterator
 
 from .errors import LanguageError, ParseError
@@ -25,6 +24,10 @@ class Modality(enum.Enum):
     UNIV = "univ"  # universal box: quantifies over every point
     HYB = "hyb"    # second box over the relation S of hybrid frames
 
+    # each member is one object, so identity hashing is equality's hash;
+    # Enum's own __hash__ is a Python call inside every modal node's key
+    __hash__ = object.__hash__
+
 
 class Formula:
     """Base class of the hash-consed formula nodes.
@@ -32,16 +35,20 @@ class Formula:
     Every constructor call goes through one process-wide table keyed by
     class and fields, so structurally equal formulas are one object:
     equality and hashing are identity, and a formula is a DAG whose size is
-    its number of structurally distinct subterms.  The table holds nodes
-    weakly, so a formula no one references is freed as usual.
+    its number of structurally distinct subterms.  The table holds its
+    nodes strongly, for the life of the process: a lookup must cost less
+    than the node it saves (Filliatre and Conchon 2006), and a weak table
+    looks up through a Python method and gives each node a weak reference
+    with a callback.  A run builds a few thousand distinct nodes, so the
+    table stays small.
 
     `args` holds the formula children, left to right.  `flags` records,
     once per node, which of the language-defining symbols (UNIV_BOX,
-    HYB_BOX, NOMINAL) and whether any variable or nominal (SYMBOL) occur
-    in the subterm.
+    HYB_BOX, NOMINAL) occur in the subterm, and whether any variable
+    (VARIABLE) or any variable or nominal (SYMBOL) does.
     """
 
-    __slots__ = ("args", "flags", "__weakref__")
+    __slots__ = ("args", "flags")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
@@ -51,13 +58,13 @@ class Formula:
             if len(fields) != len(cls._fields):
                 raise TypeError("%s takes %d arguments" % (cls.__name__, len(cls._fields)))
             node = object.__new__(cls)
+            args, flags = [], 0
             for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
-            args = tuple(v for v in fields if isinstance(v, Formula))
-            flags = 0
-            for a in args:
-                flags |= a.flags
-            object.__setattr__(node, "args", args)
+                if isinstance(value, Formula):
+                    args.append(value)
+                    flags |= value.flags
+            object.__setattr__(node, "args", tuple(args))
             object.__setattr__(node, "flags", flags | node._own_flags())
             _interned[key] = node
         return node
@@ -74,9 +81,9 @@ class Formula:
         return "parse(%r)" % pretty(self)
 
 
-UNIV_BOX, HYB_BOX, NOMINAL, SYMBOL = 1, 2, 4, 8
+UNIV_BOX, HYB_BOX, NOMINAL, SYMBOL, VARIABLE = 1, 2, 4, 8, 16
 
-_interned = weakref.WeakValueDictionary()
+_interned: dict[tuple, Formula] = {}
 
 
 class Var(Formula):
@@ -86,7 +93,7 @@ class Var(Formula):
     def _own_flags(self) -> int:
         if self.index < 1:
             raise ValueError("variable index must be >= 1")
-        return SYMBOL
+        return SYMBOL | VARIABLE
 
 
 class Nominal(Formula):
@@ -239,11 +246,11 @@ def check_language(phi: Formula, language: str | None) -> None:
         raise LanguageError("[u] is not part of the hybrid language")
 
 
-def _rebuild(f: Formula, args: list[Formula]) -> Formula:
+def _rebuild(f: Formula, args: tuple[Formula, ...]) -> Formula:
     """The node of f's class and fields, with `args` as its children."""
     if isinstance(f, _Modal):
         return type(f)(f.modality, *args)
-    return type(f)(*args) if args else f
+    return type(f)(*args)
 
 
 class Substitution:
@@ -262,13 +269,17 @@ class Substitution:
         return self.mapping.get(index, Var(index))
 
     def apply(self, phi: Formula) -> Formula:
-        """Homomorphic replacement of variables; visits each distinct subterm once."""
+        """Homomorphic replacement of variables.  Visits each distinct
+        subterm with a variable once, and returns every variable-free
+        subterm, and every subterm that the replacement leaves as it was,
+        as it is, without a constructor call."""
         memo: dict[Formula, Formula] = {}
-        for f in postorder(phi):
-            if isinstance(f, Var):
+        for f in postorder(phi, lambda g: [a for a in g.args if a.flags & VARIABLE]):
+            if type(f) is Var:
                 memo[f] = self.mapping.get(f.index, f)
             else:
-                memo[f] = _rebuild(f, [memo[g] for g in f.args])
+                args = tuple(memo.get(g, g) for g in f.args)
+                memo[f] = f if args == f.args else _rebuild(f, args)
         return memo[phi]
 
     def serialize(self) -> str:

@@ -11,9 +11,12 @@ owns a contiguous block of bits, and each relation is stored as offset
 masks E_d, the points i with an edge to i + d.  A box is then
 all ^ OR_d(E_d & shift(all ^ body, d)), at most 2 n - 1 big-integer steps
 per node for blocks of at most n points, however many blocks there are.
-The universal box of L frames uses the same construction over the "same
-block" relation, so it never looks across models.  One model is a union of
-one block, so a single model and a suite of thousands cost one pass each.
+A relation that is total on a block, as the universal relation of L
+frames is on every block and a canonical frame's S is, is kept as the
+block instead, and a box over it takes about 2 log2 n steps: a segmented
+doubling spreads the points where the body fails over their blocks, so
+it never looks across models.  One model is a union of one block, so a
+single model and a suite of thousands cost one pass each.
 A union is folded from blocks, a frame's successor rows and a valuation's
 (symbol, mask) pairs, so a caller that draws its models, as the random
 suite does with `draw_rows`, builds no `Frame` or `Model` per block; each
@@ -80,6 +83,8 @@ from .formula import (
     Nominal, Not, Or, Var, language_of, postorder, pretty,
 )
 from .record import FrozenRecord, Record
+
+REL, UNIV, HYB = Modality.REL, Modality.UNIV, Modality.HYB
 
 
 def transitive_closure(rows: Iterable[int]) -> tuple[int, ...]:
@@ -165,13 +170,16 @@ class DisjointUnion:
     union of their frames.
 
     Model k owns the block of bits `offsets[k]` ... `offsets[k] + n_k - 1`,
-    one bit per point in the order of its frame's points.  Each relation is
-    kept as offset masks: `edges[modality][d]` holds bit i when point i has
-    an edge to point i + d, which lies in the same block.  The universal
-    relation of L frames is the "same block" relation, so `[u]` never looks
-    across models.  `symbols` maps each variable and nominal node, `Var(k)`
-    or `Nominal(k)`, to the points where it holds, one block after another,
-    and `bound` counts the blocks that bind it.
+    one bit per point in the order of its frame's points.  A relation that
+    is total on a block, as the universal relation of L frames is on every
+    block and a canonical frame's S is on its own, is kept as that block:
+    `total[modality]` holds the points of such blocks, and `fills[modality]`
+    the masks that spread a point set over the blocks it meets
+    (`_block_fills`).  Elsewhere a relation is kept as offset masks:
+    `edges[modality][d]` holds bit i when point i has an edge to point
+    i + d, which lies in the same block.  `symbols` maps each variable and
+    nominal node, `Var(k)` or `Nominal(k)`, to the points where it holds,
+    one block after another, and `bound` counts the blocks that bind it.
 
     The union is folded from blocks, each a frame's R rows, its S rows (None
     for L frames) and the (symbol, mask) pairs of its valuation, the
@@ -179,9 +187,10 @@ class DisjointUnion:
     `(frame.r, frame.s, valuation.items())`, and a caller that draws its
     models, as the random suite does, folds the drawn rows and masks with
     no `Frame` or `Model` per block.  The fold records the union bit of
-    every edge and symbol point and builds each union-wide mask once, at
-    the end, so a block costs the same however many came before it, and a
-    generator of blocks is never held in memory.
+    every edge outside a total block, of every total block and of every
+    symbol point, and builds each union-wide mask once, at the end, so a
+    block costs the same however many came before it, and a generator of
+    blocks is never held in memory.
     """
 
     def __init__(self, blocks: Iterable[tuple]):
@@ -189,9 +198,10 @@ class DisjointUnion:
         offsets: list[int] = []
         width = 0
         bound: dict[Formula, int] = {}
-        # the union bits of each edge offset d of R and S, and of each symbol
-        r_at: dict[int, list[int]] = {}
-        s_at: dict[int, list[int]] = {}
+        # the union bits of each edge offset d of R and S outside the total
+        # blocks, the (offset, size) of those blocks, and each symbol's bits
+        at = {REL: {}, UNIV: {}, HYB: {}}
+        whole = {REL: [], UNIV: [], HYB: []}
         held_at: dict[Formula, list[int]] = {}
         for r, s, held in blocks:
             block_kind = L if s is None else H2
@@ -200,17 +210,27 @@ class DisjointUnion:
                     raise ValueError("a disjoint union needs models of one frame kind")
                 kind = block_kind
             offsets.append(width)
-            for rows, out in ((r, r_at),) if s is None else ((r, r_at), (s, s_at)):
+            n = len(r)
+            full = (1 << n) - 1
+            if s is None:
+                whole[UNIV].append((width, n))
+                relations = ((REL, r),)
+            else:
+                relations = ((REL, r), (HYB, s))
+            for modality, rows in relations:
+                if rows.count(full) == n:
+                    whole[modality].append((width, n))
+                    continue
+                out = at[modality]
                 for i, row in enumerate(rows):
-                    at = width + i
                     while row:  # each successor j of i, lowest bit first
                         low = row & -row
                         d = low.bit_length() - 1 - i
                         bits = out.get(d)
                         if bits is None:
-                            out[d] = [at]
+                            out[d] = [width + i]
                         else:
-                            bits.append(at)
+                            bits.append(width + i)
                         row ^= low
             for symbol, mask in held:
                 bound[symbol] = bound.get(symbol, 0) + 1
@@ -219,12 +239,14 @@ class DisjointUnion:
                     low = mask & -mask
                     bits.append(width + low.bit_length() - 1)
                     mask ^= low
-            width += len(r)
+            width += n
         self.kind, self.offsets, self.width, self.bound = kind, offsets, width, bound
         self.symbols = {symbol: _mask(bits, width) for symbol, bits in held_at.items()}
         self.edges = {m: {d: _mask(bits, width) for d, bits in out.items()}
-                      for m, out in ((Modality.REL, r_at), (Modality.HYB, s_at))}
-        self.edges[Modality.UNIV] = _same_block(offsets, width) if kind == L else {}
+                      for m, out in at.items()}
+        self.total, self.fills = {}, {}
+        for m, runs in whole.items():
+            self.total[m], self.fills[m] = _block_fills(runs, width)
 
 
 def _mask(bits: list[int], width: int) -> int:
@@ -236,21 +258,32 @@ def _mask(bits: list[int], width: int) -> int:
     return int(digits[::-1], 2)
 
 
-def _same_block(offsets: list[int], width: int) -> dict[int, int]:
-    """Offset masks of the relation that joins every two points of one
-    block: E_d holds i when no block starts in i + 1 ... i + d (the end of
-    the union counting as a start), and E_-d is E_d moved up by d."""
-    starts = _mask(offsets[1:] + [width], width + 1)
-    everything = (1 << width) - 1
-    out = {0: everything}
-    apart, d = 0, 1
-    while True:
-        apart |= starts >> d
-        e = everything & ~apart
-        if not e:
-            return out
-        out[d], out[-d] = e, e << d
-        d += 1
+def _block_fills(runs: list[tuple[int, int]],
+                 width: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """The mask of the blocks given as (offset, size) runs, and the steps
+    of a segmented doubling over them: (k, up_k, down_k) for k = 1, 2, 4,
+    ... below the largest size, where up_k holds the block points with k
+    or more points of their block below them, and down_k those with k or
+    more above.  Applying each step to a subset x of the blocks,
+    x |= x << k & up_k, then x |= x >> k & down_k, makes x every point of
+    each block that x meets: after the step for k, each point holds what
+    its block held within 2k - 1 places of it."""
+    if not runs:
+        return 0, []
+    starts = _mask([offset for offset, _ in runs], width)
+    past = _mask([offset + size for offset, size in runs], width + 1)
+    blocks = past - starts  # each block is 2^(offset + size) - 2^offset
+    # the points that have a block start at most k - 1 places below them,
+    # and those with a block end at most k - 1 places above
+    near_start, near_end = starts, past >> 1
+    steps = []
+    k, largest = 1, max(size for _, size in runs)
+    while k < largest:
+        steps.append((k, blocks & ~near_start, blocks & ~near_end))
+        near_start |= near_start << k
+        near_end |= near_end >> k
+        k *= 2
+    return blocks, steps
 
 
 def _check_frame_language(phi: Formula, kind: str | None) -> None:
@@ -274,6 +307,7 @@ def truth_mask(model: Model | DisjointUnion, phi: Formula) -> int:
     all_mask = (1 << model.width) - 1
     blocks = len(model.offsets)
     symbols, bound, edges = model.symbols, model.bound, model.edges
+    total, fills = model.total, model.fills
     masks: dict[Formula, int] = {}
     uses: dict[Formula, int] = {}
     for f in nodes:
@@ -293,6 +327,14 @@ def truth_mask(model: Model | DisjointUnion, phi: Formula) -> int:
             m = 0
             for d, e in edges[f.modality].items():
                 m |= e & (sub >> d if d >= 0 else sub << -d)
+            # on a block where the relation is total, every point sees the
+            # body wherever the block has it
+            here = sub & total[f.modality]
+            if here:
+                for k, up, down in fills[f.modality]:
+                    here |= here << k & up
+                    here |= here >> k & down
+                m |= here
             m ^= flip
         elif kind is Or:
             m = masks[f.left] | masks[f.right]
@@ -461,9 +503,9 @@ def frame_valid(frame: Frame, phi: Formula) -> Valid | CounterModel:
 
     all_mask = (1 << n) - 1
     # each point's successor row by modality; `[u]` sees every point
-    rows_of = {Modality.UNIV: (all_mask,) * n, Modality.REL: frame.r}
+    rows_of = {UNIV: (all_mask,) * n, REL: frame.r}
     if frame.s is not None:
-        rows_of[Modality.HYB] = frame.s
+        rows_of[HYB] = frame.s
     groups = _row_groups(rows_of)
     bounds = _bounds(nodes, groups, all_mask)
     for f in roots:

@@ -6,8 +6,8 @@ import random
 
 from mlunif.errors import UnknownPoint
 from mlunif.formula import (
-    BOT, H2, L, TOP, And, Box, Diamond, Iff, Implies, Modality, Nominal, Not,
-    Or, Substitution, Var, postorder, variables,
+    BOT, H2, L, TOP, And, Box, Diamond, Formula, Iff, Implies, Modality, Nominal,
+    Not, Or, Substitution, Var, postorder, variables,
 )
 from mlunif.kripke import DisjointUnion, Frame, Model, draw_rows, truth_mask
 from mlunif.workbench import prefix_frames
@@ -44,6 +44,25 @@ def random_formula(rng: random.Random, depth: int, num_vars: int = 2,
         return Diamond(rng.choice(mods), go(d - 1))
 
     return go(depth)
+
+
+def constructor_calls(fn, *args):
+    """fn(*args), and how many formula constructor calls it made, those
+    that found their node in the intern table included."""
+    new = Formula.__new__
+    calls = 0
+
+    def counting(cls, *fields):
+        nonlocal calls
+        calls += 1
+        return new(cls, *fields)
+
+    Formula.__new__ = staticmethod(counting)
+    try:
+        result = fn(*args)
+    finally:
+        Formula.__new__ = staticmethod(new)
+    return result, calls
 
 
 def random_term(rng: random.Random, depth: int):
@@ -182,11 +201,14 @@ def closure_by_search(rows):
 
 
 def offset_masks_by_pairs(models):
-    """The offset masks of the `DisjointUnion` of `models`, built edge pair
-    by edge pair: (x, y) in a block at offset b sets bit b + i(x) of the
-    mask for d = i(y) - i(x).  The universal relation of L frames holds
-    every pair of its block.  The reference for `DisjointUnion`."""
+    """The offset masks and total blocks of the `DisjointUnion` of `models`,
+    built edge pair by edge pair, as (edges, total).  A relation that holds
+    every pair of its block sets the block's points in `total[modality]`;
+    otherwise (x, y) in a block at offset b sets bit b + i(x) of the mask
+    for d = i(y) - i(x).  The universal relation of L frames holds every
+    pair of its block.  The reference for `DisjointUnion`."""
     edges = {m: {} for m in Modality}
+    total = {m: 0 for m in Modality}
     base = 0
     for model in models:
         points = model.frame.points
@@ -199,12 +221,16 @@ def offset_masks_by_pairs(models):
         pairs[Modality.REL] = [(x, y) for x, ys in
                                successors(points, model.frame.r).items() for y in ys]
         for modality, edge_pairs in pairs.items():
+            if len(edge_pairs) == len(points) ** 2:
+                for x in points:
+                    total[modality] |= 1 << base + index[x]
+                continue
             out = edges[modality]
             for x, y in edge_pairs:
                 d = index[y] - index[x]
                 out[d] = out.get(d, 0) | 1 << base + index[x]
         base += len(points)
-    return edges
+    return edges, total
 
 
 def modal_depth(phi, at=None):

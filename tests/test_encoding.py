@@ -8,7 +8,7 @@ import pytest
 from mlunif.errors import ParseError, TruncationUnsound
 from mlunif.formula import (
     H2, L, TOP, And, Box, Diamond, Implies, Modality, Nominal, Not, Or, Var,
-    language_of, nominals, parse, postorder, variables,
+    language_of, nominals, parse, postorder, pretty, size, variables,
 )
 from mlunif.kripke import Frame, Model, model_check, transitive_closure
 from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_program
@@ -17,7 +17,7 @@ from mlunif.encoding import (
     epsilon, exists, marker, nom_formula, parse_labeled_frame, pi_tau, psi,
     serialize_labeled_frame, tower, PI1, PI2, TAU1, TAU2,
 )
-from helpers import modal_depth, points_where, random_frame, successors
+from helpers import constructor_calls, modal_depth, points_where, random_frame, successors
 
 REL = Modality.REL
 
@@ -143,6 +143,15 @@ def test_hybrid_mode_uses_surrogate_everywhere():
     # the user-facing mode names are not languages
     with pytest.raises(ValueError):
         ax_instruction(Inc(1, 1, 2), "universal")
+
+
+def test_nom_formula_builds_each_node_once():
+    # each word is made from the words one shorter, so no constructor call
+    # finds its node already made; the digest pins the text
+    nom, calls = constructor_calls(nom_formula)
+    assert calls == size(nom) == 757
+    assert hashlib.sha256(pretty(nom).encode()).hexdigest() == (
+        "00b99f9dd90b0223675f8f3309291a70adf0391eb435dcc1ad4d3db5976fa0df")
 
 
 def test_nom_formula_counts():

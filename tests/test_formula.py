@@ -14,7 +14,9 @@ from mlunif.formula import (
     ground_substitutions, nominals, parse, parse_substitution, postorder,
     pretty, size, surrogate_exists, variables,
 )
-from helpers import compose, modal_depth, random_formula
+from mlunif.minsky import Config, parse_program, reaches
+from mlunif.witness import witness_from_trace
+from helpers import compose, constructor_calls, modal_depth, random_formula
 
 REL = Modality.REL
 UNIV = Modality.UNIV
@@ -127,6 +129,46 @@ def test_subst_identity_on_variable_free():
     sigma = Substitution({1: BOT, 2: TOP})
     phi = parse("<>true & [](false | true)")
     assert apply_subst(sigma, phi) == phi
+
+
+def rebuild_every_node(sigma, phi):
+    """sigma(phi) with every node of phi made again: the reference for
+    `Substitution.apply`."""
+    memo = {}
+    for f in postorder(phi):
+        if isinstance(f, Var):
+            memo[f] = sigma.get(f.index)
+        elif isinstance(f, (Box, Diamond)):
+            memo[f] = type(f)(f.modality, memo[f.sub])
+        else:
+            memo[f] = type(f)(*[memo[a] for a in f.args]) if f.args else f
+    return memo[phi]
+
+
+def test_subst_returns_variable_free_subterms_themselves():
+    assert Var(1).flags & formula.VARIABLE
+    assert not Nominal(1).flags & formula.VARIABLE
+    program = parse_program("1 -> 2,+1,0\n2 -> 3,0,+1\n3 -> 4,+1,0\n")
+    start, target = Config(1, 0, 0), Config(4, 2, 1)
+    trace = reaches(program, start, target, 10).trace
+    # S1 and S3 of the benchmark's suite: 219 and 992 calls when every node
+    # was made again
+    for language, most in ((L, 63), (H2, 76)):
+        reduction = encoding.psi(program, start, target, language)
+        sigma = witness_from_trace(trace, language)
+        out, calls = constructor_calls(sigma.apply, reduction)
+        assert calls <= most
+        assert out is rebuild_every_node(sigma, reduction)
+        kept = set(postorder(out))
+        for f in postorder(reduction):
+            if not f.flags & formula.VARIABLE:
+                assert f in kept and sigma.apply(f) is f
+    rng = random.Random(3)
+    for _ in range(200):
+        phi = random_formula(rng, depth=5, num_vars=3, language=H2, num_noms=2)
+        sigma = Substitution({1: random_formula(rng, depth=2, num_vars=2),
+                              3: Var(3)})
+        assert sigma.apply(phi) is rebuild_every_node(sigma, phi)
 
 
 def test_ground_substitutions_order_and_count():

@@ -22,7 +22,7 @@ from mlunif.kripke import (
 from helpers import (
     bit_rows, closure_by_search, holds_everywhere, is_transitive, offset_masks_by_pairs,
     point_mask, points_where, points_within, random_formula, random_frame, random_valuation,
-    truth_set, union_of,
+    truth_set, union_of, with_total_s,
 )
 
 REL = Modality.REL
@@ -667,8 +667,50 @@ def test_disjoint_union_offset_masks_match_pairs_reference():
     for language in (L, H2):
         models = [Model(random_frame(seed, 6, kind=language), {})
                   for seed in range(40)]
+        if language == H2:  # every third block with a total S
+            models[::3] = [Model(with_total_s(m.frame), {}) for m in models[::3]]
         for k in (1, 7, 40):
-            assert union_of(models[:k]).edges == offset_masks_by_pairs(models[:k])
+            union = union_of(models[:k])
+            assert (union.edges, union.total) == offset_masks_by_pairs(models[:k])
+
+
+def test_disjoint_union_keeps_total_relations_as_blocks():
+    """Blocks of 1 to 9 points: in H2 a mix of total and partial S, in L
+    unions of 1 to 40 blocks, whose `[u]` is total on each.  The truth
+    masks are the per-model reference's side by side, and no edge of a
+    total relation is folded."""
+    rng = random.Random(5)
+    hybrid = []
+    for seed in range(24):
+        frame = random_frame(seed, 9, kind=H2)
+        hybrid.append(with_total_s(frame) if seed % 2 else frame)
+    hybrid.append(Frame(("x",), (0,), (0,)))  # S empty on its one point
+    universal = [random_frame(seed, 9) for seed in range(40)]
+    for language, frames in ((H2, hybrid), (L, universal[:1]), (L, universal[:7]),
+                             (L, universal)):
+        noms = (1,) if language == H2 else ()
+        models = [Model(f, random_valuation(seed, f, (1, 2), noms))
+                  for seed, f in enumerate(frames)]
+        union = union_of(models)
+        total_s = [m for m in models if m.frame.s is not None
+                   and all(row == (1 << len(m.frame.points)) - 1 for row in m.frame.s)]
+        if language == L:
+            assert union.edges[Modality.UNIV] == {}
+            assert union.total[Modality.UNIV] == (1 << union.width) - 1
+        else:
+            assert 0 < len(total_s) < len(models)
+            # the folded S edges are those of the partial blocks alone
+            folded = sum(e.bit_count() for e in union.edges[Modality.HYB].values())
+            assert folded == sum(row.bit_count() for m in models if m not in total_s
+                                 for row in m.frame.s)
+        assert (union.edges, union.total) == offset_masks_by_pairs(models)
+        for _ in range(40):
+            phi = random_formula(rng, 4, 2, language, num_noms=len(noms))
+            expected = 0
+            for model, offset in zip(models, union.offsets):
+                expected |= sum(1 << model.frame.points.index(p)
+                                for p in truth_set(model, phi)) << offset
+            assert truth_mask(union, phi) == expected
 
 
 def test_disjoint_union_errors():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -462,7 +463,9 @@ def test_suite_union_matches_the_fold_of_its_models():
                     assert union.width == folded.width == sum(len(m.frame.points)
                                                                for m in models)
                     assert nonzero(union.edges) == nonzero(folded.edges)
-                    assert nonzero(union.edges) == nonzero(offset_masks_by_pairs(models))
+                    edges, total = offset_masks_by_pairs(models)
+                    assert nonzero(union.edges) == nonzero(edges)
+                    assert union.total == folded.total == total
                     assert union.symbols == folded.symbols
                     assert union.bound == folded.bound
                     # the symbols point by point, block after block
@@ -540,6 +543,29 @@ def test_cli_reduce_and_verify(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "verify" / "report.json").read_text())
     assert report["verdict"] == "unifiable"
+
+
+def test_cli_builds_only_the_parser_of_its_command(tmp_path, capsys, monkeypatch):
+    """A top-level parser and `verify`'s; an unknown command gets every
+    command's parser, so its error can name them all."""
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    program = tmp_path / "prog.txt"
+    program.write_text("1 -> 2,0,+1\n")
+    assert run_cli("verify", "--program", str(program), "--start", "1,0,0",
+                   "--target", "2,0,1") == 0
+    assert len(made) == 2
+    made.clear()
+    assert run_cli("bogus") == 1
+    assert len(made) == 8
+    assert "choose from 'reduce', 'frame', 'modelcheck', 'valid', 'sat', 'verify', " \
+        "'ground-unify'" in capsys.readouterr().err
 
 
 def test_cli_verify_sigma_text_is_linear(tmp_path, capsys):
