@@ -20,7 +20,9 @@ from .formula import (
     BOT, H2, TOP, L, And, Box, Diamond, Formula, Implies, Modality, Nominal,
     Not, Or, Var, conj, surrogate_exists,
 )
-from .kripke import Frame, parse_frame, serialize_generators, transitive_closure
+from .kripke import (
+    Frame, parse_frame, serialize_frame, serialize_generators, transitive_closure,
+)
 from .minsky import (
     EXHAUSTED, Config, Dec, Inc, Instruction, MinskyProgram, run_trace,
 )
@@ -168,11 +170,15 @@ def pi_tau(which: str) -> Formula:
     raise ValueError("unknown pattern %r" % which)
 
 
+# pi1, pi2, tau1 and tau2, built once for all the instruction axioms
+_PATTERNS = tuple(pi_tau(which) for which in (PI1, PI2, TAU1, TAU2))
+
+
 # --- instruction and program axioms --------------------------------------------
 
 def ax_instruction(ins: Instruction, language: str) -> Formula:
     """Axiom stating that the given instruction is simulated correctly."""
-    pi1, pi2, tau1, tau2 = pi_tau(PI1), pi_tau(PI2), pi_tau(TAU1), pi_tau(TAU2)
+    pi1, pi2, tau1, tau2 = _PATTERNS
 
     def ex(t, phi, psi):
         return exists(epsilon(t, phi, psi), language)
@@ -268,10 +274,14 @@ def marker(label: str) -> Formula:
 
 
 class LabeledFrame(Record):
-    """A frame whose labeled points each carry the name of their marker."""
+    """A frame whose labeled points each carry the name of their marker.
+    `generators` are the successor rows a canonical frame is built from,
+    of which `frame.r` is the transitive closure; a frame read from text
+    has none, and no truncation level."""
     frame: Frame
     labels: dict[str, str]
     truncation: int | None
+    generators: tuple[int, ...] | None
 
 
 def _tower_point(i: int, j: int) -> str:
@@ -333,12 +343,11 @@ def frame_for_configs(configs: Iterable[Config], level: int,
         rows.append(sum(1 << (len(_SKELETON) + i * (level + 1) + j)
                         for i, j in enumerate((c.state, c.c1, c.c2))))
 
-    r = transitive_closure(rows)
     s = None
     if language == H2:
         s = ((1 << count) - 1,) * count
-    frame = Frame(tuple(points), r, s)
-    return LabeledFrame(frame, labels, level)
+    frame = Frame(tuple(points), transitive_closure(rows), s)
+    return LabeledFrame(frame, labels, level, tuple(rows))
 
 
 def canonical_frame(program: MinskyProgram, start: Config, bound: int,
@@ -366,10 +375,14 @@ def canonical_frame(program: MinskyProgram, start: Config, bound: int,
 # --- labeled frame text format ---------------------------------------------------
 
 def serialize_labeled_frame(lf: LabeledFrame) -> str:
-    """The frame as its generators (`serialize_generators`): a canonical
-    frame's R is the closure of the skeleton, tower and marker edges, and a
-    hybrid one's S is total.  Then one `label:` line per labeled point."""
-    out = [serialize_generators(lf.frame)]
+    """A canonical frame as the rows it is built from: R as the skeleton,
+    tower and marker edges (`serialize_generators`), whose closure it is.
+    A frame read from text has no such rows and is written edge by edge
+    (`serialize_frame`).  Then one `label:` line per labeled point."""
+    if lf.generators is None:
+        out = [serialize_frame(lf.frame)]
+    else:
+        out = [serialize_generators(lf.frame, lf.generators)]
     out += ["label: %s %s\n" % (point, lf.labels[point])
             for point in lf.frame.points if point in lf.labels]
     return "".join(out)
@@ -403,4 +416,4 @@ def parse_labeled_frame(text: str) -> LabeledFrame:
     unknown = set(labels) - set(frame.points)
     if unknown:
         raise ParseError(0, "labels only for frame points (%s)" % ", ".join(sorted(unknown)))
-    return LabeledFrame(frame, labels, None)
+    return LabeledFrame(frame, labels, None, None)

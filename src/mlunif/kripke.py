@@ -100,24 +100,6 @@ def transitive_closure(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def transitive_reduction(rows: Iterable[int]) -> tuple[int, ...]:
-    """The edges (i, j) of the closure of `rows` with no third point k
-    between them (i sees k, k sees j), together with the closure's loops.
-    When the closure has no cycle through two or more points, these are the
-    fewest edges with the same closure, and the only such set (Aho, Garey
-    and Ullman 1972).  On a cycle the reduction loses edges, so its own
-    closure is smaller: a caller that needs the closure back compares."""
-    closure = transitive_closure(rows)
-    reduced = []
-    for i, row in enumerate(closure):
-        loop = row & 1 << i
-        later = 0  # the points two or more edges past i, through a third point
-        for k in _bits(row ^ loop):
-            later |= closure[k] & ~(1 << k)
-        reduced.append((row ^ loop) & ~later | loop)
-    return tuple(reduced)
-
-
 class Frame(FrozenRecord):
     """Named points and their relations, each relation as successor rows:
     bit j of `r[i]` is set when point i sees point j.  `s` is present
@@ -732,18 +714,12 @@ def serialize_frame(frame: Frame) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_generators(frame: Frame) -> str:
-    """The frame text with each relation written by what generates it, where
-    that gives back the same rows: R as `R*:` lines, the edges of its
-    transitive reduction, when their closure is R (not so when R is not
-    transitive or has a cycle through two or more points), and a total S as
-    the one line `S: all`.  Otherwise as `serialize_frame`."""
-    points, lines = frame.points, ["points: " + " ".join(frame.points)]
-    reduction = transitive_reduction(frame.r)
-    if transitive_closure(reduction) == frame.r:
-        lines += _edge_lines("R*", points, reduction)
-    else:
-        lines += _edge_lines("R", points, frame.r)
+def serialize_generators(frame: Frame, generators: tuple[int, ...]) -> str:
+    """The frame text with R written as one `R*:` line per generator edge,
+    for rows whose transitive closure is `frame.r`.  A total S is the one
+    line `S: all`; any other S is written as by `serialize_frame`."""
+    points = frame.points
+    lines = ["points: " + " ".join(points)] + _edge_lines("R*", points, generators)
     if frame.s is not None:
         full = (1 << len(points)) - 1
         if all(row == full for row in frame.s):

@@ -9,7 +9,9 @@ from mlunif.formula import (
     BOT, H2, L, TOP, And, Box, Diamond, Formula, Iff, Implies, Modality, Nominal,
     Not, Or, Substitution, Var, postorder, variables,
 )
-from mlunif.kripke import DisjointUnion, Frame, Model, draw_rows, truth_mask
+from mlunif.kripke import (
+    DisjointUnion, Frame, Model, draw_rows, transitive_closure, truth_mask,
+)
 from mlunif.workbench import prefix_frames
 
 _L_MODS = [Modality.REL, Modality.UNIV]
@@ -198,6 +200,24 @@ def closure_by_search(rows):
                 queue.extend(k for k in range(n) if rows[j] >> k & 1)
         out.append(sum(1 << j for j in seen))
     return tuple(out)
+
+
+def transitive_reduction(rows):
+    """The edges (i, j) of the closure of `rows` with no third point k
+    between them (i sees k, k sees j), together with the closure's loops.
+    When the closure has no cycle through two or more points, these are the
+    fewest edges with the same closure, and the only such set (Aho, Garey
+    and Ullman 1972): the reference for a canonical frame's generators."""
+    closure = transitive_closure(rows)
+    reduced = []
+    for i, row in enumerate(closure):
+        loop = row & 1 << i
+        later = 0  # the points two or more edges past i, through a third point
+        for k in range(len(closure)):
+            if (row ^ loop) >> k & 1:
+                later |= closure[k] & ~(1 << k)
+        reduced.append((row ^ loop) & ~later | loop)
+    return tuple(reduced)
 
 
 def offset_masks_by_pairs(models):

@@ -5,19 +5,23 @@ import time
 
 import pytest
 
+from mlunif import encoding, kripke
 from mlunif.errors import ParseError, TruncationUnsound
 from mlunif.formula import (
     H2, L, TOP, And, Box, Diamond, Implies, Modality, Nominal, Not, Or, Var,
     language_of, nominals, parse, postorder, pretty, size, variables,
 )
 from mlunif.kripke import Frame, Model, model_check, transitive_closure
-from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_program
+from mlunif.minsky import Config, Dec, Inc, MinskyProgram, parse_config, parse_program
 from mlunif.encoding import (
     LabeledFrame, ax_instruction, ax_program, canonical_frame, config_formula,
     epsilon, exists, marker, nom_formula, parse_labeled_frame, pi_tau, psi,
     serialize_labeled_frame, tower, PI1, PI2, TAU1, TAU2,
 )
-from helpers import constructor_calls, modal_depth, points_where, random_frame, successors
+from helpers import (
+    closure_by_search, constructor_calls, modal_depth, points_where, random_frame,
+    successors, transitive_reduction,
+)
 
 REL = Modality.REL
 
@@ -143,6 +147,21 @@ def test_hybrid_mode_uses_surrogate_everywhere():
     # the user-facing mode names are not languages
     with pytest.raises(ValueError):
         ax_instruction(Inc(1, 1, 2), "universal")
+
+
+@pytest.mark.parametrize("instructions, language, calls, nodes",
+                         [(20, L, 719, 536), (40, L, 1439, 956), (40, H2, 2437, 1874)],
+                         ids=["C1-L", "C2-L", "C2-H2"])
+def test_ax_program_builds_the_counter_patterns_once(instructions, language, calls, nodes):
+    # the four counter patterns are made once, not once per instruction
+    # (C1 in L took 1,799 calls that way); the first call builds the
+    # towers, so the second is counted
+    program = parse_program("\n".join("%d -> %d,+1,0" % (k, k + 1)
+                                       for k in range(1, instructions + 1)))
+    first = ax_program(program, language)
+    phi, counted = constructor_calls(ax_program, program, language)
+    assert phi is first
+    assert (counted, len(set(postorder(phi)))) == (calls, nodes)
 
 
 def test_nom_formula_builds_each_node_once():
@@ -278,56 +297,132 @@ def test_labeled_frame_text_is_pinned():
 
 
 def test_labeled_frame_text_falls_back_to_explicit_edges():
-    # only a relation its generators give back is written by them
+    # a frame with no generator rows, as one read from text, is written edge
+    # by edge; with them, R is written as the rows and a total S as one line
     points = ("x", "y", "z")
 
-    def text(r, s=None):
-        lf = LabeledFrame(Frame(points, r, s), {"x": "alpha"}, None)
+    def text(r, s=None, generators=None):
+        if generators is not None:
+            r = transitive_closure(generators)
+        lf = LabeledFrame(Frame(points, r, s), {"x": "alpha"}, None, generators)
         written = serialize_labeled_frame(lf)
         back = parse_labeled_frame(written)
         assert (back.frame, back.labels) == (lf.frame, lf.labels)
         return written
 
-    # a cycle through three points: its reduction has only the loops
+    # a cycle through three points keeps all nine closure edges
     everything = transitive_closure((0b010, 0b100, 0b001))
     assert text(everything) == "points: x y z\n" + "".join(
         "R: %s %s\n" % (a, b) for a in points for b in points) + "label: x alpha\n"
-    # not transitive: the closure of x -> y -> z would add x -> z
-    assert text((0b010, 0b100, 0)) == "points: x y z\nR: x y\nR: y z\nlabel: x alpha\n"
+    # and its three generators give the same rows back
+    assert text(None, None, (0b010, 0b100, 0b001)) == (
+        "points: x y z\nR*: x y\nR*: y z\nR*: z x\nlabel: x alpha\n")
+    # a transitive R is written edge by edge too, when no rows come with it
+    assert text((0b110, 0b100, 0)) == "points: x y z\nR: x y\nR: x z\nR: y z\nlabel: x alpha\n"
     # a partial S keeps its edges, next to R's generators
-    assert text((0b110, 0b100, 0), (0b011, 0b111, 0b100)) == (
+    assert text(None, (0b011, 0b111, 0b100), (0b010, 0b100, 0)) == (
         "points: x y z\nR*: x y\nR*: y z\nS: x x\nS: x y\nS: y x\nS: y y\nS: y z\n"
         "S: z z\nlabel: x alpha\n")
     # an empty S is still the lone line that makes the frame hybrid
-    assert text((0, 0, 0), (0, 0, 0)) == "points: x y z\nS:\nlabel: x alpha\n"
-    assert text((0, 0, 0), (0b111,) * 3) == "points: x y z\nS: all\nlabel: x alpha\n"
+    for generators in (None, (0, 0, 0)):
+        assert text((0, 0, 0), (0, 0, 0), generators) == "points: x y z\nS:\nlabel: x alpha\n"
+    assert text(None, (0b111,) * 3, (0, 0, 0)) == "points: x y z\nS: all\nlabel: x alpha\n"
+    assert text((0, 0, 0), (0b111,) * 3) == "points: x y z\n" + "".join(
+        "S: %s %s\n" % (a, b) for a in points for b in points) + "label: x alpha\n"
 
 
 def test_labeled_frame_text_reads_back_on_random_frames():
-    # relations of each shape the writer tells apart: R transitive or not,
-    # with or without a cycle; S absent, empty, total or partial
+    # frames with and without generator rows; S absent, empty, total or
+    # partial
     rng = random.Random(21)
     names = ["alpha", "delta2", "a(0,3)", "a(2,0)", "e(1,0,0)", "e(4,2,7)"]
     forms = set()
     for seed in range(200):
         frame = random_frame(seed, 8, kind=(L, H2)[seed % 2])
         n = len(frame.points)
-        r = frame.r
-        if seed % 3 == 1:
-            r = transitive_closure(r)
-        elif seed % 3 == 2:  # no cycle through two points: keep edges up and loops
-            r = transitive_closure(row >> i << i for i, row in enumerate(r))
+        r, generators = frame.r, None
+        if seed % 3:  # the drawn rows as generators, with or without a cycle
+            generators = r if seed % 3 == 1 else tuple(row >> i << i for i, row in enumerate(r))
+            r = transitive_closure(generators)
         s = frame.s
         if s is not None and seed // 2 % 3:  # S as drawn, or empty, or total
             s = (((1 << n) - 1) * (seed // 2 % 3 - 1),) * n
         labels = {p: rng.choice(names) for p in frame.points if rng.random() < 0.5}
-        lf = LabeledFrame(Frame(frame.points, r, s), labels, None)
+        lf = LabeledFrame(Frame(frame.points, r, s), labels, None, generators)
         text = serialize_labeled_frame(lf)
         back = parse_labeled_frame(text)
         assert (back.frame, back.labels) == (lf.frame, lf.labels), text
         forms.update(line if len(line.split()) < 3 else line.split()[0] + " x y"
                      for line in text.splitlines() if line.startswith(("R", "S")))
     assert forms == {"R: x y", "R*: x y", "S: x y", "S:", "S: all"}
+
+
+# sha256 of the text of the 616-point canonical frames of
+# `1 -> 2,-1,0 | 3,0,0` from 1,200,0, as a writer that found R's
+# generators again from R wrote it
+FRAME_616_SHA256 = {
+    L: "350e864e9a701026f0f0263237ce52e36be0e1f3fef1da49115c5186a940dbac",
+    H2: "a526ba9ad4a874d8d60c62093c50b5390fc5915249b8bfeccee36de083b73dd6",
+}
+
+
+@pytest.mark.parametrize("language", [L, H2])
+def test_canonical_frame_keeps_the_transitive_reduction_of_r(language):
+    # the rows a canonical frame is built from are exactly its R's
+    # generators: nothing is left out, and no row gives a redundant edge
+    chain = "\n".join("%d -> %d,+1,0" % (k, k + 1) for k in range(1, 21))
+    cases = [(chain, "1,0,0"),
+             ("1 -> 2,+1,0\n2 -> 1,-1,0 | 1,0,0", "1,0,0"),
+             ("1 -> 2,+1,0\n2 -> 3,+1,0\n3 -> 4,0,+1\n4 -> 5,-1,0 | 9,0,0\n"
+              "5 -> 6,0,-1 | 9,0,0", "1,0,0"),
+             ("1 -> 2,-1,0 | 3,0,0", "1,200,0")]
+    for program, start in cases:
+        lf = canonical_frame(parse_program(program), parse_config(start), 1000, language)
+        assert lf.generators == transitive_reduction(lf.frame.r), program
+        assert transitive_closure(lf.generators) == lf.frame.r, program
+    assert len(lf.frame.points) == 616
+
+
+@pytest.mark.parametrize("language", [L, H2])
+def test_canonical_frame_text_is_written_without_a_closure(monkeypatch, language):
+    # the text keeps its digest, and writing it makes no closure
+    lf = canonical_frame(parse_program("1 -> 2,-1,0 | 3,0,0"), Config(1, 200, 0), 1000, language)
+
+    def no_closure(rows):
+        raise AssertionError("transitive_closure called")
+
+    monkeypatch.setattr(encoding, "transitive_closure", no_closure)
+    monkeypatch.setattr(kripke, "transitive_closure", no_closure)
+    text = serialize_labeled_frame(lf)
+    assert hashlib.sha256(text.encode()).hexdigest() == FRAME_616_SHA256[language]
+
+
+def test_transitive_reduction():
+    # a -> b -> c with a -> c: the edge a -> c is implied
+    assert transitive_reduction((0b110, 0b100, 0)) == (0b010, 0b100, 0)
+    # a loop stays, since no other edge gives it back
+    assert transitive_reduction((0b011, 0)) == (0b011, 0)
+    # on a cycle through three points the reduction loses edges
+    cycle = transitive_closure((0b010, 0b100, 0b001))
+    assert transitive_closure(transitive_reduction(cycle)) != cycle
+    rng = random.Random(4)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        # no cycle through two or more points: every edge goes up or is a loop
+        rows = tuple(sum(1 << j for j in range(i, n) if rng.random() < density / 2)
+                     for i in range(n))
+        reduced = transitive_reduction(rows)
+        closure = closure_by_search(rows)
+        assert closure_by_search(reduced) == closure, rows
+        # the fewest edges: a generating set holds every one, and each is needed
+        assert all(kept & ~given == 0 for kept, given in zip(reduced, rows)), rows
+        for i, row in enumerate(reduced):
+            for j in range(n):
+                if row >> j & 1:
+                    fewer = list(reduced)
+                    fewer[i] ^= 1 << j
+                    assert closure_by_search(fewer) != closure, (rows, i, j)
 
 
 def test_marker_rejects_other_names():

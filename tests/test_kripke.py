@@ -17,7 +17,7 @@ from mlunif.minsky import Config, parse_program
 from mlunif.kripke import (
     CounterModel, DisjointUnion, Frame, Model, Valid, _cover, frame_valid, model_check,
     parse_frame, parse_valuation, serialize_frame, serialize_generators, serialize_valuation,
-    transitive_closure, transitive_reduction, truth_mask,
+    transitive_closure, truth_mask,
 )
 from helpers import (
     bit_rows, closure_by_search, holds_everywhere, is_transitive, offset_masks_by_pairs,
@@ -433,34 +433,6 @@ def test_transitive_closure():
         assert is_transitive(got)
 
 
-def test_transitive_reduction():
-    # a -> b -> c with a -> c: the edge a -> c is implied
-    assert transitive_reduction((0b110, 0b100, 0)) == (0b010, 0b100, 0)
-    # a loop stays, since no other edge gives it back
-    assert transitive_reduction((0b011, 0)) == (0b011, 0)
-    # on a cycle through three points the reduction loses edges
-    cycle = transitive_closure((0b010, 0b100, 0b001))
-    assert transitive_closure(transitive_reduction(cycle)) != cycle
-    rng = random.Random(4)
-    for trial in range(300):
-        n = rng.randint(1, 9)
-        density = rng.random()
-        # no cycle through two or more points: every edge goes up or is a loop
-        rows = tuple(sum(1 << j for j in range(i, n) if rng.random() < density / 2)
-                     for i in range(n))
-        reduced = transitive_reduction(rows)
-        closure = closure_by_search(rows)
-        assert closure_by_search(reduced) == closure, rows
-        # the fewest edges: a generating set holds every one, and each is needed
-        assert all(kept & ~given == 0 for kept, given in zip(reduced, rows)), rows
-        for i, row in enumerate(reduced):
-            for j in range(n):
-                if row >> j & 1:
-                    fewer = list(reduced)
-                    fewer[i] ^= 1 << j
-                    assert closure_by_search(fewer) != closure, (rows, i, j)
-
-
 def test_random_frame_deterministic_and_transitive():
     for seed in (0, 1, 7):
         assert random_frame(seed, 6) == random_frame(seed, 6)
@@ -544,10 +516,16 @@ def test_frame_text_roundtrip():
     # a point named `all`: `S: all` alone is a total S, `S: all x` an edge
     for s in ((0b10, 0), (0b11, 0b11), (0, 0b01)):
         named_all = Frame(("all", "x"), (0b10, 0), s)
-        for write in (serialize_frame, serialize_generators):
-            assert parse_frame(write(named_all)) == named_all, write(named_all)
-    assert serialize_generators(Frame(("all", "x"), (0b10, 0), (0b10, 0))).endswith(
+        for text in (serialize_frame(named_all), serialize_generators(named_all, (0b10, 0))):
+            assert parse_frame(text) == named_all, text
+    assert serialize_generators(Frame(("all", "x"), (0b10, 0), (0b10, 0)), (0b10, 0)).endswith(
         "S: all x\n")
+    # the generators are written as they are given, and read back as their
+    # closure
+    chain = Frame(("x", "y", "z"), (0b110, 0b100, 0), (0b111,) * 3)
+    assert serialize_generators(chain, (0b010, 0b100, 0)) == (
+        "points: x y z\nR*: x y\nR*: y z\nS: all\n")
+    assert parse_frame(serialize_generators(chain, (0b010, 0b100, 0))) == chain
 
 
 def test_frame_row_and_text_errors():

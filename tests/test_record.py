@@ -14,7 +14,7 @@ TRACE = minsky.Trace((CONFIG, minsky.Config(2, 1, 0)), (INC,), minsky.REACHED)
 FRAME = kripke.Frame(("a", "b"), (2, 0), (3, 3))
 VALUATION = {Var(1): 0b01, Nominal(1): 0b10}
 MODEL = kripke.Model(FRAME, VALUATION)
-LABELED = encoding.LabeledFrame(FRAME, {"a": "m"}, 2)
+LABELED = encoding.LabeledFrame(FRAME, {"a": "m"}, 2, (2, 0))
 
 # one instance's field values for each record class, in field order
 EXAMPLES = {
@@ -35,7 +35,7 @@ EXAMPLES = {
     propsat.Sat: ([False, True, False],),
     propsat.Unsat: (),
     decision.Sat: (MODEL, "b"),
-    encoding.LabeledFrame: (FRAME, {"a": "m"}, 2),
+    encoding.LabeledFrame: (FRAME, {"a": "m"}, 2, (2, 0)),
     workbench.Unifiable: (Substitution({1: Var(2)}), {"method": "tableau"}, 1, 5),
     workbench.NotUnifiable: (LABELED,),
     eqtheory.Equation: (Var(1), Var(2)),

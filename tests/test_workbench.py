@@ -14,7 +14,7 @@ from mlunif.formula import (
 )
 from mlunif.kripke import (
     CounterModel, DisjointUnion, Frame, Model, Valid, frame_valid, model_check,
-    serialize_frame, serialize_valuation, transitive_reduction, truth_mask,
+    serialize_frame, serialize_valuation, truth_mask,
 )
 from mlunif.minsky import (
     Config, Dec, MinskyProgram, parse_config, parse_program, reaches, run_trace,
@@ -115,14 +115,14 @@ def test_certificate_cnf_sizes(monkeypatch, program, start, target, language, si
 @pytest.mark.parametrize("program, start, target, language, sizes", CERTIFICATE_CNFS,
                          ids=["C1", "C2", "C3", "C4"])
 def test_certificate_text_is_its_generators(program, start, target, language, sizes):
-    # R is written as its transitive reduction and a hybrid frame's total S
+    # R is written as the rows it is built from and a hybrid frame's total S
     # as one line, and the text reads back as the same rows and labels
     lf = canonical_frame(parse_program(program), parse_config(start), 100, language)
     text = serialize_labeled_frame(lf)
     back = parse_labeled_frame(text)
     assert (back.frame, back.labels) == (lf.frame, lf.labels)
     lines = text.splitlines()
-    generators = sum(bin(row).count("1") for row in transitive_reduction(lf.frame.r))
+    generators = sum(bin(row).count("1") for row in lf.generators)
     assert sum(line.startswith("R*: ") for line in lines) == generators
     assert not any(line.startswith("R:") for line in lines)
     assert [line for line in lines if line.startswith("S:")] == ["S: all"] * (language == H2)
@@ -187,7 +187,7 @@ def test_hybrid_certificate_needs_a_total_s():
     s = list(lf.frame.s)
     s[-1] ^= 1
     one_short = LabeledFrame(Frame(lf.frame.points, lf.frame.r, tuple(s)), lf.labels,
-                             lf.truncation)
+                             lf.truncation, lf.generators)
     lone = parse_labeled_frame(serialize_labeled_frame(lf).replace("S: all\n", "S:\n"))
     for frame in (one_short, lone):
         assert certificate_checks(frame, prog, a, b, language) == {"s_total": False}
@@ -213,17 +213,17 @@ def test_frame_valid_decides_the_nominal_agreement_alone(monkeypatch):
 
 def test_certificate_cnf_grows_with_the_generator_edges(monkeypatch):
     # the program axioms' CNF on an L certificate has at most 20 literals
-    # per generator edge of R (its transitive reduction), however long
+    # per generator edge of R (the rows it is built from), however long
     # the towers: the closure's edges grow with the square of their height
     prog = parse_program("1 -> 2,-1,0 | 3,0,0")
     cnfs = []
     solve = propsat.solve
     monkeypatch.setattr(propsat, "solve", lambda cnf: cnfs.append(cnf) or solve(cnf))
     for start, points in (("1,50,0", 166), ("1,100,0", 316), ("1,200,0", 616)):
-        frame = canonical_frame(prog, parse_config(start), 1000, L).frame
-        assert len(frame.points) == points
-        assert isinstance(frame_valid(frame, ax_program(prog, L)), Valid)
-        generators = sum(bin(row).count("1") for row in transitive_reduction(frame.r))
+        lf = canonical_frame(prog, parse_config(start), 1000, L)
+        assert len(lf.frame.points) == points
+        assert isinstance(frame_valid(lf.frame, ax_program(prog, L)), Valid)
+        generators = sum(bin(row).count("1") for row in lf.generators)
         cnf = cnfs.pop()
         assert sum(len(clause) for clause in cnf.clauses) <= 20 * generators
 
